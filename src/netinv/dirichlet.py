@@ -29,7 +29,6 @@ from .operators import (
     assemble_schrodinger,
     eigen_decompose,
     laplacian_matrix,
-    projected_gradient_matrix,
 )
 
 __all__ = [
@@ -119,7 +118,7 @@ def _pd_margin(x: float) -> float:
 
 
 def _blocks_min_eig(blocks: np.ndarray) -> float:
-    return min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
+    return float(np.linalg.eigvalsh(blocks).min())
 
 
 def _is_zero_field(values: np.ndarray) -> bool:
@@ -289,7 +288,7 @@ def solve_dirichlet_psd(
     """
     d = sigma.d
     if eig is None:
-        eig = eigen_decompose(sigma)
+        eig = eigen_decompose(sigma, uniform_rank=False)
     op = assemble_laplacian(g, sigma)
     gvec = _boundary_vec(g, d, gb)
     if g.num_interior:
@@ -309,7 +308,7 @@ def dtn_psd(g: Graph, sigma: MatrixEdgeField, eig: EigenData | None = None) -> D
     """Dirichlet-to-Neumann map for rank-deficient conductivities via the Q
     basis of the interior range."""
     if eig is None:
-        eig = eigen_decompose(sigma)
+        eig = eigen_decompose(sigma, uniform_rank=False)
     op = assemble_laplacian(g, sigma)
     if g.num_interior:
         Q = q_basis(g, eig).matrix
@@ -329,9 +328,3 @@ def dtn_pseudoinverse_oracle(g: Graph, sigma: MatrixEdgeField) -> np.ndarray:
     if not g.num_interior:
         return op.BB.copy()
     return op.BB - op.BI @ np.linalg.pinv(op.II) @ op.IB
-
-
-def projected_gradient(g: Graph, eig: EigenData, u: VectorNodeField) -> np.ndarray:
-    """diag(x)^T nabla u, flat over edges in edge order."""
-    P = projected_gradient_matrix(g, eig)
-    return P @ u.canonical(g)

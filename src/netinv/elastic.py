@@ -52,8 +52,10 @@ class ElasticNetwork:
     def __post_init__(self):
         g = self.graph
         pos = np.asarray(self.positions, dtype=float)
-        if pos.shape[0] != g.num_vertices or pos.shape[1] not in (2, 3):
+        if pos.ndim != 2 or pos.shape[0] != g.num_vertices or pos.shape[1] not in (2, 3):
             raise FieldError("positions must be (num_vertices, 2 or 3)")
+        if not (np.isfinite(pos).all() and np.isfinite(self.omega)):
+            raise FieldError("positions and omega must be finite")
         for i, j in g.edges:
             if np.allclose(pos[i], pos[j]):
                 raise FieldError(f"edge ({i},{j}) has coincident endpoint positions")
@@ -63,6 +65,8 @@ class ElasticNetwork:
                                 ("c_v", self.c_v, g.num_vertices)):
             if np.asarray(arr).shape != (size,):
                 raise FieldError(f"{name} has wrong length")
+            if not np.isfinite(arr).all():
+                raise FieldError(f"{name} must be finite")
         if (np.asarray(self.k) <= 0).any():
             raise FieldError("spring constants must be positive")
         if (np.asarray(self.c_e) < 0).any():

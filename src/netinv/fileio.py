@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,27 +29,36 @@ class SchemaError(ValueError):
 
 
 def parse_complex(value) -> complex:
-    """A JSON complex number: either a plain number or an [re, im] pair."""
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 \
-            and all(isinstance(x, (int, float)) for x in value):
-        return complex(value[0], value[1])
-    raise SchemaError(f"expected a number or [re, im] pair, got {value!r}")
+    """A finite JSON complex number: either a plain number or an [re, im] pair."""
+    pair = [value, 0.0] if isinstance(value, (int, float)) else value
+    if isinstance(pair, list) and len(pair) == 2 \
+            and all(isinstance(x, (int, float)) and math.isfinite(x) for x in pair):
+        return complex(pair[0], pair[1])
+    raise SchemaError(f"expected a finite number or [re, im] pair, got {value!r}")
 
 
 def complex_to_json(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _parse_complex_matrix(data, d: int, what: str) -> np.ndarray:
+def _parse_complex_matrix(data, shape: tuple[int, int], what: str) -> np.ndarray:
     try:
         m = np.array([[parse_complex(x) for x in row] for row in data])
-    except (TypeError, SchemaError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad {what}: {exc}") from exc
-    if m.shape != (d, d):
-        raise SchemaError(f"{what} must be {d}x{d}")
+    if m.shape != shape:
+        raise SchemaError(f"{what} must be {shape[0]}x{shape[1]}")
     return m
+
+
+def _floats(values, what: str, ndim: int) -> np.ndarray:
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad {what}: {exc}") from exc
+    if arr.ndim != ndim:
+        raise SchemaError(f"bad {what}: expected {ndim} array dimensions")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -121,29 +131,25 @@ def load_network(path: str | Path) -> NetworkModel:
     has_sigma = ["sigma" in e for e in edges_doc]
     has_k = ["k" in e for e in edges_doc]
     if all(has_sigma) and not any(has_k):
-        blocks = np.stack([
-            _parse_complex_matrix(e["sigma"], d, f"sigma of edge ({e['i']},{e['j']})")
+        sigma = MatrixEdgeField.from_blocks(np.stack([
+            _parse_complex_matrix(e["sigma"], (d, d), f"sigma of edge ({e['i']},{e['j']})")
             for e in edges_doc
-        ])
-        # reorder to match the canonical edge list
-        order = _edge_order(g, pairs)
-        sigma = MatrixEdgeField.from_blocks(blocks[order])
+        ]))
         network = None
     elif all(has_k) and not any(has_sigma):
         if any("position" not in v for v in vertices):
             raise SchemaError("spring edges need a 'position' on every vertex")
-        pos = np.array([[float(x) for x in v["position"]] for v in vertices])
+        pos = _floats([v["position"] for v in vertices], "vertex positions", 2)
         if pos.shape[1] != d:
             raise SchemaError(f"positions must have dimension d={d}")
-        order = _edge_order(g, pairs)
-        k = np.array([float(e["k"]) for e in edges_doc])[order]
-        c_e = np.array([float(e.get("c_e", 0.0)) for e in edges_doc])[order]
-        mass = np.array([float(v.get("mass", 1.0)) for v in vertices])
-        c_v = np.array([float(v.get("c_v", 0.0)) for v in vertices])
         try:
             network = ElasticNetwork(
-                graph=g, positions=pos, k=k, c_e=c_e, mass=mass, c_v=c_v,
-                omega=float(doc.get("omega", 1.0)),
+                graph=g, positions=pos,
+                k=_floats([e["k"] for e in edges_doc], "spring constants", 1),
+                c_e=_floats([e.get("c_e", 0.0) for e in edges_doc], "spring dampers", 1),
+                mass=_floats([v.get("mass", 1.0) for v in vertices], "masses", 1),
+                c_v=_floats([v.get("c_v", 0.0) for v in vertices], "nodal dampers", 1),
+                omega=float(_floats(doc.get("omega", 1.0), "omega", 0)),
             )
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
@@ -157,22 +163,15 @@ def load_network(path: str | Path) -> NetworkModel:
         if not isinstance(q_doc, list) or len(q_doc) != len(vertices):
             raise SchemaError("q must list one d x d block per vertex")
         q = MatrixNodeField.from_blocks(np.stack([
-            _parse_complex_matrix(block, d, f"q of vertex {ids[k]}")
+            _parse_complex_matrix(block, (d, d), f"q of vertex {ids[k]}")
             for k, block in enumerate(q_doc)
         ]))
 
-    omega = float(doc["omega"]) if "omega" in doc else None
+    omega = float(_floats(doc["omega"], "omega", 0)) if "omega" in doc else None
     return NetworkModel(
         graph=g, d=d, sigma=sigma, q=q, network=network, omega=omega,
         vertex_ids=tuple(ids),
     )
-
-
-def _edge_order(g: Graph, pairs: list[tuple[int, int]]) -> list[int]:
-    """Input edge index for each canonical edge (build_graph keeps order, so
-    this is the identity; kept explicit for safety)."""
-    canon = {tuple(sorted(p)): k for k, p in enumerate(pairs)}
-    return [canon[e] for e in g.edges]
 
 
 def save_matrix(m: np.ndarray, path: str | Path, extra: dict | None = None) -> None:
@@ -192,11 +191,11 @@ def save_matrix(m: np.ndarray, path: str | Path, extra: dict | None = None) -> N
         return
     doc = {
         "shape": [int(m.shape[0]), int(m.shape[1])],
-        "data": [[complex_to_json(z) for z in row] for row in m],
+        "data": np.stack([m.real, m.imag], -1).tolist(),
     }
     if extra:
         doc.update(extra)
-    path.write_text(json.dumps(doc, indent=1))
+    path.write_text(json.dumps(doc))
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
@@ -204,22 +203,22 @@ def load_matrix(path: str | Path) -> np.ndarray:
     if path.suffix == ".csv":
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
-        if not rows or rows[0][0] != "rows":
+        if not rows or len(rows[0]) != 4 or rows[0][0] != "rows":
             raise SchemaError("csv matrix needs a 'rows,r,cols,c' header")
-        r, c = int(rows[0][1]), int(rows[0][3])
-        m = np.empty((r, c), dtype=complex)
-        for a, row in enumerate(rows[1:]):
-            vals = [float(x) for x in row]
-            m[a] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-        return m
+        try:
+            r, c = int(rows[0][1]), int(rows[0][3])
+            vals = np.array(rows[1:], dtype=float).reshape(r, 2 * c)
+        except ValueError as exc:
+            raise SchemaError(f"bad csv matrix in {path}: {exc}") from exc
+        if not np.isfinite(vals).all():
+            raise SchemaError(f"csv matrix in {path} has non-finite entries")
+        return vals[:, 0::2] + 1j * vals[:, 1::2]
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     if "shape" not in doc or "data" not in doc:
         raise SchemaError("matrix document needs 'shape' and 'data'")
-    r, c = doc["shape"]
-    m = np.array([[parse_complex(z) for z in row] for row in doc["data"]])
-    if m.shape != (r, c):
-        raise SchemaError("matrix data does not match declared shape")
-    return m
+    if not isinstance(doc["shape"], list) or len(doc["shape"]) != 2:
+        raise SchemaError("matrix 'shape' must be [rows, cols]")
+    return _parse_complex_matrix(doc["data"], tuple(doc["shape"]), "matrix data")

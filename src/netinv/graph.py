@@ -72,6 +72,12 @@ class Graph:
     def num_interior(self) -> int:
         return len(self.interior)
 
+    def edge_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Canonical positions of the endpoints i and j of every edge (i, j)."""
+        pos = np.asarray(self.position, dtype=np.intp)
+        ends = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
+        return pos[ends[:, 0]], pos[ends[:, 1]]
+
 
 def build_graph(n: int, boundary: Sequence[int], edges: Sequence[Sequence[int]]) -> Graph:
     """Build a graph with ``n`` vertices, the given boundary set and edge list.
@@ -176,6 +182,8 @@ class MatrixEdgeField:
         values = np.asarray(blocks, dtype=complex)
         if values.ndim != 3 or values.shape[1] != values.shape[2]:
             raise FieldError("edge field needs shape (num_edges, d, d)")
+        if not np.isfinite(values).all():
+            raise FieldError("edge field has non-finite entries")
         if symmetric:
             values = _symmetrize_blocks(values, "edge", check=True)
         values.setflags(write=False)
@@ -199,6 +207,8 @@ class MatrixNodeField:
         values = np.asarray(blocks, dtype=complex)
         if values.ndim != 3 or values.shape[1] != values.shape[2]:
             raise FieldError("node field needs shape (num_vertices, d, d)")
+        if not np.isfinite(values).all():
+            raise FieldError("node field has non-finite entries")
         if symmetric:
             values = _symmetrize_blocks(values, "node", check=True)
         values.setflags(write=False)
@@ -273,10 +283,6 @@ def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def vec_edge_field(f: MatrixEdgeField) -> np.ndarray:
     """Concatenation of the per-edge column-stackings, in edge order."""
-    return np.concatenate([vec(b) for b in f.values])
-
-
-def vec_node_field(f: MatrixNodeField) -> np.ndarray:
     return np.concatenate([vec(b) for b in f.values])
 
 

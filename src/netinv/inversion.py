@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import Graph, MatrixEdgeField
-from .operators import gradient_matrix, laplacian_matrix, schrodinger_matrix
+from .operators import laplacian_matrix, schrodinger_matrix
 
 __all__ = [
     "ProblemSpec",
@@ -328,9 +328,10 @@ def _schur_dtn(M: np.ndarray, nb: int) -> np.ndarray:
     return M[:nb, :nb] - M[:nb, nb:] @ np.linalg.solve(M[nb:, nb:], M[nb:, :nb])
 
 
-def _sym_real_min_eig(block: np.ndarray) -> float:
-    s = 0.5 * (block + block.T).real
-    return float(np.linalg.eigvalsh(s).min())
+def _sym_real_min_eigs(blocks: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the symmetrised real part of each block."""
+    s = 0.5 * (blocks + blocks.transpose(0, 2, 1)).real
+    return np.linalg.eigvalsh(s).min(axis=1)
 
 
 def _edge_outer_pairing(d: int, num_edges: int):
@@ -349,7 +350,7 @@ def make_spec_conductivity(g: Graph, d: int) -> ProblemSpec:
     """
     E = g.num_edges
     nb = d * g.num_boundary
-    D = gradient_matrix(g, d)
+    pi, pj = g.edge_positions()
 
     def blocks_of(p: np.ndarray) -> np.ndarray:
         return p.reshape(E, d, d).transpose(0, 2, 1)  # column-major per block
@@ -358,15 +359,16 @@ def make_spec_conductivity(g: Graph, d: int) -> ProblemSpec:
         p = np.asarray(p).reshape(-1)
         if p.shape != (d * d * E,):
             return False
-        return all(_sym_real_min_eig(b) > 0 for b in blocks_of(p))
+        return bool((_sym_real_min_eigs(blocks_of(p)) > 0).all())
 
     def forward(p: np.ndarray) -> np.ndarray:
         M = laplacian_matrix(g, blocks_of(p))
         return _schur_dtn(M, nb)
 
     def states(p: np.ndarray) -> np.ndarray:
-        M = laplacian_matrix(g, blocks_of(p))
-        return D @ _dirichlet_state_matrix(M, nb)
+        U = _dirichlet_state_matrix(laplacian_matrix(g, blocks_of(p)), nb)
+        U = U.reshape(g.num_vertices, d, nb)
+        return (U[pi] - U[pj]).reshape(d * E, nb)
 
     return ProblemSpec(
         name="conductivity",
@@ -403,8 +405,7 @@ def make_spec_schrodinger(g: Graph, sigma: MatrixEdgeField) -> ProblemSpec:
         p = np.asarray(p).reshape(-1)
         if p.shape != (d * d * n_vert,):
             return False
-        blocks = blocks_of(p)
-        return all(_sym_real_min_eig(blocks[i]) > -lam_II for i in interior)
+        return bool((_sym_real_min_eigs(blocks_of(p)[interior]) > -lam_II).all())
 
     def forward(p: np.ndarray) -> np.ndarray:
         M = schrodinger_matrix(g, sigma.values, blocks_of(p))

@@ -88,39 +88,34 @@ def gradient_matrix(g: Graph, d: int) -> np.ndarray:
 
     Row block for edge (i, j) with i < j carries +I_d at i and -I_d at j.
     """
-    D = np.zeros((d * g.num_edges, d * g.num_vertices))
-    eye = np.eye(d)
-    for e, (i, j) in enumerate(g.edges):
-        pi, pj = g.position[i], g.position[j]
-        D[e * d:(e + 1) * d, pi * d:(pi + 1) * d] = eye
-        D[e * d:(e + 1) * d, pj * d:(pj + 1) * d] = -eye
-    return D
+    pi, pj = g.edge_positions()
+    e = np.arange(g.num_edges)
+    D = np.zeros((g.num_edges, d, g.num_vertices, d))
+    D[e, :, pi] = np.eye(d)
+    D[e, :, pj] = -np.eye(d)
+    return D.reshape(d * g.num_edges, d * g.num_vertices)
 
 
 def gradient_apply(g: Graph, u: VectorNodeField) -> VectorEdgeField:
     """Per edge (i, j) in canonical orientation, u(i) - u(j)."""
     if u.values.shape[0] != g.num_vertices:
         raise FieldError("node field does not match graph")
-    idx_i = [i for i, _ in g.edges]
-    idx_j = [j for _, j in g.edges]
-    return VectorEdgeField.from_values(u.values[idx_i] - u.values[idx_j])
-
-
-def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """Block diagonal matrix from a stack of equal-size square blocks."""
-    m, d, _ = blocks.shape
-    out = np.zeros((m * d, m * d), dtype=blocks.dtype)
-    for k in range(m):
-        out[k * d:(k + 1) * d, k * d:(k + 1) * d] = blocks[k]
-    return out
+    ends = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
+    return VectorEdgeField.from_values(u.values[ends[:, 0]] - u.values[ends[:, 1]])
 
 
 def laplacian_matrix(g: Graph, blocks: np.ndarray) -> np.ndarray:
-    """Weighted block Laplacian from raw per-edge blocks (no symmetry check)."""
+    """Weighted block Laplacian from raw per-edge blocks (no symmetry check),
+    scattered into a (|V|, |V|, d, d) array and reshaped to canonical order."""
     blocks = np.asarray(blocks, dtype=complex)
-    d = blocks.shape[1]
-    D = gradient_matrix(g, d)
-    return D.T @ _block_diag(blocks) @ D
+    n, d = g.num_vertices, blocks.shape[1]
+    pi, pj = g.edge_positions()
+    M = np.zeros((n, n, d, d), dtype=complex)
+    np.add.at(M, (pi, pi), blocks)
+    np.add.at(M, (pj, pj), blocks)
+    M[pi, pj] = -blocks
+    M[pj, pi] = -blocks
+    return M.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
 def schrodinger_matrix(g: Graph, sigma_blocks: np.ndarray, q_blocks: np.ndarray) -> np.ndarray:
@@ -129,8 +124,10 @@ def schrodinger_matrix(g: Graph, sigma_blocks: np.ndarray, q_blocks: np.ndarray)
     ``q_blocks`` is indexed by vertex id and reordered here.
     """
     q_blocks = np.asarray(q_blocks, dtype=complex)
-    L = laplacian_matrix(g, sigma_blocks)
-    return L + _block_diag(q_blocks[list(g.order)])
+    M = laplacian_matrix(g, sigma_blocks)  # C-contiguous, so the reshape below is a view
+    n, d = g.num_vertices, q_blocks.shape[1]
+    M.reshape(n, d, n, d)[np.arange(n), :, np.arange(n)] += q_blocks[list(g.order)]
+    return M
 
 
 def assemble_laplacian(g: Graph, sigma: MatrixEdgeField) -> BlockOperator:
@@ -310,11 +307,14 @@ def reconstruct_from_eigen(eig: EigenData) -> MatrixEdgeField:
 
 def projected_gradient_matrix(g: Graph, eig: EigenData) -> np.ndarray:
     """diag(x)^T nabla as a dense matrix, shape (sum_e r_e, d|V|)."""
-    D = gradient_matrix(g, eig.d)
-    rows = []
-    for e in range(g.num_edges):
-        rows.append(eig.x[e].T @ D[e * eig.d:(e + 1) * eig.d])
-    return np.vstack(rows)
+    xt = np.concatenate(eig.x, axis=1).T  # (sum_e r_e, d)
+    edge = np.repeat(np.arange(g.num_edges), [x.shape[1] for x in eig.x])
+    pi, pj = g.edge_positions()
+    rows = np.arange(len(edge))
+    P = np.zeros((len(edge), g.num_vertices, eig.d))
+    P[rows, pi[edge]] = xt
+    P[rows, pj[edge]] = -xt
+    return P.reshape(len(edge), g.num_vertices * eig.d)
 
 
 def korn_constants(sigma: MatrixEdgeField, imag_tol: float = 1e-12) -> tuple[float, float, float]:
@@ -322,10 +322,7 @@ def korn_constants(sigma: MatrixEdgeField, imag_tol: float = 1e-12) -> tuple[flo
     blocks of a real conductivity."""
     if np.abs(sigma.values.imag).max(initial=0.0) > imag_tol:
         raise FieldError("korn constants require a real conductivity")
-    all_eigs = []
-    for block in sigma.values:
-        all_eigs.extend(np.linalg.eigvalsh(block.real))
-    all_eigs = np.asarray(all_eigs)
+    all_eigs = np.linalg.eigvalsh(sigma.values.real).ravel()
     lam_max = float(all_eigs.max())
     positive = all_eigs[all_eigs > RANK_TOL * max(lam_max, np.finfo(float).tiny)]
     if positive.size == 0:

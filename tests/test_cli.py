@@ -136,6 +136,28 @@ def test_dtn_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(load_matrix(out), lam)
 
 
+def test_dtn_mixed_rank_commuting(tmp_path):
+    # one rank-2 and two rank-1 edges with commuting complex parts: PSD_COMMUTING
+    doc = {
+        "d": 2,
+        "vertices": [{"id": 0, "boundary": True}, {"id": 1}, {"id": 2},
+                     {"id": 3, "boundary": True}],
+        "edges": [
+            {"i": 0, "j": 1, "sigma": [[[2.0, 0.3], 0.0], [0.0, [2.0, 0.3]]]},
+            {"i": 1, "j": 2, "sigma": [[[1.0, 0.2], 0.0], [0.0, 0.0]]},
+            {"i": 2, "j": 3, "sigma": [[[1.5, 0.1], 0.0], [0.0, 0.0]]},
+        ],
+    }
+    net = write(tmp_path, "net.json", doc)
+    out = tmp_path / "dtn.json"
+    assert main(["dtn", net, "-o", str(out)]) == EXIT_OK
+    import netinv as ni
+    model = ni.load_network(net)
+    oracle = ni.dirichlet.dtn_pseudoinverse_oracle(model.graph, model.sigma)
+    assert np.abs(load_matrix(out) - oracle).max() < 1e-10
+    assert json.loads(out.read_text())["provenance"] == "psd"
+
+
 def test_uniqueness_single_edge_holds(tmp_path, capsys):
     net = write(tmp_path, "net.json", single_edge_doc(2.0))
     assert main(["uniqueness", net, "--problem", "conductivity"]) == EXIT_OK
@@ -251,6 +273,29 @@ def test_usage_error_exits_1():
 def test_missing_file_exits_1(tmp_path):
     assert main(["dtn", str(tmp_path / "nope.json"), "-o",
                  str(tmp_path / "o.json")]) == EXIT_USAGE
+
+
+def test_dtn_nan_spring_constant_exits_1(tmp_path, capsys):
+    net = write(tmp_path, "net.json", braced_truss_doc(k=[float("nan")] + [1.0] * 8))
+    assert main(["dtn", net, "-o", str(tmp_path / "o.json")]) == EXIT_USAGE
+    assert "k must be finite" in capsys.readouterr().err
+
+
+def test_dtn_ragged_positions_exit_1(tmp_path, capsys):
+    doc = collinear_springs_doc()
+    doc["vertices"][1]["position"] = [1.0, 0.0, 0.0]
+    net = write(tmp_path, "net.json", doc)
+    assert main(["dtn", net, "-o", str(tmp_path / "o.json")]) == EXIT_USAGE
+    assert "vertex positions" in capsys.readouterr().err
+
+
+def test_invert_non_numeric_csv_target_exits_1(tmp_path, capsys):
+    net = write(tmp_path, "net.json", p3_doc())
+    target = tmp_path / "target.csv"
+    target.write_text("rows,2,cols,2\n0.5,0,-0.5,0\n-0.5,0,oops,0\n")
+    code = main(["invert", net, str(target), "--problem", "conductivity"])
+    assert code == EXIT_USAGE
+    assert "bad csv matrix" in capsys.readouterr().err
 
 
 def test_problem_requires_matching_fields(tmp_path):

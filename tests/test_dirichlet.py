@@ -306,6 +306,25 @@ def test_dtn_psd_matches_pd_on_definite_sigma():
         assert np.abs(a - b).max() < 1e-10
 
 
+def mixed_rank_path():
+    """d=2 path 0-1-2-3 with boundary {0, 3}: one rank-2 edge and two rank-1
+    edges along x, all with commuting complex parts; vertex 2 has a floppy
+    y-mode."""
+    g = build_graph(4, [0, 3], [(0, 1), (1, 2), (2, 3)])
+    ex = np.diag([1.0, 0.0])
+    blocks = np.stack([(2 + 0.3j) * np.eye(2), (1 + 0.2j) * ex, (1.5 + 0.1j) * ex])
+    return g, MatrixEdgeField.from_blocks(blocks)
+
+
+def test_dtn_psd_mixed_rank_commuting():
+    g, sigma = mixed_rank_path()
+    assert classify_regime(g, sigma, None).tag is RegimeTag.PSD_COMMUTING
+    a = dtn_psd(g, sigma).matrix
+    assert np.abs(a - dtn_pseudoinverse_oracle(g, sigma)).max() < 1e-10
+    u = solve_dirichlet_psd(g, sigma, rng.standard_normal(4))
+    assert abs(u.values[2, 1]) < 1e-12  # minimal norm: floppy component is zero
+
+
 def test_dtn_psd_matches_pseudoinverse_oracle():
     for seed in range(10):
         local = np.random.default_rng(200 + seed)

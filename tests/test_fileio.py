@@ -129,6 +129,26 @@ def test_load_network_schema_errors(tmp_path):
     del doc["vertices"][1]["position"]
     cases.append(doc)
 
+    doc = sigma_network_doc()
+    doc["edges"][0]["sigma"] = [[1.0, 0.0], [1.0]]  # ragged block
+    cases.append(doc)
+
+    doc = sigma_network_doc()
+    doc["edges"][0]["sigma"] = [[float("nan")]]
+    cases.append(doc)
+
+    doc = spring_network_doc()
+    doc["vertices"][1]["mass"] = "heavy"
+    cases.append(doc)
+
+    doc = spring_network_doc()
+    doc["omega"] = float("inf")
+    cases.append(doc)
+
+    doc = sigma_network_doc()
+    doc["omega"] = [1.0, 2.0]
+    cases.append(doc)
+
     for k, bad in enumerate(cases):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(bad))
@@ -151,6 +171,21 @@ def test_matrix_json_roundtrip_exact(tmp_path):
     back = load_matrix(path)
     assert back.shape == m.shape
     assert np.array_equal(back, m)  # bit-exact through JSON
+
+
+def test_matrix_json_roundtrip_bit_exact_extremes(tmp_path):
+    m = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    m[0, :4] = [-0.0, 1e-300, 1e300, complex(-0.0, -0.0)]
+    m[1, 0] = complex(-1e300, 1e-300)
+    path = tmp_path / "m.json"
+    save_matrix(m, path, extra={"provenance": "pd", "symmetry_residual": 0.0})
+    text = path.read_text()
+    assert "\n" not in text  # written compact
+    doc = json.loads(text)
+    assert doc["shape"] == [4, 5] and doc["provenance"] == "pd"
+    assert doc["data"][0][2] == [1e300, 0.0]
+    back = load_matrix(path)
+    assert back.tobytes() == m.tobytes()  # bit-exact, signed zeros included
 
 
 def test_matrix_csv_roundtrip(tmp_path):
@@ -178,6 +213,30 @@ def test_matrix_schema_errors(tmp_path):
     path.write_text(json.dumps({"shape": [2, 2], "data": [[1.0]]}))
     with pytest.raises(SchemaError):
         load_matrix(path)
+    path.write_text(json.dumps({"shape": [2, 2], "data": [[1.0, 0.0], [1.0]]}))  # ragged
+    with pytest.raises(SchemaError):
+        load_matrix(path)
+    path.write_text(json.dumps({"shape": [2], "data": [[1.0]]}))
+    with pytest.raises(SchemaError):
+        load_matrix(path)
+
+
+def test_matrix_csv_schema_errors(tmp_path):
+    path = tmp_path / "m.csv"
+    for text in ("rows,1,cols,1\n1.0,oops\n",      # non-numeric cell
+                 "rows,2,cols,1\n1.0,0.0\n",       # missing row
+                 "rows,1,cols,2\n1.0,0.0,2.0\n",   # short row
+                 "rows,1,cols,1\nnan,0.0\n",       # non-finite entry
+                 "rows,x,cols,1\n1.0,0.0\n"):      # bad header
+        path.write_text(text)
+        with pytest.raises(SchemaError):
+            load_matrix(path)
+
+
+def test_parse_complex_rejects_non_finite():
+    for value in (float("nan"), float("inf"), [1.0, float("-inf")]):
+        with pytest.raises(SchemaError, match="finite"):
+            parse_complex(value)
 
 
 def test_complex_to_json():

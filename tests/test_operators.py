@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netinv.graph import (
     FieldError,
@@ -104,6 +106,50 @@ def test_schrodinger_adds_potential_in_vertex_order():
     # canonical ordering (0, 2, 1): diagonal potential is (10, 30, 20)
     L = laplacian_matrix(g, sigma.values)
     assert np.allclose(M - L, np.diag([10.0, 30.0, 20.0]))
+
+
+@st.composite
+def networks(draw):
+    """Random connected graph (spanning tree plus extra edges), a random
+    nonempty boundary subset, d in {1, 2, 3} and a seed for the block values."""
+    n = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    boundary = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    g = build_graph(n, boundary, draw(st.permutations(sorted(edges))))
+    return g, draw(st.sampled_from([1, 2, 3])), draw(st.integers(0, 2**32 - 1))
+
+
+def complex_symmetric_blocks(local, count, d):
+    a = local.standard_normal((count, d, d)) + 1j * local.standard_normal((count, d, d))
+    return a + a.transpose(0, 2, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.booleans())
+def test_assembly_matches_per_edge_loop(net, with_q):
+    g, d, seed = net
+    local = np.random.default_rng(seed)
+    blocks = complex_symmetric_blocks(local, g.num_edges, d)
+    q = complex_symmetric_blocks(local, g.num_vertices, d)
+    n = g.num_vertices
+    oracle = np.zeros((n * d, n * d), dtype=complex)
+    for e, (i, j) in enumerate(g.edges):
+        pi, pj = g.position[i] * d, g.position[j] * d
+        oracle[pi:pi + d, pi:pi + d] += blocks[e]
+        oracle[pj:pj + d, pj:pj + d] += blocks[e]
+        oracle[pi:pi + d, pj:pj + d] -= blocks[e]
+        oracle[pj:pj + d, pi:pi + d] -= blocks[e]
+    if with_q:
+        for v in range(n):
+            p = g.position[v] * d
+            oracle[p:p + d, p:p + d] += q[v]
+        M = schrodinger_matrix(g, blocks, q)
+    else:
+        M = laplacian_matrix(g, blocks)
+    assert M.shape == oracle.shape
+    assert np.abs(M - oracle).max() <= 1e-13 * (1.0 + np.abs(oracle).max())
 
 
 def test_block_operator_partitions():
