@@ -25,7 +25,7 @@ from .fileio import (
     parse_complex,
     save_matrix,
 )
-from .graph import FieldError, GraphError, vec
+from .graph import FieldError, GraphError, MatrixEdgeField, vec
 from .operators import eigen_decompose, laplacian_matrix
 
 EXIT_OK = 0
@@ -107,23 +107,27 @@ def _write_json(path: str | None, doc: dict) -> None:
         print(text)
 
 
+def _supported_regime(model: NetworkModel, sigma: MatrixEdgeField) -> RegimeTag:
+    """Regime tag of the network; RegimeError (exit 4) when unsupported."""
+    regime = classify_regime(model.graph, sigma, model.q)
+    if regime.tag is RegimeTag.UNSUPPORTED:
+        raise dirichlet.RegimeError(str(regime.diagnostics))
+    return regime.tag
+
+
 def cmd_forward(args) -> int:
     model = load_network(args.network)
     gvec = _load_boundary_data(args.boundary, model)
     g = model.graph
     sigma = model.conductivity()
-    regime = classify_regime(g, sigma, model.q)
-    if regime.tag is RegimeTag.UNSUPPORTED:
-        print(f"unsupported regime: {regime.diagnostics}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    doc: dict = {"regime": regime.tag.value}
-    if regime.tag.is_pd:
+    tag = _supported_regime(model, sigma)
+    doc: dict = {"regime": tag.value}
+    if tag.is_pd:
         u = dirichlet.solve_dirichlet_pd(g, sigma, model.q, gvec)
     else:
         u = dirichlet.solve_dirichlet_psd(g, sigma, gvec)
         doc["floppy_dim"] = dirichlet.floppy_basis(g, sigma).dim
-    op = dirichlet.assemble_schrodinger(g, sigma, model.q) if model.q is not None \
-        else dirichlet.assemble_laplacian(g, sigma)
+    op = dirichlet._operator(g, sigma, model.q)
     resid = np.linalg.norm((op.matrix @ u.canonical(g))[model.d * g.num_boundary:])
     doc["residual"] = float(resid)
     doc["u"] = [[complex_to_json(z) for z in u.values[v]] for v in range(g.num_vertices)]
@@ -136,11 +140,7 @@ def cmd_dtn(args) -> int:
     model = load_network(args.network)
     g = model.graph
     sigma = model.conductivity()
-    regime = classify_regime(g, sigma, model.q)
-    if regime.tag is RegimeTag.UNSUPPORTED:
-        print(f"unsupported regime: {regime.diagnostics}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    if regime.tag.is_pd:
+    if _supported_regime(model, sigma).is_pd:
         dtn = dirichlet.dtn_pd(g, sigma, model.q)
     else:
         dtn = dirichlet.dtn_psd(g, sigma)
@@ -204,11 +204,7 @@ def cmd_floppy(args) -> int:
     model = load_network(args.network)
     g = model.graph
     sigma = model.conductivity()
-    regime = classify_regime(g, sigma, model.q)
-    if regime.tag is RegimeTag.UNSUPPORTED:
-        print(f"unsupported regime: {regime.diagnostics}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    if regime.tag.is_pd:
+    if _supported_regime(model, sigma).is_pd:
         print("floppy dimension: 0")
         return EXIT_OK
     basis = dirichlet.floppy_basis(g, sigma)

@@ -24,6 +24,7 @@ from .graph import (
     is_interior_connected,
 )
 from .operators import (
+    BlockOperator,
     EigenData,
     assemble_laplacian,
     assemble_schrodinger,
@@ -183,11 +184,57 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
     return DirichletRegime(RegimeTag.PSD_COMMUTING, diag)
 
 
-def _boundary_vec(g: Graph, d: int, gb: np.ndarray | VectorNodeField) -> np.ndarray:
+def _boundary_vec(g: Graph, gb: np.ndarray | VectorNodeField) -> np.ndarray:
     if isinstance(gb, VectorNodeField):
         return gb.boundary_values(g)
-    gb = np.asarray(gb, dtype=complex)
-    return gb.reshape(-1)
+    return np.asarray(gb, dtype=complex).reshape(-1)
+
+
+def _interior_solve(M: np.ndarray, nb: int, rhs: np.ndarray,
+                    Q: np.ndarray | None = None) -> np.ndarray:
+    """M_II^-1 rhs for a canonical operator M whose first nb rows and columns
+    are the boundary; the interior of a Dirichlet solution is -M_II^-1 M_IB g.
+
+    With Q, an orthonormal basis of the interior range, it is the
+    minimal-norm Q (Q^T M_II Q)^-1 Q^T rhs of the rank-deficient regimes.
+    Every Dirichlet solution, DtN map and state matrix goes through here.
+    """
+    M_II = M[nb:, nb:]
+    if not M_II.size:
+        return np.zeros(rhs.shape, dtype=complex)
+    try:
+        if Q is None:
+            return np.linalg.solve(M_II, rhs)
+        return Q @ np.linalg.solve(Q.T @ M_II @ Q, Q.T @ rhs)
+    except np.linalg.LinAlgError as exc:
+        raise RegimeError("interior block is singular; regime misclassified") from exc
+
+
+def _schur_dtn(M: np.ndarray, nb: int, Q: np.ndarray | None = None) -> np.ndarray:
+    """Schur complement M_BB - M_BI M_II^-1 M_IB (through Q when given)."""
+    return M[:nb, :nb] - M[:nb, nb:] @ _interior_solve(M, nb, M[nb:, :nb], Q)
+
+
+def _dirichlet_state_matrix(M: np.ndarray, nb: int, Q: np.ndarray | None = None) -> np.ndarray:
+    """Solutions of the Dirichlet problem for every basis boundary vector,
+    stacked as columns in the canonical ordering."""
+    return np.vstack([np.eye(nb, dtype=complex), -_interior_solve(M, nb, M[nb:, :nb], Q)])
+
+
+def _operator(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> BlockOperator:
+    return assemble_laplacian(g, sigma) if q is None else assemble_schrodinger(g, sigma, q)
+
+
+def _solve(g: Graph, op: BlockOperator, gb: np.ndarray | VectorNodeField,
+           Q: np.ndarray | None = None) -> VectorNodeField:
+    gvec = _boundary_vec(g, gb)
+    if gvec.shape != (op.nb,):
+        raise FieldError("boundary data has wrong length")
+    flat = np.concatenate([gvec, -_interior_solve(op.matrix, op.nb, op.IB @ gvec, Q)])
+    resid = np.linalg.norm((op.matrix @ flat)[op.nb:])
+    if resid > RESIDUAL_TOL * (1.0 + np.linalg.norm(gvec)):
+        raise RegimeError(f"interior residual {resid:.3e} beyond tolerance")
+    return VectorNodeField.from_canonical(g, flat, op.d)
 
 
 def solve_dirichlet_pd(
@@ -200,42 +247,21 @@ def solve_dirichlet_pd(
 
     Returns the node field u with u_B = gb and vanishing interior equations.
     """
-    d = sigma.d
-    if q is None:
-        op = assemble_laplacian(g, sigma)
-    else:
-        op = assemble_schrodinger(g, sigma, q)
-    gvec = _boundary_vec(g, d, gb)
-    if gvec.shape != (d * g.num_boundary,):
-        raise FieldError("boundary data has wrong length")
-    if g.num_interior:
-        try:
-            u_I = -np.linalg.solve(op.II, op.IB @ gvec)
-        except np.linalg.LinAlgError as exc:
-            raise RegimeError("interior block is singular; regime misclassified") from exc
-    else:
-        u_I = np.zeros(0, dtype=complex)
-    flat = np.concatenate([gvec, u_I])
-    resid = np.linalg.norm((op.matrix @ flat)[d * g.num_boundary:])
-    if resid > RESIDUAL_TOL * (1.0 + np.linalg.norm(gvec)):
-        raise RegimeError(f"interior residual {resid:.3e} beyond tolerance")
-    return VectorNodeField.from_canonical(g, flat, d)
+    return _solve(g, _operator(g, sigma, q), gb)
 
 
 def dtn_pd(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DtnMap:
     """Schur-complement Dirichlet-to-Neumann map for invertible interiors."""
-    if q is None:
-        op = assemble_laplacian(g, sigma)
-    else:
-        op = assemble_schrodinger(g, sigma, q)
-    if g.num_interior:
-        try:
-            mat = op.BB - op.BI @ np.linalg.solve(op.II, op.IB)
-        except np.linalg.LinAlgError as exc:
-            raise RegimeError("interior block is singular; regime misclassified") from exc
-    else:
-        mat = op.BB.copy()
-    return DtnMap(matrix=mat, d=sigma.d, provenance="pd")
+    op = _operator(g, sigma, q)
+    return DtnMap(matrix=_schur_dtn(op.matrix, op.nb), d=sigma.d, provenance="pd")
+
+
+def _interior_spectrum(g: Graph, blocks: np.ndarray, tol: float):
+    """Eigenpairs of the interior block of the real Laplacian of ``blocks``,
+    and the cut tol * |largest eigenvalue| below which one counts as zero."""
+    nb = blocks.shape[1] * g.num_boundary
+    w, v = np.linalg.eigh(laplacian_matrix(g, blocks).real[nb:, nb:])
+    return w, v, tol * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
 
 
 def floppy_basis(g: Graph, sigma: MatrixEdgeField, tol: float = 1e-10) -> FloppyBasis:
@@ -246,33 +272,18 @@ def floppy_basis(g: Graph, sigma: MatrixEdgeField, tol: float = 1e-10) -> Floppy
     Laplacian, which coincides with the complex one in the supported
     rank-deficient regimes.
     """
-    d = sigma.d
-    nb = d * g.num_boundary
-    Lr = laplacian_matrix(g, sigma.values.real).real
-    L_II = Lr[nb:, nb:]
-    if L_II.size == 0:
-        return FloppyBasis(d=d, modes=np.zeros((d * g.num_vertices, 0)))
-    w, v = np.linalg.eigh(L_II)
-    scale = max(abs(w).max(initial=0.0), np.finfo(float).tiny)
-    null = v[:, np.abs(w) <= tol * scale]
-    modes = np.zeros((d * g.num_vertices, null.shape[1]))
-    modes[nb:] = null
-    return FloppyBasis(d=d, modes=modes)
+    w, v, cut = _interior_spectrum(g, sigma.values.real, tol)
+    null = v[:, np.abs(w) <= cut]
+    modes = np.zeros((sigma.d * g.num_vertices, null.shape[1]))
+    modes[sigma.d * g.num_boundary:] = null
+    return FloppyBasis(d=sigma.d, modes=modes)
 
 
 def q_basis(g: Graph, eig: EigenData, tol: float = 1e-10) -> QBasis:
     """Real orthonormal basis of the range of the interior Laplacian block,
     built from the conductivity eigenvectors only (unit eigenvalues)."""
-    d = eig.d
-    nb = d * g.num_boundary
-    unit_blocks = np.stack([x @ x.T for x in eig.x])
-    L = laplacian_matrix(g, unit_blocks).real
-    L_II = L[nb:, nb:]
-    if L_II.size == 0:
-        return QBasis(matrix=np.zeros((0, 0)))
-    w, v = np.linalg.eigh(L_II)
-    scale = max(abs(w).max(initial=0.0), np.finfo(float).tiny)
-    return QBasis(matrix=v[:, w > tol * scale])
+    w, v, cut = _interior_spectrum(g, np.stack([x @ x.T for x in eig.x]), tol)
+    return QBasis(matrix=v[:, w > cut])
 
 
 def solve_dirichlet_psd(
@@ -286,22 +297,9 @@ def solve_dirichlet_psd(
     The interior part is the pseudoinverse solve realized through the Q
     basis, so the floppy component is zero.
     """
-    d = sigma.d
     if eig is None:
         eig = eigen_decompose(sigma, uniform_rank=False)
-    op = assemble_laplacian(g, sigma)
-    gvec = _boundary_vec(g, d, gb)
-    if g.num_interior:
-        Q = q_basis(g, eig).matrix
-        core = Q.T @ op.II @ Q
-        u_I = -Q @ np.linalg.solve(core, Q.T @ (op.IB @ gvec))
-    else:
-        u_I = np.zeros(0, dtype=complex)
-    flat = np.concatenate([gvec, u_I])
-    resid = np.linalg.norm((op.matrix @ flat)[d * g.num_boundary:])
-    if resid > RESIDUAL_TOL * (1.0 + np.linalg.norm(gvec)):
-        raise RegimeError(f"inconsistent interior system, residual {resid:.3e}")
-    return VectorNodeField.from_canonical(g, flat, d)
+    return _solve(g, assemble_laplacian(g, sigma), gb, q_basis(g, eig).matrix)
 
 
 def dtn_psd(g: Graph, sigma: MatrixEdgeField, eig: EigenData | None = None) -> DtnMap:
@@ -310,16 +308,8 @@ def dtn_psd(g: Graph, sigma: MatrixEdgeField, eig: EigenData | None = None) -> D
     if eig is None:
         eig = eigen_decompose(sigma, uniform_rank=False)
     op = assemble_laplacian(g, sigma)
-    if g.num_interior:
-        Q = q_basis(g, eig).matrix
-        core = Q.T @ op.II @ Q
-        try:
-            mat = op.BB - op.BI @ Q @ np.linalg.solve(core, Q.T @ op.IB)
-        except np.linalg.LinAlgError as exc:
-            raise RegimeError("compressed interior block singular; check rank_tol") from exc
-    else:
-        mat = op.BB.copy()
-    return DtnMap(matrix=mat, d=sigma.d, provenance="psd")
+    return DtnMap(matrix=_schur_dtn(op.matrix, op.nb, q_basis(g, eig).matrix),
+                  d=sigma.d, provenance="psd")
 
 
 def dtn_pseudoinverse_oracle(g: Graph, sigma: MatrixEdgeField) -> np.ndarray:

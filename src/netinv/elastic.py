@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import DtnMap, q_basis
-from .graph import FieldError, Graph, MatrixEdgeField, MatrixNodeField
-from .inversion import ProblemSpec, _dirichlet_state_matrix, _schur_dtn
+from .dirichlet import DtnMap, _dirichlet_state_matrix, _schur_dtn, dtn_psd, q_basis
+from .graph import FieldError, Graph, MatrixEdgeField, MatrixNodeField, _vertex_rows
+from .inversion import ProblemSpec
 from .operators import (
     EigenData,
     laplacian_matrix,
@@ -84,11 +84,9 @@ class ElasticNetwork:
 def spring_directions(net: ElasticNetwork) -> np.ndarray:
     """Unit direction (p(i) - p(j)) / |p(i) - p(j)| per edge, (|E|, d)."""
     pos = np.asarray(net.positions, dtype=float)
-    dirs = np.empty((net.graph.num_edges, net.d))
-    for e, (i, j) in enumerate(net.graph.edges):
-        v = pos[i] - pos[j]
-        dirs[e] = v / np.linalg.norm(v)
-    return dirs
+    ends = np.asarray(net.graph.edges, dtype=np.intp).reshape(-1, 2)
+    v = pos[ends[:, 0]] - pos[ends[:, 1]]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _projector_field(net: ElasticNetwork, weights: np.ndarray) -> MatrixEdgeField:
@@ -200,8 +198,6 @@ def displacement_to_forces(net: ElasticNetwork, regime: str) -> DtnMap:
     g = net.graph
     nb = net.d * g.num_boundary
     if regime == "static":
-        from .dirichlet import dtn_psd
-
         return dtn_psd(g, spring_conductivity(net), network_eigendata(net))
     if regime == "dynamic":
         _require_dynamic(net)
@@ -243,21 +239,10 @@ def make_spec_eigenvalues(g: Graph, eig: EigenData) -> ProblemSpec:
         return laplacian_matrix(g, blocks_of(lam))
 
     def forward(lam: np.ndarray) -> np.ndarray:
-        M = operator(lam)
-        if not g.num_interior:
-            return M[:nb, :nb]
-        core = Q.T @ M[nb:, nb:] @ Q
-        return M[:nb, :nb] - M[:nb, nb:] @ Q @ np.linalg.solve(core, Q.T @ M[nb:, :nb])
+        return _schur_dtn(operator(lam), nb, Q)
 
     def states(lam: np.ndarray) -> np.ndarray:
-        M = operator(lam)
-        N = M.shape[0]
-        U = np.zeros((N, nb), dtype=complex)
-        U[:nb] = np.eye(nb)
-        if g.num_interior:
-            core = Q.T @ M[nb:, nb:] @ Q
-            U[nb:] = -Q @ np.linalg.solve(core, Q.T @ M[nb:, :nb])
-        return P @ U
+        return P @ _dirichlet_state_matrix(operator(lam), nb, Q)
 
     return ProblemSpec(
         name="eigenvalues",
@@ -366,14 +351,12 @@ def make_spec_masses_known_springs(net: ElasticNetwork) -> ProblemSpec:
     jw = 1j * w
     nb = d * g.num_boundary
     n_vert = g.num_vertices
-    sigma_blocks = np.einsum(
-        "e,eab->eab",
-        (net.k + jw * net.c_e).astype(complex),
-        np.einsum("ea,eb->eab", spring_directions(net), spring_directions(net)),
-    )
+    dirs = spring_directions(net)
+    sigma_blocks = np.einsum("e,eab->eab", (net.k + jw * net.c_e).astype(complex),
+                             np.einsum("ea,eb->eab", dirs, dirs))
     sigma_scaled = sigma_blocks / jw
     eye = np.eye(d)
-    perm = np.concatenate([[g.position[v] * d + c for c in range(d)] for v in range(n_vert)])
+    perm = _vertex_rows(g, d)
 
     def admissible(rho: np.ndarray) -> bool:
         rho = np.asarray(rho, dtype=complex).reshape(-1)

@@ -27,8 +27,6 @@ __all__ = [
     "vec",
     "unvec",
     "outer",
-    "hadamard",
-    "kron",
     "SYMMETRY_TOL",
 ]
 
@@ -272,6 +270,13 @@ class VectorEdgeField:
         return cls(d=values.shape[1], values=values)
 
 
+def _vertex_rows(g: Graph, d: int) -> np.ndarray:
+    """Row permutation from the canonical (position-major) ordering to the
+    vertex-id-major one: entry v * d + c is the canonical row of component c
+    of vertex v."""
+    return (np.asarray(g.position)[:, None] * d + np.arange(d)).ravel()
+
+
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-major stacking of a matrix into a vector."""
     return np.asarray(a).reshape(-1, order="F")
@@ -292,16 +297,3 @@ def outer(u: VectorEdgeField, v: VectorEdgeField) -> MatrixEdgeField:
         raise FieldError("outer product needs matching fields")
     blocks = np.einsum("ei,ej->eij", u.values, v.values)
     return MatrixEdgeField(d=u.d, values=blocks)
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Componentwise product of two equal-length vectors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise FieldError("hadamard product needs equal lengths")
-    return a * b
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(a), np.asarray(b))

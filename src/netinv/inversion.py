@@ -8,7 +8,8 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, MatrixEdgeField
+from .dirichlet import _dirichlet_state_matrix, _schur_dtn
+from .graph import Graph, MatrixEdgeField, _vertex_rows
 from .operators import laplacian_matrix, schrodinger_matrix
 
 __all__ = [
@@ -57,6 +58,12 @@ class ProblemSpec:
     bilinear: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def require_admissible(self, p: np.ndarray) -> np.ndarray:
+        p = np.asarray(p)
+        if self.is_real and np.iscomplexobj(p):
+            if p.imag.any():
+                raise InadmissibleParameterError(
+                    f"{self.name}: real parameter has a nonzero imaginary part")
+            p = p.real
         p = np.asarray(p, dtype=float if self.is_real else complex).reshape(-1)
         if p.shape != (self.m,):
             raise InadmissibleParameterError(
@@ -102,7 +109,7 @@ def product_matrix(spec: ProblemSpec, p1: np.ndarray, p2: np.ndarray) -> Product
     p1 = spec.require_admissible(p1)
     p2 = spec.require_admissible(p2)
     S1 = spec.states(p1)
-    S2 = spec.states(p2)
+    S2 = S1 if np.array_equal(p1, p2) else spec.states(p2)
     n = spec.n
     W = np.empty((spec.m, n * n), dtype=complex)
     for j in range(n):
@@ -311,23 +318,6 @@ def identity_residual(spec: ProblemSpec, p1: np.ndarray, p2: np.ndarray) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _dirichlet_state_matrix(M: np.ndarray, nb: int) -> np.ndarray:
-    """Solutions of the Dirichlet problem for every basis boundary vector,
-    stacked as columns in the canonical ordering."""
-    N = M.shape[0]
-    U = np.zeros((N, nb), dtype=complex)
-    U[:nb] = np.eye(nb)
-    if N > nb:
-        U[nb:] = -np.linalg.solve(M[nb:, nb:], M[nb:, :nb])
-    return U
-
-
-def _schur_dtn(M: np.ndarray, nb: int) -> np.ndarray:
-    if M.shape[0] == nb:
-        return M.copy()
-    return M[:nb, :nb] - M[:nb, nb:] @ np.linalg.solve(M[nb:, nb:], M[nb:, :nb])
-
-
 def _sym_real_min_eigs(blocks: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the symmetrised real part of each block."""
     s = 0.5 * (blocks + blocks.transpose(0, 2, 1)).real
@@ -395,8 +385,7 @@ def make_spec_schrodinger(g: Graph, sigma: MatrixEdgeField) -> ProblemSpec:
     interior = list(g.interior)
     Lr = laplacian_matrix(g, sigma.values.real).real
     lam_II = float(np.linalg.eigvalsh(Lr[nb:, nb:]).min()) if g.num_interior else 0.0
-    # row permutation: canonical position-major -> vertex-id-major
-    perm = np.concatenate([[g.position[v] * d + c for c in range(d)] for v in range(n_vert)])
+    perm = _vertex_rows(g, d)
 
     def blocks_of(p: np.ndarray) -> np.ndarray:
         return p.reshape(n_vert, d, d).transpose(0, 2, 1)

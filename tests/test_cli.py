@@ -99,12 +99,16 @@ def test_forward_malformed_json_exits_1(tmp_path):
     assert main(["forward", str(bad), bc]) == EXIT_USAGE
 
 
-def test_forward_unsupported_regime_exits_4(tmp_path):
+def test_forward_unsupported_regime_exits_4(tmp_path, capsys):
     doc = p3_doc()
     doc["edges"][0]["sigma"] = [[-1.0]]  # indefinite conductivity
     net = write(tmp_path, "net.json", doc)
     bc = write(tmp_path, "bc.json", {"g": [[1.0], [0.0]]})
-    assert main(["forward", net, bc]) == EXIT_UNSUPPORTED
+    out = str(tmp_path / "dtn.json")
+    # every command that classifies the regime: forward, dtn and floppy
+    for argv in (["forward", net, bc], ["dtn", net, "-o", out], ["floppy", net]):
+        assert main(argv) == EXIT_UNSUPPORTED
+        assert "unsupported regime" in capsys.readouterr().err
 
 
 def test_dtn_single_edge(tmp_path):
@@ -238,6 +242,18 @@ def test_invert_inadmissible_p0_exits_1(tmp_path):
     code = main(["invert", truth, str(target), "--problem", "springs",
                  "--p0", "-1.0"])
     assert code == EXIT_USAGE
+
+
+def test_invert_complex_p0_for_real_springs_exits_1(tmp_path, capsys):
+    import netinv as ni
+    truth = write(tmp_path, "truth.json", braced_truss_doc())
+    spec = ni.make_spec_static_springs(ni.load_network(truth).network)
+    target = tmp_path / "target.json"
+    ni.save_matrix(spec.forward(np.ones(9)), target)
+    p0 = write(tmp_path, "p0.json", [[1.0, 5.0]] * 9)
+    code = main(["invert", truth, str(target), "--problem", "springs", "--p0", p0])
+    assert code == EXIT_USAGE
+    assert "imaginary part" in capsys.readouterr().err
 
 
 def test_floppy_collinear(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from netinv.dirichlet import (
     RegimeError,
@@ -14,6 +16,7 @@ from netinv.dirichlet import (
     q_basis,
     solve_dirichlet_pd,
     solve_dirichlet_psd,
+    _dirichlet_state_matrix,
 )
 from netinv.graph import (
     MatrixEdgeField,
@@ -362,6 +365,71 @@ def test_dtn_no_interior():
     lam = dtn_psd(g, sigma).matrix
     op = assemble_laplacian(g, sigma)
     assert np.array_equal(lam, op.BB)
+
+
+@st.composite
+def networks(draw, dims=(1, 2, 3)):
+    """Random connected graph with a connected interior (a random spanning
+    tree that reaches the interior vertices first, plus extra edges), a
+    random boundary subset, d and a seed for the block values."""
+    n = draw(st.integers(2, 8))
+    verts = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((verts[draw(st.integers(0, k - 1))], verts[k]))) for k in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    boundary = verts[n - draw(st.integers(1, n)):]
+    g = build_graph(n, boundary, draw(st.permutations(sorted(edges))))
+    return g, draw(st.sampled_from(dims)), draw(st.integers(0, 2**32 - 1))
+
+
+def schur_pinv_oracle(M, nb):
+    return M[:nb, :nb] - M[:nb, nb:] @ np.linalg.pinv(M[nb:, nb:]) @ M[nb:, :nb]
+
+
+def check_state_matrix(M, nb, lam, Q=None):
+    U = _dirichlet_state_matrix(M, nb, Q)
+    assert np.abs((M @ U)[nb:]).max(initial=0.0) < 1e-10
+    assert np.abs(M[:nb] @ U - lam).max() < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.booleans())
+def test_dtn_pd_matches_schur_oracle(net, with_q):
+    g, d, seed = net
+    sigma = MatrixEdgeField.from_blocks(random_spd_blocks(g.num_edges, d, seed))
+    q = MatrixNodeField.from_blocks(random_spd_blocks(g.num_vertices, d, seed + 1)) \
+        if with_q else None
+    M = schrodinger_matrix(g, sigma.values, q.values) if with_q \
+        else laplacian_matrix(g, sigma.values)
+    nb = d * g.num_boundary
+    lam = dtn_pd(g, sigma, q).matrix
+    assert np.abs(lam - schur_pinv_oracle(M, nb)).max() < 1e-10
+    assert np.abs(lam - lam.T).max() < 1e-10
+    if not with_q:
+        constants = np.kron(np.ones((g.num_boundary, 1)), np.eye(d))
+        assert np.abs(lam @ constants).max() < 1e-10
+    check_state_matrix(M, nb, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(dims=(2, 3)))
+def test_dtn_psd_rank_one_matches_pseudoinverse_oracle(net):
+    g, d, seed = net
+    local = np.random.default_rng(seed)
+    x = local.standard_normal((g.num_edges, d))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    blocks = np.einsum("e,ea,eb->eab", local.uniform(0.5, 2.0, g.num_edges), x, x)
+    sigma = MatrixEdgeField.from_blocks(blocks)
+    assert classify_regime(g, sigma, None).tag is RegimeTag.PSD_REAL
+    # nearly aligned springs give a near-mechanism: the interior block then
+    # has a tiny nonzero eigenvalue and no route is accurate to 1e-10
+    nb = d * g.num_boundary
+    w = np.abs(np.linalg.eigvalsh(laplacian_matrix(g, blocks).real[nb:, nb:]))
+    assume(w.size == 0 or (w[w > 1e-10 * w.max()] > 1e-6 * w.max()).all())
+    lam = dtn_psd(g, sigma).matrix
+    assert np.abs(lam - dtn_pseudoinverse_oracle(g, sigma)).max() < 1e-10
+    Q = q_basis(g, eigen_decompose(sigma)).matrix
+    check_state_matrix(laplacian_matrix(g, blocks), nb, lam, Q)
 
 
 # ---------------------------------------------------------------------------

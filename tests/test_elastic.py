@@ -18,6 +18,7 @@ from netinv.elastic import (
 )
 from netinv.graph import FieldError, build_graph
 from netinv.inversion import (
+    InadmissibleParameterError,
     fd_jacobian,
     identity_residual,
     jacobian,
@@ -231,6 +232,14 @@ def test_newton_recovers_masses():
     rho0 = np.full(6, -1.0 + 0.5j)
     rho_rec, trace = newton_invert(spec, target, rho0, residual_tol=1e-12)
     assert np.abs(rho_rec - rho_true).max() < 1e-7
+
+
+def test_real_spec_rejects_nonzero_imaginary_part():
+    spec = make_spec_static_springs(braced_network())
+    with pytest.raises(InadmissibleParameterError, match="imaginary part"):
+        spec.require_admissible(np.full(9, 1 + 5j))
+    p = spec.require_admissible(np.full(9, 2 + 0j))
+    assert p.dtype == float and np.array_equal(p, np.full(9, 2.0))
 
 
 def test_uniqueness_static_springs():

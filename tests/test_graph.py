@@ -11,10 +11,8 @@ from netinv.graph import (
     VectorEdgeField,
     VectorNodeField,
     build_graph,
-    hadamard,
     is_connected,
     is_interior_connected,
-    kron,
     outer,
     unvec,
     vec,
@@ -145,13 +143,3 @@ def test_outer_blocks():
     w = outer(u, v)
     for e in range(3):
         assert np.allclose(w.values[e], np.outer(u.values[e], v.values[e]))
-
-
-def test_hadamard_and_kron():
-    a = np.array([1.0, 2.0, 3.0])
-    b = np.array([4.0, 5.0, 6.0])
-    assert np.array_equal(hadamard(a, b), a * b)
-    with pytest.raises(FieldError):
-        hadamard(a, b[:2])
-    assert np.array_equal(kron(np.eye(2), np.ones((2, 2))),
-                          np.kron(np.eye(2), np.ones((2, 2))))
