@@ -48,12 +48,10 @@ from .graph import (
     GraphError,
     MatrixEdgeField,
     MatrixNodeField,
-    VectorEdgeField,
     VectorNodeField,
     build_graph,
     is_connected,
     is_interior_connected,
-    outer,
     unvec,
     vec,
     vec_edge_field,
@@ -84,7 +82,6 @@ from .operators import (
     cylinder_permutation,
     cylinder_scalar_weights,
     eigen_decompose,
-    gradient_apply,
     gradient_matrix,
     korn_constants,
     laplacian_matrix,

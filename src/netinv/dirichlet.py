@@ -311,10 +311,3 @@ def dtn_psd(g: Graph, sigma: MatrixEdgeField, eig: EigenData | None = None) -> D
     return DtnMap(matrix=_schur_dtn(op.matrix, op.nb, q_basis(g, eig).matrix),
                   d=sigma.d, provenance="psd")
 
-
-def dtn_pseudoinverse_oracle(g: Graph, sigma: MatrixEdgeField) -> np.ndarray:
-    """Independent SVD-pseudoinverse form of the rank-deficient map."""
-    op = assemble_laplacian(g, sigma)
-    if not g.num_interior:
-        return op.BB.copy()
-    return op.BB - op.BI @ np.linalg.pinv(op.II) @ op.IB

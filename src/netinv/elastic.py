@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import DtnMap, _dirichlet_state_matrix, _schur_dtn, dtn_psd, q_basis
-from .graph import FieldError, Graph, MatrixEdgeField, MatrixNodeField, _vertex_rows
+from .graph import FieldError, Graph, MatrixEdgeField, MatrixNodeField, _block_outer, _vertex_rows
 from .inversion import ProblemSpec
 from .operators import (
     EigenData,
@@ -248,12 +248,11 @@ def make_spec_eigenvalues(g: Graph, eig: EigenData) -> ProblemSpec:
         name="eigenvalues",
         m=r * E,
         n=nb,
-        ell=r * E,
         is_real=False,
         admissible=admissible,
         forward=forward,
         states=states,
-        bilinear=lambda u, v: u * v,
+        bilinear=lambda S1, S2: _block_outer(S1, S2, 1),
     )
 
 
@@ -275,7 +274,6 @@ def make_spec_static_springs(net: ElasticNetwork) -> ProblemSpec:
         name="springs_static",
         m=base.m,
         n=base.n,
-        ell=base.ell,
         is_real=True,
         admissible=admissible,
         forward=lambda k: base.forward(k.astype(complex)),
@@ -327,12 +325,11 @@ def make_spec_springs_known_masses(net: ElasticNetwork) -> ProblemSpec:
         name="springs_dampers",
         m=E,
         n=nb,
-        ell=E,
         is_real=False,
         admissible=admissible,
         forward=forward,
         states=states,
-        bilinear=lambda u, v: u * v,
+        bilinear=lambda S1, S2: _block_outer(S1, S2, 1),
     )
 
 
@@ -373,14 +370,14 @@ def make_spec_masses_known_springs(net: ElasticNetwork) -> ProblemSpec:
     def states(rho: np.ndarray) -> np.ndarray:
         return _dirichlet_state_matrix(scaled_operator(rho), nb)[perm]
 
-    def bilinear(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return (u.reshape(n_vert, d) * v.reshape(n_vert, d)).sum(axis=1)
+    def bilinear(S1: np.ndarray, S2: np.ndarray) -> np.ndarray:
+        prod = S1.reshape(n_vert, d, 1, nb) * S2.reshape(n_vert, d, nb, 1)
+        return prod.sum(axis=1).reshape(n_vert, nb * nb)
 
     return ProblemSpec(
         name="masses_dampers",
         m=n_vert,
         n=nb,
-        ell=d * n_vert,
         is_real=False,
         admissible=admissible,
         forward=forward,

@@ -23,10 +23,8 @@ __all__ = [
     "MatrixEdgeField",
     "MatrixNodeField",
     "VectorNodeField",
-    "VectorEdgeField",
     "vec",
     "unvec",
-    "outer",
     "SYMMETRY_TOL",
 ]
 
@@ -242,9 +240,6 @@ class VectorNodeField:
     def boundary_values(self, g: Graph) -> np.ndarray:
         return self.values[list(g.boundary)].reshape(-1)
 
-    def interior_values(self, g: Graph) -> np.ndarray:
-        return self.values[list(g.interior)].reshape(-1)
-
     @classmethod
     def from_canonical(cls, g: Graph, flat: np.ndarray, d: int) -> "VectorNodeField":
         flat = np.asarray(flat, dtype=complex).reshape(g.num_vertices, d)
@@ -253,28 +248,22 @@ class VectorNodeField:
         return cls.from_values(values)
 
 
-@dataclass(frozen=True)
-class VectorEdgeField:
-    """One complex vector per edge (gradients, projected gradients)."""
-
-    d: int
-    values: np.ndarray  # (|E|, d)
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "VectorEdgeField":
-        values = np.asarray(values, dtype=complex)
-        if values.ndim != 2:
-            raise FieldError("edge vector field needs shape (num_edges, d)")
-        values = values.copy()
-        values.setflags(write=False)
-        return cls(d=values.shape[1], values=values)
-
-
 def _vertex_rows(g: Graph, d: int) -> np.ndarray:
     """Row permutation from the canonical (position-major) ordering to the
     vertex-id-major one: entry v * d + c is the canonical row of component c
     of vertex v."""
     return (np.asarray(g.position)[:, None] * d + np.arange(d)).ravel()
+
+
+def _block_outer(S1: np.ndarray, S2: np.ndarray, b: int) -> np.ndarray:
+    """Blockwise outer products of two (K b, n) state matrices, (K b b, n n).
+
+    Row (k, c, a), column i + j n holds S1[k b + a, i] * S2[k b + c, j], so
+    each column stacks vec(u v^T) over the row groups k of u = S1[:, i] and
+    v = S2[:, j].
+    """
+    n = S1.shape[1]
+    return (S1.reshape(-1, 1, b, 1, n) * S2.reshape(-1, b, 1, n, 1)).reshape(-1, n * n)
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -290,10 +279,3 @@ def vec_edge_field(f: MatrixEdgeField) -> np.ndarray:
     """Concatenation of the per-edge column-stackings, in edge order."""
     return np.concatenate([vec(b) for b in f.values])
 
-
-def outer(u: VectorEdgeField, v: VectorEdgeField) -> MatrixEdgeField:
-    """Block-wise outer product: per edge u(e) v(e)^T."""
-    if u.d != v.d or u.values.shape[0] != v.values.shape[0]:
-        raise FieldError("outer product needs matching fields")
-    blocks = np.einsum("ei,ej->eij", u.values, v.values)
-    return MatrixEdgeField(d=u.d, values=blocks)

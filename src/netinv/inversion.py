@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .dirichlet import _dirichlet_state_matrix, _schur_dtn
-from .graph import Graph, MatrixEdgeField, _vertex_rows
+from .graph import Graph, MatrixEdgeField, _block_outer, _vertex_rows
 from .operators import laplacian_matrix, schrodinger_matrix
 
 __all__ = [
@@ -41,30 +41,34 @@ class ProblemSpec:
     """One concrete inverse problem: forward map, internal states and the
     bilinear pairing of the boundary/interior identity.
 
-    ``states(p)`` is the (ell, n) matrix of internal states for the n basis
-    boundary conditions; ``bilinear(u, v)`` maps two states to an m-vector
-    aligned with the parameter layout. ``is_real`` restricts Newton steps to
-    real vectors.
+    ``states(p)`` is the matrix of internal states for the n basis boundary
+    conditions, one state per column. ``bilinear(S1, S2)`` pairs two such
+    matrices into the m x n^2 product matrix W: column i + j*n pairs column
+    i of S1 with column j of S2, with rows aligned with the parameter
+    layout. ``is_real`` restricts Newton steps to real vectors.
     """
 
     name: str
     m: int
     n: int
-    ell: int
     is_real: bool
     admissible: Callable[[np.ndarray], bool]
     forward: Callable[[np.ndarray], np.ndarray]
     states: Callable[[np.ndarray], np.ndarray]
     bilinear: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+    def _flat(self, x: np.ndarray, what: str, error: type[ValueError]) -> np.ndarray:
+        """x as a flat real (``is_real``) or complex vector; a real spec
+        refuses a nonzero imaginary part rather than dropping it."""
+        x = np.asarray(x)
+        if self.is_real and np.iscomplexobj(x):
+            if x.imag.any():
+                raise error(f"{self.name}: real {what} has a nonzero imaginary part")
+            x = x.real
+        return np.asarray(x, dtype=float if self.is_real else complex).reshape(-1)
+
     def require_admissible(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p)
-        if self.is_real and np.iscomplexobj(p):
-            if p.imag.any():
-                raise InadmissibleParameterError(
-                    f"{self.name}: real parameter has a nonzero imaginary part")
-            p = p.real
-        p = np.asarray(p, dtype=float if self.is_real else complex).reshape(-1)
+        p = self._flat(p, "parameter", InadmissibleParameterError)
         if p.shape != (self.m,):
             raise InadmissibleParameterError(
                 f"{self.name}: parameter length {p.size}, expected {self.m}")
@@ -104,18 +108,13 @@ class NewtonTrace:
 
 
 def product_matrix(spec: ProblemSpec, p1: np.ndarray, p2: np.ndarray) -> ProductMatrix:
-    """Assemble W(p1, p2) column-wise: column i + j*n (0-based) pairs basis
-    states i of p1 and j of p2."""
+    """W(p1, p2) as one pairing of the two state matrices: column i + j*n
+    (0-based) pairs basis states i of p1 and j of p2."""
     p1 = spec.require_admissible(p1)
     p2 = spec.require_admissible(p2)
     S1 = spec.states(p1)
     S2 = S1 if np.array_equal(p1, p2) else spec.states(p2)
-    n = spec.n
-    W = np.empty((spec.m, n * n), dtype=complex)
-    for j in range(n):
-        for i in range(n):
-            W[:, i + j * n] = spec.bilinear(S1[:, i], S2[:, j])
-    return ProductMatrix(W=W, p1=p1, p2=p2)
+    return ProductMatrix(W=spec.bilinear(S1, S2), p1=p1, p2=p2)
 
 
 def jacobian(spec: ProblemSpec, p: np.ndarray) -> np.ndarray:
@@ -281,7 +280,7 @@ def line_rank_scan(
     """Sample the Jacobian conditioning along the admissible segment
     p + t dp and report the fraction of near-singular samples."""
     p = spec.require_admissible(p)
-    dp = np.asarray(dp, dtype=float if spec.is_real else complex).reshape(-1)
+    dp = spec._flat(dp, "direction", ValueError)
     if dp.shape != (spec.m,) or not np.linalg.norm(dp):
         raise ValueError("direction must be a nonzero vector of parameter length")
     if rng is None:
@@ -324,15 +323,6 @@ def _sym_real_min_eigs(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(s).min(axis=1)
 
 
-def _edge_outer_pairing(d: int, num_edges: int):
-    def bilinear(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        uu = u.reshape(num_edges, d)
-        vv = v.reshape(num_edges, d)
-        # per-edge vec(u v^T): flat index a + b*d holds u_a v_b
-        return np.einsum("ea,eb->eba", uu, vv).reshape(-1)
-    return bilinear
-
-
 def make_spec_conductivity(g: Graph, d: int) -> ProblemSpec:
     """Recover the matrix-valued edge conductivity from boundary data.
 
@@ -364,12 +354,11 @@ def make_spec_conductivity(g: Graph, d: int) -> ProblemSpec:
         name="conductivity",
         m=d * d * E,
         n=nb,
-        ell=d * E,
         is_real=False,
         admissible=admissible,
         forward=forward,
         states=states,
-        bilinear=_edge_outer_pairing(d, E),
+        bilinear=lambda S1, S2: _block_outer(S1, S2, d),
     )
 
 
@@ -404,19 +393,13 @@ def make_spec_schrodinger(g: Graph, sigma: MatrixEdgeField) -> ProblemSpec:
         M = schrodinger_matrix(g, sigma.values, blocks_of(p))
         return _dirichlet_state_matrix(M, nb)[perm]
 
-    def bilinear(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        uu = u.reshape(n_vert, d)
-        vv = v.reshape(n_vert, d)
-        return np.einsum("ia,ib->iba", uu, vv).reshape(-1)
-
     return ProblemSpec(
         name="schrodinger",
         m=d * d * n_vert,
         n=nb,
-        ell=d * n_vert,
         is_real=False,
         admissible=admissible,
         forward=forward,
         states=states,
-        bilinear=bilinear,
+        bilinear=lambda S1, S2: _block_outer(S1, S2, d),
     )

@@ -12,8 +12,6 @@ from .graph import (
     Graph,
     MatrixEdgeField,
     MatrixNodeField,
-    VectorEdgeField,
-    VectorNodeField,
     build_graph,
 )
 
@@ -21,7 +19,6 @@ __all__ = [
     "BlockOperator",
     "EigenData",
     "gradient_matrix",
-    "gradient_apply",
     "assemble_laplacian",
     "assemble_schrodinger",
     "laplacian_matrix",
@@ -94,14 +91,6 @@ def gradient_matrix(g: Graph, d: int) -> np.ndarray:
     D[e, :, pi] = np.eye(d)
     D[e, :, pj] = -np.eye(d)
     return D.reshape(d * g.num_edges, d * g.num_vertices)
-
-
-def gradient_apply(g: Graph, u: VectorNodeField) -> VectorEdgeField:
-    """Per edge (i, j) in canonical orientation, u(i) - u(j)."""
-    if u.values.shape[0] != g.num_vertices:
-        raise FieldError("node field does not match graph")
-    ends = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
-    return VectorEdgeField.from_values(u.values[ends[:, 0]] - u.values[ends[:, 1]])
 
 
 def laplacian_matrix(g: Graph, blocks: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ import numpy as np
 from netinv.dirichlet import (
     dtn_pd,
     dtn_psd,
-    dtn_pseudoinverse_oracle,
     floppy_basis,
 )
 from netinv.elastic import (
@@ -59,6 +58,8 @@ from netinv.operators import (
     projected_gradient_matrix,
     schrodinger_matrix,
 )
+
+from oracles import dtn_pseudoinverse_oracle
 
 IDENTITY_TOL = 1e-9
 JACOBIAN_TOL = 1e-6

@@ -8,6 +8,8 @@ import pytest
 from netinv.cli import main
 from netinv.fileio import load_matrix
 
+from oracles import dtn_pseudoinverse_oracle
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
@@ -157,7 +159,7 @@ def test_dtn_mixed_rank_commuting(tmp_path):
     assert main(["dtn", net, "-o", str(out)]) == EXIT_OK
     import netinv as ni
     model = ni.load_network(net)
-    oracle = ni.dirichlet.dtn_pseudoinverse_oracle(model.graph, model.sigma)
+    oracle = dtn_pseudoinverse_oracle(model.graph, model.sigma)
     assert np.abs(load_matrix(out) - oracle).max() < 1e-10
     assert json.loads(out.read_text())["provenance"] == "psd"
 

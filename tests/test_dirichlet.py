@@ -11,7 +11,6 @@ from netinv.dirichlet import (
     classify_regime,
     dtn_pd,
     dtn_psd,
-    dtn_pseudoinverse_oracle,
     floppy_basis,
     q_basis,
     solve_dirichlet_pd,
@@ -29,6 +28,8 @@ from netinv.operators import (
     laplacian_matrix,
     schrodinger_matrix,
 )
+
+from oracles import dtn_pseudoinverse_oracle
 
 rng = np.random.default_rng(23)
 

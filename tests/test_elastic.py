@@ -22,6 +22,7 @@ from netinv.inversion import (
     fd_jacobian,
     identity_residual,
     jacobian,
+    line_rank_scan,
     newton_invert,
     uniqueness_test,
 )
@@ -240,6 +241,18 @@ def test_real_spec_rejects_nonzero_imaginary_part():
         spec.require_admissible(np.full(9, 1 + 5j))
     p = spec.require_admissible(np.full(9, 2 + 0j))
     assert p.dtype == float and np.array_equal(p, np.full(9, 2.0))
+
+
+def test_line_scan_real_spec_rejects_complex_direction():
+    pos = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)]
+    net = ElasticNetwork(graph=build_graph(4, [0, 1, 2, 3], edges), positions=pos,
+                         k=np.ones(6), c_e=np.zeros(6), mass=np.ones(4), c_v=np.ones(4))
+    spec = make_spec_static_springs(net)
+    with pytest.raises(ValueError, match="imaginary part"):
+        line_rank_scan(spec, np.ones(6), np.full(6, 1 + 5j), num_samples=3)
+    real = line_rank_scan(spec, np.ones(6), np.full(6, 1.0), num_samples=3)
+    assert line_rank_scan(spec, np.ones(6), np.full(6, 1 + 0j), num_samples=3) == real
 
 
 def test_uniqueness_static_springs():

@@ -8,12 +8,10 @@ from netinv.graph import (
     GraphError,
     MatrixEdgeField,
     MatrixNodeField,
-    VectorEdgeField,
     VectorNodeField,
     build_graph,
     is_connected,
     is_interior_connected,
-    outer,
     unvec,
     vec,
     vec_edge_field,
@@ -135,11 +133,3 @@ def test_vec_edge_field():
                        np.array([[0.0, 1.0], [1.0, 0.0]])])
     f = MatrixEdgeField.from_blocks(blocks)
     assert np.array_equal(vec_edge_field(f), [1, 2, 2, 5, 0, 1, 1, 0])
-
-
-def test_outer_blocks():
-    u = VectorEdgeField.from_values(rng.standard_normal((3, 2)))
-    v = VectorEdgeField.from_values(rng.standard_normal((3, 2)))
-    w = outer(u, v)
-    for e in range(3):
-        assert np.allclose(w.values[e], np.outer(u.values[e], v.values[e]))

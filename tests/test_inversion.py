@@ -2,7 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netinv.elastic import (
+    ElasticNetwork,
+    make_spec_eigenvalues,
+    make_spec_masses_known_springs,
+    make_spec_springs_known_masses,
+    make_spec_static_springs,
+    network_eigendata,
+)
 from netinv.graph import MatrixEdgeField, build_graph, vec
 from netinv.inversion import (
     InadmissibleParameterError,
@@ -42,17 +52,93 @@ def random_spd_vec(num_blocks, d, seed, imag=0.3):
     return np.concatenate(out)
 
 
+def w_oracle(S1, S2, b, component_sum=False):
+    """W column by column: for every pair (i, j), vec(u v^T) of each b-row
+    group of u = S1[:, i] and v = S2[:, j], or its trace when the pairing
+    sums the components."""
+    n = S1.shape[1]
+    cols = []
+    for j in range(n):
+        for i in range(n):
+            groups = zip(S1[:, i].reshape(-1, b), S2[:, j].reshape(-1, b))
+            outers = [np.outer(u, v) for u, v in groups]
+            cols.append([np.trace(o) for o in outers] if component_sum
+                        else np.concatenate([vec(o) for o in outers]))
+    return np.array(cols).T
+
+
+def braced_truss():
+    """6-node, 9-edge planar braced truss with 4 boundary nodes."""
+    local = np.random.default_rng(0)
+    pos = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0],
+                    [0.8, 0.9], [1.3, 1.1]])
+    edges = [(0, 4), (1, 4), (1, 5), (2, 5), (3, 4), (3, 5), (4, 5), (0, 5), (2, 4)]
+    return ElasticNetwork(graph=build_graph(6, [0, 1, 2, 3], edges), positions=pos,
+                          k=local.uniform(0.5, 2.0, 9), c_e=local.uniform(0.1, 0.5, 9),
+                          mass=local.uniform(0.5, 2.0, 6), c_v=np.ones(6))
+
+
+def spec_cases():
+    """(spec, b, component_sum, p1, p2) for every spec factory."""
+    local = np.random.default_rng(91)
+    g = eight_node_graph()
+    sigma = MatrixEdgeField.from_blocks(
+        random_spd_vec(g.num_edges, 2, 5).reshape(g.num_edges, 2, 2).transpose(0, 2, 1))
+    q = [vec(m + m.T) for m in 0.2 * local.standard_normal((16, 2, 2))]
+    net = braced_truss()
+
+    def rho(size, sign=1.0):
+        return sign * local.uniform(0.5, 2.0, size) + 1j * local.uniform(0.1, 0.9, size)
+
+    return [
+        (make_spec_conductivity(path3(), 1), 1, False,
+         np.array([1.0, 1.0], dtype=complex), np.array([1.3, 0.7], dtype=complex)),
+        (make_spec_conductivity(g, 2), 2, False,
+         random_spd_vec(g.num_edges, 2, 81), random_spd_vec(g.num_edges, 2, 82)),
+        (make_spec_schrodinger(g, sigma), 2, False,
+         np.concatenate(q[:8]).astype(complex), np.concatenate(q[8:]).astype(complex)),
+        (make_spec_eigenvalues(net.graph, network_eigendata(net)), 1, False, rho(9), rho(9)),
+        (make_spec_static_springs(net), 1, False,
+         local.uniform(0.5, 2.0, 9), local.uniform(0.5, 2.0, 9)),
+        (make_spec_springs_known_masses(net), 1, False, rho(9), rho(9)),
+        (make_spec_masses_known_springs(net), 2, True, rho(6, -1.0), rho(6, -1.0)),
+    ]
+
+
 def test_product_matrix_shape_and_layout():
-    g = path3()
-    spec = make_spec_conductivity(g, 1)
-    p = np.array([1.0, 1.0], dtype=complex)
-    pm = product_matrix(spec, p, p)
-    assert pm.W.shape == (2, 4)
-    # column i + j*n pairs boundary basis vectors e_i, e_j
-    S = spec.states(p)
-    for i in range(2):
-        for j in range(2):
-            assert np.allclose(pm.W[:, i + 2 * j], spec.bilinear(S[:, i], S[:, j]))
+    # column i + j*n pairs state i of p1 with state j of p2; at b = 1 only
+    # p1 != p2 tells i from j
+    for spec, b, component_sum, p1, p2 in spec_cases():
+        for q in (p1, p2):
+            W = product_matrix(spec, p1, q).W
+            assert W.shape == (spec.m, spec.n ** 2)
+            oracle = w_oracle(spec.states(p1), spec.states(q), b, component_sum)
+            assert np.array_equal(W, oracle), spec.name
+
+
+@st.composite
+def networks(draw):
+    """Random connected graph (spanning tree plus extra edges), a random
+    nonempty boundary subset, d in {1, 2, 3} and a seed for the blocks."""
+    n = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    boundary = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    g = build_graph(n, boundary, draw(st.permutations(sorted(edges))))
+    return g, draw(st.sampled_from([1, 2, 3])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks())
+def test_conductivity_product_matrix_matches_oracle(net):
+    g, d, seed = net
+    spec = make_spec_conductivity(g, d)
+    p1 = random_spd_vec(g.num_edges, d, seed)
+    p2 = random_spd_vec(g.num_edges, d, seed + 1)
+    W = product_matrix(spec, p1, p2).W
+    assert np.array_equal(W, w_oracle(spec.states(p1), spec.states(p2), d))
+    assert identity_residual(spec, p1, p2) < 1e-10
 
 
 def test_identity_exact_on_conductivity():
