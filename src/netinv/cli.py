@@ -122,13 +122,14 @@ def cmd_forward(args) -> int:
     sigma = model.conductivity()
     tag = _supported_regime(model, sigma)
     doc: dict = {"regime": tag.value}
+    # one operator for the PD solve and the reported residual
+    op = dirichlet._operator(g, sigma, model.q)
     if tag.is_pd:
-        u = dirichlet.solve_dirichlet_pd(g, sigma, model.q, gvec)
+        u = dirichlet._solve(g, op, gvec)
     else:
         u = dirichlet.solve_dirichlet_psd(g, sigma, gvec)
         doc["floppy_dim"] = dirichlet.floppy_basis(g, sigma).dim
-    op = dirichlet._operator(g, sigma, model.q)
-    resid = np.linalg.norm((op.matrix @ u.canonical(g))[model.d * g.num_boundary:])
+    resid = np.linalg.norm((op.matrix @ u.canonical(g))[op.nb:])
     doc["residual"] = float(resid)
     doc["u"] = [[complex_to_json(z) for z in u.values[v]] for v in range(g.num_vertices)]
     doc["vertex_ids"] = list(model.vertex_ids)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import DtnMap, _dirichlet_state_matrix, _schur_dtn, dtn_psd, q_basis
-from .graph import FieldError, Graph, MatrixEdgeField, MatrixNodeField, _block_outer, _vertex_rows
+from .graph import FieldError, Graph, MatrixEdgeField, MatrixNodeField, _vertex_rows
 from .inversion import ProblemSpec
 from .operators import (
     EigenData,
@@ -252,7 +252,7 @@ def make_spec_eigenvalues(g: Graph, eig: EigenData) -> ProblemSpec:
         admissible=admissible,
         forward=forward,
         states=states,
-        bilinear=lambda S1, S2: _block_outer(S1, S2, 1),
+        block=1,
     )
 
 
@@ -278,7 +278,7 @@ def make_spec_static_springs(net: ElasticNetwork) -> ProblemSpec:
         admissible=admissible,
         forward=lambda k: base.forward(k.astype(complex)),
         states=lambda k: base.states(k.astype(complex)),
-        bilinear=base.bilinear,
+        block=base.block,
     )
 
 
@@ -329,7 +329,7 @@ def make_spec_springs_known_masses(net: ElasticNetwork) -> ProblemSpec:
         admissible=admissible,
         forward=forward,
         states=states,
-        bilinear=lambda S1, S2: _block_outer(S1, S2, 1),
+        block=1,
     )
 
 
@@ -370,10 +370,6 @@ def make_spec_masses_known_springs(net: ElasticNetwork) -> ProblemSpec:
     def states(rho: np.ndarray) -> np.ndarray:
         return _dirichlet_state_matrix(scaled_operator(rho), nb)[perm]
 
-    def bilinear(S1: np.ndarray, S2: np.ndarray) -> np.ndarray:
-        prod = S1.reshape(n_vert, d, 1, nb) * S2.reshape(n_vert, d, nb, 1)
-        return prod.sum(axis=1).reshape(n_vert, nb * nb)
-
     return ProblemSpec(
         name="masses_dampers",
         m=n_vert,
@@ -382,5 +378,6 @@ def make_spec_masses_known_springs(net: ElasticNetwork) -> ProblemSpec:
         admissible=admissible,
         forward=forward,
         states=states,
-        bilinear=bilinear,
+        block=1,
+        components=d,
     )

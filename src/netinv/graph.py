@@ -266,6 +266,35 @@ def _block_outer(S1: np.ndarray, S2: np.ndarray, b: int) -> np.ndarray:
     return (S1.reshape(-1, 1, b, 1, n) * S2.reshape(-1, b, 1, n, 1)).reshape(-1, n * n)
 
 
+def _block_outer_split(S: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """W = _block_outer(S, S, b) as the diagonal blocks W+ and W- of one
+    orthogonal change of row and column bases, without forming W.
+
+    W[r, (j, i)] = W[pi(r), (i, j)], where pi swaps rows (k, c, a) and
+    (k, a, c). Rotating the rows in pi-pairs by (e_r +- e_pi(r)) / sqrt(2)
+    and the columns in (i, j)/(j, i) pairs the same way makes W block
+    diagonal, so its singular values are those of W+ and W- together. With
+    X_r = S[k b + a, i] S[k b + c, j] the entry of W at row r, column (i, j):
+
+    * W+, rows (k, c <= a), columns i <= j: X_r times sqrt(2) (i < j) or 1
+      (i = j) on the rows c = a that pi fixes; X_r + X_pi(r) times 1 (i < j)
+      or 1/sqrt(2) (i = j) on the others;
+    * W-, rows (k, c < a), columns i < j: X_r - X_pi(r); no rows when b = 1.
+    """
+    n = S.shape[1]
+    T = S.reshape(-1, b, n)
+    c, a = np.triu_indices(b)
+    i, j = np.triu_indices(n)
+    pairs, off = c < a, i < j
+    X = T[:, a][:, :, i] * T[:, c][:, :, j]
+    X_pi = T[:, c[pairs]][:, :, i] * T[:, a[pairs]][:, :, j]
+    W_minus = X[:, pairs][:, :, off] - X_pi[:, :, off]
+    X[:, pairs] += X_pi
+    X *= 2.0 ** (0.5 * ((c == a).astype(int)[:, None] - (i == j)))
+    return (X.reshape(len(T) * c.size, i.size),
+            W_minus.reshape(len(T) * int(pairs.sum()), int(off.sum())))
+
+
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-major stacking of a matrix into a vector."""
     return np.asarray(a).reshape(-1, order="F")

@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .dirichlet import _dirichlet_state_matrix, _schur_dtn
-from .graph import Graph, MatrixEdgeField, _block_outer, _vertex_rows
+from .graph import Graph, MatrixEdgeField, _block_outer, _block_outer_split, _vertex_rows
 from .operators import laplacian_matrix, schrodinger_matrix
 
 __all__ = [
@@ -42,10 +42,12 @@ class ProblemSpec:
     bilinear pairing of the boundary/interior identity.
 
     ``states(p)`` is the matrix of internal states for the n basis boundary
-    conditions, one state per column. ``bilinear(S1, S2)`` pairs two such
-    matrices into the m x n^2 product matrix W: column i + j*n pairs column
-    i of S1 with column j of S2, with rows aligned with the parameter
-    layout. ``is_real`` restricts Newton steps to real vectors.
+    conditions, one state per column. The pairing of two such matrices is
+    the blockwise outer product of their ``block``-row groups
+    (``graph._block_outer``); with ``components`` > 1 (``block`` = 1 only)
+    each row of W sums that many consecutive rows, as the masses spec sums
+    the d components of a vertex. ``is_real`` restricts Newton steps to
+    real vectors.
     """
 
     name: str
@@ -55,7 +57,24 @@ class ProblemSpec:
     admissible: Callable[[np.ndarray], bool]
     forward: Callable[[np.ndarray], np.ndarray]
     states: Callable[[np.ndarray], np.ndarray]
-    bilinear: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    block: int
+    components: int = 1
+
+    def bilinear(self, S1: np.ndarray, S2: np.ndarray) -> np.ndarray:
+        """The m x n^2 product matrix W of two state matrices: column
+        i + j*n pairs column i of S1 with column j of S2, with rows aligned
+        with the parameter layout."""
+        return self._sum_components(_block_outer(S1, S2, self.block))
+
+    def _split(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """bilinear(S, S) as the blocks W+ and W- of its exact orthogonal
+        split (``graph._block_outer_split``)."""
+        return tuple(self._sum_components(B) for B in _block_outer_split(S, self.block))
+
+    def _sum_components(self, W: np.ndarray) -> np.ndarray:
+        if self.components == 1:
+            return W
+        return W.reshape(-1, self.components, W.shape[1]).sum(axis=1)
 
     def _flat(self, x: np.ndarray, what: str, error: type[ValueError]) -> np.ndarray:
         """x as a flat real (``is_real``) or complex vector; a real spec
@@ -150,12 +169,26 @@ def fd_jacobian(spec: ProblemSpec, p: np.ndarray, h: float = 1e-5,
 def uniqueness_test(spec: ProblemSpec, p: np.ndarray,
                     epsilon: float = DEFAULT_EPSILON) -> UniquenessVerdict:
     """Singular-value test on W(p, p): injectivity of the linearized problem
-    certifies uniqueness almost everywhere; otherwise inconclusive."""
-    W = product_matrix(spec, p, p).W
-    svals = np.linalg.svd(W, compute_uv=False)
+    certifies uniqueness almost everywhere; otherwise inconclusive.
+
+    sigma_min is the m-th largest singular value of W, and exactly 0 when
+    the shape of W or of a block of its split rules out m independent rows.
+    The singular values come from the two blocks of the exact split of W
+    (``ProblemSpec._split``), in real arithmetic when the states are real;
+    W itself is never formed.
+    """
+    p = spec.require_admissible(p)
+    S = spec.states(p)
+    if not S.imag.any():
+        S = S.real
+    blocks = spec._split(S)
+    # the transposes, blocks of the Jacobian, are mostly tall: LAPACK's
+    # faster orientation, and a copy-free view
+    svals = np.concatenate([np.linalg.svd(B.T, compute_uv=False) for B in blocks])
     sigma_max = float(svals.max()) if svals.size else 0.0
-    # more parameters than data entries: the rows cannot be independent
-    sigma_min = 0.0 if spec.m > spec.n ** 2 or not svals.size else float(svals.min())
+    # a block with more rows than columns: the rows of W cannot be independent
+    deficient = any(B.shape[0] > B.shape[1] for B in blocks)
+    sigma_min = 0.0 if deficient or not svals.size else float(svals.min())
     return UniquenessVerdict(
         sigma_max=sigma_max,
         sigma_min=sigma_min,
@@ -358,7 +391,7 @@ def make_spec_conductivity(g: Graph, d: int) -> ProblemSpec:
         admissible=admissible,
         forward=forward,
         states=states,
-        bilinear=lambda S1, S2: _block_outer(S1, S2, d),
+        block=d,
     )
 
 
@@ -401,5 +434,5 @@ def make_spec_schrodinger(g: Graph, sigma: MatrixEdgeField) -> ProblemSpec:
         admissible=admissible,
         forward=forward,
         states=states,
-        bilinear=lambda S1, S2: _block_outer(S1, S2, d),
+        block=d,
     )

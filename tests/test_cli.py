@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from netinv import cli, dirichlet, operators
 from netinv.cli import main
 from netinv.fileio import load_matrix
 
@@ -82,6 +83,23 @@ def test_forward_p3(tmp_path, capsys):
     assert np.allclose(u, [1.0, 0.5, 0.0])
     assert doc["regime"] == "pd_sigma"
     assert doc["residual"] < 1e-12
+
+
+def test_forward_assembles_twice(tmp_path, monkeypatch):
+    # once to classify the regime, once for the solve and its residual
+    calls = []
+    original = operators.laplacian_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (operators, dirichlet, cli):
+        monkeypatch.setattr(module, "laplacian_matrix", counted)
+    net = write(tmp_path, "net.json", p3_doc())
+    bc = write(tmp_path, "bc.json", {"g": [[1.0], [0.0]]})
+    assert main(["forward", net, bc, "-o", str(tmp_path / "sol.json")]) == EXIT_OK
+    assert len(calls) == 2
 
 
 def test_forward_psd_reports_floppy_dim(tmp_path):

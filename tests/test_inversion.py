@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netinv.elastic import (
@@ -26,6 +26,7 @@ from netinv.inversion import (
     product_matrix,
     uniqueness_test,
 )
+from netinv.operators import eigen_decompose
 
 rng = np.random.default_rng(37)
 
@@ -233,6 +234,81 @@ def test_scalar_to_matrix_transfer():
     blocks = np.stack([s[0] * np.eye(2), s[1] * np.eye(2)])
     p2 = np.concatenate([vec(b) for b in blocks])
     assert uniqueness_test(spec2, p2).holds
+
+
+def four_cycle():
+    return build_graph(4, [0, 2], [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+def test_uniqueness_structural_zero():
+    # d = 2: m = 16 = n^2, but the symmetric block of W has 12 rows and 10
+    # columns, so rank W <= 14 and sigma_min is exactly zero, not round-off
+    spec = make_spec_conductivity(four_cycle(), 2)
+    v = uniqueness_test(spec, random_spd_vec(4, 2, 3))
+    assert spec.m == spec.n ** 2
+    assert v.sigma_min == 0.0
+    assert v.sigma_max > 0.0
+    assert not v.holds
+
+
+SPEC_FACTORIES = ("conductivity", "schrodinger", "eigenvalues", "springs_static",
+                  "springs_dampers", "masses_dampers")
+
+
+def spec_and_parameter(g, d, seed, factory, real):
+    """A spec of the named factory on g and an admissible parameter, real
+    where ``real`` is set and the spec allows it; the spring networks place
+    the vertices at random in d = max(d, 2) dimensions."""
+    local = np.random.default_rng(seed)
+    E, V = g.num_edges, g.num_vertices
+    imag = 0.0 if real else 0.3
+
+    def blocks(num, s):
+        return random_spd_vec(num, d, s, imag).reshape(num, d, d).transpose(0, 2, 1)
+
+    if factory == "conductivity":
+        return make_spec_conductivity(g, d), random_spd_vec(E, d, seed, imag)
+    if factory == "schrodinger":
+        sigma = MatrixEdgeField.from_blocks(blocks(E, seed))
+        return make_spec_schrodinger(g, sigma), 0.1 * random_spd_vec(V, d, seed + 1, imag)
+    if factory == "eigenvalues":
+        eig = eigen_decompose(MatrixEdgeField.from_blocks(blocks(E, seed).real))
+        lam = local.uniform(0.5, 2.0, E * d) + 1j * imag * local.uniform(-1.0, 1.0, E * d)
+        return make_spec_eigenvalues(g, eig), lam
+    net = ElasticNetwork(graph=g, positions=local.standard_normal((V, max(d, 2))),
+                         k=local.uniform(0.5, 2.0, E), c_e=local.uniform(0.1, 0.5, E),
+                         mass=local.uniform(0.5, 2.0, V), c_v=local.uniform(0.5, 2.0, V))
+    if factory == "springs_static":
+        return make_spec_static_springs(net), net.k
+    if factory == "springs_dampers":
+        return make_spec_springs_known_masses(net), net.k + 1j * net.omega * net.c_e
+    return (make_spec_masses_known_springs(net),
+            -net.omega ** 2 * net.mass + 1j * net.omega * net.c_v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(networks(), st.sampled_from(SPEC_FACTORIES), st.booleans())
+@example((four_cycle(), 2, 3), "conductivity", True)
+@example((four_cycle(), 3, 4), "schrodinger", False)
+@example((build_graph(3, [0], [(0, 1), (1, 2)]), 1, 5), "eigenvalues", True)
+def test_uniqueness_matches_full_svd(net, factory, real):
+    # sigma_min is the m-th singular value of the full W, or 0 when W has
+    # fewer than m; the split must give the same values and verdict
+    g, d, seed = net
+    spec, p = spec_and_parameter(g, d, seed, factory, real)
+    v = uniqueness_test(spec, p)
+    s = np.linalg.svd(product_matrix(spec, p, p).W, compute_uv=False)
+    s_max = s.max(initial=0.0)
+    s_min = s[spec.m - 1] if 0 < spec.m <= s.size else 0.0
+    assert abs(v.sigma_max - s_max) <= 1e-12 * s_max
+    assert abs(v.sigma_min - s_min) <= 1e-12 * s_max
+    assert v.holds == (s_min > v.epsilon * s_max)
+    # every singular value of W, not only the extremes, is one of a block's
+    blocks = spec._split(spec.states(p))
+    s_split = np.concatenate([np.linalg.svd(B, compute_uv=False) for B in blocks])
+    size = max(s.size, s_split.size)
+    assert np.abs(np.sort(np.pad(s, (0, size - s.size)))
+                  - np.sort(np.pad(s_split, (0, size - s_split.size)))).max() <= 1e-12 * s_max
 
 
 def test_newton_p3_conductivity_data_consistent():
