@@ -31,7 +31,6 @@ from .elastic import (
     make_spec_masses_known_springs,
     make_spec_springs_known_masses,
     make_spec_static_springs,
-    network_eigendata,
     spring_conductivity,
     spring_directions,
 )

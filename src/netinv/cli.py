@@ -65,7 +65,7 @@ def _build_spec(model: NetworkModel, problem: str):
         sigma = model.conductivity()
         eig = eigen_decompose(sigma)
         spec = elastic.make_spec_eigenvalues(g, eig)
-        p = np.concatenate(eig.lam)
+        p = eig.lam.ravel()
     elif problem == "springs":
         if model.network is None:
             raise SchemaError("springs problem needs spring-network edges (k + positions)")
@@ -122,13 +122,15 @@ def cmd_forward(args) -> int:
     sigma = model.conductivity()
     tag = _supported_regime(model, sigma)
     doc: dict = {"regime": tag.value}
-    # one operator for the PD solve and the reported residual
+    # one operator for the solve and the reported residual
     op = dirichlet._operator(g, sigma, model.q)
-    if tag.is_pd:
-        u = dirichlet._solve(g, op, gvec)
-    else:
-        u = dirichlet.solve_dirichlet_psd(g, sigma, gvec)
-        doc["floppy_dim"] = dirichlet.floppy_basis(g, sigma).dim
+    Q = None
+    if tag.is_psd:
+        # the floppy modes are the nullspace of the interior block whose
+        # range Q spans, so one spectrum gives both
+        Q = dirichlet.q_basis(g, eigen_decompose(sigma)).matrix
+        doc["floppy_dim"] = Q.shape[0] - Q.shape[1]
+    u = dirichlet._solve(g, op, gvec, Q)
     resid = np.linalg.norm((op.matrix @ u.canonical(g))[op.nb:])
     doc["residual"] = float(resid)
     doc["u"] = [[complex_to_json(z) for z in u.values[v]] for v in range(g.num_vertices)]

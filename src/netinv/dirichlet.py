@@ -177,7 +177,7 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
     if _is_zero_field(si):
         return DirichletRegime(RegimeTag.PSD_REAL, diag)
     try:
-        eigen_decompose(sigma, uniform_rank=False)
+        eigen_decompose(sigma)
     except FieldError as exc:
         diag["commuting_failure"] = str(exc)
         return DirichletRegime(RegimeTag.UNSUPPORTED, diag)
@@ -282,7 +282,7 @@ def floppy_basis(g: Graph, sigma: MatrixEdgeField, tol: float = 1e-10) -> Floppy
 def q_basis(g: Graph, eig: EigenData, tol: float = 1e-10) -> QBasis:
     """Real orthonormal basis of the range of the interior Laplacian block,
     built from the conductivity eigenvectors only (unit eigenvalues)."""
-    w, v, cut = _interior_spectrum(g, np.stack([x @ x.T for x in eig.x]), tol)
+    w, v, cut = _interior_spectrum(g, eig.x @ eig.x.transpose(0, 2, 1), tol)
     return QBasis(matrix=v[:, w > cut])
 
 
@@ -298,7 +298,7 @@ def solve_dirichlet_psd(
     basis, so the floppy component is zero.
     """
     if eig is None:
-        eig = eigen_decompose(sigma, uniform_rank=False)
+        eig = eigen_decompose(sigma)
     return _solve(g, assemble_laplacian(g, sigma), gb, q_basis(g, eig).matrix)
 
 
@@ -306,7 +306,7 @@ def dtn_psd(g: Graph, sigma: MatrixEdgeField, eig: EigenData | None = None) -> D
     """Dirichlet-to-Neumann map for rank-deficient conductivities via the Q
     basis of the interior range."""
     if eig is None:
-        eig = eigen_decompose(sigma, uniform_rank=False)
+        eig = eigen_decompose(sigma)
     op = assemble_laplacian(g, sigma)
     return DtnMap(matrix=_schur_dtn(op.matrix, op.nb, q_basis(g, eig).matrix),
                   d=sigma.d, provenance="psd")

@@ -12,6 +12,7 @@ from .graph import FieldError, Graph, MatrixEdgeField, MatrixNodeField, _vertex_
 from .inversion import ProblemSpec
 from .operators import (
     EigenData,
+    eigen_decompose,
     laplacian_matrix,
     projected_gradient_matrix,
     schrodinger_matrix,
@@ -105,19 +106,6 @@ def damper_conductivity(net: ElasticNetwork) -> MatrixEdgeField:
     return _projector_field(net, net.c_e)
 
 
-def network_eigendata(net: ElasticNetwork) -> EigenData:
-    """Rank-1 eigendata of the spring geometry with deterministic signs."""
-    dirs = spring_directions(net)
-    xs = []
-    for x in dirs:
-        nz = np.flatnonzero(np.abs(x) > 1e-14)
-        if x[nz[0]] < 0:
-            x = -x
-        xs.append(x[:, None].copy())
-    lams = tuple(np.array([k], dtype=complex) for k in net.k)
-    return EigenData(d=net.d, rank=1, x=tuple(xs), lam=lams)
-
-
 def mass_potential(net: ElasticNetwork) -> MatrixNodeField:
     d = net.d
     blocks = np.stack([m * np.eye(d) for m in net.mass]).astype(complex)
@@ -198,7 +186,7 @@ def displacement_to_forces(net: ElasticNetwork, regime: str) -> DtnMap:
     g = net.graph
     nb = net.d * g.num_boundary
     if regime == "static":
-        return dtn_psd(g, spring_conductivity(net), network_eigendata(net))
+        return dtn_psd(g, spring_conductivity(net))
     if regime == "dynamic":
         _require_dynamic(net)
         op = frequency_operator(net)
@@ -220,16 +208,16 @@ def make_spec_eigenvalues(g: Graph, eig: EigenData) -> ProblemSpec:
     """
     d = eig.d
     r = eig.rank
-    if any(x.shape[1] != r for x in eig.x):
+    if (eig.ranks != r).any():
         raise FieldError("eigenvalue spec needs a uniform rank")
     E = g.num_edges
     nb = d * g.num_boundary
     P = projected_gradient_matrix(g, eig)  # (r|E|, d|V|)
     Q = q_basis(g, eig).matrix
+    xt = eig.x.transpose(0, 2, 1)
 
     def blocks_of(lam: np.ndarray) -> np.ndarray:
-        lam = lam.reshape(E, r)
-        return np.stack([x @ np.diag(lam[e]) @ x.T for e, x in enumerate(eig.x)])
+        return (eig.x * lam.reshape(E, r)[:, None, :]) @ xt
 
     def admissible(lam: np.ndarray) -> bool:
         lam = np.asarray(lam).reshape(-1)
@@ -262,8 +250,7 @@ def make_spec_static_springs(net: ElasticNetwork) -> ProblemSpec:
     Real parameters, one per edge; states are the gradient components along
     the spring directions; the pairing is the Hadamard product.
     """
-    eig = network_eigendata(net)
-    base = make_spec_eigenvalues(net.graph, eig)
+    base = make_spec_eigenvalues(net.graph, eigen_decompose(spring_conductivity(net)))
 
     def admissible(k: np.ndarray) -> bool:
         k = np.asarray(k).reshape(-1)
@@ -298,8 +285,7 @@ def make_spec_springs_known_masses(net: ElasticNetwork) -> ProblemSpec:
     E = g.num_edges
     dirs = spring_directions(net)
     proj = np.einsum("ea,eb->eab", dirs, dirs)
-    eig = network_eigendata(net)
-    P = projected_gradient_matrix(g, eig)
+    P = projected_gradient_matrix(g, eigen_decompose(spring_conductivity(net)))
     q_scaled = damper_potential(net).values + jw * mass_potential(net).values
 
     def admissible(rho: np.ndarray) -> bool:

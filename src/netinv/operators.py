@@ -33,7 +33,7 @@ __all__ = [
     "COMMUTE_TOL",
 ]
 
-# Default relative threshold for treating an eigenvalue of sigma'(e) as zero.
+# Relative threshold for treating an eigenvalue of sigma'(e) as zero.
 RANK_TOL = 1e-10
 COMMUTE_TOL = 1e-10
 
@@ -53,31 +53,25 @@ class BlockOperator:
         return self.d * self.num_boundary
 
     @property
-    def BB(self) -> np.ndarray:
-        return self.matrix[: self.nb, : self.nb]
-
-    @property
-    def BI(self) -> np.ndarray:
-        return self.matrix[: self.nb, self.nb:]
-
-    @property
     def IB(self) -> np.ndarray:
         return self.matrix[self.nb:, : self.nb]
-
-    @property
-    def II(self) -> np.ndarray:
-        return self.matrix[self.nb:, self.nb:]
 
 
 @dataclass(frozen=True)
 class EigenData:
-    """Per-edge eigendecomposition sigma(e) = x(e) diag(lambda(e)) x(e)^T with
-    real orthonormal x(e) spanning the range of the real part."""
+    """Eigendecomposition sigma(e) = x(e) diag(lambda(e)) x(e)^T of every edge
+    block, with real orthonormal x(e) spanning the range of the real part.
+
+    ``rank`` is the largest edge rank r. Edge e uses the last ``ranks[e]``
+    of the r columns, in ascending order of the real eigenvalues; its other
+    columns of ``x`` and entries of ``lam`` are zero.
+    """
 
     d: int
     rank: int
-    x: tuple[np.ndarray, ...]  # each (d, r_e), real
-    lam: tuple[np.ndarray, ...]  # each (r_e,), complex with positive real part
+    x: np.ndarray  # (|E|, d, r), real
+    lam: np.ndarray  # (|E|, r), complex with positive real part where used
+    ranks: np.ndarray  # (|E|,), ints in 1..r
 
 
 def gradient_matrix(g: Graph, d: int) -> np.ndarray:
@@ -236,68 +230,58 @@ def cylinder_permutation(path: Graph, layer: Graph, cyl: Graph) -> np.ndarray:
     return pi
 
 
-def eigen_decompose(
-    sigma: MatrixEdgeField,
-    rank_tol: float = RANK_TOL,
-    *,
-    uniform_rank: bool = True,
-) -> EigenData:
-    """Per-edge eigendecomposition for conductivities whose real and imaginary
-    parts commute and share real eigenvectors.
+def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
+    """Eigendecomposition of all edge blocks at once, for conductivities
+    whose real and imaginary parts commute and share real eigenvectors.
 
-    Keeps the eigenvalues of sigma'(e) above ``rank_tol`` times the largest
-    one; the imaginary eigenvalues are read off in the same eigenbasis.
-    Raises on non-commuting parts or when the nullspace of the real part is
-    not contained in that of the imaginary part.
+    Keeps the eigenvalues of sigma'(e) above RANK_TOL times the largest one;
+    the imaginary eigenvalues are read off in the same eigenbasis. Raises,
+    naming the first failing edge, on non-commuting parts, on a zero real
+    part and when the nullspace of the real part is not contained in that of
+    the imaginary part.
     """
-    xs: list[np.ndarray] = []
-    lams: list[np.ndarray] = []
-    ranks: list[int] = []
-    for e, block in enumerate(sigma.values):
-        sr = block.real
-        si = block.imag
-        comm = sr @ si - si @ sr
-        scale = np.linalg.norm(sr) * np.linalg.norm(si)
-        if np.linalg.norm(comm) > COMMUTE_TOL * max(scale, 1e-300):
-            raise FieldError(f"real and imaginary parts of edge {e} do not commute")
-        w, v = np.linalg.eigh(sr)
-        lam_max = w.max(initial=0.0)
-        keep = w > rank_tol * max(lam_max, np.finfo(float).tiny)
-        if not keep.any():
-            raise FieldError(f"edge {e} has zero real part")
-        x = v[:, keep]
-        # deterministic signs: first nonzero component of each column positive
-        for c in range(x.shape[1]):
-            col = x[:, c]
-            nz = np.flatnonzero(np.abs(col) > 1e-14)
-            if nz.size and col[nz[0]] < 0:
-                x[:, c] = -col
-        # nullspace inclusion N(sigma') subset N(sigma'')
-        proj_out = si - x @ (x.T @ si @ x) @ x.T
-        si_scale = max(np.linalg.norm(si), 1.0)
-        if np.linalg.norm(proj_out) > 1e-8 * si_scale:
-            raise FieldError(
-                f"nullspace of real part of edge {e} not contained in that of imaginary part"
-            )
-        lam = w[keep] + 1j * np.diag(x.T @ si @ x)
-        xs.append(x)
-        lams.append(lam)
-        ranks.append(x.shape[1])
-    if uniform_rank and len(set(ranks)) > 1:
-        raise FieldError(f"edges have different ranks {sorted(set(ranks))}; "
-                         "pass uniform_rank=False to allow this")
-    return EigenData(d=sigma.d, rank=max(ranks), x=tuple(xs), lam=tuple(lams))
-
-
-def reconstruct_from_eigen(eig: EigenData) -> MatrixEdgeField:
-    blocks = np.stack([x @ np.diag(lam) @ x.T for x, lam in zip(eig.x, eig.lam)])
-    return MatrixEdgeField.from_blocks(blocks)
+    d = sigma.d
+    sr = sigma.values.real
+    si = sigma.values.imag
+    comm = sr @ si - si @ sr
+    scale = np.linalg.norm(sr, axis=(1, 2)) * np.linalg.norm(si, axis=(1, 2))
+    noncommuting = np.linalg.norm(comm, axis=(1, 2)) > COMMUTE_TOL * np.maximum(scale, 1e-300)
+    w, v = np.linalg.eigh(sr)
+    # eigh sorts ascending, so each edge keeps a suffix of its eigenpairs
+    keep = w > RANK_TOL * np.maximum(w[:, -1:], np.finfo(float).tiny)
+    ranks = keep.sum(axis=1)
+    r = int(ranks.max())
+    used = keep[:, d - r:]
+    x = np.where(used[:, None, :], v[:, :, d - r:], 0.0)
+    # deterministic signs: first nonzero component of each column positive
+    nz = np.abs(x) > 1e-14
+    first = np.take_along_axis(x, nz.argmax(axis=1)[:, None, :], axis=1)
+    x = np.where(nz.any(axis=1, keepdims=True) & (first < 0), -x, x)
+    xt = x.transpose(0, 2, 1)
+    core = xt @ si @ x
+    # nullspace inclusion N(sigma') subset N(sigma'')
+    proj_out = si - x @ core @ xt
+    si_scale = np.maximum(np.linalg.norm(si, axis=(1, 2)), 1.0)
+    uncontained = np.linalg.norm(proj_out, axis=(1, 2)) > 1e-8 * si_scale
+    failures = (
+        (noncommuting, "real and imaginary parts of edge {} do not commute"),
+        (ranks == 0, "edge {} has zero real part"),
+        (uncontained, "nullspace of real part of edge {} not contained in that of imaginary part"),
+    )
+    bad = noncommuting | (ranks == 0) | uncontained
+    if bad.any():
+        e = int(bad.argmax())
+        raise FieldError(next(msg for mask, msg in failures if mask[e]).format(e))
+    lam = np.where(used, w[:, d - r:], 0.0) + 1j * np.diagonal(core, axis1=1, axis2=2)
+    return EigenData(d=d, rank=r, x=x, lam=lam, ranks=ranks)
 
 
 def projected_gradient_matrix(g: Graph, eig: EigenData) -> np.ndarray:
-    """diag(x)^T nabla as a dense matrix, shape (sum_e r_e, d|V|)."""
-    xt = np.concatenate(eig.x, axis=1).T  # (sum_e r_e, d)
-    edge = np.repeat(np.arange(g.num_edges), [x.shape[1] for x in eig.x])
+    """diag(x)^T nabla as a dense matrix, shape (sum_e r_e, d|V|): one row
+    per used (edge, column) pair, edge by edge."""
+    r = eig.rank
+    edge, col = np.nonzero(np.arange(r) >= r - eig.ranks[:, None])
+    xt = eig.x[edge, :, col]  # (sum_e r_e, d)
     pi, pj = g.edge_positions()
     rows = np.arange(len(edge))
     P = np.zeros((len(edge), g.num_vertices, eig.d))

@@ -2,13 +2,50 @@
 
 import numpy as np
 
-from netinv.graph import Graph, MatrixEdgeField
-from netinv.operators import assemble_laplacian
+from netinv.graph import FieldError, Graph, MatrixEdgeField
+from netinv.operators import COMMUTE_TOL, RANK_TOL, EigenData, assemble_laplacian
 
 
 def dtn_pseudoinverse_oracle(g: Graph, sigma: MatrixEdgeField) -> np.ndarray:
     """Independent SVD-pseudoinverse form of the rank-deficient map."""
     op = assemble_laplacian(g, sigma)
+    M, nb = op.matrix, op.nb
     if not g.num_interior:
-        return op.BB.copy()
-    return op.BB - op.BI @ np.linalg.pinv(op.II) @ op.IB
+        return M[:nb, :nb].copy()
+    return M[:nb, :nb] - M[:nb, nb:] @ np.linalg.pinv(M[nb:, nb:]) @ M[nb:, :nb]
+
+
+def eigen_decompose_loop(sigma: MatrixEdgeField) -> tuple[list, list]:
+    """Per-edge eigendecomposition, one edge at a time: lists of the kept
+    eigenvectors x(e) (d, r_e) and eigenvalues lambda(e) (r_e,), with the
+    same keep rule, sign rule and checks as ``eigen_decompose``."""
+    xs, lams = [], []
+    for e, block in enumerate(sigma.values):
+        sr = block.real
+        si = block.imag
+        comm = sr @ si - si @ sr
+        scale = np.linalg.norm(sr) * np.linalg.norm(si)
+        if np.linalg.norm(comm) > COMMUTE_TOL * max(scale, 1e-300):
+            raise FieldError(f"real and imaginary parts of edge {e} do not commute")
+        w, v = np.linalg.eigh(sr)
+        keep = w > RANK_TOL * max(w.max(initial=0.0), np.finfo(float).tiny)
+        if not keep.any():
+            raise FieldError(f"edge {e} has zero real part")
+        x = v[:, keep]
+        for c in range(x.shape[1]):
+            col = x[:, c]
+            nz = np.flatnonzero(np.abs(col) > 1e-14)
+            if nz.size and col[nz[0]] < 0:
+                x[:, c] = -col
+        proj_out = si - x @ (x.T @ si @ x) @ x.T
+        if np.linalg.norm(proj_out) > 1e-8 * max(np.linalg.norm(si), 1.0):
+            raise FieldError(
+                f"nullspace of real part of edge {e} not contained in that of imaginary part")
+        xs.append(x)
+        lams.append(w[keep] + 1j * np.diag(x.T @ si @ x))
+    return xs, lams
+
+
+def reconstruct_from_eigen(eig: EigenData) -> MatrixEdgeField:
+    """Edge blocks x diag(lambda) x^T rebuilt from eigendata."""
+    return MatrixEdgeField.from_blocks((eig.x * eig.lam[:, None, :]) @ eig.x.transpose(0, 2, 1))

@@ -31,7 +31,6 @@ from netinv.elastic import (
     make_spec_masses_known_springs,
     make_spec_springs_known_masses,
     make_spec_static_springs,
-    network_eigendata,
     spring_conductivity,
 )
 from netinv.graph import MatrixEdgeField, build_graph, vec
@@ -156,7 +155,7 @@ def all_specs():
     return [
         (make_spec_conductivity(g, 2), sample_conductivity),
         (make_spec_schrodinger(g, sigma_known), sample_schrodinger),
-        (make_spec_eigenvalues(g, network_eigendata(net)), sample_eigenvalues),
+        (make_spec_eigenvalues(g, eigen_decompose(spring_conductivity(net))), sample_eigenvalues),
         (make_spec_springs_known_masses(net), sample_springs),
         (make_spec_masses_known_springs(net), sample_masses),
     ]
@@ -251,7 +250,7 @@ def test_criterion_5_lemma_suite():
     net = eight_node_network()
     sig_psd = spring_conductivity(net)
     _, lam_minp, lam_maxp = korn_constants(sig_psd)
-    P = projected_gradient_matrix(g, network_eigendata(net))
+    P = projected_gradient_matrix(g, eigen_decompose(spring_conductivity(net)))
     Lp = laplacian_matrix(g, sig_psd.values).real
     for _ in range(100):
         u = rng.standard_normal(N)

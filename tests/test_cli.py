@@ -59,6 +59,20 @@ def collinear_springs_doc():
     }
 
 
+def mixed_rank_doc():
+    # one rank-2 and two rank-1 edges with commuting complex parts: PSD_COMMUTING
+    return {
+        "d": 2,
+        "vertices": [{"id": 0, "boundary": True}, {"id": 1}, {"id": 2},
+                     {"id": 3, "boundary": True}],
+        "edges": [
+            {"i": 0, "j": 1, "sigma": [[[2.0, 0.3], 0.0], [0.0, [2.0, 0.3]]]},
+            {"i": 1, "j": 2, "sigma": [[[1.0, 0.2], 0.0], [0.0, 0.0]]},
+            {"i": 2, "j": 3, "sigma": [[[1.5, 0.1], 0.0], [0.0, 0.0]]},
+        ],
+    }
+
+
 def braced_truss_doc(k=None):
     pos = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0], [0.8, 0.9], [1.3, 1.1]]
     edges = [(0, 4), (1, 4), (1, 5), (2, 5), (3, 4), (3, 5), (4, 5), (0, 5), (2, 4)]
@@ -100,6 +114,33 @@ def test_forward_assembles_twice(tmp_path, monkeypatch):
     bc = write(tmp_path, "bc.json", {"g": [[1.0], [0.0]]})
     assert main(["forward", net, bc, "-o", str(tmp_path / "sol.json")]) == EXIT_OK
     assert len(calls) == 2
+
+
+def test_forward_psd_assembles_three_times(tmp_path, monkeypatch):
+    # classify, the operator, and the one interior spectrum that gives both
+    # the Q basis and the floppy dimension
+    calls = []
+    eigh_ndims = []
+    original = operators.laplacian_matrix
+    original_eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    def counted_eigh(a, *args, **kwargs):
+        eigh_ndims.append(np.ndim(a))
+        return original_eigh(a, *args, **kwargs)
+
+    for module in (operators, dirichlet, cli):
+        monkeypatch.setattr(module, "laplacian_matrix", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    net = write(tmp_path, "net.json", collinear_springs_doc())
+    bc = write(tmp_path, "bc.json", {"g": [[0.1, 0.0], [0.0, 0.0]]})
+    assert main(["forward", net, bc, "-o", str(tmp_path / "sol.json")]) == EXIT_OK
+    assert len(calls) == 3
+    # one batched per-edge decomposition and one interior eigh
+    assert eigh_ndims == [3, 2]
 
 
 def test_forward_psd_reports_floppy_dim(tmp_path):
@@ -161,18 +202,7 @@ def test_dtn_roundtrip_bit_exact(tmp_path):
 
 
 def test_dtn_mixed_rank_commuting(tmp_path):
-    # one rank-2 and two rank-1 edges with commuting complex parts: PSD_COMMUTING
-    doc = {
-        "d": 2,
-        "vertices": [{"id": 0, "boundary": True}, {"id": 1}, {"id": 2},
-                     {"id": 3, "boundary": True}],
-        "edges": [
-            {"i": 0, "j": 1, "sigma": [[[2.0, 0.3], 0.0], [0.0, [2.0, 0.3]]]},
-            {"i": 1, "j": 2, "sigma": [[[1.0, 0.2], 0.0], [0.0, 0.0]]},
-            {"i": 2, "j": 3, "sigma": [[[1.5, 0.1], 0.0], [0.0, 0.0]]},
-        ],
-    }
-    net = write(tmp_path, "net.json", doc)
+    net = write(tmp_path, "net.json", mixed_rank_doc())
     out = tmp_path / "dtn.json"
     assert main(["dtn", net, "-o", str(out)]) == EXIT_OK
     import netinv as ni
@@ -188,6 +218,14 @@ def test_uniqueness_single_edge_holds(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "holds" in out
     assert "2.0000000000" in out
+
+
+def test_uniqueness_eigenvalues_mixed_rank_exits_1(tmp_path, capsys):
+    net = write(tmp_path, "net.json", mixed_rank_doc())
+    assert main(["uniqueness", net, "--problem", "eigenvalues"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "uniform rank" in err
+    assert "uniform_rank" not in err
 
 
 def test_uniqueness_overparameterized_inconclusive(tmp_path):

@@ -250,9 +250,10 @@ def test_q_basis_spans_interior_range():
     eig = eigen_decompose(sigma)
     Q = q_basis(g, eig).matrix
     op = assemble_laplacian(g, sigma)
+    M_II = op.matrix[op.nb:, op.nb:]
     # projector onto range(Q) reproduces the interior block columns
     P = Q @ Q.T
-    assert np.abs(P @ op.II - op.II).max() < 1e-10
+    assert np.abs(P @ M_II - M_II).max() < 1e-10
     assert np.abs(P @ op.IB - op.IB).max() < 1e-10
 
 
@@ -355,8 +356,9 @@ def test_dtn_psd_invariant_under_q_remix():
     a = rng.standard_normal((r, r))
     w, v = np.linalg.eigh(a + a.T)
     Q2 = Q @ v
-    core = Q2.T @ op.II @ Q2
-    remixed = op.BB - op.BI @ Q2 @ np.linalg.solve(core, Q2.T @ op.IB)
+    M, nb = op.matrix, op.nb
+    core = Q2.T @ M[nb:, nb:] @ Q2
+    remixed = M[:nb, :nb] - M[:nb, nb:] @ Q2 @ np.linalg.solve(core, Q2.T @ op.IB)
     assert np.abs(remixed - dtn_psd(g, sigma).matrix).max() < 1e-10
 
 
@@ -365,7 +367,7 @@ def test_dtn_no_interior():
     sigma = MatrixEdgeField.from_blocks(np.outer([1.0, 0.0], [1.0, 0.0])[None])
     lam = dtn_psd(g, sigma).matrix
     op = assemble_laplacian(g, sigma)
-    assert np.array_equal(lam, op.BB)
+    assert np.array_equal(lam, op.matrix[:op.nb, :op.nb])
 
 
 @st.composite
@@ -514,11 +516,12 @@ def test_complex_psd_subspace_equalities():
         v = vh[len(s) - keep.sum():].conj().T if keep.sum() else np.zeros((m.shape[1], 0))
         return v @ v.conj().T
 
-    p_complex = null_proj(op.II)
-    p_real = null_proj(opr.II.real)
+    nb = op.nb
+    p_complex = null_proj(op.matrix[nb:, nb:])
+    p_real = null_proj(opr.matrix[nb:, nb:].real)
     assert np.abs(p_complex - p_real).max() < 1e-8
     # range inclusion via projector onto range(II)
-    u, s, _ = np.linalg.svd(op.II)
+    u, s, _ = np.linalg.svd(op.matrix[nb:, nb:])
     keep = s > 1e-10 * s.max()
     pr = u[:, keep] @ u[:, keep].conj().T
     assert np.abs(pr @ op.IB - op.IB).max() < 1e-8

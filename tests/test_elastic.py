@@ -12,7 +12,6 @@ from netinv.elastic import (
     make_spec_masses_known_springs,
     make_spec_springs_known_masses,
     make_spec_static_springs,
-    network_eigendata,
     spring_conductivity,
     spring_directions,
 )
@@ -89,15 +88,17 @@ def test_spring_conductivity_rank1():
         assert abs(w[1] - net.k[e]) < 1e-12
 
 
-def test_network_eigendata_matches_generic_decomposition():
+def test_spring_eigendata_matches_directions():
+    # rank 1 per edge: x is the spring direction, first nonzero component
+    # positive, and lambda is the spring constant
     net = braced_network()
-    sigma = spring_conductivity(net)
-    eig_net = network_eigendata(net)
-    eig_gen = eigen_decompose(sigma)
-    assert eig_net.rank == eig_gen.rank == 1
-    for a, b, la, lb in zip(eig_net.x, eig_gen.x, eig_net.lam, eig_gen.lam):
-        assert np.abs(a - b).max() < 1e-10
-        assert np.abs(la - lb).max() < 1e-10
+    eig = eigen_decompose(spring_conductivity(net))
+    dirs = spring_directions(net)
+    first = dirs[np.arange(len(dirs)), np.argmax(np.abs(dirs) > 1e-14, axis=1)]
+    dirs = np.where(first[:, None] < 0, -dirs, dirs)
+    assert eig.rank == 1 and eig.ranks.tolist() == [1] * net.graph.num_edges
+    assert np.abs(eig.x[:, :, 0] - dirs).max() <= 1e-15
+    assert np.abs(eig.lam[:, 0] - net.k).max() <= 1e-14 * net.k.max()
 
 
 def test_frequency_operator_combination():
@@ -142,7 +143,7 @@ def test_dynamic_map_homogeneity_bridge():
 
 def test_identity_eigenvalue_spec():
     net = braced_network()
-    eig = network_eigendata(net)
+    eig = eigen_decompose(spring_conductivity(net))
     spec = make_spec_eigenvalues(net.graph, eig)
     for trial in range(5):
         local = np.random.default_rng(400 + trial)
@@ -184,7 +185,7 @@ def test_identity_masses_known_springs():
 def test_jacobian_fd_all_elastic_specs():
     net = braced_network()
     specs_and_points = [
-        (make_spec_eigenvalues(net.graph, network_eigendata(net)),
+        (make_spec_eigenvalues(net.graph, eigen_decompose(spring_conductivity(net))),
          rng.uniform(0.5, 2.0, 9) + 1j * rng.uniform(-0.2, 0.2, 9)),
         (make_spec_static_springs(net), rng.uniform(0.5, 2.0, 9)),
         (make_spec_springs_known_masses(net),
@@ -203,7 +204,7 @@ def test_states_representative_independent():
     # floppy modes have zero projected gradient, so the eigenvalue-spec states
     # do not depend on the representative of the rank-deficient solve
     net = collinear_network()
-    eig = network_eigendata(net)
+    eig = eigen_decompose(spring_conductivity(net))
     spec = make_spec_eigenvalues(net.graph, eig)
     from netinv.dirichlet import floppy_basis
     from netinv.operators import projected_gradient_matrix

@@ -11,7 +11,7 @@ from netinv.elastic import (
     make_spec_masses_known_springs,
     make_spec_springs_known_masses,
     make_spec_static_springs,
-    network_eigendata,
+    spring_conductivity,
 )
 from netinv.graph import MatrixEdgeField, build_graph, vec
 from netinv.inversion import (
@@ -98,7 +98,8 @@ def spec_cases():
          random_spd_vec(g.num_edges, 2, 81), random_spd_vec(g.num_edges, 2, 82)),
         (make_spec_schrodinger(g, sigma), 2, False,
          np.concatenate(q[:8]).astype(complex), np.concatenate(q[8:]).astype(complex)),
-        (make_spec_eigenvalues(net.graph, network_eigendata(net)), 1, False, rho(9), rho(9)),
+        (make_spec_eigenvalues(net.graph, eigen_decompose(spring_conductivity(net))), 1, False,
+         rho(9), rho(9)),
         (make_spec_static_springs(net), 1, False,
          local.uniform(0.5, 2.0, 9), local.uniform(0.5, 2.0, 9)),
         (make_spec_springs_known_masses(net), 1, False, rho(9), rho(9)),

@@ -24,10 +24,11 @@ from netinv.operators import (
     korn_constants,
     laplacian_matrix,
     projected_gradient_matrix,
-    reconstruct_from_eigen,
     scalar_laplacian,
     schrodinger_matrix,
 )
+
+from oracles import eigen_decompose_loop, reconstruct_from_eigen
 
 rng = np.random.default_rng(11)
 
@@ -154,10 +155,8 @@ def test_block_operator_partitions():
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(4, 2, 8))
     op = assemble_laplacian(g, sigma)
     nb = 2 * g.num_boundary
-    assert op.BB.shape == (nb, nb)
-    assert np.array_equal(op.matrix[:nb, nb:], op.BI)
+    assert op.nb == nb
     assert np.array_equal(op.matrix[nb:, :nb], op.IB)
-    assert np.array_equal(op.matrix[nb:, nb:], op.II)
 
 
 def test_scalar_laplacian_natural_order():
@@ -255,14 +254,81 @@ def test_eigen_decompose_rejects_nullspace_violation():
         eigen_decompose(sigma)
 
 
-def test_eigen_decompose_uniform_rank_flag():
+def test_eigen_decompose_names_first_failing_edge():
+    good = np.eye(2)
+    noncommuting = np.diag([2.0, 1.0]) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
+    uncontained = np.diag([2.0, 0.0]) + 1j * np.diag([0.0, 1.0])
+    zero = np.zeros((2, 2))
+    for blocks, message in (
+        ([good, uncontained, noncommuting], "nullspace of real part of edge 1 "),
+        ([good, noncommuting, zero], "parts of edge 1 do not commute"),
+        ([good, good, zero, noncommuting], "edge 2 has zero real part"),
+    ):
+        with pytest.raises(FieldError, match=message):
+            eigen_decompose(MatrixEdgeField.from_blocks(np.stack(blocks)))
+
+
+def test_eigen_decompose_mixed_ranks():
+    from netinv.elastic import make_spec_eigenvalues
     full = np.eye(2)
     rank1 = np.outer([1.0, 0.0], [1.0, 0.0])
     sigma = MatrixEdgeField.from_blocks(np.stack([full, rank1]))
-    with pytest.raises(FieldError):
-        eigen_decompose(sigma)
-    eig = eigen_decompose(sigma, uniform_rank=False)
-    assert [x.shape[1] for x in eig.x] == [2, 1]
+    eig = eigen_decompose(sigma)
+    assert eig.rank == 2
+    assert eig.ranks.tolist() == [2, 1]
+    assert np.array_equal(eig.x[1][:, 0], [0.0, 0.0])
+    assert eig.lam[1, 0] == 0
+    with pytest.raises(FieldError, match="uniform rank"):
+        make_spec_eigenvalues(build_graph(3, [0, 2], [(0, 1), (1, 2)]), eig)
+
+
+@st.composite
+def commuting_fields(draw):
+    """Edge blocks v diag(w' + j w'') v^T, one random real orthogonal v per
+    edge shared by both parts, d in {1, 2, 3} and each edge's rank in 1..d
+    (the other w' and w'' zero)."""
+    d = draw(st.integers(1, 3))
+    E = draw(st.integers(1, 6))
+    local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    blocks = []
+    for _ in range(E):
+        v, _ = np.linalg.qr(local.standard_normal((d, d)))
+        rank = draw(st.integers(1, d))
+        wr = np.zeros(d)
+        wi = np.zeros(d)
+        kept = local.permutation(d)[:rank]
+        wr[kept] = scale * local.uniform(0.1, 3.0, rank)
+        wi[kept] = scale * local.uniform(-1.0, 1.0, rank)
+        blocks.append(v @ np.diag(wr + 1j * wi) @ v.T)
+    return MatrixEdgeField.from_blocks(np.stack(blocks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(commuting_fields())
+def test_eigen_decompose_matches_per_edge_loop(sigma):
+    eig = eigen_decompose(sigma)
+    xs, lams = eigen_decompose_loop(sigma)
+    r = eig.rank
+    assert eig.ranks.tolist() == [x.shape[1] for x in xs]
+    assert r == max(eig.ranks)
+    assert eig.x.shape == (len(xs), sigma.d, r) and eig.lam.shape == (len(xs), r)
+    scale = np.abs(sigma.values).max()
+    # lambda'' is a length-d dot product whose BLAS kernel depends on the
+    # column count, so only a mixed-rank batch may differ, by about one ulp
+    lam_tol = 0.0 if (eig.ranks == r).all() else 4 * np.finfo(float).eps * scale
+    for e, (x, lam) in enumerate(zip(xs, lams)):
+        re = x.shape[1]
+        # the used columns are the last r_e, equal to the loop's; the rest are zero
+        assert np.array_equal(eig.x[e, :, r - re:], x)
+        assert np.array_equal(eig.lam[e, r - re:].real, lam.real)
+        assert np.abs(eig.lam[e, r - re:] - lam).max() <= lam_tol
+        assert not eig.x[e, :, : r - re].any() and not eig.lam[e, : r - re].any()
+        for c in range(re):
+            col = eig.x[e, :, r - re + c]
+            assert col[np.flatnonzero(np.abs(col) > 1e-14)[0]] > 0
+    back = reconstruct_from_eigen(eig).values
+    assert np.abs(back - sigma.values).max() <= 1e-12 * scale
 
 
 def test_projected_gradient_matrix():
