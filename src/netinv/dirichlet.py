@@ -264,16 +264,22 @@ def _interior_spectrum(g: Graph, blocks: np.ndarray, tol: float):
     return w, v, tol * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
 
 
+def _unit_blocks(eig: EigenData) -> np.ndarray:
+    """x x^T per edge: the edge blocks with every kept eigenvalue set to 1."""
+    return eig.x @ eig.x.transpose(0, 2, 1)
+
+
 def floppy_basis(g: Graph, sigma: MatrixEdgeField, tol: float = 1e-10) -> FloppyBasis:
     """Orthonormal basis of displacements with zero boundary values and zero
     interior net force, as canonical-ordering columns.
 
-    Computed from the nullspace of the interior block of the real-part
-    Laplacian, which coincides with the complex one in the supported
-    rank-deficient regimes.
+    The modes are the complement of the Q basis in the same interior
+    spectrum, that of the unit-eigenvalue Laplacian; its nullspace is that
+    of the complex Laplacian in the supported rank-deficient regimes, and
+    the count does not depend on how widely the edge eigenvalues spread.
     """
-    w, v, cut = _interior_spectrum(g, sigma.values.real, tol)
-    null = v[:, np.abs(w) <= cut]
+    w, v, cut = _interior_spectrum(g, _unit_blocks(eigen_decompose(sigma)), tol)
+    null = v[:, w <= cut]
     modes = np.zeros((sigma.d * g.num_vertices, null.shape[1]))
     modes[sigma.d * g.num_boundary:] = null
     return FloppyBasis(d=sigma.d, modes=modes)
@@ -282,7 +288,7 @@ def floppy_basis(g: Graph, sigma: MatrixEdgeField, tol: float = 1e-10) -> Floppy
 def q_basis(g: Graph, eig: EigenData, tol: float = 1e-10) -> QBasis:
     """Real orthonormal basis of the range of the interior Laplacian block,
     built from the conductivity eigenvectors only (unit eigenvalues)."""
-    w, v, cut = _interior_spectrum(g, eig.x @ eig.x.transpose(0, 2, 1), tol)
+    w, v, cut = _interior_spectrum(g, _unit_blocks(eig), tol)
     return QBasis(matrix=v[:, w > cut])
 
 
@@ -290,23 +296,20 @@ def solve_dirichlet_psd(
     g: Graph,
     sigma: MatrixEdgeField,
     gb: np.ndarray | VectorNodeField,
-    eig: EigenData | None = None,
 ) -> VectorNodeField:
     """Minimal-norm Dirichlet solution for rank-deficient conductivities.
 
     The interior part is the pseudoinverse solve realized through the Q
     basis, so the floppy component is zero.
     """
-    if eig is None:
-        eig = eigen_decompose(sigma)
+    eig = eigen_decompose(sigma)
     return _solve(g, assemble_laplacian(g, sigma), gb, q_basis(g, eig).matrix)
 
 
-def dtn_psd(g: Graph, sigma: MatrixEdgeField, eig: EigenData | None = None) -> DtnMap:
+def dtn_psd(g: Graph, sigma: MatrixEdgeField) -> DtnMap:
     """Dirichlet-to-Neumann map for rank-deficient conductivities via the Q
     basis of the interior range."""
-    if eig is None:
-        eig = eigen_decompose(sigma)
+    eig = eigen_decompose(sigma)
     op = assemble_laplacian(g, sigma)
     return DtnMap(matrix=_schur_dtn(op.matrix, op.nb, q_basis(g, eig).matrix),
                   d=sigma.d, provenance="psd")

@@ -268,7 +268,7 @@ def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
         (ranks == 0, "edge {} has zero real part"),
         (uncontained, "nullspace of real part of edge {} not contained in that of imaginary part"),
     )
-    bad = noncommuting | (ranks == 0) | uncontained
+    bad = np.logical_or.reduce([mask for mask, _ in failures])
     if bad.any():
         e = int(bad.argmax())
         raise FieldError(next(msg for mask, msg in failures if mask[e]).format(e))

@@ -99,28 +99,10 @@ def test_forward_p3(tmp_path, capsys):
     assert doc["residual"] < 1e-12
 
 
-def test_forward_assembles_twice(tmp_path, monkeypatch):
-    # once to classify the regime, once for the solve and its residual
+def forward_counts(tmp_path, monkeypatch, doc, g):
+    """Laplacian assemblies and interior (2-D) eigh calls of one forward run."""
     calls = []
-    original = operators.laplacian_matrix
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for module in (operators, dirichlet, cli):
-        monkeypatch.setattr(module, "laplacian_matrix", counted)
-    net = write(tmp_path, "net.json", p3_doc())
-    bc = write(tmp_path, "bc.json", {"g": [[1.0], [0.0]]})
-    assert main(["forward", net, bc, "-o", str(tmp_path / "sol.json")]) == EXIT_OK
-    assert len(calls) == 2
-
-
-def test_forward_psd_assembles_three_times(tmp_path, monkeypatch):
-    # classify, the operator, and the one interior spectrum that gives both
-    # the Q basis and the floppy dimension
-    calls = []
-    eigh_ndims = []
+    eighs = []
     original = operators.laplacian_matrix
     original_eigh = np.linalg.eigh
 
@@ -129,18 +111,56 @@ def test_forward_psd_assembles_three_times(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     def counted_eigh(a, *args, **kwargs):
-        eigh_ndims.append(np.ndim(a))
+        if np.ndim(a) == 2:
+            eighs.append(1)
         return original_eigh(a, *args, **kwargs)
 
     for module in (operators, dirichlet, cli):
         monkeypatch.setattr(module, "laplacian_matrix", counted)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    net = write(tmp_path, "net.json", collinear_springs_doc())
-    bc = write(tmp_path, "bc.json", {"g": [[0.1, 0.0], [0.0, 0.0]]})
+    net = write(tmp_path, "net.json", doc)
+    bc = write(tmp_path, "bc.json", {"g": g})
     assert main(["forward", net, bc, "-o", str(tmp_path / "sol.json")]) == EXIT_OK
-    assert len(calls) == 3
-    # one batched per-edge decomposition and one interior eigh
-    assert eigh_ndims == [3, 2]
+    return len(calls), len(eighs)
+
+
+def test_forward_assembles_twice(tmp_path, monkeypatch):
+    # once to classify the regime, once for the solve and its residual
+    assert forward_counts(tmp_path, monkeypatch, p3_doc(), [[1.0], [0.0]]) == (2, 0)
+
+
+def test_forward_psd_assembles_three_times(tmp_path, monkeypatch):
+    # classify, the operator, and the one interior spectrum that gives both
+    # the Q basis and the floppy dimension
+    counts = forward_counts(tmp_path, monkeypatch, collinear_springs_doc(),
+                            [[0.1, 0.0], [0.0, 0.0]])
+    assert counts == (3, 1)
+
+
+def spread_springs_doc():
+    # floppy mechanism on a braced frame whose spring constants span 12
+    # decades; the interior vertex 6 hangs on one soft spring
+    doc = braced_truss_doc(np.logspace(-6, 6, 9).tolist())
+    doc["vertices"].append({"id": 6, "position": [3.0, 1.0]})
+    doc["edges"].append({"i": 5, "j": 6, "k": 1e-6})
+    return doc
+
+
+@pytest.mark.parametrize("doc, g", [
+    (mixed_rank_doc(), [[0.1, 0.0], [0.0, 0.2]]),
+    # the soft spring's stretch is not a mechanism, only the swing about it
+    (spread_springs_doc(), [[0.1, 0.0], [0.0, 0.0], [0.0, 0.1], [0.0, 0.0]]),
+])
+def test_forward_and_floppy_report_the_same_dimension(tmp_path, capsys, doc, g):
+    net = write(tmp_path, "net.json", doc)
+    bc = write(tmp_path, "bc.json", {"g": g})
+    out = tmp_path / "sol.json"
+    assert main(["forward", net, bc, "-o", str(out)]) == EXIT_OK
+    dim = json.loads(out.read_text())["floppy_dim"]
+    assert dim == 1
+    capsys.readouterr()
+    assert main(["floppy", net]) == EXIT_OK
+    assert f"floppy dimension: {dim}\n" in capsys.readouterr().out
 
 
 def test_forward_psd_reports_floppy_dim(tmp_path):
