@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -166,15 +167,15 @@ def cmd_uniqueness(args) -> int:
     return EXIT_OK if verdict.holds else EXIT_INCONCLUSIVE
 
 
-def _parse_p0(arg: str | None, spec, default: np.ndarray) -> np.ndarray:
+def _parse_p0(arg: complex | Path | None, spec, default: np.ndarray) -> np.ndarray:
     if arg is None:
         return default
-    path = Path(arg)
-    if path.exists():
-        doc = json.loads(path.read_text())
+    if isinstance(arg, Path):
+        doc = json.loads(arg.read_text())
+        if not isinstance(doc, list):
+            raise SchemaError("--p0 file must hold a JSON list of values")
         return np.array([parse_complex(x) for x in doc])
-    value = parse_complex(json.loads(arg)) if arg.startswith("[") else complex(float(arg))
-    fill = np.full(spec.m, value, dtype=complex)
+    fill = np.full(spec.m, arg, dtype=complex)
     return fill.real if spec.is_real else fill
 
 
@@ -237,6 +238,35 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+def _checked(cast, ok, rule: str):
+    """argparse type: ``cast`` of the text, refused unless ``ok`` holds."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+    return parse
+
+
+_epsilon = _checked(float, lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
+_samples = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_count = _checked(int, lambda n: n >= 0, "an integer >= 0")
+
+
+def _p0(text: str) -> complex | Path:
+    """--p0: a JSON file of values, or one scalar or [re, im] pair."""
+    if Path(text).is_file():
+        return Path(text)
+    try:
+        return parse_complex(json.loads(text)) if text.startswith("[") else complex(float(text))
+    except ValueError as exc:  # includes JSONDecodeError and SchemaError
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a file, a number or an [re, im] pair") from exc
+
+
 def make_parser() -> _Parser:
     parser = _Parser(prog="netinv",
                      description="forward and inverse problems on block-weighted networks")
@@ -256,16 +286,16 @@ def make_parser() -> _Parser:
     p = sub.add_parser("uniqueness", help="uniqueness-a.e. singular value test")
     p.add_argument("network")
     p.add_argument("--problem", choices=PROBLEMS, required=True)
-    p.add_argument("--epsilon", type=float, default=1e-8)
+    p.add_argument("--epsilon", type=_epsilon, default=1e-8)
     p.set_defaults(func=cmd_uniqueness)
 
     p = sub.add_parser("invert", help="Newton inversion against a target map")
     p.add_argument("network")
     p.add_argument("target")
     p.add_argument("--problem", choices=PROBLEMS, required=True)
-    p.add_argument("--p0", default=None,
+    p.add_argument("--p0", type=_p0, default=None,
                    help="initial guess: scalar, [re,im], or JSON file of values")
-    p.add_argument("--max-iters", type=int, default=100)
+    p.add_argument("--max-iters", type=_count, default=100)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_invert)
 
@@ -276,9 +306,9 @@ def make_parser() -> _Parser:
     p = sub.add_parser("scan", help="Jacobian conditioning along a random line")
     p.add_argument("network")
     p.add_argument("--problem", choices=PROBLEMS, required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_samples, default=1000)
+    p.add_argument("--epsilon", type=_epsilon, default=1e-8)
+    p.add_argument("--seed", type=_count, default=0)
     p.set_defaults(func=cmd_scan)
 
     return parser

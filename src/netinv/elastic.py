@@ -3,13 +3,13 @@ frequency-domain operator and the elastodynamic problem specs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirichlet import DtnMap, _dirichlet_state_matrix, _schur_dtn, dtn_psd, q_basis
+from .dirichlet import DtnMap, _schur_dtn, dtn_psd, q_basis
 from .graph import FieldError, Graph, MatrixEdgeField, MatrixNodeField, _vertex_rows
-from .inversion import ProblemSpec
+from .inversion import ProblemSpec, _make_spec
 from .operators import (
     EigenData,
     eigen_decompose,
@@ -211,62 +211,31 @@ def make_spec_eigenvalues(g: Graph, eig: EigenData) -> ProblemSpec:
     if (eig.ranks != r).any():
         raise FieldError("eigenvalue spec needs a uniform rank")
     E = g.num_edges
-    nb = d * g.num_boundary
     P = projected_gradient_matrix(g, eig)  # (r|E|, d|V|)
-    Q = q_basis(g, eig).matrix
     xt = eig.x.transpose(0, 2, 1)
-
-    def blocks_of(lam: np.ndarray) -> np.ndarray:
-        return (eig.x * lam.reshape(E, r)[:, None, :]) @ xt
-
-    def admissible(lam: np.ndarray) -> bool:
-        lam = np.asarray(lam).reshape(-1)
-        return lam.shape == (r * E,) and (lam.real > 0).all()
-
-    def operator(lam: np.ndarray) -> np.ndarray:
-        return laplacian_matrix(g, blocks_of(lam))
-
-    def forward(lam: np.ndarray) -> np.ndarray:
-        return _schur_dtn(operator(lam), nb, Q)
-
-    def states(lam: np.ndarray) -> np.ndarray:
-        return P @ _dirichlet_state_matrix(operator(lam), nb, Q)
-
-    return ProblemSpec(
-        name="eigenvalues",
-        m=r * E,
-        n=nb,
-        is_real=False,
-        admissible=admissible,
-        forward=forward,
-        states=states,
-        block=1,
+    return _make_spec(
+        "eigenvalues", r * E, d * g.num_boundary,
+        op=lambda lam: laplacian_matrix(g, (eig.x * lam.reshape(E, r)[:, None, :]) @ xt),
+        rows=lambda U: P @ U,
+        cone=lambda lam: lam.reshape(-1, 1, 1),
+        Q=q_basis(g, eig).matrix,
     )
 
 
 def make_spec_static_springs(net: ElasticNetwork) -> ProblemSpec:
     """Recover spring constants from the static displacement-to-forces map.
 
-    Real parameters, one per edge; states are the gradient components along
-    the spring directions; the pairing is the Hadamard product.
+    The eigenvalue spec of the rank-1 spring conductivity with real
+    parameters, one per edge: states are the gradient components along the
+    spring directions and the pairing is the Hadamard product.
     """
     base = make_spec_eigenvalues(net.graph, eigen_decompose(spring_conductivity(net)))
+    return replace(base, name="springs_static", is_real=True)
 
-    def admissible(k: np.ndarray) -> bool:
-        k = np.asarray(k).reshape(-1)
-        return k.shape == (net.graph.num_edges,) and (np.real(k) > 0).all() \
-            and np.abs(np.imag(k)).max(initial=0.0) == 0.0
 
-    return ProblemSpec(
-        name="springs_static",
-        m=base.m,
-        n=base.n,
-        is_real=True,
-        admissible=admissible,
-        forward=lambda k: base.forward(k.astype(complex)),
-        states=lambda k: base.states(k.astype(complex)),
-        block=base.block,
-    )
+def _dynamic_cone(rho: np.ndarray, re_sign: float, omega: float) -> np.ndarray:
+    """1 x 1 blocks whose real parts are re_sign Re rho and sign(omega) Im rho."""
+    return np.concatenate([re_sign * rho, -1j * np.sign(omega) * rho]).reshape(-1, 1, 1)
 
 
 def make_spec_springs_known_masses(net: ElasticNetwork) -> ProblemSpec:
@@ -274,48 +243,25 @@ def make_spec_springs_known_masses(net: ElasticNetwork) -> ProblemSpec:
     frequency, with masses and nodal dampers known.
 
     Forward map computed through the scaled frequency-domain operator and the
-    homogeneity relation (factor j w).
+    homogeneity relation (factor j w); the Dirichlet solution is
+    scaling-invariant, so the scaled operator yields the unscaled
+    displacements directly. Admissible when Re rho > 0 and sign(w) Im rho > 0.
     """
     _require_dynamic(net)
     g = net.graph
-    d = net.d
     w = net.omega
     jw = 1j * w
-    nb = d * g.num_boundary
-    E = g.num_edges
     dirs = spring_directions(net)
     proj = np.einsum("ea,eb->eab", dirs, dirs)
     P = projected_gradient_matrix(g, eigen_decompose(spring_conductivity(net)))
     q_scaled = damper_potential(net).values + jw * mass_potential(net).values
-
-    def admissible(rho: np.ndarray) -> bool:
-        rho = np.asarray(rho, dtype=complex).reshape(-1)
-        return rho.shape == (E,) and (rho.real > 0).all() \
-            and (np.sign(w) * rho.imag > 0).all()
-
-    def scaled_operator(rho: np.ndarray) -> np.ndarray:
+    return _make_spec(
+        "springs_dampers", g.num_edges, net.d * g.num_boundary,
         # conductivity mu + (j w)^-1 sigma = (j w)^-1 sigma(rho)
-        blocks = np.einsum("e,eab->eab", rho / jw, proj)
-        return schrodinger_matrix(g, blocks, q_scaled)
-
-    def forward(rho: np.ndarray) -> np.ndarray:
-        return jw * _schur_dtn(scaled_operator(rho), nb)
-
-    def states(rho: np.ndarray) -> np.ndarray:
-        # Dirichlet solution is scaling-invariant, so the scaled operator
-        # yields the unscaled displacements directly
-        U = _dirichlet_state_matrix(scaled_operator(rho), nb)
-        return P @ U
-
-    return ProblemSpec(
-        name="springs_dampers",
-        m=E,
-        n=nb,
-        is_real=False,
-        admissible=admissible,
-        forward=forward,
-        states=states,
-        block=1,
+        op=lambda rho: schrodinger_matrix(g, np.einsum("e,eab->eab", rho / jw, proj), q_scaled),
+        rows=lambda U: P @ U,
+        cone=lambda rho: _dynamic_cone(rho, 1.0, w),
+        scale=jw,
     )
 
 
@@ -325,45 +271,25 @@ def make_spec_masses_known_springs(net: ElasticNetwork) -> ProblemSpec:
 
     The per-node d x d potential is rho(i) I, so the pairing collapses to one
     complex number per node: the sum of the d componentwise products of the
-    two displacement states.
+    two displacement states. Admissible when Re rho < 0 and
+    sign(w) Im rho > 0.
     """
     _require_dynamic(net)
     g = net.graph
     d = net.d
     w = net.omega
     jw = 1j * w
-    nb = d * g.num_boundary
-    n_vert = g.num_vertices
     dirs = spring_directions(net)
     sigma_blocks = np.einsum("e,eab->eab", (net.k + jw * net.c_e).astype(complex),
                              np.einsum("ea,eb->eab", dirs, dirs))
     sigma_scaled = sigma_blocks / jw
     eye = np.eye(d)
     perm = _vertex_rows(g, d)
-
-    def admissible(rho: np.ndarray) -> bool:
-        rho = np.asarray(rho, dtype=complex).reshape(-1)
-        return rho.shape == (n_vert,) and (rho.real < 0).all() \
-            and (np.sign(w) * rho.imag > 0).all()
-
-    def scaled_operator(rho: np.ndarray) -> np.ndarray:
-        q_blocks = np.einsum("i,ab->iab", rho / jw, eye)
-        return schrodinger_matrix(g, sigma_scaled, q_blocks)
-
-    def forward(rho: np.ndarray) -> np.ndarray:
-        return jw * _schur_dtn(scaled_operator(rho), nb)
-
-    def states(rho: np.ndarray) -> np.ndarray:
-        return _dirichlet_state_matrix(scaled_operator(rho), nb)[perm]
-
-    return ProblemSpec(
-        name="masses_dampers",
-        m=n_vert,
-        n=nb,
-        is_real=False,
-        admissible=admissible,
-        forward=forward,
-        states=states,
-        block=1,
+    return _make_spec(
+        "masses_dampers", g.num_vertices, d * g.num_boundary,
+        op=lambda rho: schrodinger_matrix(g, sigma_scaled, np.einsum("i,ab->iab", rho / jw, eye)),
+        rows=lambda U: U[perm],
+        cone=lambda rho: _dynamic_cone(rho, -1.0, w),
         components=d,
+        scale=jw,
     )

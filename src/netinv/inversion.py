@@ -38,8 +38,8 @@ class InadmissibleParameterError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One concrete inverse problem: forward map, internal states and the
-    bilinear pairing of the boundary/interior identity.
+    """One concrete inverse problem: forward map, internal states, the
+    bilinear pairing of the boundary/interior identity and the admissible set.
 
     ``states(p)`` is the matrix of internal states for the n basis boundary
     conditions, one state per column. The pairing of two such matrices is
@@ -48,6 +48,11 @@ class ProblemSpec:
     each row of W sums that many consecutive rows, as the masses spec sums
     the d components of a vertex. ``is_real`` restricts Newton steps to
     real vectors.
+
+    ``cone(p)`` is an affine map to a stack of square blocks: p is
+    ``admissible`` iff it is finite and the symmetric real part of every
+    block is positive definite, which is where the Dirichlet problem is
+    uniquely solvable. The factories declare it as data (``_make_spec``).
     """
 
     name: str
@@ -57,6 +62,7 @@ class ProblemSpec:
     admissible: Callable[[np.ndarray], bool]
     forward: Callable[[np.ndarray], np.ndarray]
     states: Callable[[np.ndarray], np.ndarray]
+    cone: Callable[[np.ndarray], np.ndarray]
     block: int
     components: int = 1
 
@@ -283,22 +289,38 @@ class LineScan:
     near_singular_fraction: float
 
 
+def _sym_real(blocks: np.ndarray) -> np.ndarray:
+    return 0.5 * (blocks + blocks.transpose(0, 2, 1)).real
+
+
+def _cone_cholesky(blocks: np.ndarray) -> np.ndarray | None:
+    """Cholesky factors of the symmetric real parts of a stack of blocks, or
+    None when one of them is not positive definite."""
+    try:
+        return np.linalg.cholesky(_sym_real(blocks))
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _admissible_extent(spec: ProblemSpec, p: np.ndarray, dp: np.ndarray,
-                       sign: float, t_max: float) -> float:
-    """Largest |t| in the given direction keeping p + t dp admissible."""
-    t = 0.0
-    hi = 1.0
-    while hi <= t_max and spec.admissible(p + sign * hi * dp):
-        t = hi
-        hi *= 2.0
-    lo, hi = t, min(hi, t_max)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if spec.admissible(p + sign * mid * dp):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+                       t_max: float) -> tuple[float, float]:
+    """The open segment (t_lo, t_hi) of admissible p + t dp, capped at
+    |t| <= t_max, for an admissible p.
+
+    The cone is affine, so with A = L L^T and B the symmetric real parts of
+    cone(p) and cone(p + dp) - cone(p), each block of cone(p + t dp) has
+    symmetric real part L (I + t C) L^T, C = L^-1 B L^-T. It stays positive
+    definite while 1 + t mu > 0 for every eigenvalue mu of the blocks C.
+    """
+    A = spec.cone(p)
+    L = _cone_cholesky(A)
+    X = np.linalg.solve(L, _sym_real(spec.cone(p + dp) - A))  # L^-1 B
+    mu = np.linalg.eigvalsh(np.linalg.solve(L, X.transpose(0, 2, 1)))
+
+    def reach(rate: float) -> float:
+        return t_max if rate * t_max <= 1.0 else 1.0 / rate
+
+    return -reach(mu.max(initial=0.0)), reach(-mu.min(initial=0.0))
 
 
 def line_rank_scan(
@@ -312,14 +334,15 @@ def line_rank_scan(
 ) -> LineScan:
     """Sample the Jacobian conditioning along the admissible segment
     p + t dp and report the fraction of near-singular samples."""
+    if num_samples < 1:
+        raise ValueError("num_samples must be at least 1")
     p = spec.require_admissible(p)
     dp = spec._flat(dp, "direction", ValueError)
     if dp.shape != (spec.m,) or not np.linalg.norm(dp):
         raise ValueError("direction must be a nonzero vector of parameter length")
     if rng is None:
         rng = np.random.default_rng(0)
-    t_lo = -_admissible_extent(spec, p, dp, -1.0, t_max)
-    t_hi = _admissible_extent(spec, p, dp, 1.0, t_max)
+    t_lo, t_hi = _admissible_extent(spec, p, dp, t_max)
     # shrink slightly so samples stay strictly inside the open segment
     ts = rng.uniform(0.999 * t_lo, 0.999 * t_hi, size=num_samples)
     samples = []
@@ -350,47 +373,49 @@ def identity_residual(spec: ProblemSpec, p1: np.ndarray, p2: np.ndarray) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _sym_real_min_eigs(blocks: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the symmetrised real part of each block."""
-    s = 0.5 * (blocks + blocks.transpose(0, 2, 1)).real
-    return np.linalg.eigvalsh(s).min(axis=1)
+def _make_spec(name: str, m: int, nb: int, op: Callable, rows: Callable,
+               cone: Callable, block: int = 1, components: int = 1,
+               Q: np.ndarray | None = None, scale: complex = 1) -> ProblemSpec:
+    """A complex-parameter ProblemSpec from its data: the operator p -> M in
+    canonical order, the linear map ``rows`` from the canonical Dirichlet
+    state matrix to the states, the interior range basis Q of the
+    rank-deficient regimes, the factor ``scale`` of the forward map and the
+    admissible cone (``ProblemSpec``)."""
+
+    def forward(p: np.ndarray) -> np.ndarray:
+        F = _schur_dtn(op(p), nb, Q)
+        return F if scale == 1 else scale * F
+
+    def states(p: np.ndarray) -> np.ndarray:
+        return rows(_dirichlet_state_matrix(op(p), nb, Q))
+
+    def admissible(p: np.ndarray) -> bool:
+        p = np.asarray(p).reshape(-1)
+        return p.shape == (m,) and bool(np.isfinite(p).all()) \
+            and _cone_cholesky(cone(p)) is not None
+
+    return ProblemSpec(name=name, m=m, n=nb, is_real=False, admissible=admissible,
+                       forward=forward, states=states, cone=cone, block=block,
+                       components=components)
+
+
+def _blocks(p: np.ndarray, d: int) -> np.ndarray:
+    """Column-stacked d x d blocks of a parameter vector."""
+    return np.asarray(p).reshape(-1, d, d).transpose(0, 2, 1)
 
 
 def make_spec_conductivity(g: Graph, d: int) -> ProblemSpec:
     """Recover the matrix-valued edge conductivity from boundary data.
 
     Parameter layout: per-edge column-stacked d x d blocks, edge order.
+    States: the edge gradients of the Dirichlet states.
     """
-    E = g.num_edges
-    nb = d * g.num_boundary
-    pi, pj = g.edge_positions()
-
-    def blocks_of(p: np.ndarray) -> np.ndarray:
-        return p.reshape(E, d, d).transpose(0, 2, 1)  # column-major per block
-
-    def admissible(p: np.ndarray) -> bool:
-        p = np.asarray(p).reshape(-1)
-        if p.shape != (d * d * E,):
-            return False
-        return bool((_sym_real_min_eigs(blocks_of(p)) > 0).all())
-
-    def forward(p: np.ndarray) -> np.ndarray:
-        M = laplacian_matrix(g, blocks_of(p))
-        return _schur_dtn(M, nb)
-
-    def states(p: np.ndarray) -> np.ndarray:
-        U = _dirichlet_state_matrix(laplacian_matrix(g, blocks_of(p)), nb)
-        U = U.reshape(g.num_vertices, d, nb)
-        return (U[pi] - U[pj]).reshape(d * E, nb)
-
-    return ProblemSpec(
-        name="conductivity",
-        m=d * d * E,
-        n=nb,
-        is_real=False,
-        admissible=admissible,
-        forward=forward,
-        states=states,
+    plus, minus = ((pos[:, None] * d + np.arange(d)).ravel() for pos in g.edge_positions())
+    return _make_spec(
+        "conductivity", d * d * g.num_edges, d * g.num_boundary,
+        op=lambda p: laplacian_matrix(g, _blocks(p, d)),
+        rows=lambda U: U[plus] - U[minus],
+        cone=lambda p: _blocks(p, d),
         block=d,
     )
 
@@ -400,39 +425,20 @@ def make_spec_schrodinger(g: Graph, sigma: MatrixEdgeField) -> ProblemSpec:
     positive-definite real part.
 
     Parameter layout: per-vertex column-stacked d x d blocks, vertex id order.
+    Admissible when sym(Re q(i)) + lambda_II I is positive definite at every
+    interior vertex, lambda_II the smallest eigenvalue of the real interior
+    Laplacian block.
     """
     d = sigma.d
-    n_vert = g.num_vertices
     nb = d * g.num_boundary
     interior = list(g.interior)
     Lr = laplacian_matrix(g, sigma.values.real).real
     lam_II = float(np.linalg.eigvalsh(Lr[nb:, nb:]).min()) if g.num_interior else 0.0
     perm = _vertex_rows(g, d)
-
-    def blocks_of(p: np.ndarray) -> np.ndarray:
-        return p.reshape(n_vert, d, d).transpose(0, 2, 1)
-
-    def admissible(p: np.ndarray) -> bool:
-        p = np.asarray(p).reshape(-1)
-        if p.shape != (d * d * n_vert,):
-            return False
-        return bool((_sym_real_min_eigs(blocks_of(p)[interior]) > -lam_II).all())
-
-    def forward(p: np.ndarray) -> np.ndarray:
-        M = schrodinger_matrix(g, sigma.values, blocks_of(p))
-        return _schur_dtn(M, nb)
-
-    def states(p: np.ndarray) -> np.ndarray:
-        M = schrodinger_matrix(g, sigma.values, blocks_of(p))
-        return _dirichlet_state_matrix(M, nb)[perm]
-
-    return ProblemSpec(
-        name="schrodinger",
-        m=d * d * n_vert,
-        n=nb,
-        is_real=False,
-        admissible=admissible,
-        forward=forward,
-        states=states,
+    return _make_spec(
+        "schrodinger", d * d * g.num_vertices, nb,
+        op=lambda p: schrodinger_matrix(g, sigma.values, _blocks(p, d)),
+        rows=lambda U: U[perm],
+        cone=lambda p: _blocks(p, d)[interior] + lam_II * np.eye(d),
         block=d,
     )

@@ -49,3 +49,21 @@ def eigen_decompose_loop(sigma: MatrixEdgeField) -> tuple[list, list]:
 def reconstruct_from_eigen(eig: EigenData) -> MatrixEdgeField:
     """Edge blocks x diag(lambda) x^T rebuilt from eigendata."""
     return MatrixEdgeField.from_blocks((eig.x * eig.lam[:, None, :]) @ eig.x.transpose(0, 2, 1))
+
+
+def admissible_extent_bisection(spec, p, dp, sign: float, t_max: float) -> float:
+    """Largest |t| <= t_max in the given direction keeping p + t dp
+    admissible, by doubling and 60 bisection steps on ``spec.admissible``."""
+    t = 0.0
+    hi = 1.0
+    while hi <= t_max and spec.admissible(p + sign * hi * dp):
+        t = hi
+        hi *= 2.0
+    lo, hi = t, min(hi, t_max)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if spec.admissible(p + sign * mid * dp):
+            lo = mid
+        else:
+            hi = mid
+    return lo

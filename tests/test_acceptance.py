@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from netinv.dirichlet import (
+    _schur_dtn,
     dtn_pd,
     dtn_psd,
     floppy_basis,
@@ -35,7 +36,6 @@ from netinv.elastic import (
 )
 from netinv.graph import MatrixEdgeField, build_graph, vec
 from netinv.inversion import (
-    _schur_dtn,
     fd_jacobian,
     identity_residual,
     jacobian,

@@ -334,6 +334,42 @@ def test_invert_complex_p0_for_real_springs_exits_1(tmp_path, capsys):
     assert "imaginary part" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p0, message", [("inf", "not admissible"),
+                                         ("file", "JSON list of values")])
+def test_invert_bad_p0_exits_1(tmp_path, capsys, p0, message):
+    import netinv as ni
+    net = write(tmp_path, "net.json", p3_doc())
+    model = ni.load_network(net)
+    target = tmp_path / "target.json"
+    ni.save_matrix(ni.dtn_pd(model.graph, model.sigma, model.q).matrix, target)
+    if p0 == "file":
+        p0 = write(tmp_path, "p0.json", 5)
+    code = main(["invert", net, str(target), "--problem", "conductivity", "--p0", p0])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, args", [
+    ("invert", ["--p0", "abc"]),
+    ("invert", ["--p0", "[1, null]"]),
+    ("invert", ["--p0", "."]),
+    ("invert", ["--max-iters", "-1"]),
+    ("uniqueness", ["--epsilon", "-1"]),
+    ("uniqueness", ["--epsilon", "nan"]),
+    ("scan", ["--epsilon", "inf"]),
+    ("scan", ["--samples", "0"]),
+    ("scan", ["--samples", "-3"]),
+    ("scan", ["--samples", "2.5"]),
+    ("scan", ["--seed", "-1"]),
+])
+def test_numeric_arguments_checked_at_parse_time(tmp_path, capsys, command, args):
+    net = write(tmp_path, "net.json", p3_doc())
+    target = [str(tmp_path / "unread.json")] if command == "invert" else []
+    code = main([command, net, *target, "--problem", "conductivity", *args])
+    assert code == EXIT_USAGE
+    assert f"usage error: argument {args[0]}" in capsys.readouterr().err
+
+
 def test_floppy_collinear(tmp_path, capsys):
     net = write(tmp_path, "net.json", collinear_springs_doc())
     assert main(["floppy", net]) == EXIT_OK

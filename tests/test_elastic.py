@@ -129,7 +129,7 @@ def test_static_map_collinear_series():
 def test_dynamic_map_homogeneity_bridge():
     # the map assembled from the scaled operator times jw equals the Schur
     # complement of the unscaled quadratic pencil
-    from netinv.inversion import _schur_dtn
+    from netinv.dirichlet import _schur_dtn
     for trial in range(10):
         omega = [0.5, 1.0, 2.0][trial % 3]
         net = braced_network(c_v=0.7 + 0.1 * trial, omega=omega, seed=trial)

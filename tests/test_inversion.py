@@ -16,6 +16,7 @@ from netinv.elastic import (
 from netinv.graph import MatrixEdgeField, build_graph, vec
 from netinv.inversion import (
     InadmissibleParameterError,
+    _admissible_extent,
     fd_jacobian,
     identity_residual,
     jacobian,
@@ -27,6 +28,8 @@ from netinv.inversion import (
     uniqueness_test,
 )
 from netinv.operators import eigen_decompose
+
+from oracles import admissible_extent_bisection
 
 rng = np.random.default_rng(37)
 
@@ -312,6 +315,36 @@ def test_uniqueness_matches_full_svd(net, factory, real):
                   - np.sort(np.pad(s_split, (0, size - s_split.size)))).max() <= 1e-12 * s_max
 
 
+@settings(max_examples=100, deadline=None)
+@given(networks(), st.sampled_from(SPEC_FACTORIES), st.booleans(), st.booleans())
+# along p every cone but the shifted Schrodinger one scales by 1 + t: the
+# segment is (-1, t_max), capped above
+@example((path3(), 2, 1), "conductivity", False, True)
+# no interior vertex: an empty cone, capped at t_max both ways
+@example((build_graph(3, [0, 1, 2], [(0, 1), (1, 2)]), 2, 1), "schrodinger", False, False)
+def test_admissible_extent_matches_bisection(net, factory, real, along_p):
+    g, d, seed = net
+    spec, p = spec_and_parameter(g, d, seed, factory, real)
+    p = spec.require_admissible(p)
+    local = np.random.default_rng(seed)
+    dp = local.standard_normal(spec.m)
+    if along_p:
+        dp = p.copy()
+    elif not spec.is_real:
+        dp = dp + 1j * local.standard_normal(spec.m)
+    t_max = 1e6
+    ends = _admissible_extent(spec, p, dp, t_max)
+    oracle = (-admissible_extent_bisection(spec, p, dp, -1.0, t_max),
+              admissible_extent_bisection(spec, p, dp, 1.0, t_max))
+    for t, ref in zip(ends, oracle):
+        assert abs(t - ref) <= 1e-12 * abs(ref)
+        if abs(t) < t_max:
+            assert spec.admissible(p + (1 - 1e-9) * t * dp)
+            assert not spec.admissible(p + (1 + 1e-9) * t * dp)
+        else:
+            assert abs(t) == t_max
+
+
 def test_newton_p3_conductivity_data_consistent():
     # with interior node the two conductances are only determined up to the
     # series conductance; Newton still reaches a data-consistent parameter
@@ -394,6 +427,21 @@ def test_forward_maps_produce_symmetric_data():
     spec = make_spec_conductivity(g, 2)
     lam = spec.forward(random_spd_vec(g.num_edges, 2, 71))
     assert np.abs(lam - lam.T).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)])
+def test_require_admissible_rejects_non_finite(bad):
+    spec = make_spec_conductivity(path3(), 1)
+    assert not spec.admissible(np.array([1.0, bad]))
+    with pytest.raises(InadmissibleParameterError):
+        spec.require_admissible(np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("num_samples", [0, -3])
+def test_line_rank_scan_rejects_no_samples(num_samples):
+    spec = make_spec_conductivity(path3(), 1)
+    with pytest.raises(ValueError, match="num_samples"):
+        line_rank_scan(spec, np.ones(2), np.ones(2), num_samples=num_samples)
 
 
 def test_require_admissible_shape_check():
