@@ -10,7 +10,6 @@ from .dirichlet import (
     DirichletRegime,
     DtnMap,
     FloppyBasis,
-    QBasis,
     RegimeError,
     RegimeTag,
     classify_regime,
@@ -53,7 +52,6 @@ from .graph import (
     is_interior_connected,
     unvec,
     vec,
-    vec_edge_field,
 )
 from .inversion import (
     InadmissibleParameterError,

@@ -26,7 +26,7 @@ from .fileio import (
     parse_complex,
     save_matrix,
 )
-from .graph import FieldError, GraphError, MatrixEdgeField, vec
+from .graph import FieldError, GraphError, MatrixEdgeField
 from .operators import eigen_decompose, laplacian_matrix
 
 EXIT_OK = 0
@@ -51,15 +51,14 @@ def _build_spec(model: NetworkModel, problem: str):
     """ProblemSpec plus the parameter vector encoded in the network file."""
     g = model.graph
     if problem == "conductivity":
-        sigma = model.conductivity()
         spec = inversion.make_spec_conductivity(g, model.d)
-        p = np.concatenate([vec(b) for b in sigma.values])
+        p = inversion._vec_blocks(model.conductivity().values)
     elif problem == "schrodinger":
         if model.sigma is None:
             raise SchemaError("schrodinger problem needs explicit sigma blocks")
         spec = inversion.make_spec_schrodinger(g, model.sigma)
         if model.q is not None:
-            p = np.concatenate([vec(b) for b in model.q.values])
+            p = inversion._vec_blocks(model.q.values)
         else:
             p = np.zeros(spec.m, dtype=complex)
     elif problem == "eigenvalues":
@@ -129,7 +128,7 @@ def cmd_forward(args) -> int:
     if tag.is_psd:
         # the floppy modes are the nullspace of the interior block whose
         # range Q spans, so one spectrum gives both
-        Q = dirichlet.q_basis(g, eigen_decompose(sigma)).matrix
+        Q = dirichlet.q_basis(g, eigen_decompose(sigma))
         doc["floppy_dim"] = Q.shape[0] - Q.shape[1]
     u = dirichlet._solve(g, op, gvec, Q)
     resid = np.linalg.norm((op.matrix @ u.canonical(g))[op.nb:])

@@ -36,7 +36,6 @@ __all__ = [
     "RegimeTag",
     "DirichletRegime",
     "FloppyBasis",
-    "QBasis",
     "DtnMap",
     "RegimeError",
     "classify_regime",
@@ -53,6 +52,9 @@ __all__ = [
 PD_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 ZERO_TOL = 1e-12
+# Relative cut below which an eigenvalue of the interior unit-eigenvalue
+# Laplacian counts as zero (floppy).
+_NULL_TOL = 1e-10
 
 
 class RegimeError(RuntimeError):
@@ -86,7 +88,6 @@ class FloppyBasis:
     """Orthonormal displacements vanishing on the boundary with zero interior
     net force; each column of ``modes`` is one canonical-ordering vector."""
 
-    d: int
     modes: np.ndarray  # (d|V|, f), canonical ordering
 
     @property
@@ -95,22 +96,10 @@ class FloppyBasis:
 
 
 @dataclass(frozen=True)
-class QBasis:
-    """Real orthonormal basis of the range of the interior Laplacian block."""
-
-    matrix: np.ndarray  # (d|I|, rank)
-
-    @property
-    def rank(self) -> int:
-        return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
 class DtnMap:
     """Boundary data map, complex d|B| x d|B|, with its construction route."""
 
     matrix: np.ndarray
-    d: int
     provenance: str  # "pd" or "psd"
 
 
@@ -253,15 +242,16 @@ def solve_dirichlet_pd(
 def dtn_pd(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DtnMap:
     """Schur-complement Dirichlet-to-Neumann map for invertible interiors."""
     op = _operator(g, sigma, q)
-    return DtnMap(matrix=_schur_dtn(op.matrix, op.nb), d=sigma.d, provenance="pd")
+    return DtnMap(matrix=_schur_dtn(op.matrix, op.nb), provenance="pd")
 
 
-def _interior_spectrum(g: Graph, blocks: np.ndarray, tol: float):
+def _interior_spectrum(g: Graph, blocks: np.ndarray):
     """Eigenpairs of the interior block of the real Laplacian of ``blocks``,
-    and the cut tol * |largest eigenvalue| below which one counts as zero."""
+    and the cut _NULL_TOL * |largest eigenvalue| below which one counts as
+    zero."""
     nb = blocks.shape[1] * g.num_boundary
     w, v = np.linalg.eigh(laplacian_matrix(g, blocks).real[nb:, nb:])
-    return w, v, tol * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
+    return w, v, _NULL_TOL * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
 
 
 def _unit_blocks(eig: EigenData) -> np.ndarray:
@@ -269,7 +259,7 @@ def _unit_blocks(eig: EigenData) -> np.ndarray:
     return eig.x @ eig.x.transpose(0, 2, 1)
 
 
-def floppy_basis(g: Graph, sigma: MatrixEdgeField, tol: float = 1e-10) -> FloppyBasis:
+def floppy_basis(g: Graph, sigma: MatrixEdgeField) -> FloppyBasis:
     """Orthonormal basis of displacements with zero boundary values and zero
     interior net force, as canonical-ordering columns.
 
@@ -278,18 +268,19 @@ def floppy_basis(g: Graph, sigma: MatrixEdgeField, tol: float = 1e-10) -> Floppy
     of the complex Laplacian in the supported rank-deficient regimes, and
     the count does not depend on how widely the edge eigenvalues spread.
     """
-    w, v, cut = _interior_spectrum(g, _unit_blocks(eigen_decompose(sigma)), tol)
+    w, v, cut = _interior_spectrum(g, _unit_blocks(eigen_decompose(sigma)))
     null = v[:, w <= cut]
     modes = np.zeros((sigma.d * g.num_vertices, null.shape[1]))
     modes[sigma.d * g.num_boundary:] = null
-    return FloppyBasis(d=sigma.d, modes=modes)
+    return FloppyBasis(modes=modes)
 
 
-def q_basis(g: Graph, eig: EigenData, tol: float = 1e-10) -> QBasis:
+def q_basis(g: Graph, eig: EigenData) -> np.ndarray:
     """Real orthonormal basis of the range of the interior Laplacian block,
-    built from the conductivity eigenvectors only (unit eigenvalues)."""
-    w, v, cut = _interior_spectrum(g, _unit_blocks(eig), tol)
-    return QBasis(matrix=v[:, w > cut])
+    (d|I|, rank), built from the conductivity eigenvectors only (unit
+    eigenvalues)."""
+    w, v, cut = _interior_spectrum(g, _unit_blocks(eig))
+    return v[:, w > cut]
 
 
 def solve_dirichlet_psd(
@@ -303,7 +294,7 @@ def solve_dirichlet_psd(
     basis, so the floppy component is zero.
     """
     eig = eigen_decompose(sigma)
-    return _solve(g, assemble_laplacian(g, sigma), gb, q_basis(g, eig).matrix)
+    return _solve(g, assemble_laplacian(g, sigma), gb, q_basis(g, eig))
 
 
 def dtn_psd(g: Graph, sigma: MatrixEdgeField) -> DtnMap:
@@ -311,6 +302,5 @@ def dtn_psd(g: Graph, sigma: MatrixEdgeField) -> DtnMap:
     basis of the interior range."""
     eig = eigen_decompose(sigma)
     op = assemble_laplacian(g, sigma)
-    return DtnMap(matrix=_schur_dtn(op.matrix, op.nb, q_basis(g, eig).matrix),
-                  d=sigma.d, provenance="psd")
+    return DtnMap(matrix=_schur_dtn(op.matrix, op.nb, q_basis(g, eig)), provenance="psd")
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dirichlet import DtnMap, _schur_dtn, dtn_psd, q_basis
-from .graph import FieldError, Graph, MatrixEdgeField, MatrixNodeField, _vertex_rows
+from .graph import FieldError, Graph, MatrixEdgeField, _vertex_rows
 from .inversion import ProblemSpec, _make_spec
 from .operators import (
     EigenData,
@@ -57,9 +57,11 @@ class ElasticNetwork:
             raise FieldError("positions must be (num_vertices, 2 or 3)")
         if not (np.isfinite(pos).all() and np.isfinite(self.omega)):
             raise FieldError("positions and omega must be finite")
-        for i, j in g.edges:
-            if np.allclose(pos[i], pos[j]):
-                raise FieldError(f"edge ({i},{j}) has coincident endpoint positions")
+        ends = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
+        coincident = np.isclose(pos[ends[:, 0]], pos[ends[:, 1]]).all(axis=1)
+        if coincident.any():
+            i, j = g.edges[int(coincident.argmax())]
+            raise FieldError(f"edge ({i},{j}) has coincident endpoint positions")
         for name, arr, size in (("k", self.k, g.num_edges),
                                 ("c_e", self.c_e, g.num_edges),
                                 ("mass", self.mass, g.num_vertices),
@@ -106,18 +108,6 @@ def damper_conductivity(net: ElasticNetwork) -> MatrixEdgeField:
     return _projector_field(net, net.c_e)
 
 
-def mass_potential(net: ElasticNetwork) -> MatrixNodeField:
-    d = net.d
-    blocks = np.stack([m * np.eye(d) for m in net.mass]).astype(complex)
-    return MatrixNodeField.from_blocks(blocks)
-
-
-def damper_potential(net: ElasticNetwork) -> MatrixNodeField:
-    d = net.d
-    blocks = np.stack([c * np.eye(d) for c in net.c_v]).astype(complex)
-    return MatrixNodeField.from_blocks(blocks)
-
-
 @dataclass(frozen=True)
 class FrequencyOperator:
     """Scaled frequency-domain operator and its mass/damping/stiffness parts.
@@ -130,11 +120,6 @@ class FrequencyOperator:
     mass: np.ndarray
     damping: np.ndarray
     stiffness: np.ndarray
-    omega: float
-    d: int
-    num_boundary: int
-    sigma_scaled: MatrixEdgeField
-    q_scaled: MatrixNodeField
 
 
 def _require_dynamic(net: ElasticNetwork) -> None:
@@ -144,35 +129,30 @@ def _require_dynamic(net: ElasticNetwork) -> None:
         raise FieldError("dynamic problems need strictly positive nodal damping")
 
 
+def _scaled_operator(net: ElasticNetwork, edge: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+    """Canonical Schrodinger matrix with block edge(e) x(e) x(e)^T on every
+    edge and vertex(i) I on every vertex.
+
+    Divided by j w, the pencil -w^2 M + j w C + K is this operator at
+    edge = rho_e / (j w) and vertex = rho_v / (j w), with rho_e = k + j w c_e
+    and rho_v = -w^2 m + j w c_v; both have the same Dirichlet solutions.
+    """
+    dirs = spring_directions(net)
+    return schrodinger_matrix(net.graph,
+                              np.asarray(edge)[:, None, None] * (dirs[:, :, None] * dirs[:, None, :]),
+                              np.asarray(vertex)[:, None, None] * np.eye(net.d))
+
+
 def frequency_operator(net: ElasticNetwork) -> FrequencyOperator:
-    """Assemble the scaled operator with conductivity mu + (j w)^-1 sigma and
-    potential q_damp + j w q_mass."""
+    """The scaled operator with conductivity mu + (j w)^-1 sigma and
+    potential q_damp + j w q_mass, and the pencil's three parts."""
     _require_dynamic(net)
-    g = net.graph
-    d = net.d
-    w = net.omega
-    jw = 1j * w
-    sigma = spring_conductivity(net)
-    mu = damper_conductivity(net)
-    qm = mass_potential(net)
-    qd = damper_potential(net)
-
-    sigma_scaled = MatrixEdgeField.from_blocks(mu.values + sigma.values / jw)
-    q_scaled = MatrixNodeField.from_blocks(qd.values + jw * qm.values)
-
-    M = schrodinger_matrix(g, np.zeros_like(sigma.values), qm.values)
-    C = schrodinger_matrix(g, mu.values, qd.values)
-    K = laplacian_matrix(g, sigma.values)
+    jw = 1j * net.omega
     return FrequencyOperator(
-        matrix=schrodinger_matrix(g, sigma_scaled.values, q_scaled.values),
-        mass=M,
-        damping=C,
-        stiffness=K,
-        omega=w,
-        d=d,
-        num_boundary=g.num_boundary,
-        sigma_scaled=sigma_scaled,
-        q_scaled=q_scaled,
+        matrix=_scaled_operator(net, net.c_e + net.k / jw, net.c_v + jw * net.mass),
+        mass=_scaled_operator(net, np.zeros(net.graph.num_edges), net.mass),
+        damping=_scaled_operator(net, net.c_e, net.c_v),
+        stiffness=laplacian_matrix(net.graph, spring_conductivity(net).values),
     )
 
 
@@ -183,15 +163,13 @@ def displacement_to_forces(net: ElasticNetwork, regime: str) -> DtnMap:
     potential) or "dynamic" (frequency domain; the map of the unscaled
     variables recovered as j w times the scaled-operator map).
     """
-    g = net.graph
-    nb = net.d * g.num_boundary
     if regime == "static":
-        return dtn_psd(g, spring_conductivity(net))
+        return dtn_psd(net.graph, spring_conductivity(net))
     if regime == "dynamic":
         _require_dynamic(net)
-        op = frequency_operator(net)
-        lam_scaled = _schur_dtn(op.matrix, nb)
-        return DtnMap(matrix=1j * net.omega * lam_scaled, d=net.d, provenance="pd")
+        jw = 1j * net.omega
+        M = _scaled_operator(net, net.c_e + net.k / jw, net.c_v + jw * net.mass)
+        return DtnMap(matrix=jw * _schur_dtn(M, net.d * net.graph.num_boundary), provenance="pd")
     raise ValueError(f"unknown regime {regime!r}")
 
 
@@ -218,7 +196,7 @@ def make_spec_eigenvalues(g: Graph, eig: EigenData) -> ProblemSpec:
         op=lambda lam: laplacian_matrix(g, (eig.x * lam.reshape(E, r)[:, None, :]) @ xt),
         rows=lambda U: P @ U,
         cone=lambda lam: lam.reshape(-1, 1, 1),
-        Q=q_basis(g, eig).matrix,
+        Q=q_basis(g, eig),
     )
 
 
@@ -251,14 +229,11 @@ def make_spec_springs_known_masses(net: ElasticNetwork) -> ProblemSpec:
     g = net.graph
     w = net.omega
     jw = 1j * w
-    dirs = spring_directions(net)
-    proj = np.einsum("ea,eb->eab", dirs, dirs)
     P = projected_gradient_matrix(g, eigen_decompose(spring_conductivity(net)))
-    q_scaled = damper_potential(net).values + jw * mass_potential(net).values
+    vertex = net.c_v + jw * net.mass
     return _make_spec(
         "springs_dampers", g.num_edges, net.d * g.num_boundary,
-        # conductivity mu + (j w)^-1 sigma = (j w)^-1 sigma(rho)
-        op=lambda rho: schrodinger_matrix(g, np.einsum("e,eab->eab", rho / jw, proj), q_scaled),
+        op=lambda rho: _scaled_operator(net, rho / jw, vertex),
         rows=lambda U: P @ U,
         cone=lambda rho: _dynamic_cone(rho, 1.0, w),
         scale=jw,
@@ -276,20 +251,15 @@ def make_spec_masses_known_springs(net: ElasticNetwork) -> ProblemSpec:
     """
     _require_dynamic(net)
     g = net.graph
-    d = net.d
     w = net.omega
     jw = 1j * w
-    dirs = spring_directions(net)
-    sigma_blocks = np.einsum("e,eab->eab", (net.k + jw * net.c_e).astype(complex),
-                             np.einsum("ea,eb->eab", dirs, dirs))
-    sigma_scaled = sigma_blocks / jw
-    eye = np.eye(d)
-    perm = _vertex_rows(g, d)
+    edge = (net.k + jw * net.c_e) / jw
+    perm = _vertex_rows(g, net.d)
     return _make_spec(
-        "masses_dampers", g.num_vertices, d * g.num_boundary,
-        op=lambda rho: schrodinger_matrix(g, sigma_scaled, np.einsum("i,ab->iab", rho / jw, eye)),
+        "masses_dampers", g.num_vertices, net.d * g.num_boundary,
+        op=lambda rho: _scaled_operator(net, edge, rho / jw),
         rows=lambda U: U[perm],
         cone=lambda rho: _dynamic_cone(rho, -1.0, w),
-        components=d,
+        components=net.d,
         scale=jw,
     )

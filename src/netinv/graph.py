@@ -157,13 +157,15 @@ def is_interior_connected(g: Graph) -> bool:
     return _components(g.num_vertices, g.edges, g.interior) <= 1
 
 
-def _symmetrize_blocks(values: np.ndarray, what: str, check: bool) -> np.ndarray:
-    if check:
-        for idx, a in enumerate(values):
-            scale = 1.0 + np.abs(a).max(initial=0.0)
-            if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOL * scale:
-                raise FieldError(f"{what} block {idx} is not symmetric")
-    return 0.5 * (values + np.transpose(values, (0, 2, 1)))
+def _symmetrize_blocks(values: np.ndarray, what: str) -> np.ndarray:
+    """Symmetric part of a stack of blocks, naming the first block whose
+    asymmetry exceeds SYMMETRY_TOL relative to its largest entry."""
+    swapped = np.transpose(values, (0, 2, 1))
+    scale = 1.0 + np.abs(values).max(axis=(1, 2), initial=0.0)
+    asymmetric = np.abs(values - swapped).max(axis=(1, 2), initial=0.0) > SYMMETRY_TOL * scale
+    if asymmetric.any():
+        raise FieldError(f"{what} block {int(asymmetric.argmax())} is not symmetric")
+    return 0.5 * (values + swapped)
 
 
 @dataclass(frozen=True)
@@ -174,21 +176,15 @@ class MatrixEdgeField:
     values: np.ndarray  # (|E|, d, d)
 
     @classmethod
-    def from_blocks(cls, blocks: np.ndarray | Sequence[np.ndarray], *, symmetric: bool = True) -> "MatrixEdgeField":
+    def from_blocks(cls, blocks: np.ndarray | Sequence[np.ndarray]) -> "MatrixEdgeField":
         values = np.asarray(blocks, dtype=complex)
         if values.ndim != 3 or values.shape[1] != values.shape[2]:
             raise FieldError("edge field needs shape (num_edges, d, d)")
         if not np.isfinite(values).all():
             raise FieldError("edge field has non-finite entries")
-        if symmetric:
-            values = _symmetrize_blocks(values, "edge", check=True)
+        values = _symmetrize_blocks(values, "edge")
         values.setflags(write=False)
         return cls(d=values.shape[1], values=values)
-
-    @classmethod
-    def constant(cls, num_edges: int, block: np.ndarray) -> "MatrixEdgeField":
-        block = np.asarray(block, dtype=complex)
-        return cls.from_blocks(np.broadcast_to(block, (num_edges,) + block.shape).copy())
 
 
 @dataclass(frozen=True)
@@ -199,14 +195,13 @@ class MatrixNodeField:
     values: np.ndarray  # (|V|, d, d)
 
     @classmethod
-    def from_blocks(cls, blocks: np.ndarray | Sequence[np.ndarray], *, symmetric: bool = True) -> "MatrixNodeField":
+    def from_blocks(cls, blocks: np.ndarray | Sequence[np.ndarray]) -> "MatrixNodeField":
         values = np.asarray(blocks, dtype=complex)
         if values.ndim != 3 or values.shape[1] != values.shape[2]:
             raise FieldError("node field needs shape (num_vertices, d, d)")
         if not np.isfinite(values).all():
             raise FieldError("node field has non-finite entries")
-        if symmetric:
-            values = _symmetrize_blocks(values, "node", check=True)
+        values = _symmetrize_blocks(values, "node")
         values.setflags(write=False)
         return cls(d=values.shape[1], values=values)
 
@@ -302,9 +297,4 @@ def vec(a: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.asarray(v).reshape(shape, order="F")
-
-
-def vec_edge_field(f: MatrixEdgeField) -> np.ndarray:
-    """Concatenation of the per-edge column-stackings, in edge order."""
-    return np.concatenate([vec(b) for b in f.values])
 

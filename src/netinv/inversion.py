@@ -30,6 +30,14 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 1e-8
+# Newton: stop when a step is this short; the Armijo sufficient-decrease
+# factor; the smallest line-search step length; the lstsq singular value cut.
+_STEP_TOL = 1e-12
+_ARMIJO = 1e-4
+_T_FLOOR = 1e-12
+_RCOND = 1e-12
+# Cap on |t| for a side of a line scan where the admissible cone never closes.
+_T_MAX = 1e6
 
 
 class InadmissibleParameterError(ValueError):
@@ -172,6 +180,11 @@ def fd_jacobian(spec: ProblemSpec, p: np.ndarray, h: float = 1e-5,
     return J
 
 
+def _require_epsilon(epsilon: float) -> None:
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+
+
 def uniqueness_test(spec: ProblemSpec, p: np.ndarray,
                     epsilon: float = DEFAULT_EPSILON) -> UniquenessVerdict:
     """Singular-value test on W(p, p): injectivity of the linearized problem
@@ -183,6 +196,7 @@ def uniqueness_test(spec: ProblemSpec, p: np.ndarray,
     (``ProblemSpec._split``), in real arithmetic when the states are real;
     W itself is never formed.
     """
+    _require_epsilon(epsilon)
     p = spec.require_admissible(p)
     S = spec.states(p)
     if not S.imag.any():
@@ -203,15 +217,14 @@ def uniqueness_test(spec: ProblemSpec, p: np.ndarray,
     )
 
 
-def _minimal_norm_step(spec: ProblemSpec, J: np.ndarray, r: np.ndarray,
-                       rcond: float = 1e-12) -> np.ndarray:
+def _minimal_norm_step(spec: ProblemSpec, J: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Minimal-norm least-squares solution of J dp = -r."""
     if spec.is_real:
         A = np.vstack([J.real, J.imag])
         b = np.concatenate([-r.real, -r.imag])
-        dp, *_ = np.linalg.lstsq(A, b, rcond=rcond)
+        dp, *_ = np.linalg.lstsq(A, b, rcond=_RCOND)
         return dp
-    dp, *_ = np.linalg.lstsq(J, -r, rcond=rcond)
+    dp, *_ = np.linalg.lstsq(J, -r, rcond=_RCOND)
     return dp
 
 
@@ -221,10 +234,6 @@ def newton_invert(
     p0: np.ndarray,
     max_iter: int = 100,
     residual_tol: float = 1e-10,
-    step_tol: float = 1e-12,
-    armijo: float = 1e-4,
-    t_floor: float = 1e-12,
-    rcond: float = 1e-12,
 ) -> tuple[np.ndarray, NewtonTrace]:
     """Newton's method on vec(forward(p) - target) with minimal-norm
     least-squares steps and backtracking line search.
@@ -247,19 +256,19 @@ def newton_invert(
             reason = "residual"
             break
         J = jacobian(spec, p)
-        dp = _minimal_norm_step(spec, J, r, rcond=rcond)
-        if np.linalg.norm(dp) <= step_tol:
+        dp = _minimal_norm_step(spec, J, r)
+        if np.linalg.norm(dp) <= _STEP_TOL:
             reason = "step"
             break
         t = 1.0
         phi = rnorm ** 2
         accepted = False
-        while t >= t_floor:
+        while t >= _T_FLOOR:
             cand = p + t * dp
             if spec.admissible(cand):
                 r_new = spec.forward(cand).reshape(-1, order="F") - tvec
                 phi_new = float(np.linalg.norm(r_new)) ** 2
-                if phi_new <= (1.0 - 2.0 * armijo * t) * phi:
+                if phi_new <= (1.0 - 2.0 * _ARMIJO * t) * phi:
                     accepted = True
                     break
             t *= 0.5
@@ -272,7 +281,7 @@ def newton_invert(
         trace.iterates.append(p.copy())
         trace.residuals.append(rnorm)
         trace.step_lengths.append(t)
-        if t * np.linalg.norm(dp) <= step_tol:
+        if t * np.linalg.norm(dp) <= _STEP_TOL:
             reason = "step"
             break
     else:
@@ -330,19 +339,20 @@ def line_rank_scan(
     num_samples: int = 1000,
     epsilon: float = DEFAULT_EPSILON,
     rng: np.random.Generator | None = None,
-    t_max: float = 1e6,
 ) -> LineScan:
     """Sample the Jacobian conditioning along the admissible segment
-    p + t dp and report the fraction of near-singular samples."""
+    p + t dp, capped at |t| <= _T_MAX, and report the fraction of
+    near-singular samples."""
     if num_samples < 1:
         raise ValueError("num_samples must be at least 1")
+    _require_epsilon(epsilon)
     p = spec.require_admissible(p)
     dp = spec._flat(dp, "direction", ValueError)
     if dp.shape != (spec.m,) or not np.linalg.norm(dp):
         raise ValueError("direction must be a nonzero vector of parameter length")
     if rng is None:
         rng = np.random.default_rng(0)
-    t_lo, t_hi = _admissible_extent(spec, p, dp, t_max)
+    t_lo, t_hi = _admissible_extent(spec, p, dp, _T_MAX)
     # shrink slightly so samples stay strictly inside the open segment
     ts = rng.uniform(0.999 * t_lo, 0.999 * t_hi, size=num_samples)
     samples = []
@@ -402,6 +412,11 @@ def _make_spec(name: str, m: int, nb: int, op: Callable, rows: Callable,
 def _blocks(p: np.ndarray, d: int) -> np.ndarray:
     """Column-stacked d x d blocks of a parameter vector."""
     return np.asarray(p).reshape(-1, d, d).transpose(0, 2, 1)
+
+
+def _vec_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The parameter vector of a stack of blocks, the inverse of _blocks."""
+    return np.asarray(blocks).transpose(0, 2, 1).reshape(-1)
 
 
 def make_spec_conductivity(g: Graph, d: int) -> ProblemSpec:

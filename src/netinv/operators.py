@@ -36,6 +36,8 @@ __all__ = [
 # Relative threshold for treating an eigenvalue of sigma'(e) as zero.
 RANK_TOL = 1e-10
 COMMUTE_TOL = 1e-10
+# Largest imaginary entry a conductivity may have and still count as real.
+_IMAG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,6 @@ class BlockOperator:
     matrix: np.ndarray  # (d|V|, d|V|)
     d: int
     num_boundary: int
-    num_interior: int
 
     @property
     def nb(self) -> int:
@@ -120,7 +121,6 @@ def assemble_laplacian(g: Graph, sigma: MatrixEdgeField) -> BlockOperator:
         matrix=laplacian_matrix(g, sigma.values),
         d=sigma.d,
         num_boundary=g.num_boundary,
-        num_interior=g.num_interior,
     )
 
 
@@ -133,7 +133,6 @@ def assemble_schrodinger(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField) -
         matrix=schrodinger_matrix(g, sigma.values, q.values),
         d=sigma.d,
         num_boundary=g.num_boundary,
-        num_interior=g.num_interior,
     )
 
 
@@ -290,10 +289,10 @@ def projected_gradient_matrix(g: Graph, eig: EigenData) -> np.ndarray:
     return P.reshape(len(edge), g.num_vertices * eig.d)
 
 
-def korn_constants(sigma: MatrixEdgeField, imag_tol: float = 1e-12) -> tuple[float, float, float]:
+def korn_constants(sigma: MatrixEdgeField) -> tuple[float, float, float]:
     """(lambda_min, smallest positive eigenvalue, lambda_max) over all edge
     blocks of a real conductivity."""
-    if np.abs(sigma.values.imag).max(initial=0.0) > imag_tol:
+    if np.abs(sigma.values.imag).max(initial=0.0) > _IMAG_TOL:
         raise FieldError("korn constants require a real conductivity")
     all_eigs = np.linalg.eigvalsh(sigma.values.real).ravel()
     lam_max = float(all_eigs.max())

@@ -248,7 +248,7 @@ def test_floppy_dim_matches_dense_nullspace_oracle():
 def test_q_basis_spans_interior_range():
     g, sigma = collinear_springs()
     eig = eigen_decompose(sigma)
-    Q = q_basis(g, eig).matrix
+    Q = q_basis(g, eig)
     op = assemble_laplacian(g, sigma)
     M_II = op.matrix[op.nb:, op.nb:]
     # projector onto range(Q) reproduces the interior block columns
@@ -262,8 +262,8 @@ def test_q_basis_depends_only_on_eigenvectors():
     eig1 = eigen_decompose(sigma)
     scaled = MatrixEdgeField.from_blocks(np.stack([7.0 * b for b in sigma.values]))
     eig2 = eigen_decompose(scaled)
-    Q1 = q_basis(g, eig1).matrix
-    Q2 = q_basis(g, eig2).matrix
+    Q1 = q_basis(g, eig1)
+    Q2 = q_basis(g, eig2)
     assert np.abs(Q1 - Q2).max() < 1e-12
 
 
@@ -349,7 +349,7 @@ def test_dtn_psd_matches_pseudoinverse_oracle():
 def test_dtn_psd_invariant_under_q_remix():
     g, sigma = collinear_springs()
     eig = eigen_decompose(sigma)
-    Q = q_basis(g, eig).matrix
+    Q = q_basis(g, eig)
     op = assemble_laplacian(g, sigma)
     # random orthogonal remix of the basis columns gives the same map
     r = Q.shape[1]
@@ -431,7 +431,7 @@ def test_dtn_psd_rank_one_matches_pseudoinverse_oracle(net):
     assume(w.size == 0 or (w[w > 1e-10 * w.max()] > 1e-6 * w.max()).all())
     lam = dtn_psd(g, sigma).matrix
     assert np.abs(lam - dtn_pseudoinverse_oracle(g, sigma)).max() < 1e-10
-    Q = q_basis(g, eigen_decompose(sigma)).matrix
+    Q = q_basis(g, eigen_decompose(sigma))
     check_state_matrix(laplacian_matrix(g, blocks), nb, lam, Q)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from netinv import elastic, operators
 from netinv.elastic import (
     ElasticNetwork,
     damper_conductivity,
@@ -67,6 +68,15 @@ def test_network_validation():
     with pytest.raises(FieldError):
         ElasticNetwork(graph=g, positions=pos, k=np.ones(1),
                        c_e=np.zeros(1), mass=np.zeros(2), c_v=np.zeros(2))
+
+
+def test_coincident_endpoints_error_names_the_first_edge():
+    g = build_graph(4, [0, 3], [(0, 1), (1, 2), (2, 3), (0, 3)])
+    # edges (1, 2) and (0, 3) both join coincident positions, (1, 2) first
+    pos = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-9], [0.0, 0.0]])
+    with pytest.raises(FieldError, match=r"^edge \(1,2\) has coincident endpoint positions$"):
+        ElasticNetwork(graph=g, positions=pos, k=np.ones(4), c_e=np.zeros(4),
+                       mass=np.ones(4), c_v=np.ones(4))
 
 
 def test_spring_directions_unit_norm():
@@ -139,6 +149,35 @@ def test_dynamic_map_homogeneity_bridge():
         pencil = -omega ** 2 * op.mass + 1j * omega * op.damping + op.stiffness
         oracle = _schur_dtn(pencil, nb)
         assert np.abs(lam - oracle).max() < 1e-10
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, -2.0])
+def test_dynamic_map_and_both_dynamic_specs_agree(omega):
+    # three views of one pencil: the map, and the two specs' forward maps at
+    # the parameters the network holds
+    for seed in range(3):
+        net = braced_network(c_v=0.6, omega=omega, seed=seed)
+        jw = 1j * omega
+        lam = displacement_to_forces(net, "dynamic").matrix
+        springs = make_spec_springs_known_masses(net).forward(net.k + jw * net.c_e)
+        masses = make_spec_masses_known_springs(net).forward(-omega ** 2 * net.mass + jw * net.c_v)
+        scale = np.abs(lam).max()
+        assert np.abs(springs - lam).max() <= 1e-12 * scale
+        assert np.abs(masses - lam).max() <= 1e-12 * scale
+
+
+def test_dynamic_map_assembles_once(monkeypatch):
+    calls = []
+    original = operators.laplacian_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (operators, elastic):
+        monkeypatch.setattr(module, "laplacian_matrix", counted)
+    displacement_to_forces(braced_network(), "dynamic")
+    assert len(calls) == 1
 
 
 def test_identity_eigenvalue_spec():

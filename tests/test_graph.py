@@ -8,13 +8,13 @@ from netinv.graph import (
     GraphError,
     MatrixEdgeField,
     MatrixNodeField,
+    SYMMETRY_TOL,
     VectorNodeField,
     build_graph,
     is_connected,
     is_interior_connected,
     unvec,
     vec,
-    vec_edge_field,
 )
 
 rng = np.random.default_rng(42)
@@ -101,6 +101,37 @@ def test_matrix_edge_field_rejects_asymmetric():
         MatrixEdgeField.from_blocks(blocks)
 
 
+def first_asymmetric_block(values):
+    """The per-block loop that the array check in from_blocks replaced."""
+    for idx, a in enumerate(values):
+        if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOL * (1.0 + np.abs(a).max(initial=0.0)):
+            return idx
+    return None
+
+
+@pytest.mark.parametrize("cls, what", [(MatrixEdgeField, "edge"), (MatrixNodeField, "node")])
+def test_asymmetric_block_error_names_the_first(cls, what):
+    local = np.random.default_rng(7)
+    blocks = local.standard_normal((6, 3, 3))
+    blocks = blocks + blocks.transpose(0, 2, 1)
+    blocks[[2, 4], 0, 1] += 1e-3
+    with pytest.raises(FieldError, match=rf"^{what} block 2 is not symmetric$"):
+        cls.from_blocks(blocks)
+    # against the loop: blocks of widely spread scales, perturbed near the
+    # tolerance relative to each block's own largest entry
+    for _ in range(50):
+        sym = local.standard_normal((5, 2, 2)) * 10.0 ** local.uniform(-3, 3, (5, 1, 1))
+        sym = sym + sym.transpose(0, 2, 1)
+        scale = 1.0 + np.abs(sym).max(axis=(1, 2))
+        sym[:, 1, 0] += SYMMETRY_TOL * scale * local.uniform(0.5, 1.5, 5)
+        first = first_asymmetric_block(sym)
+        if first is None:
+            cls.from_blocks(sym)
+        else:
+            with pytest.raises(FieldError, match=rf"^{what} block {first} is not symmetric$"):
+                cls.from_blocks(sym)
+
+
 def test_matrix_node_field_shapes():
     with pytest.raises(FieldError):
         MatrixNodeField.from_blocks(np.zeros((2, 2, 3)))
@@ -126,10 +157,3 @@ def test_vec_is_column_major():
     a = np.array([[1, 2], [3, 4]])
     assert np.array_equal(vec(a), [1, 3, 2, 4])
     assert np.array_equal(unvec(vec(a), (2, 2)), a)
-
-
-def test_vec_edge_field():
-    blocks = np.stack([np.array([[1.0, 2.0], [2.0, 5.0]]),
-                       np.array([[0.0, 1.0], [1.0, 0.0]])])
-    f = MatrixEdgeField.from_blocks(blocks)
-    assert np.array_equal(vec_edge_field(f), [1, 2, 2, 5, 0, 1, 1, 0])

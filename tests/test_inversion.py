@@ -17,6 +17,8 @@ from netinv.graph import MatrixEdgeField, build_graph, vec
 from netinv.inversion import (
     InadmissibleParameterError,
     _admissible_extent,
+    _blocks,
+    _vec_blocks,
     fd_jacobian,
     identity_residual,
     jacobian,
@@ -442,6 +444,26 @@ def test_line_rank_scan_rejects_no_samples(num_samples):
     spec = make_spec_conductivity(path3(), 1)
     with pytest.raises(ValueError, match="num_samples"):
         line_rank_scan(spec, np.ones(2), np.ones(2), num_samples=num_samples)
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, np.nan, np.inf])
+def test_uniqueness_and_scan_reject_bad_epsilon(epsilon):
+    # the path's conductivity test has sigma_min 8.6e-17: it must not "hold"
+    spec = make_spec_conductivity(path3(), 1)
+    with pytest.raises(ValueError, match="epsilon"):
+        uniqueness_test(spec, np.ones(2), epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        line_rank_scan(spec, np.ones(2), np.ones(2), num_samples=3, epsilon=epsilon)
+
+
+def test_vec_blocks_inverts_blocks():
+    # column-stacked blocks, block by block: the CLI's parameter vectors
+    blocks = np.stack([np.array([[1.0, 2.0], [3.0, 5.0]]),
+                       np.array([[0.0, 1.0], [4.0, 0.0]])])
+    p = _vec_blocks(blocks)
+    assert np.array_equal(p, np.concatenate([vec(b) for b in blocks]))
+    assert np.array_equal(p, [1, 3, 2, 5, 0, 4, 1, 0])
+    assert np.array_equal(_blocks(p, 2), blocks)
 
 
 def test_require_admissible_shape_check():
