@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dirichlet, elastic, inversion
-from .dirichlet import RegimeTag, classify_regime
+from .dirichlet import RegimeTag
 from .fileio import (
     NetworkModel,
     SchemaError,
@@ -27,7 +27,7 @@ from .fileio import (
     save_matrix,
 )
 from .graph import FieldError, GraphError, MatrixEdgeField
-from .operators import eigen_decompose, laplacian_matrix
+from .operators import BlockOperator, eigen_decompose
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,12 +107,14 @@ def _write_json(path: str | None, doc: dict) -> None:
         print(text)
 
 
-def _supported_regime(model: NetworkModel, sigma: MatrixEdgeField) -> RegimeTag:
-    """Regime tag of the network; RegimeError (exit 4) when unsupported."""
-    regime = classify_regime(model.graph, sigma, model.q)
+def _supported_regime(model: NetworkModel, sigma: MatrixEdgeField) -> tuple[RegimeTag, BlockOperator]:
+    """Regime tag of the network and its operator, assembled once for both
+    the regime and the solve; RegimeError (exit 4) when unsupported."""
+    op = dirichlet._operator(model.graph, sigma, model.q)
+    regime = dirichlet._classify(model.graph, sigma, model.q, op.matrix)
     if regime.tag is RegimeTag.UNSUPPORTED:
         raise dirichlet.RegimeError(str(regime.diagnostics))
-    return regime.tag
+    return regime.tag, op
 
 
 def cmd_forward(args) -> int:
@@ -120,10 +122,8 @@ def cmd_forward(args) -> int:
     gvec = _load_boundary_data(args.boundary, model)
     g = model.graph
     sigma = model.conductivity()
-    tag = _supported_regime(model, sigma)
+    tag, op = _supported_regime(model, sigma)
     doc: dict = {"regime": tag.value}
-    # one operator for the solve and the reported residual
-    op = dirichlet._operator(g, sigma, model.q)
     Q = None
     if tag.is_psd:
         # the floppy modes are the nullspace of the interior block whose
@@ -143,15 +143,13 @@ def cmd_dtn(args) -> int:
     model = load_network(args.network)
     g = model.graph
     sigma = model.conductivity()
-    if _supported_regime(model, sigma).is_pd:
-        dtn = dirichlet.dtn_pd(g, sigma, model.q)
-    else:
-        dtn = dirichlet.dtn_psd(g, sigma)
-    m = dtn.matrix
+    tag, op = _supported_regime(model, sigma)
+    Q = None if tag.is_pd else dirichlet.q_basis(g, eigen_decompose(sigma))
+    m = dirichlet._schur_dtn(op.matrix, op.nb, Q)
+    provenance = "pd" if tag.is_pd else "psd"
     sym = float(np.abs(m - m.T).max())
-    save_matrix(m, args.output, extra={"provenance": dtn.provenance,
-                                       "symmetry_residual": sym})
-    print(f"provenance: {dtn.provenance}")
+    save_matrix(m, args.output, extra={"provenance": provenance, "symmetry_residual": sym})
+    print(f"provenance: {provenance}")
     print(f"symmetry residual: {sym:.3e}")
     return EXIT_OK
 
@@ -186,7 +184,8 @@ def cmd_invert(args) -> int:
         raise SchemaError(f"target must be {spec.n} x {spec.n}")
     p0 = _parse_p0(args.p0, spec, p_file)
     try:
-        p, trace = inversion.newton_invert(spec, target, p0, max_iter=args.max_iters)
+        p, trace = inversion.newton_invert(spec, target, p0, max_iter=args.max_iters,
+                                           residual_tol=args.residual_tol)
     except inversion.InadmissibleParameterError as exc:
         raise SchemaError(str(exc)) from exc
     doc = {
@@ -207,17 +206,17 @@ def cmd_floppy(args) -> int:
     model = load_network(args.network)
     g = model.graph
     sigma = model.conductivity()
-    if _supported_regime(model, sigma).is_pd:
+    tag, op = _supported_regime(model, sigma)
+    if tag.is_pd:
         print("floppy dimension: 0")
         return EXIT_OK
     basis = dirichlet.floppy_basis(g, sigma)
     print(f"floppy dimension: {basis.dim}")
-    L = laplacian_matrix(g, sigma.values)
-    nb = model.d * g.num_boundary
+    # a floppy mode vanishes on the boundary, so a zero potential adds no flux
     worst = 0.0
     for c in range(basis.dim):
         z = basis.modes[:, c]
-        worst = max(worst, float(np.abs((L @ z)[:nb]).max(initial=0.0)))
+        worst = max(worst, float(np.abs((op.matrix @ z)[:op.nb]).max(initial=0.0)))
         print(f"mode {c}: {[round(x, 12) for x in z.tolist()]}")
     print(f"max boundary-flux violation: {worst:.3e}")
     return EXIT_OK
@@ -253,6 +252,7 @@ def _checked(cast, ok, rule: str):
 _epsilon = _checked(float, lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
 _samples = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _count = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_positive = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
 
 
 def _p0(text: str) -> complex | Path:
@@ -295,6 +295,7 @@ def make_parser() -> _Parser:
     p.add_argument("--p0", type=_p0, default=None,
                    help="initial guess: scalar, [re,im], or JSON file of values")
     p.add_argument("--max-iters", type=_count, default=100)
+    p.add_argument("--residual-tol", type=_positive, default=1e-10)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_invert)
 

@@ -103,10 +103,6 @@ class DtnMap:
     provenance: str  # "pd" or "psd"
 
 
-def _pd_margin(x: float) -> float:
-    return PD_TOL * (1.0 + abs(x))
-
-
 def _blocks_min_eig(blocks: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(blocks).min())
 
@@ -118,59 +114,66 @@ def _is_zero_field(values: np.ndarray) -> bool:
 def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DirichletRegime:
     """Deterministic regime tag, first match in the order PD_SIGMA, PD_Q,
     PSD_REAL, PSD_COMMUTING, else UNSUPPORTED with diagnostics."""
+    return _classify(g, sigma, q, _operator(g, sigma, q).matrix)
+
+
+def _classify(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None,
+              M: np.ndarray) -> DirichletRegime:
+    """classify_regime on the assembled operator M of (sigma, q)."""
     diag: dict = {}
     if not (is_connected(g) and is_interior_connected(g)):
         diag["connected"] = is_connected(g)
         diag["interior_connected"] = is_interior_connected(g)
         return DirichletRegime(RegimeTag.UNSUPPORTED, diag)
 
-    sr = sigma.values.real
-    si = sigma.values.imag
-    q_values = q.values if q is not None else np.zeros((g.num_vertices, sigma.d, sigma.d))
+    d, n_I = sigma.d, g.num_interior
+    sr, si = sigma.values.real, sigma.values.imag
+    q_values = q.values if q is not None else np.zeros((g.num_vertices, d, d))
     qr = q_values.real
 
     sigma_min = _blocks_min_eig(sr)
     sigma_scale = np.abs(sr).max(initial=0.0)
     diag["sigma_real_min_eig"] = sigma_min
 
-    Lr = laplacian_matrix(g, sr).real
-    nb = sigma.d * g.num_boundary
-    Lr_II = Lr[nb:, nb:]
-    lam_II = float(np.linalg.eigvalsh(Lr_II).min()) if Lr_II.size else 0.0
-    diag["laplacian_interior_min_eig"] = lam_II
+    # Lr_II, the real interior Laplacian: M's real interior block less Re q_I
+    q_I = qr[list(g.interior)]
+    Lr_II = M[d * g.num_boundary:, d * g.num_boundary:].real.copy()
+    Lr_II.reshape(n_I, d, n_I, d)[np.arange(n_I), :, np.arange(n_I)] -= q_I
+    q_I_min = _blocks_min_eig(q_I) if n_I else np.inf
+    diag["q_interior_real_min_eig"] = q_I_min if n_I else None
 
-    q_I = qr[list(g.interior)] if g.interior else np.zeros((0, sigma.d, sigma.d))
-    q_I_min = _blocks_min_eig(q_I) if len(q_I) else np.inf
-    diag["q_interior_real_min_eig"] = q_I_min if np.isfinite(q_I_min) else None
-
-    # (i) sigma' > 0 and q_I' > -lambda_min((L_sigma')_II)
+    # (i) sigma' > 0 and q_I' > -lambda_min((L_sigma')_II), where lambda_II >= 0, or
+    # (ii) q_I' > 0 and (L_sigma')_II > -lambda_min(diag(q_I')); each a Cholesky of Lr_II - shift I
+    criteria = []
     if sigma_min > PD_TOL * (1.0 + sigma_scale):
-        if not g.interior or q_I_min + lam_II > _pd_margin(lam_II):
-            return DirichletRegime(RegimeTag.PD_SIGMA, diag)
-    # (ii) q_I' > 0 and (L_sigma')_II > -lambda_min(diag(q_I'))
-    if g.interior and q_I_min > PD_TOL * (1.0 + np.abs(q_I).max(initial=0.0)):
-        if lam_II + q_I_min > _pd_margin(q_I_min):
-            return DirichletRegime(RegimeTag.PD_Q, diag)
-    if not g.interior and len(q_values) and _blocks_min_eig(qr[list(g.boundary)]) > PD_TOL:
+        criteria.append((RegimeTag.PD_SIGMA, (PD_TOL - q_I_min) / (1.0 - PD_TOL)))
+    if n_I and q_I_min > PD_TOL * (1.0 + np.abs(q_I).max(initial=0.0)):
+        criteria.append((RegimeTag.PD_Q, PD_TOL * (1.0 + abs(q_I_min)) - q_I_min))
+    for tag, shift in criteria:
+        try:
+            np.linalg.cholesky(Lr_II - shift * np.eye(len(Lr_II)))
+        except np.linalg.LinAlgError:
+            continue
+        return DirichletRegime(tag, {**diag, "cholesky_shift": shift} if n_I else diag)
+    if not n_I and len(q_values) and _blocks_min_eig(qr[list(g.boundary)]) > PD_TOL:
         return DirichletRegime(RegimeTag.PD_Q, diag)
 
     # PSD regimes need q = 0, sigma' >= 0 and no zero edge blocks
-    if not _is_zero_field(q_values):
-        return DirichletRegime(RegimeTag.UNSUPPORTED, diag)
-    if sigma_min <= -PD_TOL * (1.0 + sigma_scale):
-        return DirichletRegime(RegimeTag.UNSUPPORTED, diag)
     norms = np.abs(sigma.values).reshape(g.num_edges, -1).max(axis=1)
-    if (norms <= ZERO_TOL).any():
-        diag["zero_edge"] = int(np.argmin(norms))
-        return DirichletRegime(RegimeTag.UNSUPPORTED, diag)
-    if _is_zero_field(si):
-        return DirichletRegime(RegimeTag.PSD_REAL, diag)
-    try:
-        eigen_decompose(sigma)
-    except FieldError as exc:
-        diag["commuting_failure"] = str(exc)
-        return DirichletRegime(RegimeTag.UNSUPPORTED, diag)
-    return DirichletRegime(RegimeTag.PSD_COMMUTING, diag)
+    if _is_zero_field(q_values) and sigma_min > -PD_TOL * (1.0 + sigma_scale):
+        if (norms <= ZERO_TOL).any():
+            diag["zero_edge"] = int(np.argmin(norms))
+        elif _is_zero_field(si):
+            return DirichletRegime(RegimeTag.PSD_REAL, diag)
+        else:
+            try:
+                eigen_decompose(sigma)
+                return DirichletRegime(RegimeTag.PSD_COMMUTING, diag)
+            except FieldError as exc:
+                diag["commuting_failure"] = str(exc)
+    # only an unsupported network reports lambda_min(Lr_II), so only it pays for eigvalsh
+    diag["laplacian_interior_min_eig"] = float(np.linalg.eigvalsh(Lr_II).min()) if n_I else 0.0
+    return DirichletRegime(RegimeTag.UNSUPPORTED, diag)
 
 
 def _boundary_vec(g: Graph, gb: np.ndarray | VectorNodeField) -> np.ndarray:
@@ -186,8 +189,11 @@ def _interior_solve(M: np.ndarray, nb: int, rhs: np.ndarray,
 
     With Q, an orthonormal basis of the interior range, it is the
     minimal-norm Q (Q^T M_II Q)^-1 Q^T rhs of the rank-deficient regimes.
-    Every Dirichlet solution, DtN map and state matrix goes through here.
+    Every Dirichlet solution, DtN map and state matrix goes through here,
+    in real arithmetic when M and rhs have no imaginary part.
     """
+    if not (M.imag.any() or rhs.imag.any()):
+        M, rhs = M.real, rhs.real
     M_II = M[nb:, nb:]
     if not M_II.size:
         return np.zeros(rhs.shape, dtype=complex)
@@ -200,8 +206,11 @@ def _interior_solve(M: np.ndarray, nb: int, rhs: np.ndarray,
 
 
 def _schur_dtn(M: np.ndarray, nb: int, Q: np.ndarray | None = None) -> np.ndarray:
-    """Schur complement M_BB - M_BI M_II^-1 M_IB (through Q when given)."""
-    return M[:nb, :nb] - M[:nb, nb:] @ _interior_solve(M, nb, M[nb:, :nb], Q)
+    """Schur complement M_BB - M_BI M_II^-1 M_IB (through Q when given), as a
+    complex matrix; the solve is real exactly when M is, and then so is this."""
+    X = _interior_solve(M, nb, M[nb:, :nb], Q)
+    A = M if np.iscomplexobj(X) else M.real
+    return (A[:nb, :nb] - A[:nb, nb:] @ X).astype(complex, copy=False)
 
 
 def _dirichlet_state_matrix(M: np.ndarray, nb: int, Q: np.ndarray | None = None) -> np.ndarray:

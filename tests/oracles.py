@@ -2,8 +2,23 @@
 
 import numpy as np
 
-from netinv.graph import FieldError, Graph, MatrixEdgeField
-from netinv.operators import COMMUTE_TOL, RANK_TOL, EigenData, assemble_laplacian
+from netinv.dirichlet import PD_TOL, ZERO_TOL, RegimeTag
+from netinv.graph import (
+    FieldError,
+    Graph,
+    MatrixEdgeField,
+    MatrixNodeField,
+    is_connected,
+    is_interior_connected,
+)
+from netinv.operators import (
+    COMMUTE_TOL,
+    RANK_TOL,
+    EigenData,
+    assemble_laplacian,
+    eigen_decompose,
+    laplacian_matrix,
+)
 
 
 def dtn_pseudoinverse_oracle(g: Graph, sigma: MatrixEdgeField) -> np.ndarray:
@@ -67,3 +82,77 @@ def admissible_extent_bisection(spec, p, dp, sign: float, t_max: float) -> float
         else:
             hi = mid
     return lo
+
+
+def classify_regime_eigvalsh(g: Graph, sigma: MatrixEdgeField,
+                             q: MatrixNodeField | None) -> RegimeTag:
+    """Regime tag by the full spectrum: the PD criteria compare the smallest
+    eigenvalue lambda_II of the real interior Laplacian, from a dense
+    eigvalsh, with a margin; the same order and tolerances as
+    ``classify_regime``."""
+    if not (is_connected(g) and is_interior_connected(g)):
+        return RegimeTag.UNSUPPORTED
+
+    def margin(x):
+        return PD_TOL * (1.0 + abs(x))
+
+    def blocks_min_eig(blocks):
+        return float(np.linalg.eigvalsh(blocks).min())
+
+    sr = sigma.values.real
+    q_values = q.values if q is not None else np.zeros((g.num_vertices, sigma.d, sigma.d))
+    qr = q_values.real
+    sigma_min = blocks_min_eig(sr)
+    sigma_scale = np.abs(sr).max(initial=0.0)
+    nb = sigma.d * g.num_boundary
+    Lr_II = laplacian_matrix(g, sr).real[nb:, nb:]
+    lam_II = float(np.linalg.eigvalsh(Lr_II).min()) if Lr_II.size else 0.0
+    q_I = qr[list(g.interior)] if g.interior else np.zeros((0, sigma.d, sigma.d))
+    q_I_min = blocks_min_eig(q_I) if len(q_I) else np.inf
+
+    # (i) sigma' > 0 and q_I' > -lambda_min((L_sigma')_II)
+    if sigma_min > PD_TOL * (1.0 + sigma_scale):
+        if not g.interior or q_I_min + lam_II > margin(lam_II):
+            return RegimeTag.PD_SIGMA
+    # (ii) q_I' > 0 and (L_sigma')_II > -lambda_min(diag(q_I'))
+    if g.interior and q_I_min > PD_TOL * (1.0 + np.abs(q_I).max(initial=0.0)):
+        if lam_II + q_I_min > margin(q_I_min):
+            return RegimeTag.PD_Q
+    if not g.interior and len(q_values) and blocks_min_eig(qr[list(g.boundary)]) > PD_TOL:
+        return RegimeTag.PD_Q
+
+    def is_zero(values):
+        return np.abs(values).max(initial=0.0) <= ZERO_TOL
+
+    if not is_zero(q_values) or sigma_min <= -PD_TOL * (1.0 + sigma_scale):
+        return RegimeTag.UNSUPPORTED
+    if (np.abs(sigma.values).reshape(g.num_edges, -1).max(axis=1) <= ZERO_TOL).any():
+        return RegimeTag.UNSUPPORTED
+    if is_zero(sigma.values.imag):
+        return RegimeTag.PSD_REAL
+    try:
+        eigen_decompose(sigma)
+    except FieldError:
+        return RegimeTag.UNSUPPORTED
+    return RegimeTag.PSD_COMMUTING
+
+
+def complex_state_matrix(M: np.ndarray, nb: int, Q: np.ndarray | None = None) -> np.ndarray:
+    """Dirichlet states [I; -M_II^-1 M_IB] (through the interior range basis
+    Q when given) by complex LU, whatever the imaginary part of M; the DtN
+    map is M[:nb] @ states."""
+    M = np.asarray(M, dtype=complex)
+    M_II, M_IB = M[nb:, nb:], M[nb:, :nb]
+    if Q is None:
+        X = np.linalg.solve(M_II, M_IB)
+    else:
+        Qc = Q.astype(complex)
+        X = Qc @ np.linalg.solve(Qc.T @ M_II @ Qc, Qc.T @ M_IB)
+    return np.vstack([np.eye(nb, dtype=complex), -X])
+
+
+def relative_error(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> float:
+    """max |a - b| relative to the largest entry of ``scale``: the operator
+    for a DtN map, the state matrix for states (a map or its states can
+    vanish, e.g. with one boundary vertex and no potential)."""
+    return float(np.abs(a - b).max() / np.abs(scale).max())

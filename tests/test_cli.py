@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from netinv import cli, dirichlet, operators
+from netinv import dirichlet, operators
 from netinv.cli import main
 from netinv.fileio import load_matrix
 
@@ -99,8 +99,9 @@ def test_forward_p3(tmp_path, capsys):
     assert doc["residual"] < 1e-12
 
 
-def forward_counts(tmp_path, monkeypatch, doc, g):
-    """Laplacian assemblies and interior (2-D) eigh calls of one forward run."""
+def command_counts(tmp_path, monkeypatch, doc, command, *args):
+    """Laplacian assemblies and interior (2-D) eigh calls of one run of a
+    command on the network ``doc``."""
     calls = []
     eighs = []
     original = operators.laplacian_matrix
@@ -115,26 +116,49 @@ def forward_counts(tmp_path, monkeypatch, doc, g):
             eighs.append(1)
         return original_eigh(a, *args, **kwargs)
 
-    for module in (operators, dirichlet, cli):
+    for module in (operators, dirichlet):
         monkeypatch.setattr(module, "laplacian_matrix", counted)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     net = write(tmp_path, "net.json", doc)
-    bc = write(tmp_path, "bc.json", {"g": g})
-    assert main(["forward", net, bc, "-o", str(tmp_path / "sol.json")]) == EXIT_OK
+    assert main([command, net, *args]) == EXIT_OK
     return len(calls), len(eighs)
 
 
-def test_forward_assembles_twice(tmp_path, monkeypatch):
-    # once to classify the regime, once for the solve and its residual
-    assert forward_counts(tmp_path, monkeypatch, p3_doc(), [[1.0], [0.0]]) == (2, 0)
+def forward_counts(tmp_path, monkeypatch, doc, g):
+    bc = write(tmp_path, "bc.json", {"g": g})
+    return command_counts(tmp_path, monkeypatch, doc, "forward", bc,
+                          "-o", str(tmp_path / "sol.json"))
 
 
-def test_forward_psd_assembles_three_times(tmp_path, monkeypatch):
-    # classify, the operator, and the one interior spectrum that gives both
-    # the Q basis and the floppy dimension
+def test_forward_assembles_once(tmp_path, monkeypatch):
+    # one operator for the regime, the solve and its residual
+    assert forward_counts(tmp_path, monkeypatch, p3_doc(), [[1.0], [0.0]]) == (1, 0)
+
+
+def test_forward_psd_assembles_twice(tmp_path, monkeypatch):
+    # the operator, and the one interior spectrum that gives both the Q
+    # basis and the floppy dimension
     counts = forward_counts(tmp_path, monkeypatch, collinear_springs_doc(),
                             [[0.1, 0.0], [0.0, 0.0]])
-    assert counts == (3, 1)
+    assert counts == (2, 1)
+
+
+@pytest.mark.parametrize("doc, counts", [
+    # one operator for the regime certificate and the Schur complement
+    (p3_doc(), (1, 0)),
+    ({**p3_doc(), "q": [[[0.0]], [[0.5]], [[0.0]]]}, (1, 0)),
+    # plus the interior spectrum of the Q basis
+    (collinear_springs_doc(), (2, 1)),
+])
+def test_dtn_assembles_once_per_operator(tmp_path, monkeypatch, doc, counts):
+    out = str(tmp_path / "dtn.json")
+    assert command_counts(tmp_path, monkeypatch, doc, "dtn", "-o", out) == counts
+
+
+def test_floppy_assembles_twice(tmp_path, monkeypatch):
+    # the operator serves the regime and the boundary-flux check; the
+    # unit-eigenvalue interior spectrum gives the modes
+    assert command_counts(tmp_path, monkeypatch, collinear_springs_doc(), "floppy") == (2, 1)
 
 
 def spread_springs_doc():
@@ -310,6 +334,28 @@ def test_invert_springs_recovers(tmp_path):
     assert np.abs(rec.real - np.array(k_true)).max() < 1e-7
 
 
+def test_invert_residual_tol_sets_newton_stop(tmp_path):
+    import netinv as ni
+    truth = write(tmp_path, "truth.json", braced_truss_doc())
+    spec = ni.make_spec_static_springs(ni.load_network(truth).network)
+    target = tmp_path / "target.json"
+    ni.save_matrix(spec.forward(np.full(9, 1.5)), target)
+    out = tmp_path / "rec.json"
+
+    def run(*extra):
+        assert main(["invert", truth, str(target), "--problem", "springs",
+                     "-o", str(out), *extra]) == EXIT_OK
+        return json.loads(out.read_text())
+
+    default = run()
+    assert len(default["residuals"]) > 1
+    assert default["residuals"][-1] <= 1e-10 * (1 + np.linalg.norm(load_matrix(target)))
+    # a tolerance above the starting residual stops Newton before its first step
+    loose = run("--residual-tol", "10")
+    assert loose["reason"] == "residual"
+    assert loose["residuals"] == default["residuals"][:1]
+
+
 def test_invert_inadmissible_p0_exits_1(tmp_path):
     import netinv as ni
     truth = write(tmp_path, "truth.json", braced_truss_doc())
@@ -361,6 +407,11 @@ def test_invert_bad_p0_exits_1(tmp_path, capsys, p0, message):
     ("scan", ["--samples", "-3"]),
     ("scan", ["--samples", "2.5"]),
     ("scan", ["--seed", "-1"]),
+    ("invert", ["--residual-tol", "0"]),
+    ("invert", ["--residual-tol", "-1e-8"]),
+    ("invert", ["--residual-tol", "nan"]),
+    ("invert", ["--residual-tol", "inf"]),
+    ("invert", ["--residual-tol", "tight"]),
 ])
 def test_numeric_arguments_checked_at_parse_time(tmp_path, capsys, command, args):
     net = write(tmp_path, "net.json", p3_doc())

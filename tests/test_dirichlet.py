@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netinv.dirichlet import (
+    PD_TOL,
     RegimeError,
     RegimeTag,
     classify_regime,
@@ -22,14 +23,21 @@ from netinv.graph import (
     MatrixNodeField,
     build_graph,
 )
+from netinv.inversion import _vec_blocks, make_spec_conductivity
 from netinv.operators import (
     assemble_laplacian,
     eigen_decompose,
+    gradient_matrix,
     laplacian_matrix,
     schrodinger_matrix,
 )
 
-from oracles import dtn_pseudoinverse_oracle
+from oracles import (
+    classify_regime_eigvalsh,
+    complex_state_matrix,
+    dtn_pseudoinverse_oracle,
+    relative_error,
+)
 
 rng = np.random.default_rng(23)
 
@@ -125,6 +133,94 @@ def test_classify_unsupported_disconnected():
     reg = classify_regime(g, sigma, None)
     assert reg.tag is RegimeTag.UNSUPPORTED
     assert reg.diagnostics["connected"] is False
+
+
+def hand_fixtures():
+    """(graph, sigma, q, tag) for every hand-built classification fixture."""
+    g3 = path3()
+    springs_g, springs = collinear_springs()
+    x, y = np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2)
+    zero_edge = springs.values.copy()
+    zero_edge[1] = 0.0
+    one_edge = build_graph(2, [0, 1], [(0, 1)])
+    return [
+        (g3, MatrixEdgeField.from_blocks(np.ones((2, 1, 1))), None, RegimeTag.PD_SIGMA),
+        (g3, MatrixEdgeField.from_blocks(random_spd_blocks(2, 2, 3)), None, RegimeTag.PD_SIGMA),
+        (one_edge, MatrixEdgeField.from_blocks(2.0 * np.ones((1, 1, 1))), None,
+         RegimeTag.PD_SIGMA),
+        (springs_g, springs, MatrixNodeField.from_blocks(np.stack([np.eye(2)] * 3)),
+         RegimeTag.PD_Q),
+        # indefinite sigma': the interior Laplacian block diag(2, -0.2) is
+        # indefinite, and q' = I makes the interior definite
+        (g3, MatrixEdgeField.from_blocks(np.stack([np.diag([1.0, -0.1])] * 2)),
+         MatrixNodeField.from_blocks(np.stack([np.eye(2)] * 3)), RegimeTag.PD_Q),
+        (one_edge, MatrixEdgeField.from_blocks(np.outer(x, x)[None]),
+         MatrixNodeField.from_blocks(np.stack([np.eye(2)] * 2)), RegimeTag.PD_Q),
+        (springs_g, springs, None, RegimeTag.PSD_REAL),
+        (springs_g, MatrixEdgeField.from_blocks((1 + 0.5j) * springs.values), None,
+         RegimeTag.PSD_COMMUTING),
+        (*mixed_rank_path(), None, RegimeTag.PSD_COMMUTING),
+        (g3, MatrixEdgeField.from_blocks(np.stack([np.outer(x, x) + 1j * np.outer(y, y)] * 2)),
+         None, RegimeTag.UNSUPPORTED),
+        (g3, MatrixEdgeField.from_blocks(np.stack([np.diag([1.0, -1.0])] * 2)), None,
+         RegimeTag.UNSUPPORTED),
+        (springs_g, MatrixEdgeField.from_blocks(zero_edge), None, RegimeTag.UNSUPPORTED),
+        (g3, MatrixEdgeField.from_blocks(np.ones((2, 1, 1))),
+         MatrixNodeField.from_blocks(np.full((3, 1, 1), -3.0)), RegimeTag.UNSUPPORTED),
+        (build_graph(4, [0], [(0, 1), (2, 3)]), MatrixEdgeField.from_blocks(np.ones((2, 1, 1))),
+         None, RegimeTag.UNSUPPORTED),
+    ]
+
+
+def test_hand_fixtures_keep_their_tags_and_the_oracles():
+    for g, sigma, q, tag in hand_fixtures():
+        assert classify_regime(g, sigma, q).tag is tag
+        assert classify_regime_eigvalsh(g, sigma, q) is tag
+
+
+def test_interior_eigvalsh_only_for_unsupported_tags(monkeypatch):
+    # the PD tags are certified by Cholesky and the PSD tags need no
+    # interior spectrum; only an unsupported network reports lambda_min
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for g, sigma, q, tag in hand_fixtures():
+        calls.clear()
+        diag = classify_regime(g, sigma, q).diagnostics
+        reported = "laplacian_interior_min_eig" in diag
+        assert reported == (tag is RegimeTag.UNSUPPORTED and "connected" not in diag)
+        assert len(calls) == (reported and g.num_interior > 0)
+        assert ("cholesky_shift" in diag) == (tag.is_pd and g.num_interior > 0)
+
+
+def test_unsupported_diagnostics_carry_interior_min_eig():
+    # indefinite sigma': the interior Laplacian block is diag(2, -2)
+    g = path3()
+    sigma = MatrixEdgeField.from_blocks(np.stack([np.diag([1.0, -1.0])] * 2))
+    reg = classify_regime(g, sigma, None)
+    assert reg.tag is RegimeTag.UNSUPPORTED
+    assert reg.diagnostics["laplacian_interior_min_eig"] == pytest.approx(-2.0, abs=1e-14)
+    # with a potential, lambda_min is still that of the Laplacian alone
+    q = MatrixNodeField.from_blocks(np.stack([np.diag([-1.0, 0.5])] * 3))
+    reg = classify_regime(g, sigma, q)
+    assert reg.tag is RegimeTag.UNSUPPORTED
+    assert reg.diagnostics["laplacian_interior_min_eig"] == pytest.approx(-2.0, abs=1e-14)
+
+
+def test_pd_diagnostics_record_the_certificate():
+    g = path3()
+    sigma = MatrixEdgeField.from_blocks(np.ones((2, 1, 1)))
+    q = MatrixNodeField.from_blocks(np.full((3, 1, 1), 0.25))
+    diag = classify_regime(g, sigma, q).diagnostics
+    # criterion (i): lambda_min(Lr_II) = 2 > (PD_TOL - 0.25) / (1 - PD_TOL)
+    assert diag["cholesky_shift"] == (PD_TOL - 0.25) / (1.0 - PD_TOL)
+    assert "laplacian_interior_min_eig" not in diag
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +529,122 @@ def test_dtn_psd_rank_one_matches_pseudoinverse_oracle(net):
     assert np.abs(lam - dtn_pseudoinverse_oracle(g, sigma)).max() < 1e-10
     Q = q_basis(g, eigen_decompose(sigma))
     check_state_matrix(laplacian_matrix(g, blocks), nb, lam, Q)
+
+
+def rank_one_blocks(count, d, local):
+    x = local.standard_normal((count, d))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return np.einsum("e,ea,eb->eab", local.uniform(0.5, 2.0, count), x, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks(), st.sampled_from(["sigma", "sigma+q", "indefinite+q", "rank_one", "rank_one+q"]),
+       st.floats(-1.0, 1.5))
+def test_cholesky_certificate_matches_eigvalsh_oracle(net, kind, level):
+    g, d, seed = net
+    local = np.random.default_rng(seed)
+    if kind.startswith("rank_one"):
+        blocks = rank_one_blocks(g.num_edges, d, local)
+    else:
+        # eigenvalues of the real parts are at least 2; less 3.5 I, most
+        # draws are indefinite
+        shift = 3.5 if kind == "indefinite+q" else 0.0
+        blocks = random_spd_blocks(g.num_edges, d, seed) - shift * np.eye(d)
+    sigma = MatrixEdgeField.from_blocks(blocks)
+    nb = d * g.num_boundary
+    Lr_II = laplacian_matrix(g, sigma.values.real).real[nb:, nb:]
+    w = np.linalg.eigvalsh(Lr_II)
+    scale = np.abs(w).max(initial=0.0)
+    q = None
+    if kind.endswith("+q"):
+        # level * |Lr_II| I plus a symmetric perturbation: the bound
+        # q_I' > -lambda_min(Lr_II) falls on both sides across the draws
+        noise = local.standard_normal((g.num_vertices, d, d))
+        q_blocks = level * max(scale, 1.0) * np.eye(d) + 0.1 * (noise + noise.transpose(0, 2, 1))
+        q = MatrixNodeField.from_blocks(q_blocks)
+    if g.num_interior:
+        # skip draws within rounding of a criterion's threshold
+        q_values = q.values.real if q is not None else np.zeros((g.num_vertices, d, d))
+        q_I = q_values[list(g.interior)]
+        q_min = np.linalg.eigvalsh(q_I).min()
+        sr = sigma.values.real
+        thresholds = []
+        if np.linalg.eigvalsh(sr).min() > PD_TOL * (1.0 + np.abs(sr).max()):
+            thresholds.append((PD_TOL - q_min) / (1.0 - PD_TOL))
+        if q_min > PD_TOL * (1.0 + np.abs(q_I).max()):
+            thresholds.append(PD_TOL * (1.0 + abs(q_min)) - q_min)
+        assume(all(abs(w[0] - t) > 1e-8 * (1.0 + scale) for t in thresholds))
+    assert classify_regime(g, sigma, q).tag is classify_regime_eigvalsh(g, sigma, q)
+
+
+# ---------------------------------------------------------------------------
+# real operators in real arithmetic
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.booleans())
+def test_real_pd_maps_and_states_match_complex_arithmetic(net, with_q):
+    g, d, seed = net
+    sigma = MatrixEdgeField.from_blocks(random_spd_blocks(g.num_edges, d, seed, imag=0.0))
+    q = MatrixNodeField.from_blocks(random_spd_blocks(g.num_vertices, d, seed + 1, imag=0.0)) \
+        if with_q else None
+    nb = d * g.num_boundary
+    M = schrodinger_matrix(g, sigma.values, q.values) if with_q \
+        else laplacian_matrix(g, sigma.values)
+    U = complex_state_matrix(M, nb)
+    lam = dtn_pd(g, sigma, q).matrix
+    assert lam.dtype == complex
+    assert relative_error(lam, M[:nb] @ U, M) <= 1e-12
+    if not with_q:
+        states = make_spec_conductivity(g, d).states(_vec_blocks(sigma.values))
+        assert states.dtype == complex
+        assert relative_error(states, gradient_matrix(g, d) @ U, U) <= 1e-12
+
+
+def test_real_psd_map_matches_complex_arithmetic():
+    # the collinear springs and the real part of the mixed-rank path
+    path, mixed = mixed_rank_path()
+    for g, sigma in [collinear_springs(), (path, MatrixEdgeField.from_blocks(mixed.values.real))]:
+        assert classify_regime(g, sigma, None).tag is RegimeTag.PSD_REAL
+        op = assemble_laplacian(g, sigma)
+        U = complex_state_matrix(op.matrix, op.nb, q_basis(g, eigen_decompose(sigma)))
+        lam = dtn_psd(g, sigma).matrix
+        assert lam.dtype == complex
+        assert relative_error(lam, op.matrix[:op.nb] @ U, op.matrix) <= 1e-12
+
+
+def test_interior_solve_is_real_exactly_for_real_operators(monkeypatch):
+    seen = []
+    original = np.linalg.solve
+
+    def recorded(a, b):
+        seen.append((a.dtype, b.dtype))
+        return original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    g = build_graph(5, [0, 2, 4], [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3), (1, 4)])
+    for imag, dtype in ((0.0, np.float64), (0.2, np.complex128)):
+        seen.clear()
+        sigma = MatrixEdgeField.from_blocks(random_spd_blocks(6, 2, 47, imag=imag))
+        dtn_pd(g, sigma, None)
+        solve_dirichlet_pd(g, sigma, None, np.ones(6))
+        assert seen == [(dtype, dtype)] * 2
+
+
+def test_imaginary_conductivity_is_kept():
+    # edge (0, 1) joins two boundary vertices: with imag = 0 its imaginary
+    # part is the only one, in M_BB alone, and M_II and M_IB are real; with
+    # imag = 0.3 every edge is complex
+    g = build_graph(5, [0, 1, 4], [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (2, 4)])
+    for imag in (0.0, 0.3):
+        blocks = random_spd_blocks(6, 2, 61, imag=imag).astype(complex)
+        blocks[0] += 0.5j * np.eye(2)
+        sigma = MatrixEdgeField.from_blocks(blocks)
+        lam = dtn_pd(g, sigma, None).matrix
+        assert np.abs(lam - dtn_pseudoinverse_oracle(g, sigma)).max() < 1e-12
+        real = dtn_pd(g, MatrixEdgeField.from_blocks(blocks.real), None).matrix
+        assert np.abs((lam - real).imag).max() > 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from netinv.inversion import (
 )
 from netinv.operators import eigen_decompose, laplacian_matrix
 
+from oracles import complex_state_matrix, relative_error
+
 rng = np.random.default_rng(53)
 
 
@@ -237,6 +239,24 @@ def test_jacobian_fd_all_elastic_specs():
         Jfd = fd_jacobian(spec, p)
         err = np.abs(J - Jfd).max() / max(np.abs(J).max(), 1e-300)
         assert err < 1e-6, spec.name
+
+
+def test_static_springs_real_route_matches_complex_arithmetic():
+    # the static map and the static-springs states solve a real operator in
+    # real arithmetic; the reference solves the same operator by complex LU
+    from netinv.dirichlet import q_basis
+    from netinv.operators import projected_gradient_matrix
+    for net in (braced_network(seed=3), collinear_network()):
+        sigma = spring_conductivity(net)
+        eig = eigen_decompose(sigma)
+        M = laplacian_matrix(net.graph, sigma.values)
+        nb = net.d * net.graph.num_boundary
+        U = complex_state_matrix(M, nb, q_basis(net.graph, eig))
+        lam = displacement_to_forces(net, "static").matrix
+        states = make_spec_static_springs(net).states(net.k)
+        assert lam.dtype == states.dtype == complex
+        assert relative_error(lam, M[:nb] @ U, M) <= 1e-12
+        assert relative_error(states, projected_gradient_matrix(net.graph, eig) @ U, U) <= 1e-12
 
 
 def test_states_representative_independent():
