@@ -81,6 +81,8 @@ class RegimeTag(enum.Enum):
 class DirichletRegime:
     tag: RegimeTag
     diagnostics: dict = field(default_factory=dict)
+    # the edge eigendata, when classifying computed it (PSD_COMMUTING)
+    eig: EigenData | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -167,8 +169,7 @@ def _classify(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None,
             return DirichletRegime(RegimeTag.PSD_REAL, diag)
         else:
             try:
-                eigen_decompose(sigma)
-                return DirichletRegime(RegimeTag.PSD_COMMUTING, diag)
+                return DirichletRegime(RegimeTag.PSD_COMMUTING, diag, eigen_decompose(sigma))
             except FieldError as exc:
                 diag["commuting_failure"] = str(exc)
     # only an unsupported network reports lambda_min(Lr_II), so only it pays for eigvalsh

@@ -28,12 +28,22 @@ class SchemaError(ValueError):
     """Malformed network or matrix document."""
 
 
+# JSON numbers; bool is a subclass of int, but true and false are not numbers
+_NUMBER_TYPES = {int, float}
+
+
 def parse_complex(value) -> complex:
     """A finite JSON complex number: either a plain number or an [re, im] pair."""
-    pair = [value, 0.0] if isinstance(value, (int, float)) else value
+    pair = [value, 0.0] if type(value) in _NUMBER_TYPES else value
     if isinstance(pair, list) and len(pair) == 2 \
-            and all(isinstance(x, (int, float)) and math.isfinite(x) for x in pair):
-        return complex(pair[0], pair[1])
+            and all(type(x) in _NUMBER_TYPES for x in pair):
+        try:
+            z = complex(pair[0], pair[1])
+        except OverflowError:  # an integer beyond float range
+            pass
+        else:
+            if math.isfinite(z.real) and math.isfinite(z.imag):
+                return z
     raise SchemaError(f"expected a finite number or [re, im] pair, got {value!r}")
 
 
@@ -41,9 +51,16 @@ def complex_to_json(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _read_json(path: str | Path):
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # also an integer literal beyond the digit limit
+        raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+
+
 def _parse_complex_matrix(data, shape: tuple[int, int], what: str) -> np.ndarray:
     try:
-        m = np.array([[parse_complex(x) for x in row] for row in data])
+        m = np.array([[parse_complex(x) for x in row] for row in data], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad {what}: {exc}") from exc
     if m.shape != shape:
@@ -51,11 +68,44 @@ def _parse_complex_matrix(data, shape: tuple[int, int], what: str) -> np.ndarray
     return m
 
 
-def _floats(values, what: str, ndim: int) -> np.ndarray:
+def _numbers(values) -> np.ndarray | None:
+    """``values`` as a float array, read by one np.array call; None unless it
+    is a regular array whose every entry is a JSON number within float range."""
     try:
-        arr = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad {what}: {exc}") from exc
+        arr = np.array(values, dtype=object)
+        if set(map(type, arr.ravel().tolist())) <= _NUMBER_TYPES:
+            return arr.astype(float)
+    except (ValueError, OverflowError):  # ragged nesting; an integer beyond float range
+        pass
+    return None
+
+
+def _pairs_to_complex(a: np.ndarray) -> np.ndarray:
+    """Complex array of the trailing [re, im] pairs of ``a``; assigned part by
+    part, so a signed zero keeps its sign (re + 1j*im would not)."""
+    z = np.empty(a.shape[:-1], dtype=complex)
+    z.real, z.imag = a[..., 0], a[..., 1]
+    return z
+
+
+def _complex_array(values, shape: tuple[int, ...], per_entry) -> np.ndarray:
+    """A complex field of ``shape`` from JSON ``values``, all plain numbers or
+    all [re, im] pairs, read as one array. Anything else (mixed forms, or an
+    entry that is not a finite number) is read by ``per_entry()``, which parses
+    entry by entry, names the entry at fault and gives the same bits."""
+    a = _numbers(values)
+    if a is not None and np.isfinite(a).all():
+        if a.shape == shape:
+            return a.astype(complex)
+        if a.shape == (*shape, 2):
+            return _pairs_to_complex(a)
+    return per_entry()
+
+
+def _floats(values, what: str, ndim: int) -> np.ndarray:
+    arr = _numbers(values)
+    if arr is None:
+        raise SchemaError(f"bad {what}: expected an array of JSON numbers within float range")
     if arr.ndim != ndim:
         raise SchemaError(f"bad {what}: expected {ndim} array dimensions")
     return arr
@@ -85,17 +135,14 @@ class NetworkModel:
 
 
 def load_network(path: str | Path) -> NetworkModel:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError("network document must be a JSON object")
     for key in ("d", "vertices", "edges"):
         if key not in doc:
             raise SchemaError(f"missing required key {key!r}")
     d = doc["d"]
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise SchemaError("d must be a positive integer")
 
     vertices = doc["vertices"]
@@ -131,10 +178,10 @@ def load_network(path: str | Path) -> NetworkModel:
     has_sigma = ["sigma" in e for e in edges_doc]
     has_k = ["k" in e for e in edges_doc]
     if all(has_sigma) and not any(has_k):
-        sigma = MatrixEdgeField.from_blocks(np.stack([
-            _parse_complex_matrix(e["sigma"], (d, d), f"sigma of edge ({e['i']},{e['j']})")
-            for e in edges_doc
-        ]))
+        sigma = MatrixEdgeField.from_blocks(_complex_array(
+            [e["sigma"] for e in edges_doc], (len(edges_doc), d, d), lambda: np.stack([
+                _parse_complex_matrix(e["sigma"], (d, d), f"sigma of edge ({e['i']},{e['j']})")
+                for e in edges_doc])))
         network = None
     elif all(has_k) and not any(has_sigma):
         if any("position" not in v for v in vertices):
@@ -162,10 +209,10 @@ def load_network(path: str | Path) -> NetworkModel:
         q_doc = doc["q"]
         if not isinstance(q_doc, list) or len(q_doc) != len(vertices):
             raise SchemaError("q must list one d x d block per vertex")
-        q = MatrixNodeField.from_blocks(np.stack([
-            _parse_complex_matrix(block, (d, d), f"q of vertex {ids[k]}")
-            for k, block in enumerate(q_doc)
-        ]))
+        q = MatrixNodeField.from_blocks(_complex_array(
+            q_doc, (len(q_doc), d, d), lambda: np.stack([
+                _parse_complex_matrix(block, (d, d), f"q of vertex {ids[k]}")
+                for k, block in enumerate(q_doc)])))
 
     omega = float(_floats(doc["omega"], "omega", 0)) if "omega" in doc else None
     return NetworkModel(
@@ -195,7 +242,8 @@ def save_matrix(m: np.ndarray, path: str | Path, extra: dict | None = None) -> N
     }
     if extra:
         doc.update(extra)
-    path.write_text(json.dumps(doc))
+    # a fresh tolist() document holds no cycle, so the encoder need not look for one
+    path.write_text(json.dumps(doc, check_circular=False))
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
@@ -212,13 +260,11 @@ def load_matrix(path: str | Path) -> np.ndarray:
             raise SchemaError(f"bad csv matrix in {path}: {exc}") from exc
         if not np.isfinite(vals).all():
             raise SchemaError(f"csv matrix in {path} has non-finite entries")
-        return vals[:, 0::2] + 1j * vals[:, 1::2]
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
-    if "shape" not in doc or "data" not in doc:
+        return _pairs_to_complex(vals.reshape(r, c, 2))
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or "shape" not in doc or "data" not in doc:
         raise SchemaError("matrix document needs 'shape' and 'data'")
     if not isinstance(doc["shape"], list) or len(doc["shape"]) != 2:
         raise SchemaError("matrix 'shape' must be [rows, cols]")
-    return _parse_complex_matrix(doc["data"], tuple(doc["shape"]), "matrix data")
+    shape, data = tuple(doc["shape"]), doc["data"]
+    return _complex_array(data, shape, lambda: _parse_complex_matrix(data, shape, "matrix data"))

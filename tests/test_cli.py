@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from netinv import dirichlet, operators
+from netinv import cli, dirichlet, operators
 from netinv.cli import main
 from netinv.fileio import load_matrix
 
@@ -153,6 +155,34 @@ def test_forward_psd_assembles_twice(tmp_path, monkeypatch):
 def test_dtn_assembles_once_per_operator(tmp_path, monkeypatch, doc, counts):
     out = str(tmp_path / "dtn.json")
     assert command_counts(tmp_path, monkeypatch, doc, "dtn", "-o", out) == counts
+
+
+@pytest.mark.parametrize("command", ["dtn", "forward"])
+def test_psd_commuting_decomposes_once(tmp_path, monkeypatch, command):
+    # the classification's eigendata gives the Q basis too
+    calls = []
+    original = operators.eigen_decompose
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (operators, dirichlet, cli):
+        monkeypatch.setattr(module, "eigen_decompose", counted)
+    net = write(tmp_path, "net.json", mixed_rank_doc())
+    args = ["-o", str(tmp_path / "out.json")]
+    if command == "forward":
+        args = [write(tmp_path, "bc.json", {"g": [[1.0, 0.0], [0.0, 0.0]]}), *args]
+    assert main([command, net, *args]) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_main_builds_its_parser_once_and_looks_up_the_command(monkeypatch):
+    assert cli.make_parser() is cli.make_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_dtn", lambda args: seen.append(args.network) or 7)
+    assert main(["dtn", "net.json", "-o", "out.json"]) == 7
+    assert seen == ["net.json"]
 
 
 def test_floppy_assembles_twice(tmp_path, monkeypatch):
@@ -483,3 +513,73 @@ def test_problem_requires_matching_fields(tmp_path):
     # springs problem on a sigma-style file is a schema error
     net = write(tmp_path, "net.json", p3_doc())
     assert main(["uniqueness", net, "--problem", "springs"]) == EXIT_USAGE
+
+
+def set_at(doc, where, value):
+    *path, key = where
+    for step in path:
+        doc = doc[step]
+    doc[key] = value
+
+
+@pytest.mark.parametrize("command, make_doc, where, value", [
+    ("dtn", p3_doc, ("edges", 0, "sigma"), [[10**400]]),
+    ("dtn", p3_doc, ("edges", 0, "sigma"), [[True]]),
+    ("floppy", collinear_springs_doc, ("vertices", 1, "position"), [10**400, 0.0]),
+    ("floppy", collinear_springs_doc, ("vertices", 1, "position"), ["1.0", 0.0]),
+    ("dtn", collinear_springs_doc, ("edges", 0, "k"), "1e0"),
+    ("dtn", collinear_springs_doc, ("edges", 0, "k"), True),
+    ("dtn", collinear_springs_doc, ("omega",), "2.0"),
+])
+def test_entry_that_is_not_a_number_exits_1(tmp_path, capsys, command, make_doc, where, value):
+    doc = make_doc()
+    set_at(doc, where, value)
+    net = write(tmp_path, "net.json", doc)
+    args = ["-o", str(tmp_path / "o.json")] if command == "dtn" else []
+    assert main([command, net, *args]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def numeric_slots(doc, path=()):
+    """Paths to every number and number list of a network document, except
+    the ids, the edge ends and d."""
+    if isinstance(doc, dict):
+        items = [(k, v) for k, v in doc.items() if k not in ("id", "i", "j", "d", "boundary")]
+    elif isinstance(doc, list):
+        items = list(enumerate(doc))
+    else:
+        return [path]
+    slots = [path] if path and path[-1] in ("sigma", "position", "q") else []
+    for k, v in items:
+        slots += numeric_slots(v, (*path, k))
+    return slots
+
+
+# entries the fuzz puts in a network: numbers, pairs, mixed forms and the
+# entries the schema refuses. Magnitudes stay below 1e100: sums of entries
+# near the float maximum overflow in assembly, which this property does not test.
+FUZZ_NUMBERS = st.one_of(st.floats(-1e100, 1e100), st.integers(-10, 10))
+FUZZ_ENTRIES = st.one_of(
+    FUZZ_NUMBERS, st.lists(FUZZ_NUMBERS, min_size=2, max_size=2),
+    st.integers(2**1024, 10**400), st.booleans(), st.text(max_size=3), st.none(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.lists(FUZZ_NUMBERS, max_size=3), st.dictionaries(st.text(max_size=2), FUZZ_NUMBERS, max_size=1))
+
+
+@st.composite
+def fuzzed_networks(draw):
+    doc = draw(st.sampled_from([p3_doc, single_edge_doc, collinear_springs_doc, mixed_rank_doc,
+                                braced_truss_doc,
+                                lambda: {**p3_doc(), "q": [[[0.5]] for _ in range(3)]}]))()
+    for _ in range(draw(st.integers(0, 3))):
+        set_at(doc, draw(st.sampled_from(numeric_slots(doc))), draw(FUZZ_ENTRIES))
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzzed_networks())
+def test_dtn_fuzz_exits_only_with_documented_codes(tmp_path, doc):
+    net = write(tmp_path, "net.json", doc)
+    assert main(["dtn", net, "-o", str(tmp_path / "o.json")]) in (EXIT_OK, EXIT_USAGE,
+                                                                  EXIT_UNSUPPORTED)

@@ -4,9 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netinv.fileio import (
     SchemaError,
+    _complex_array,
+    _parse_complex_matrix,
     complex_to_json,
     load_matrix,
     load_network,
@@ -56,6 +60,10 @@ def test_parse_complex():
         parse_complex("2")
     with pytest.raises(SchemaError):
         parse_complex([1, 2, 3])
+    # booleans are not numbers, and an integer beyond float range is refused
+    for bad in (True, [1.0, False], 10**400, [0, -10**400]):
+        with pytest.raises(SchemaError):
+            parse_complex(bad)
 
 
 def test_load_sigma_network(tmp_path):
@@ -149,6 +157,28 @@ def test_load_network_schema_errors(tmp_path):
     doc["omega"] = [1.0, 2.0]
     cases.append(doc)
 
+    # entries that are not JSON numbers within float range; the other edge's
+    # [[1.0]] makes the stacked sigma field a mix of a boolean and a float
+    for edge_value in ({"sigma": [[10**400]]}, {"sigma": [[True]]}, {"sigma": [[[1.0, True]]]},
+                       {"sigma": [["1.0"]]}):
+        doc = sigma_network_doc()
+        doc["edges"][0].update(edge_value)
+        cases.append(doc)
+    doc = sigma_network_doc()
+    doc["d"] = True
+    cases.append(doc)
+    for key, value in (("k", "1e0"), ("k", True), ("k", 10**400)):
+        doc = spring_network_doc()
+        doc["edges"][0][key] = value
+        cases.append(doc)
+    for position in (["0.0", 0.0], [10**400, 0.0], [True, 0.0]):
+        doc = spring_network_doc()
+        doc["vertices"][0]["position"] = position
+        cases.append(doc)
+    doc = spring_network_doc()
+    doc["omega"] = "2.0"
+    cases.append(doc)
+
     for k, bad in enumerate(cases):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(bad))
@@ -158,9 +188,11 @@ def test_load_network_schema_errors(tmp_path):
 
 def test_load_network_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(SchemaError):
-        load_network(path)
+    for text in ("{not json",
+                 '{"d": ' + "1" * 5000 + "}"):  # beyond the interpreter's digit limit
+        path.write_text(text)
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            load_network(path)
 
 
 def test_matrix_json_roundtrip_exact(tmp_path):
@@ -196,6 +228,14 @@ def test_matrix_csv_roundtrip(tmp_path):
     assert np.abs(back - m).max() < 1e-15
 
 
+def test_matrix_csv_roundtrip_keeps_signed_zeros(tmp_path):
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    m[0, :3] = [-0.0, complex(-0.0, -0.0), complex(1.0, -0.0)]
+    path = tmp_path / "m.csv"
+    save_matrix(m, path)
+    assert load_matrix(path).tobytes() == m.tobytes()  # 17 digits round-trip exactly
+
+
 def test_matrix_json_extra_metadata(tmp_path):
     m = np.eye(2).astype(complex)
     path = tmp_path / "m.json"
@@ -219,6 +259,13 @@ def test_matrix_schema_errors(tmp_path):
     path.write_text(json.dumps({"shape": [2], "data": [[1.0]]}))
     with pytest.raises(SchemaError):
         load_matrix(path)
+    for bad in ({"shape": [1, 1], "data": [[10**400]]},
+                {"shape": [1, 2], "data": [[True, 1.0]]},
+                {"shape": [1, 1], "data": [[[1.0, "0"]]]},
+                5):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(SchemaError):
+            load_matrix(path)
 
 
 def test_matrix_csv_schema_errors(tmp_path):
@@ -241,3 +288,51 @@ def test_parse_complex_rejects_non_finite():
 
 def test_complex_to_json():
     assert complex_to_json(1.5 - 2j) == [1.5, -2.0]
+
+
+# entries of every form a document can hold: JSON numbers (signed zeros,
+# subnormals, the float extremes, integers past 2**53 and 2**64), [re, im]
+# pairs, and entries the schema refuses
+NUMBERS = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-2**70, 2**70))
+BAD_ENTRIES = st.one_of(
+    st.integers(2**1024, 10**400), st.integers(-10**400, -2**1024), st.booleans(),
+    st.text(max_size=3), st.none(), st.sampled_from([float("nan"), float("inf")]),
+    st.lists(NUMBERS, max_size=3).filter(lambda xs: len(xs) != 2))
+
+
+@st.composite
+def complex_fields(draw):
+    """A stack of n r x c matrices as JSON values: all plain numbers or all
+    [re, im] pairs, with up to three entries replaced by a pair, a plain
+    number or a refused entry."""
+    n, r, c = (draw(st.integers(1, 3)) for _ in range(3))
+    pairs = draw(st.booleans())
+    entry = st.lists(NUMBERS, min_size=2, max_size=2) if pairs else NUMBERS
+    values = [[[draw(entry) for _ in range(c)] for _ in range(r)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        k, i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, r - 1)), draw(st.integers(0, c - 1))
+        values[k][i][j] = draw(st.one_of(NUMBERS, st.lists(NUMBERS, min_size=2, max_size=2),
+                                         BAD_ENTRIES))
+    return values, (n, r, c)
+
+
+def outcome(read):
+    try:
+        a = read()
+    except SchemaError as exc:
+        return "SchemaError", str(exc)
+    return a.dtype, a.shape, a.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(complex_fields())
+def test_array_reader_matches_the_per_entry_reader(field):
+    # bit-identical arrays, signed zeros included, or the same SchemaError
+    values, (n, r, c) = field
+
+    def per_entry():
+        return np.stack([_parse_complex_matrix(b, (r, c), f"block {k}")
+                         for k, b in enumerate(values)])
+
+    assert outcome(lambda: _complex_array(values, (n, r, c), per_entry)) == outcome(per_entry)
