@@ -214,6 +214,17 @@ def _schur_dtn(M: np.ndarray, nb: int, Q: np.ndarray | None = None) -> np.ndarra
     return (A[:nb, :nb] - A[:nb, nb:] @ X).astype(complex, copy=False)
 
 
+def _symmetric_dtn(M: np.ndarray, nb: int,
+                   Q: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """The symmetric part (F + F^T) / 2 of the Schur product F = _schur_dtn(M,
+    nb, Q), and the asymmetry max|F - F^T| it discards. M is symmetric, so
+    the exact map is too; the symmetric part is never farther from it in
+    the Frobenius norm, the projection being orthogonal. Halved before the
+    sum, which cannot overflow and gives the same bits in the normal range."""
+    F = _schur_dtn(M, nb, Q)
+    return 0.5 * F + 0.5 * F.T, float(np.abs(F - F.T).max(initial=0.0))
+
+
 def _dirichlet_state_matrix(M: np.ndarray, nb: int, Q: np.ndarray | None = None) -> np.ndarray:
     """Solutions of the Dirichlet problem for every basis boundary vector,
     stacked as columns in the canonical ordering."""
@@ -250,9 +261,10 @@ def solve_dirichlet_pd(
 
 
 def dtn_pd(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DtnMap:
-    """Schur-complement Dirichlet-to-Neumann map for invertible interiors."""
+    """Schur-complement Dirichlet-to-Neumann map for invertible interiors,
+    exactly symmetric."""
     op = _operator(g, sigma, q)
-    return DtnMap(matrix=_schur_dtn(op.matrix, op.nb), provenance="pd")
+    return DtnMap(matrix=_symmetric_dtn(op.matrix, op.nb)[0], provenance="pd")
 
 
 def _interior_spectrum(g: Graph, blocks: np.ndarray):
@@ -309,8 +321,8 @@ def solve_dirichlet_psd(
 
 def dtn_psd(g: Graph, sigma: MatrixEdgeField) -> DtnMap:
     """Dirichlet-to-Neumann map for rank-deficient conductivities via the Q
-    basis of the interior range."""
+    basis of the interior range, exactly symmetric."""
     eig = eigen_decompose(sigma)
     op = assemble_laplacian(g, sigma)
-    return DtnMap(matrix=_schur_dtn(op.matrix, op.nb, q_basis(g, eig)), provenance="psd")
+    return DtnMap(matrix=_symmetric_dtn(op.matrix, op.nb, q_basis(g, eig))[0], provenance="psd")
 

@@ -12,6 +12,7 @@ from .graph import FieldError, Graph, MatrixEdgeField, _vertex_rows
 from .inversion import ProblemSpec, _make_spec
 from .operators import (
     EigenData,
+    _scaled_down,
     eigen_decompose,
     laplacian_matrix,
     projected_gradient_matrix,
@@ -58,7 +59,8 @@ class ElasticNetwork:
         if not (np.isfinite(pos).all() and np.isfinite(self.omega)):
             raise FieldError("positions and omega must be finite")
         ends = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
-        coincident = np.isclose(pos[ends[:, 0]], pos[ends[:, 1]]).all(axis=1)
+        with np.errstate(over="ignore"):  # a difference beyond float range is far from zero
+            coincident = np.isclose(pos[ends[:, 0]], pos[ends[:, 1]]).all(axis=1)
         if coincident.any():
             i, j = g.edges[int(coincident.argmax())]
             raise FieldError(f"edge ({i},{j}) has coincident endpoint positions")
@@ -88,7 +90,9 @@ def spring_directions(net: ElasticNetwork) -> np.ndarray:
     """Unit direction (p(i) - p(j)) / |p(i) - p(j)| per edge, (|E|, d)."""
     pos = np.asarray(net.positions, dtype=float)
     ends = np.asarray(net.graph.edges, dtype=np.intp).reshape(-1, 2)
-    v = pos[ends[:, 0]] - pos[ends[:, 1]]
+    # halved and scaled down exactly, so that neither the difference nor the
+    # norm can overflow; the quotient is the same
+    v = _scaled_down(0.5 * pos[ends[:, 0]] - 0.5 * pos[ends[:, 1]], 1)[0]
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 

@@ -95,8 +95,8 @@ def _complex_array(values, shape: tuple[int, ...], per_entry) -> np.ndarray:
     entry by entry, names the entry at fault and gives the same bits."""
     a = _numbers(values)
     if a is not None and np.isfinite(a).all():
-        if a.shape == shape:
-            return a.astype(complex)
+        if a.shape == shape or (a.shape == (0,) and shape[0] == 0):  # no rows, so no columns
+            return a.astype(complex).reshape(shape)
         if a.shape == (*shape, 2):
             return _pairs_to_complex(a)
     return per_entry()
@@ -149,9 +149,11 @@ def load_network(path: str | Path) -> NetworkModel:
     if not isinstance(vertices, list) or not vertices:
         raise SchemaError("vertices must be a nonempty list")
     ids = []
-    for v in vertices:
+    for k, v in enumerate(vertices):
         if not isinstance(v, dict) or "id" not in v:
             raise SchemaError("each vertex needs an 'id'")
+        if type(v["id"]) is not int:  # hashed below; bool is not an int here
+            raise SchemaError(f"vertex {k} has id {v['id']!r}, not an integer")
         ids.append(v["id"])
     if len(set(ids)) != len(ids):
         raise SchemaError("duplicate vertex ids")
@@ -164,9 +166,11 @@ def load_network(path: str | Path) -> NetworkModel:
     if not isinstance(edges_doc, list) or not edges_doc:
         raise SchemaError("edges must be a nonempty list")
     pairs = []
-    for e in edges_doc:
+    for k, e in enumerate(edges_doc):
         if not isinstance(e, dict) or "i" not in e or "j" not in e:
             raise SchemaError("each edge needs 'i' and 'j'")
+        if type(e["i"]) is not int or type(e["j"]) is not int:
+            raise SchemaError(f"edge {k} has ends ({e['i']!r}, {e['j']!r}), not integers")
         if e["i"] not in index or e["j"] not in index:
             raise SchemaError(f"edge ({e['i']},{e['j']}) references unknown vertex")
         pairs.append((index[e["i"]], index[e["j"]]))
@@ -221,6 +225,20 @@ def load_network(path: str | Path) -> NetworkModel:
     )
 
 
+def _json_pairs(m: np.ndarray) -> str:
+    """The [re, im] pairs of a complex matrix as json.dumps writes their
+    nested lists, formatting each distinct float once. Distinct means
+    distinct bits, so -0.0 and 0.0 stay apart."""
+    r, c = m.shape
+    bits = np.ascontiguousarray(m).view(np.uint64)  # (r, 2c): re, im, re, im, ...
+    unique, inverse = np.unique(bits, return_inverse=True)
+    # float.__repr__ is what json.dumps writes for a finite float
+    words = np.array([float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+                      for x in unique.view(float).tolist()], dtype=object)
+    row = "[" + ", ".join(["[%s, %s]"] * c) + "]"
+    return ("[" + ", ".join([row] * r) + "]") % tuple(words[inverse.ravel()].tolist())
+
+
 def save_matrix(m: np.ndarray, path: str | Path, extra: dict | None = None) -> None:
     """Write a complex matrix; JSON round-trips exactly, CSV is 17-digit."""
     m = np.asarray(m, dtype=complex)
@@ -236,14 +254,14 @@ def save_matrix(m: np.ndarray, path: str | Path, extra: dict | None = None) -> N
                     out.append(f"{z.imag:.17g}")
                 writer.writerow(out)
         return
-    doc = {
-        "shape": [int(m.shape[0]), int(m.shape[1])],
-        "data": np.stack([m.real, m.imag], -1).tolist(),
-    }
+    data = object()  # stands for the matrix, whose text is written below
+    doc = {"shape": [int(m.shape[0]), int(m.shape[1])], "data": data}
     if extra:
         doc.update(extra)
-    # a fresh tolist() document holds no cycle, so the encoder need not look for one
-    path.write_text(json.dumps(doc, check_circular=False))
+    path.write_text("{" + ", ".join(
+        f'"data": {_json_pairs(m)}' if value is data
+        else json.dumps({key: value}, check_circular=False)[1:-1]
+        for key, value in doc.items()) + "}")
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
@@ -264,7 +282,8 @@ def load_matrix(path: str | Path) -> np.ndarray:
     doc = _read_json(path)
     if not isinstance(doc, dict) or "shape" not in doc or "data" not in doc:
         raise SchemaError("matrix document needs 'shape' and 'data'")
-    if not isinstance(doc["shape"], list) or len(doc["shape"]) != 2:
-        raise SchemaError("matrix 'shape' must be [rows, cols]")
+    if not isinstance(doc["shape"], list) or len(doc["shape"]) != 2 \
+            or not all(type(n) is int and n >= 0 for n in doc["shape"]):
+        raise SchemaError("matrix 'shape' must be [rows, cols], two integers >= 0")
     shape, data = tuple(doc["shape"]), doc["data"]
     return _complex_array(data, shape, lambda: _parse_complex_matrix(data, shape, "matrix data"))

@@ -160,12 +160,15 @@ def is_interior_connected(g: Graph) -> bool:
 def _symmetrize_blocks(values: np.ndarray, what: str) -> np.ndarray:
     """Symmetric part of a stack of blocks, naming the first block whose
     asymmetry exceeds SYMMETRY_TOL relative to its largest entry."""
-    swapped = np.transpose(values, (0, 2, 1))
-    scale = 1.0 + np.abs(values).max(axis=(1, 2), initial=0.0)
-    asymmetric = np.abs(values - swapped).max(axis=(1, 2), initial=0.0) > SYMMETRY_TOL * scale
+    # halved first, so that neither the difference nor the sum can overflow;
+    # that gives the same bits in the normal range
+    half = 0.5 * values
+    swapped = np.transpose(half, (0, 2, 1))
+    scale = 0.5 + np.abs(half).max(axis=(1, 2), initial=0.0)
+    asymmetric = np.abs(half - swapped).max(axis=(1, 2), initial=0.0) > SYMMETRY_TOL * scale
     if asymmetric.any():
         raise FieldError(f"{what} block {int(asymmetric.argmax())} is not symmetric")
-    return 0.5 * (values + swapped)
+    return half + swapped
 
 
 @dataclass(frozen=True)

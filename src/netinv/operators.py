@@ -88,15 +88,28 @@ def gradient_matrix(g: Graph, d: int) -> np.ndarray:
     return D.reshape(d * g.num_edges, d * g.num_vertices)
 
 
+def _require_finite_sums(g: Graph, diagonal: np.ndarray) -> None:
+    """Refuse an operator whose diagonal blocks, (|V|, d, d) in canonical
+    order, overflowed. They are its only sums: every other block is one
+    finite edge block."""
+    bad = ~np.isfinite(diagonal).all(axis=(1, 2))
+    if bad.any():
+        raise FieldError(f"the summed block at vertex {g.order[int(bad.argmax())]} overflows")
+
+
 def laplacian_matrix(g: Graph, blocks: np.ndarray) -> np.ndarray:
     """Weighted block Laplacian from raw per-edge blocks (no symmetry check),
-    scattered into a (|V|, |V|, d, d) array and reshaped to canonical order."""
+    scattered into a (|V|, |V|, d, d) array and reshaped to canonical order;
+    FieldError when a vertex's summed block overflows."""
     blocks = np.asarray(blocks, dtype=complex)
     n, d = g.num_vertices, blocks.shape[1]
     pi, pj = g.edge_positions()
     M = np.zeros((n, n, d, d), dtype=complex)
-    np.add.at(M, (pi, pi), blocks)
-    np.add.at(M, (pj, pj), blocks)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        np.add.at(M, (pi, pi), blocks)
+        np.add.at(M, (pj, pj), blocks)
+    k = np.arange(n)
+    _require_finite_sums(g, M[k, k])
     M[pi, pj] = -blocks
     M[pj, pi] = -blocks
     return M.transpose(0, 2, 1, 3).reshape(n * d, n * d)
@@ -110,7 +123,10 @@ def schrodinger_matrix(g: Graph, sigma_blocks: np.ndarray, q_blocks: np.ndarray)
     q_blocks = np.asarray(q_blocks, dtype=complex)
     M = laplacian_matrix(g, sigma_blocks)  # C-contiguous, so the reshape below is a view
     n, d = g.num_vertices, q_blocks.shape[1]
-    M.reshape(n, d, n, d)[np.arange(n), :, np.arange(n)] += q_blocks[list(g.order)]
+    D, k = M.reshape(n, d, n, d), np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        D[k, :, k] += q_blocks[list(g.order)]
+    _require_finite_sums(g, D[k, :, k])
     return M
 
 
@@ -229,6 +245,18 @@ def cylinder_permutation(path: Graph, layer: Graph, cyl: Graph) -> np.ndarray:
     return pi
 
 
+def _scaled_down(a: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
+    """Each slice of ``a`` over ``axes`` whose largest entry exceeds 2**500,
+    divided by the power of two 2**e that brings it below 1, and e (0 for
+    the other slices), shaped to broadcast against ``a``. Products and norms
+    of slices then stay far inside float range, and since the division is
+    exact, each is the unscaled one divided by powers of two. ``a`` itself
+    when no slice is that large, so the common case keeps its bits."""
+    e = np.frexp(np.abs(a).max(axis=axes, keepdims=True, initial=0.0))[1]
+    e = np.where(e > 500, e, 0)
+    return (np.ldexp(a, -e) if e.any() else a), e
+
+
 def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
     """Eigendecomposition of all edge blocks at once, for conductivities
     whose real and imaginary parts commute and share real eigenvectors.
@@ -241,9 +269,12 @@ def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
     """
     d = sigma.d
     sr = sigma.values.real
-    si = sigma.values.imag
-    comm = sr @ si - si @ sr
-    scale = np.linalg.norm(sr, axis=(1, 2)) * np.linalg.norm(si, axis=(1, 2))
+    # the tests below see the parts scaled down exactly, so that their
+    # products and norms cannot overflow; 2**si_exp undoes the scale of si
+    sr_u = _scaled_down(sr, (1, 2))[0]
+    si, si_exp = _scaled_down(sigma.values.imag, (1, 2))
+    comm = sr_u @ si - si @ sr_u
+    scale = np.linalg.norm(sr_u, axis=(1, 2)) * np.linalg.norm(si, axis=(1, 2))
     noncommuting = np.linalg.norm(comm, axis=(1, 2)) > COMMUTE_TOL * np.maximum(scale, 1e-300)
     w, v = np.linalg.eigh(sr)
     # eigh sorts ascending, so each edge keeps a suffix of its eigenpairs
@@ -260,7 +291,7 @@ def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
     core = xt @ si @ x
     # nullspace inclusion N(sigma') subset N(sigma'')
     proj_out = si - x @ core @ xt
-    si_scale = np.maximum(np.linalg.norm(si, axis=(1, 2)), 1.0)
+    si_scale = np.maximum(np.linalg.norm(si, axis=(1, 2)), np.ldexp(1.0, -si_exp[:, 0, 0]))
     uncontained = np.linalg.norm(proj_out, axis=(1, 2)) > 1e-8 * si_scale
     failures = (
         (noncommuting, "real and imaginary parts of edge {} do not commute"),
@@ -271,7 +302,8 @@ def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
     if bad.any():
         e = int(bad.argmax())
         raise FieldError(next(msg for mask, msg in failures if mask[e]).format(e))
-    lam = np.where(used, w[:, d - r:], 0.0) + 1j * np.diagonal(core, axis1=1, axis2=2)
+    lam_imag = np.ldexp(np.diagonal(core, axis1=1, axis2=2), si_exp[:, 0])
+    lam = np.where(used, w[:, d - r:], 0.0) + 1j * lam_imag
     return EigenData(d=d, rank=r, x=x, lam=lam, ranks=ranks)
 
 

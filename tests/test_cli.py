@@ -275,6 +275,25 @@ def test_dtn_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(load_matrix(out), lam)
 
 
+@pytest.mark.parametrize("make_doc", [braced_truss_doc, mixed_rank_doc])
+def test_dtn_file_is_the_symmetric_part_of_the_schur_product(tmp_path, make_doc):
+    # networks whose computed Schur product is not exactly symmetric
+    net = write(tmp_path, "net.json", make_doc())
+    out = tmp_path / "dtn.json"
+    assert main(["dtn", net, "-o", str(out)]) == EXIT_OK
+    import netinv as ni
+    model = ni.load_network(net)
+    sigma = model.conductivity()
+    op = dirichlet._operator(model.graph, sigma, model.q)
+    Q = dirichlet.q_basis(model.graph, operators.eigen_decompose(sigma))  # both are PSD
+    F = dirichlet._schur_dtn(op.matrix, op.nb, Q)
+    m = load_matrix(out)
+    assert np.array_equal(m, m.T)
+    assert m.tobytes() == (0.5 * (F + F.T)).tobytes()
+    residual = json.loads(out.read_text())["symmetry_residual"]
+    assert residual == np.abs(F - F.T).max() > 0
+
+
 def test_dtn_mixed_rank_commuting(tmp_path):
     net = write(tmp_path, "net.json", mixed_rank_doc())
     out = tmp_path / "dtn.json"
@@ -515,6 +534,19 @@ def test_problem_requires_matching_fields(tmp_path):
     assert main(["uniqueness", net, "--problem", "springs"]) == EXIT_USAGE
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dtn_near_the_float_maximum(tmp_path, capsys):
+    out = str(tmp_path / "o.json")
+    # solved without an overflow: a block is halved before it is symmetrized
+    assert main(["dtn", write(tmp_path, "net.json", p3_doc((1.7e308, 1.0))), "-o", out]) == EXIT_OK
+    assert np.isfinite(load_matrix(out)).all()
+    # refused: the centre of this star sums four blocks beyond float range
+    star = {"d": 1, "vertices": [{"id": 0}, *({"id": v, "boundary": True} for v in range(1, 5))],
+            "edges": [{"i": 0, "j": v, "sigma": [[5e307]]} for v in range(1, 5)]}
+    assert main(["dtn", write(tmp_path, "star.json", star), "-o", out]) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith("vertex 0 overflows\n")
+
+
 def set_at(doc, where, value):
     *path, key = where
     for step in path:
@@ -530,6 +562,9 @@ def set_at(doc, where, value):
     ("dtn", collinear_springs_doc, ("edges", 0, "k"), "1e0"),
     ("dtn", collinear_springs_doc, ("edges", 0, "k"), True),
     ("dtn", collinear_springs_doc, ("omega",), "2.0"),
+    ("dtn", p3_doc, ("vertices", 0, "id"), [0]),
+    ("dtn", p3_doc, ("edges", 1, "i"), [1]),
+    ("floppy", collinear_springs_doc, ("edges", 0, "j"), {"id": 1}),
 ])
 def test_entry_that_is_not_a_number_exits_1(tmp_path, capsys, command, make_doc, where, value):
     doc = make_doc()
@@ -555,10 +590,9 @@ def numeric_slots(doc, path=()):
     return slots
 
 
-# entries the fuzz puts in a network: numbers, pairs, mixed forms and the
-# entries the schema refuses. Magnitudes stay below 1e100: sums of entries
-# near the float maximum overflow in assembly, which this property does not test.
-FUZZ_NUMBERS = st.one_of(st.floats(-1e100, 1e100), st.integers(-10, 10))
+# entries the fuzz puts in a network: numbers over the whole finite range,
+# pairs, mixed forms and the entries the schema refuses
+FUZZ_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-10, 10))
 FUZZ_ENTRIES = st.one_of(
     FUZZ_NUMBERS, st.lists(FUZZ_NUMBERS, min_size=2, max_size=2),
     st.integers(2**1024, 10**400), st.booleans(), st.text(max_size=3), st.none(),
@@ -576,6 +610,8 @@ def fuzzed_networks(draw):
     return doc
 
 
+# an overflow or invalid operation is a failure too, not only an exception
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(fuzzed_networks())

@@ -17,6 +17,8 @@ from netinv.dirichlet import (
     solve_dirichlet_pd,
     solve_dirichlet_psd,
     _dirichlet_state_matrix,
+    _schur_dtn,
+    _symmetric_dtn,
 )
 from netinv.graph import (
     MatrixEdgeField,
@@ -26,6 +28,7 @@ from netinv.graph import (
 from netinv.inversion import _vec_blocks, make_spec_conductivity
 from netinv.operators import (
     assemble_laplacian,
+    assemble_schrodinger,
     eigen_decompose,
     gradient_matrix,
     laplacian_matrix,
@@ -759,3 +762,53 @@ def test_pd_regime_error_on_misuse():
     g, sigma = collinear_springs()
     with pytest.raises(RegimeError):
         solve_dirichlet_pd(g, sigma, None, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# the map is the exact symmetric part of the computed Schur product
+# ---------------------------------------------------------------------------
+
+
+def check_symmetric_part(M, nb, lam, Q=None) -> float:
+    """lam is exactly symmetric and is (F + F^T) / 2, bit for bit, of the
+    Schur product F; returns the asymmetry max|F - F^T| it discards."""
+    F = _schur_dtn(M, nb, Q)
+    sym, residual = _symmetric_dtn(M, nb, Q)
+    assert np.array_equal(lam, lam.T)
+    assert lam.tobytes() == sym.tobytes() == (0.5 * (F + F.T)).tobytes()
+    assert residual == np.abs(F - F.T).max(initial=0.0)
+    return residual
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(), st.booleans())
+def test_dtn_pd_is_the_symmetric_part_of_the_schur_product(net, with_q):
+    g, d, seed = net
+    sigma = MatrixEdgeField.from_blocks(random_spd_blocks(g.num_edges, d, seed))
+    q = MatrixNodeField.from_blocks(random_spd_blocks(g.num_vertices, d, seed + 1)) \
+        if with_q else None
+    op = assemble_schrodinger(g, sigma, q) if with_q else assemble_laplacian(g, sigma)
+    check_symmetric_part(op.matrix, op.nb, dtn_pd(g, sigma, q).matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(dims=(2, 3)))
+def test_dtn_psd_is_the_symmetric_part_of_the_schur_product(net):
+    g, d, seed = net
+    local = np.random.default_rng(seed)
+    x = local.standard_normal((g.num_edges, d))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    sigma = MatrixEdgeField.from_blocks(
+        np.einsum("e,ea,eb->eab", local.uniform(0.5, 2.0, g.num_edges), x, x))
+    op = assemble_laplacian(g, sigma)
+    Q = q_basis(g, eigen_decompose(sigma))
+    check_symmetric_part(op.matrix, op.nb, dtn_psd(g, sigma).matrix, Q)
+
+
+def test_symmetry_residual_is_the_discarded_asymmetry():
+    # the computed Schur product of this network is not exactly symmetric
+    g = build_graph(5, [0, 2, 4], [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3), (1, 4)])
+    sigma = MatrixEdgeField.from_blocks(random_spd_blocks(6, 2, 41))
+    q = MatrixNodeField.from_blocks(0.1 * random_spd_blocks(5, 2, 43))
+    op = assemble_schrodinger(g, sigma, q)
+    assert check_symmetric_part(op.matrix, op.nb, dtn_pd(g, sigma, q).matrix) > 0

@@ -1,5 +1,7 @@
 """Spring networks, frequency-domain operators and elastodynamic specs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,17 @@ def test_spring_directions_unit_norm():
     for e, (i, j) in enumerate(net.graph.edges):
         v = net.positions[i] - net.positions[j]
         assert np.allclose(dirs[e], v / np.linalg.norm(v))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spring_directions_near_the_float_maximum():
+    # scaling every position by a power of two gives the same directions, bit for bit
+    net = braced_network()
+    far = replace(net, positions=np.ldexp(net.positions, 1021))
+    assert np.array_equal(spring_directions(far), spring_directions(net))
+    # positions spread over the whole float range, so that differences exceed it
+    wide = replace(net, positions=(net.positions - 1.0) * np.finfo(float).max)
+    assert np.abs(spring_directions(wide) - spring_directions(net)).max() < 1e-15
 
 
 def test_spring_conductivity_rank1():

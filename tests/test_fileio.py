@@ -186,6 +186,27 @@ def test_load_network_schema_errors(tmp_path):
             load_network(path)
 
 
+@pytest.mark.parametrize("where, value, message", [
+    ("id", [0], r"vertex 1 has id \[0\], not an integer"),
+    ("id", {"k": 0}, "vertex 1 has id"),
+    ("id", True, "vertex 1 has id True"),
+    ("id", 1.0, "vertex 1 has id 1.0"),
+    ("i", [0], r"edge 0 has ends \(\[0\], 1\), not integers"),
+    ("j", {"k": 1}, r"edge 0 has ends \(0, \{'k': 1\}\)"),
+    ("j", False, r"edge 0 has ends \(0, False\)"),
+])
+def test_load_network_refuses_ids_that_are_not_integers(tmp_path, where, value, message):
+    doc = sigma_network_doc()
+    if where == "id":
+        doc["vertices"][1]["id"] = value
+    else:
+        doc["edges"][0][where] = value
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=message):
+        load_network(path)
+
+
 def test_load_network_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     for text in ("{not json",
@@ -262,6 +283,9 @@ def test_matrix_schema_errors(tmp_path):
     for bad in ({"shape": [1, 1], "data": [[10**400]]},
                 {"shape": [1, 2], "data": [[True, 1.0]]},
                 {"shape": [1, 1], "data": [[[1.0, "0"]]]},
+                {"shape": [1.0, 1], "data": [[1.0]]},
+                {"shape": [-1, 1], "data": []},
+                {"shape": [0, 1], "data": [[]]},
                 5):
         path.write_text(json.dumps(bad))
         with pytest.raises(SchemaError):
@@ -336,3 +360,46 @@ def test_array_reader_matches_the_per_entry_reader(field):
                          for k, b in enumerate(values)])
 
     assert outcome(lambda: _complex_array(values, (n, r, c), per_entry)) == outcome(per_entry)
+
+
+# floats the matrix writer must spell as json.dumps does: signed zeros,
+# subnormals, the float extremes, NaN and the infinities, and any other
+WRITER_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7e308, -1.7e308,
+                     float("nan"), float("inf"), -float("inf")]),
+    st.floats())
+EXTRA = st.one_of(st.none(), st.dictionaries(
+    st.sampled_from(["provenance", "symmetry_residual", "note", "shape", "data"]),
+    st.one_of(st.floats(), st.text(max_size=3), st.lists(st.integers(), max_size=2))))
+
+
+@st.composite
+def written_matrices(draw):
+    """An r x c complex matrix, 0 x c and r x 0 included, whose parts come
+    from a few drawn floats, so that values repeat; optionally real, and
+    optionally exactly symmetric."""
+    r = draw(st.integers(0, 5))
+    c = r if draw(st.booleans()) else draw(st.integers(0, 5))
+    pool = draw(st.lists(WRITER_FLOATS, min_size=1, max_size=5))
+    m = np.empty((r, c), dtype=complex)
+    # assigned part by part, so that a signed zero keeps its sign
+    m.real = np.reshape([draw(st.sampled_from(pool)) for _ in range(r * c)], (r, c))
+    m.imag = 0.0 if draw(st.booleans()) else \
+        np.reshape([draw(st.sampled_from(pool)) for _ in range(r * c)], (r, c))
+    if r == c and draw(st.booleans()):
+        i, j = np.tril_indices(r, -1)
+        m[i, j] = m[j, i]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_matrices(), EXTRA)
+def test_matrix_json_text_is_what_json_dumps_writes(tmp_path_factory, m, extra):
+    path = tmp_path_factory.mktemp("w") / "m.json"
+    save_matrix(m, path, extra=extra)
+    doc = {"shape": list(m.shape), "data": np.stack([m.real, m.imag], -1).tolist()}
+    if extra:
+        doc.update(extra)
+    assert path.read_text() == json.dumps(doc, check_circular=False)
+    if np.isfinite(m).all() and not {"shape", "data"} & set(extra or ()):
+        assert load_matrix(path).tobytes() == m.tobytes()

@@ -132,6 +132,16 @@ def test_asymmetric_block_error_names_the_first(cls, what):
                 cls.from_blocks(sym)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_symmetric_part_near_the_float_maximum():
+    big = np.finfo(float).max
+    blocks = np.array([[[big, -big], [-big, big]]], dtype=complex)
+    assert np.array_equal(MatrixEdgeField.from_blocks(blocks).values, blocks)
+    for far in ([[1.0, big], [-big, 1.0]], [[1.0, big * (1 + 1j)], [-big * (1 + 1j), 1.0]]):
+        with pytest.raises(FieldError, match="not symmetric"):
+            MatrixNodeField.from_blocks(np.array([far]))
+
+
 def test_matrix_node_field_shapes():
     with pytest.raises(FieldError):
         MatrixNodeField.from_blocks(np.zeros((2, 2, 3)))

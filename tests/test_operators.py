@@ -150,6 +150,21 @@ def test_assembly_matches_per_edge_loop(net, with_q):
     assert np.abs(M - oracle).max() <= 1e-13 * (1.0 + np.abs(oracle).max())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_assembly_refuses_a_vertex_sum_beyond_float_range():
+    # a star: the centre's block is the one sum of four edge blocks
+    star = build_graph(5, [1, 2, 3, 4], [(0, 1), (0, 2), (0, 3), (0, 4)])
+    with pytest.raises(FieldError, match="vertex 0 overflows"):
+        assemble_laplacian(star, MatrixEdgeField.from_blocks(np.full((4, 1, 1), 5e307)))
+    L = assemble_laplacian(star, MatrixEdgeField.from_blocks(np.full((4, 1, 1), 3e307))).matrix
+    assert L[4, 4] == 4 * 3e307
+    # a potential that tips a vertex over
+    sigma = MatrixEdgeField.from_blocks(np.array([[[1e308]], [[1.0]]]))
+    q = MatrixNodeField.from_blocks(np.array([[[0.0]], [[1e308]], [[0.0]]]))
+    with pytest.raises(FieldError, match="vertex 1 overflows"):
+        assemble_schrodinger(path3(), sigma, q)
+
+
 def test_block_operator_partitions():
     g = build_graph(4, [0, 2], [(0, 1), (1, 2), (2, 3), (0, 3)])
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(4, 2, 8))
@@ -329,6 +344,19 @@ def test_eigen_decompose_matches_per_edge_loop(sigma):
             assert col[np.flatnonzero(np.abs(col) > 1e-14)[0]] > 0
     back = reconstruct_from_eigen(eig).values
     assert np.abs(back - sigma.values).max() <= 1e-12 * scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigen_decompose_near_the_float_maximum():
+    # the same eigendata, scaled, for blocks scaled by 2**1010 (about 1e304)
+    s, local = 2.0 ** 1010, np.random.default_rng(3)
+    v = np.linalg.qr(local.standard_normal((4, 2, 2)))[0]
+    w = local.uniform(0.1, 3.0, (4, 2)) + 1j * local.uniform(-1.0, 1.0, (4, 2))
+    sigma = MatrixEdgeField.from_blocks(v @ (w[:, :, None] * v.transpose(0, 2, 1)))
+    a, b = eigen_decompose(sigma), eigen_decompose(MatrixEdgeField.from_blocks(s * sigma.values))
+    assert np.array_equal(a.ranks, b.ranks)
+    assert np.abs(a.x - b.x).max() < 1e-12
+    assert np.abs(s * a.lam - b.lam).max() < 1e-12 * s * np.abs(a.lam).max()
 
 
 def test_projected_gradient_matrix():
