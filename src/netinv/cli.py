@@ -154,7 +154,7 @@ def cmd_dtn(args) -> int:
     sigma = model.conductivity()
     regime, op = _supported_regime(model, sigma)
     Q = None if regime.tag.is_pd else dirichlet.q_basis(g, regime.eig or eigen_decompose(sigma))
-    m, sym = dirichlet._symmetric_dtn(op.matrix, op.nb, Q)
+    m, sym = dirichlet._symmetric_dtn(op.matrix, op.nb, Q, dirichlet._level_rows(g, op.d))
     provenance = "pd" if regime.tag.is_pd else "psd"
     save_matrix(m, args.output, extra={"provenance": provenance, "symmetry_residual": sym})
     print(f"provenance: {provenance}")

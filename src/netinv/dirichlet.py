@@ -26,6 +26,7 @@ from .graph import (
 from .operators import (
     BlockOperator,
     EigenData,
+    _real_if_real,
     assemble_laplacian,
     assemble_schrodinger,
     eigen_decompose,
@@ -183,52 +184,106 @@ def _boundary_vec(g: Graph, gb: np.ndarray | VectorNodeField) -> np.ndarray:
     return np.asarray(gb, dtype=complex).reshape(-1)
 
 
-def _interior_solve(M: np.ndarray, nb: int, rhs: np.ndarray,
-                    Q: np.ndarray | None = None) -> np.ndarray:
-    """M_II^-1 rhs for a canonical operator M whose first nb rows and columns
-    are the boundary; the interior of a Dirichlet solution is -M_II^-1 M_IB g.
+def _level_rows(g: Graph, d: int) -> list:
+    """The rows of the interior block of a canonical operator on g with d x d
+    blocks, grouped by the interior levels of g (``Graph.interior_levels``),
+    deepest last. One level (or none) is all rows, as a slice: its blocks are
+    then views and its products those of one dense solve, bit for bit."""
+    if len(g.interior_levels) <= 1:
+        return [slice(None)]
+    return [(lev[:, None] * d + np.arange(d)).ravel() for lev in g.interior_levels]
 
-    With Q, an orthonormal basis of the interior range, it is the
-    minimal-norm Q (Q^T M_II Q)^-1 Q^T rhs of the rank-deficient regimes.
-    Every Dirichlet solution, DtN map and state matrix goes through here,
-    in real arithmetic when M and rhs have no imaginary part.
-    """
-    if not (M.imag.any() or rhs.imag.any()):
-        M, rhs = M.real, rhs.real
-    M_II = M[nb:, nb:]
-    if not M_II.size:
-        return np.zeros(rhs.shape, dtype=complex)
+
+def _solved(S: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """S^-1 B, RegimeError when S is singular."""
     try:
-        if Q is None:
-            return np.linalg.solve(M_II, rhs)
-        return Q @ np.linalg.solve(Q.T @ M_II @ Q, Q.T @ rhs)
+        return np.linalg.solve(S, B)
     except np.linalg.LinAlgError as exc:
         raise RegimeError("interior block is singular; regime misclassified") from exc
 
 
-def _schur_dtn(M: np.ndarray, nb: int, Q: np.ndarray | None = None) -> np.ndarray:
-    """Schur complement M_BB - M_BI M_II^-1 M_IB (through Q when given), as a
-    complex matrix; the solve is real exactly when M is, and then so is this."""
-    X = _interior_solve(M, nb, M[nb:, :nb], Q)
-    A = M if np.iscomplexobj(X) else M.real
-    return (A[:nb, :nb] - A[:nb, nb:] @ X).astype(complex, copy=False)
+def _eliminate(A: np.ndarray, rows: list, b: np.ndarray):
+    """Eliminate the block tridiagonal A level by level from the deepest one
+    out: S_L = A_LL, S_k = A_kk - A_k,k+1 S_k+1^-1 A_k+1,k, and the columns of
+    b alike, y_L = b_L, y_k = b_k - A_k,k+1 S_k+1^-1 y_k+1. Returns S_1, y_1
+    and, deepest first, the solves Z_k+1 = S_k+1^-1 [A_k+1,k, y_k+1] that
+    back-substitution needs. A_k+1,k is read from A, which need not be
+    symmetric."""
+    S, y, solves = A[rows[-1]][:, rows[-1]], b[rows[-1]], []
+    for r, s in zip(rows[-2::-1], rows[:0:-1]):
+        Z = _solved(S, np.concatenate([A[s[:, None], r], y], axis=1))
+        AZ = A[r[:, None], s] @ Z
+        S, y = A[r[:, None], r] - AZ[:, :len(r)], b[r] - AZ[:, len(r):]
+        solves.append(Z)
+    return S, y, solves
 
 
-def _symmetric_dtn(M: np.ndarray, nb: int,
-                   Q: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def _interior_solve(M: np.ndarray, nb: int, rhs: np.ndarray, Q: np.ndarray | None = None,
+                    levels: list | None = None) -> np.ndarray:
+    """M_II^-1 rhs for a canonical operator M whose first nb rows and columns
+    are the boundary; the interior of a Dirichlet solution is -M_II^-1 M_IB g.
+
+    M_II is eliminated on the interior ``levels`` of its graph, its rows
+    grouped as ``_level_rows`` gives them, and the solution back-substituted
+    (``_eliminate``); with one level (None) this is one dense solve. With Q,
+    an orthonormal basis of the interior range, it is the minimal-norm
+    Q (Q^T M_II Q)^-1 Q^T rhs of the rank-deficient regimes.
+    Every Dirichlet solution, DtN map and state matrix goes through here, in
+    real arithmetic when M is real and rhs has no imaginary part.
+    """
+    rhs = _real_if_real(rhs)
+    M_II = M[nb:, nb:]
+    if Q is not None:
+        # near the float maximum, the system is first divided exactly by a
+        # power of two, so that Q^T M_II Q cannot overflow
+        e = np.frexp(np.abs(M_II).max(initial=0.0))[1]
+        scale = np.ldexp(1.0, -e) if e > 500 else 1.0
+        return Q @ _solved(Q.T @ (scale * M_II) @ Q, Q.T @ (scale * rhs))
+    rows = levels or [slice(None)]
+    b = rhs if rhs.ndim == 2 else rhs[:, None]
+    S, y, solves = _eliminate(M_II, rows, b)
+    x = _solved(S, y)
+    out = np.empty(b.shape, dtype=x.dtype)
+    out[rows[0]] = x
+    for r, s, Z in zip(rows, rows[1:], reversed(solves)):
+        x = Z[:, len(r):] - Z[:, :len(r)] @ x
+        out[s] = x
+    return out.reshape(rhs.shape)
+
+
+def _schur_dtn(M: np.ndarray, nb: int, Q: np.ndarray | None = None,
+               levels: list | None = None) -> np.ndarray:
+    """Schur complement M_BB - M_BI M_II^-1 M_IB, real exactly when M is.
+
+    M_BI vanishes outside the first interior level, so the elimination of
+    ``_interior_solve`` stops at S_1: this is M_BB - M_B1 S_1^-1 M_1B, with no
+    back-substitution. The Q route of the rank-deficient regimes is dense."""
+    if Q is not None:
+        return M[:nb, :nb] - M[:nb, nb:] @ _interior_solve(M, nb, M[nb:, :nb], Q)
+    M_II = M[nb:, nb:]
+    rows = levels or [slice(None)]
+    S = _eliminate(M_II, rows, np.zeros((len(M_II), 0), dtype=M.dtype))[0]
+    return M[:nb, :nb] - M[:nb, nb:][:, rows[0]] @ _solved(S, M[nb:, :nb][rows[0]])
+
+
+def _symmetric_dtn(M: np.ndarray, nb: int, Q: np.ndarray | None = None,
+                   levels: list | None = None) -> tuple[np.ndarray, float]:
     """The symmetric part (F + F^T) / 2 of the Schur product F = _schur_dtn(M,
-    nb, Q), and the asymmetry max|F - F^T| it discards. M is symmetric, so
-    the exact map is too; the symmetric part is never farther from it in
-    the Frobenius norm, the projection being orthogonal. Halved before the
-    sum, which cannot overflow and gives the same bits in the normal range."""
-    F = _schur_dtn(M, nb, Q)
+    nb, Q, levels), and the asymmetry max|F - F^T| it discards. M is
+    symmetric, so the exact map is too; the symmetric part is never farther
+    from it in the Frobenius norm, the projection being orthogonal. Halved
+    before the sum, which cannot overflow and gives the same bits in the
+    normal range."""
+    F = _schur_dtn(M, nb, Q, levels)
     return 0.5 * F + 0.5 * F.T, float(np.abs(F - F.T).max(initial=0.0))
 
 
-def _dirichlet_state_matrix(M: np.ndarray, nb: int, Q: np.ndarray | None = None) -> np.ndarray:
+def _dirichlet_state_matrix(M: np.ndarray, nb: int, Q: np.ndarray | None = None,
+                            levels: list | None = None) -> np.ndarray:
     """Solutions of the Dirichlet problem for every basis boundary vector,
     stacked as columns in the canonical ordering."""
-    return np.vstack([np.eye(nb, dtype=complex), -_interior_solve(M, nb, M[nb:, :nb], Q)])
+    return np.vstack([np.eye(nb, dtype=complex),
+                      -_interior_solve(M, nb, M[nb:, :nb], Q, levels)])
 
 
 def _operator(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> BlockOperator:
@@ -240,7 +295,8 @@ def _solve(g: Graph, op: BlockOperator, gb: np.ndarray | VectorNodeField,
     gvec = _boundary_vec(g, gb)
     if gvec.shape != (op.nb,):
         raise FieldError("boundary data has wrong length")
-    flat = np.concatenate([gvec, -_interior_solve(op.matrix, op.nb, op.IB @ gvec, Q)])
+    flat = np.concatenate([gvec, -_interior_solve(op.matrix, op.nb, op.IB @ gvec, Q,
+                                                  _level_rows(g, op.d))])
     resid = np.linalg.norm((op.matrix @ flat)[op.nb:])
     if resid > RESIDUAL_TOL * (1.0 + np.linalg.norm(gvec)):
         raise RegimeError(f"interior residual {resid:.3e} beyond tolerance")
@@ -264,7 +320,8 @@ def dtn_pd(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DtnMa
     """Schur-complement Dirichlet-to-Neumann map for invertible interiors,
     exactly symmetric."""
     op = _operator(g, sigma, q)
-    return DtnMap(matrix=_symmetric_dtn(op.matrix, op.nb)[0], provenance="pd")
+    lam = _symmetric_dtn(op.matrix, op.nb, levels=_level_rows(g, op.d))[0]
+    return DtnMap(matrix=lam.astype(complex, copy=False), provenance="pd")
 
 
 def _interior_spectrum(g: Graph, blocks: np.ndarray):
@@ -324,5 +381,6 @@ def dtn_psd(g: Graph, sigma: MatrixEdgeField) -> DtnMap:
     basis of the interior range, exactly symmetric."""
     eig = eigen_decompose(sigma)
     op = assemble_laplacian(g, sigma)
-    return DtnMap(matrix=_symmetric_dtn(op.matrix, op.nb, q_basis(g, eig))[0], provenance="psd")
+    lam = _symmetric_dtn(op.matrix, op.nb, q_basis(g, eig))[0]
+    return DtnMap(matrix=lam.astype(complex, copy=False), provenance="psd")
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirichlet import DtnMap, _schur_dtn, dtn_psd, q_basis
+from .dirichlet import DtnMap, _level_rows, _symmetric_dtn, dtn_psd, q_basis
 from .graph import FieldError, Graph, MatrixEdgeField, _vertex_rows
 from .inversion import ProblemSpec, _make_spec
 from .operators import (
@@ -173,7 +173,9 @@ def displacement_to_forces(net: ElasticNetwork, regime: str) -> DtnMap:
         _require_dynamic(net)
         jw = 1j * net.omega
         M = _scaled_operator(net, net.c_e + net.k / jw, net.c_v + jw * net.mass)
-        return DtnMap(matrix=jw * _schur_dtn(M, net.d * net.graph.num_boundary), provenance="pd")
+        g = net.graph
+        lam = _symmetric_dtn(M, net.d * g.num_boundary, levels=_level_rows(g, net.d))[0]
+        return DtnMap(matrix=jw * lam, provenance="pd")
     raise ValueError(f"unknown regime {regime!r}")
 
 
@@ -196,7 +198,7 @@ def make_spec_eigenvalues(g: Graph, eig: EigenData) -> ProblemSpec:
     P = projected_gradient_matrix(g, eig)  # (r|E|, d|V|)
     xt = eig.x.transpose(0, 2, 1)
     return _make_spec(
-        "eigenvalues", r * E, d * g.num_boundary,
+        "eigenvalues", g, d, r * E,
         op=lambda lam: laplacian_matrix(g, (eig.x * lam.reshape(E, r)[:, None, :]) @ xt),
         rows=lambda U: P @ U,
         cone=lambda lam: lam.reshape(-1, 1, 1),
@@ -236,7 +238,7 @@ def make_spec_springs_known_masses(net: ElasticNetwork) -> ProblemSpec:
     P = projected_gradient_matrix(g, eigen_decompose(spring_conductivity(net)))
     vertex = net.c_v + jw * net.mass
     return _make_spec(
-        "springs_dampers", g.num_edges, net.d * g.num_boundary,
+        "springs_dampers", g, net.d, g.num_edges,
         op=lambda rho: _scaled_operator(net, rho / jw, vertex),
         rows=lambda U: P @ U,
         cone=lambda rho: _dynamic_cone(rho, 1.0, w),
@@ -260,7 +262,7 @@ def make_spec_masses_known_springs(net: ElasticNetwork) -> ProblemSpec:
     edge = (net.k + jw * net.c_e) / jw
     perm = _vertex_rows(g, net.d)
     return _make_spec(
-        "masses_dampers", g.num_vertices, net.d * g.num_boundary,
+        "masses_dampers", g, net.d, g.num_vertices,
         op=lambda rho: _scaled_operator(net, edge, rho / jw),
         rows=lambda U: U[perm],
         cone=lambda rho: _dynamic_cone(rho, -1.0, w),

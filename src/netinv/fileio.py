@@ -226,24 +226,29 @@ def load_network(path: str | Path) -> NetworkModel:
 
 
 def _json_pairs(m: np.ndarray) -> str:
-    """The [re, im] pairs of a complex matrix as json.dumps writes their
-    nested lists, formatting each distinct float once. Distinct means
-    distinct bits, so -0.0 and 0.0 stay apart."""
+    """The [re, im] pairs of a float64 or complex128 matrix as json.dumps
+    writes the nested lists of the complex matrix, formatting each distinct
+    float once. Distinct means distinct bits, so -0.0 and 0.0 stay apart. A
+    real matrix's imaginary parts are +0.0, written as 0.0 unformatted."""
     r, c = m.shape
-    bits = np.ascontiguousarray(m).view(np.uint64)  # (r, 2c): re, im, re, im, ...
+    # (r, 2c) for a complex matrix, re, im, re, im, ...; (r, c) for a real one
+    bits = np.ascontiguousarray(m).view(np.uint64)
     unique, inverse = np.unique(bits, return_inverse=True)
-    # float.__repr__ is what json.dumps writes for a finite float
-    words = np.array([float.__repr__(x) if math.isfinite(x) else json.dumps(x)
-                      for x in unique.view(float).tolist()], dtype=object)
-    row = "[" + ", ".join(["[%s, %s]"] * c) + "]"
+    # json.dumps of the list of distinct floats spells each as it would in
+    # the whole document, in one pass of the C encoder
+    words = np.array(json.dumps(unique.view(float).tolist())[1:-1].split(", "), dtype=object)
+    row = "[" + ", ".join(["[%s, %s]" if np.iscomplexobj(m) else "[%s, 0.0]"] * c) + "]"
     return ("[" + ", ".join([row] * r) + "]") % tuple(words[inverse.ravel()].tolist())
 
 
 def save_matrix(m: np.ndarray, path: str | Path, extra: dict | None = None) -> None:
-    """Write a complex matrix; JSON round-trips exactly, CSV is 17-digit."""
-    m = np.asarray(m, dtype=complex)
+    """Write a real or complex matrix as a complex one; JSON round-trips
+    exactly, CSV is 17-digit."""
+    m = np.asarray(m)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     path = Path(path)
     if path.suffix == ".csv":
+        m = m.astype(complex, copy=False)
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["rows", m.shape[0], "cols", m.shape[1]])

@@ -9,6 +9,7 @@ larger, so rebuilding the same graph gives bit-identical layouts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -73,6 +74,29 @@ class Graph:
         pos = np.asarray(self.position, dtype=np.intp)
         ends = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
         return pos[ends[:, 0]], pos[ends[:, 1]]
+
+    @cached_property
+    def interior_levels(self) -> tuple[np.ndarray, ...]:
+        """The interior split by graph distance from the boundary, as arrays of
+        interior indices (canonical position less num_boundary), ascending
+        within each level. Level 1 is the interior neighbours of the
+        boundary; vertices the boundary does not reach form one last level.
+        Every edge joins equal or consecutive levels, so the interior block of
+        an operator is block tridiagonal on them. Computed once per graph, by
+        a breadth-first search over the edge arrays, a numpy step per level."""
+        pi, pj = self.edge_positions()
+        dist = np.where(np.arange(self.num_vertices) < self.num_boundary, 0, -1)
+        front, k = dist == 0, 0
+        while front.any():
+            k += 1
+            near = np.zeros(self.num_vertices, dtype=bool)
+            near[pj[front[pi]]] = near[pi[front[pj]]] = True
+            front = near & (dist < 0)
+            dist[front] = k
+        dist[dist < 0] = k  # unreached: one level after the last reached one
+        inner = dist[self.num_boundary:]
+        return tuple(lev for lev in (np.flatnonzero(inner == j) for j in range(1, k + 1))
+                     if lev.size)
 
 
 def build_graph(n: int, boundary: Sequence[int], edges: Sequence[Sequence[int]]) -> Graph:

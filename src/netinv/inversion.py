@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dirichlet import _dirichlet_state_matrix, _schur_dtn
+from .dirichlet import _dirichlet_state_matrix, _level_rows, _schur_dtn
 from .graph import Graph, MatrixEdgeField, _block_outer, _block_outer_split, _vertex_rows
 from .operators import laplacian_matrix, schrodinger_matrix
 
@@ -383,21 +383,23 @@ def identity_residual(spec: ProblemSpec, p1: np.ndarray, p2: np.ndarray) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _make_spec(name: str, m: int, nb: int, op: Callable, rows: Callable,
+def _make_spec(name: str, g: Graph, d: int, m: int, op: Callable, rows: Callable,
                cone: Callable, block: int = 1, components: int = 1,
                Q: np.ndarray | None = None, scale: complex = 1) -> ProblemSpec:
-    """A complex-parameter ProblemSpec from its data: the operator p -> M in
-    canonical order, the linear map ``rows`` from the canonical Dirichlet
-    state matrix to the states, the interior range basis Q of the
-    rank-deficient regimes, the factor ``scale`` of the forward map and the
-    admissible cone (``ProblemSpec``)."""
+    """A complex-parameter ProblemSpec from its data: the graph g and block
+    size d, the operator p -> M in canonical order, the linear map ``rows``
+    from the canonical Dirichlet state matrix to the states, the interior
+    range basis Q of the rank-deficient regimes, the factor ``scale`` of the
+    forward map and the admissible cone (``ProblemSpec``). Without Q, the
+    interior is eliminated on the levels of g."""
+    nb, levels = d * g.num_boundary, _level_rows(g, d)
 
     def forward(p: np.ndarray) -> np.ndarray:
-        F = _schur_dtn(op(p), nb, Q)
+        F = _schur_dtn(op(p), nb, Q, levels).astype(complex, copy=False)
         return F if scale == 1 else scale * F
 
     def states(p: np.ndarray) -> np.ndarray:
-        return rows(_dirichlet_state_matrix(op(p), nb, Q))
+        return rows(_dirichlet_state_matrix(op(p), nb, Q, levels))
 
     def admissible(p: np.ndarray) -> bool:
         p = np.asarray(p).reshape(-1)
@@ -427,7 +429,7 @@ def make_spec_conductivity(g: Graph, d: int) -> ProblemSpec:
     """
     plus, minus = ((pos[:, None] * d + np.arange(d)).ravel() for pos in g.edge_positions())
     return _make_spec(
-        "conductivity", d * d * g.num_edges, d * g.num_boundary,
+        "conductivity", g, d, d * d * g.num_edges,
         op=lambda p: laplacian_matrix(g, _blocks(p, d)),
         rows=lambda U: U[plus] - U[minus],
         cone=lambda p: _blocks(p, d),
@@ -451,7 +453,7 @@ def make_spec_schrodinger(g: Graph, sigma: MatrixEdgeField) -> ProblemSpec:
     lam_II = float(np.linalg.eigvalsh(Lr[nb:, nb:]).min()) if g.num_interior else 0.0
     perm = _vertex_rows(g, d)
     return _make_spec(
-        "schrodinger", d * d * g.num_vertices, nb,
+        "schrodinger", g, d, d * d * g.num_vertices,
         op=lambda p: schrodinger_matrix(g, sigma.values, _blocks(p, d)),
         rows=lambda U: U[perm],
         cone=lambda p: _blocks(p, d)[interior] + lam_II * np.eye(d),

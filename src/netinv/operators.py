@@ -42,8 +42,8 @@ _IMAG_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """Complex square matrix over the canonical vertex ordering with named
-    boundary/interior sub-blocks."""
+    """Square matrix over the canonical vertex ordering with named
+    boundary/interior sub-blocks; real when the weights are."""
 
     matrix: np.ndarray  # (d|V|, d|V|)
     d: int
@@ -97,14 +97,23 @@ def _require_finite_sums(g: Graph, diagonal: np.ndarray) -> None:
         raise FieldError(f"the summed block at vertex {g.order[int(bad.argmax())]} overflows")
 
 
+def _real_if_real(a) -> np.ndarray:
+    """``a`` as float64 when it has no imaginary part, else as complex128."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a) and not a.imag.any():
+        a = a.real
+    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+
+
 def laplacian_matrix(g: Graph, blocks: np.ndarray) -> np.ndarray:
     """Weighted block Laplacian from raw per-edge blocks (no symmetry check),
     scattered into a (|V|, |V|, d, d) array and reshaped to canonical order;
+    float64 when the blocks have no imaginary part, else complex128.
     FieldError when a vertex's summed block overflows."""
-    blocks = np.asarray(blocks, dtype=complex)
+    blocks = _real_if_real(blocks)
     n, d = g.num_vertices, blocks.shape[1]
     pi, pj = g.edge_positions()
-    M = np.zeros((n, n, d, d), dtype=complex)
+    M = np.zeros((n, n, d, d), dtype=blocks.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         np.add.at(M, (pi, pi), blocks)
         np.add.at(M, (pj, pj), blocks)
@@ -116,12 +125,14 @@ def laplacian_matrix(g: Graph, blocks: np.ndarray) -> np.ndarray:
 
 
 def schrodinger_matrix(g: Graph, sigma_blocks: np.ndarray, q_blocks: np.ndarray) -> np.ndarray:
-    """Laplacian plus the block-diagonal potential, canonical ordering.
+    """Laplacian plus the block-diagonal potential, canonical ordering; real
+    when neither has an imaginary part.
 
     ``q_blocks`` is indexed by vertex id and reordered here.
     """
-    q_blocks = np.asarray(q_blocks, dtype=complex)
+    q_blocks = _real_if_real(q_blocks)
     M = laplacian_matrix(g, sigma_blocks)  # C-contiguous, so the reshape below is a view
+    M = M.astype(np.result_type(M, q_blocks), copy=False)
     n, d = g.num_vertices, q_blocks.shape[1]
     D, k = M.reshape(n, d, n, d), np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below

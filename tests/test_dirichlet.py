@@ -17,6 +17,8 @@ from netinv.dirichlet import (
     solve_dirichlet_pd,
     solve_dirichlet_psd,
     _dirichlet_state_matrix,
+    _interior_solve,
+    _level_rows,
     _schur_dtn,
     _symmetric_dtn,
 )
@@ -25,7 +27,7 @@ from netinv.graph import (
     MatrixNodeField,
     build_graph,
 )
-from netinv.inversion import _vec_blocks, make_spec_conductivity
+from netinv.inversion import _blocks, _vec_blocks, make_spec_conductivity
 from netinv.operators import (
     assemble_laplacian,
     assemble_schrodinger,
@@ -769,13 +771,15 @@ def test_pd_regime_error_on_misuse():
 # ---------------------------------------------------------------------------
 
 
-def check_symmetric_part(M, nb, lam, Q=None) -> float:
+def check_symmetric_part(M, nb, lam, Q=None, levels=None) -> float:
     """lam is exactly symmetric and is (F + F^T) / 2, bit for bit, of the
     Schur product F; returns the asymmetry max|F - F^T| it discards."""
-    F = _schur_dtn(M, nb, Q)
-    sym, residual = _symmetric_dtn(M, nb, Q)
+    F = _schur_dtn(M, nb, Q, levels)
+    sym, residual = _symmetric_dtn(M, nb, Q, levels)
     assert np.array_equal(lam, lam.T)
-    assert lam.tobytes() == sym.tobytes() == (0.5 * (F + F.T)).tobytes()
+    # F and sym are real for a real M, lam is complex with +0.0 imaginary parts
+    assert lam.tobytes() == sym.astype(complex).tobytes() \
+        == (0.5 * (F + F.T)).astype(complex).tobytes()
     assert residual == np.abs(F - F.T).max(initial=0.0)
     return residual
 
@@ -788,7 +792,8 @@ def test_dtn_pd_is_the_symmetric_part_of_the_schur_product(net, with_q):
     q = MatrixNodeField.from_blocks(random_spd_blocks(g.num_vertices, d, seed + 1)) \
         if with_q else None
     op = assemble_schrodinger(g, sigma, q) if with_q else assemble_laplacian(g, sigma)
-    check_symmetric_part(op.matrix, op.nb, dtn_pd(g, sigma, q).matrix)
+    check_symmetric_part(op.matrix, op.nb, dtn_pd(g, sigma, q).matrix,
+                         levels=_level_rows(g, d))
 
 
 @settings(max_examples=40, deadline=None)
@@ -811,4 +816,116 @@ def test_symmetry_residual_is_the_discarded_asymmetry():
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(6, 2, 41))
     q = MatrixNodeField.from_blocks(0.1 * random_spd_blocks(5, 2, 43))
     op = assemble_schrodinger(g, sigma, q)
-    assert check_symmetric_part(op.matrix, op.nb, dtn_pd(g, sigma, q).matrix) > 0
+    assert check_symmetric_part(op.matrix, op.nb, dtn_pd(g, sigma, q).matrix,
+                                levels=_level_rows(g, 2)) > 0
+
+
+# ---------------------------------------------------------------------------
+# level-by-level elimination against one dense solve on the whole interior
+# ---------------------------------------------------------------------------
+
+
+def grid_edges(rows, cols, braced):
+    """Edges of a rows x cols grid, vertex i * cols + j, with both diagonals
+    of every cell when braced; and its perimeter vertices."""
+    v = np.arange(rows * cols).reshape(rows, cols)
+    pairs = [(v[:, :-1], v[:, 1:]), (v[:-1], v[1:])]
+    if braced:
+        pairs += [(v[:-1, :-1], v[1:, 1:]), (v[:-1, 1:], v[1:, :-1])]
+    edges = [(int(a), int(b)) for x, y in pairs for a, b in zip(x.ravel(), y.ravel())]
+    perimeter = sorted({*v[0], *v[-1], *v[:, 0], *v[:, -1]})
+    return edges, [int(b) for b in perimeter]
+
+
+@st.composite
+def level_graphs(draw):
+    """A perimeter grid, a braced truss, a tree, a random graph (edges inside
+    a level) or a random graph beside a component that no boundary vertex
+    reaches (its vertices form the last level); d; whether it needs q."""
+    kind = draw(st.sampled_from(["grid", "truss", "tree", "random", "detached"]))
+    if kind in ("grid", "truss"):
+        rows, cols = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+        edges, boundary = grid_edges(rows, cols, kind == "truss")
+        g = build_graph(rows * cols, boundary, edges)
+    elif kind == "tree":
+        n = draw(st.integers(2, 12))
+        edges = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+        boundary = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        g = build_graph(n, boundary, edges)
+    else:
+        g, _, _ = draw(networks())
+        if kind == "detached":
+            n, k = g.num_vertices, draw(st.integers(1, 4))
+            path = [(n + i, n + i + 1) for i in range(k - 1)]
+            g = build_graph(n + k, g.boundary, list(g.edges) + path)
+    return g, draw(st.sampled_from((1, 2, 3))), kind == "detached"
+
+
+def dense_reference(M, nb):
+    """M_II^-1 M_IB and M_BB - M_BI M_II^-1 M_IB by one np.linalg.solve."""
+    X = np.linalg.solve(M[nb:, nb:], M[nb:, :nb])
+    return X, M[:nb, :nb] - M[:nb, nb:] @ X
+
+
+@settings(max_examples=150, deadline=None)
+@given(level_graphs(), st.sampled_from([0.0, 0.3]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_level_elimination_matches_one_dense_solve(drawn, imag, with_q, seed):
+    g, d, detached = drawn
+    with_q = with_q or detached  # a component without boundary needs q to be solvable
+    local = np.random.default_rng(seed)
+    sigma = random_spd_blocks(g.num_edges, d, seed, imag)
+    M = schrodinger_matrix(g, sigma, random_spd_blocks(g.num_vertices, d, seed + 1, imag)) \
+        if with_q else laplacian_matrix(g, sigma)
+    nb, levels = d * g.num_boundary, _level_rows(g, d)
+    assume(g.num_interior)
+    X, lam = dense_reference(M, nb)
+    assert relative_error(_schur_dtn(M, nb, levels=levels), lam, M) <= 1e-12
+    states = np.vstack([np.eye(nb), -X])
+    assert relative_error(_dirichlet_state_matrix(M, nb, levels=levels), states, states) <= 1e-12
+    # right-hand sides on every level, one at a time and as columns
+    b = local.standard_normal((len(M) - nb, 3))
+    if imag:
+        b = b + 1j * local.standard_normal(b.shape)
+    x = np.linalg.solve(M[nb:, nb:], b)
+    assert relative_error(_interior_solve(M, nb, b, levels=levels), x, x) <= 1e-12
+    assert relative_error(_interior_solve(M, nb, b[:, 0], levels=levels), x[:, 0], x) <= 1e-12
+    if len(g.interior_levels) == 1:
+        assert _schur_dtn(M, nb, levels=levels).tobytes() == lam.tobytes()
+        assert _interior_solve(M, nb, b, levels=levels).tobytes() == x.tobytes()
+        assert _interior_solve(M, nb, b[:, 0], levels=levels).tobytes() == \
+            np.linalg.solve(M[nb:, nb:], b[:, 0]).tobytes()
+    if not with_q:
+        # blocks that are not symmetric, as a finite-difference step makes
+        # them: A_k+1,k is then not the transpose of A_k,k+1
+        blocks = sigma + 0.2 * local.standard_normal(sigma.shape)
+        p = _vec_blocks(blocks)
+        M = laplacian_matrix(g, _blocks(p, d))
+        forward = make_spec_conductivity(g, d).forward(p)
+        assert relative_error(forward, dense_reference(M, nb)[1], M) <= 1e-12
+
+
+def test_one_level_dtn_is_one_dense_solve_bit_for_bit():
+    # every interior vertex of this graph has a boundary neighbour
+    g = build_graph(5, [0, 2, 4], [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3), (1, 4)])
+    for imag in (0.0, 0.2):
+        sigma = MatrixEdgeField.from_blocks(random_spd_blocks(6, 2, 47, imag=imag))
+        M = laplacian_matrix(g, sigma.values)
+        assert len(g.interior_levels) == 1
+        sym = 0.5 * dense_reference(M, 6)[1]
+        assert dtn_pd(g, sigma, None).matrix.tobytes() == (sym + sym.T).astype(complex).tobytes()
+
+
+def test_singular_level_complement_is_a_regime_error():
+    # the collinear springs have a floppy interior mode: the only level is singular
+    g, sigma = collinear_springs()
+    M = laplacian_matrix(g, sigma.values)
+    with pytest.raises(RegimeError):
+        _schur_dtn(M, 4, levels=_level_rows(g, 2))
+    # the path 0-1-2-3 with boundary 0 has three levels; with vertex 3 cut
+    # off and its diagonal zeroed, the deepest complement S_3 = A_33 is 0
+    g = build_graph(4, [0], [(0, 1), (1, 2), (2, 3)])
+    M = laplacian_matrix(g, np.ones((3, 1, 1)))
+    M[3, 3] = 0.0
+    M[2, 3] = M[3, 2] = 0.0
+    with pytest.raises(RegimeError):
+        _interior_solve(M, 1, np.ones(3), levels=_level_rows(g, 1))

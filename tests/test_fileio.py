@@ -376,8 +376,8 @@ EXTRA = st.one_of(st.none(), st.dictionaries(
 @st.composite
 def written_matrices(draw):
     """An r x c complex matrix, 0 x c and r x 0 included, whose parts come
-    from a few drawn floats, so that values repeat; optionally real, and
-    optionally exactly symmetric."""
+    from a few drawn floats, so that values repeat; optionally with +0.0
+    imaginary parts or a float64 matrix, and optionally exactly symmetric."""
     r = draw(st.integers(0, 5))
     c = r if draw(st.booleans()) else draw(st.integers(0, 5))
     pool = draw(st.lists(WRITER_FLOATS, min_size=1, max_size=5))
@@ -389,17 +389,33 @@ def written_matrices(draw):
     if r == c and draw(st.booleans()):
         i, j = np.tril_indices(r, -1)
         m[i, j] = m[j, i]
-    return m
+    return m.real.copy() if draw(st.booleans()) else m
 
 
 @settings(max_examples=300, deadline=None)
 @given(written_matrices(), EXTRA)
 def test_matrix_json_text_is_what_json_dumps_writes(tmp_path_factory, m, extra):
+    # a float64 matrix is written as the complex one with +0.0 imaginary parts
     path = tmp_path_factory.mktemp("w") / "m.json"
     save_matrix(m, path, extra=extra)
-    doc = {"shape": list(m.shape), "data": np.stack([m.real, m.imag], -1).tolist()}
+    mc = m.astype(complex)
+    doc = {"shape": list(m.shape), "data": np.stack([mc.real, mc.imag], -1).tolist()}
     if extra:
         doc.update(extra)
     assert path.read_text() == json.dumps(doc, check_circular=False)
     if np.isfinite(m).all() and not {"shape", "data"} & set(extra or ()):
-        assert load_matrix(path).tobytes() == m.tobytes()
+        assert load_matrix(path).tobytes() == mc.tobytes()
+
+
+def test_negative_zero_imaginary_parts_keep_their_sign(tmp_path):
+    # a complex matrix is never written as a real one: -0.0 stays -0.0
+    m = np.empty((2, 2), dtype=complex)
+    m.real = [[1.5, -0.0], [0.0, 2.0]]
+    m.imag = [[-0.0, 0.0], [-0.0, -0.0]]
+    path = tmp_path / "m.json"
+    save_matrix(m, path)
+    assert path.read_text() == ('{"shape": [2, 2], "data": [[[1.5, -0.0], [-0.0, 0.0]], '
+                                '[[0.0, -0.0], [2.0, -0.0]]]}')
+    assert load_matrix(path).tobytes() == m.tobytes()
+    save_matrix(m.real, path)
+    assert load_matrix(path).tobytes() == m.real.astype(complex).tobytes()

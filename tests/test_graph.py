@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netinv.graph import (
     FieldError,
@@ -167,3 +169,63 @@ def test_vec_is_column_major():
     a = np.array([[1, 2], [3, 4]])
     assert np.array_equal(vec(a), [1, 3, 2, 4])
     assert np.array_equal(unvec(vec(a), (2, 2)), a)
+
+
+@st.composite
+def any_graphs(draw):
+    """A random graph, connected or not, with a random nonempty boundary."""
+    n = draw(st.integers(1, 14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25))
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    boundary = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return build_graph(n, boundary, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graphs())
+def test_interior_levels_are_the_distances_from_the_boundary(g):
+    levels = g.interior_levels
+    nb = g.num_boundary
+    # a partition of the interior, ascending within each level
+    flat = np.concatenate(levels) if levels else np.zeros(0, dtype=int)
+    assert sorted(flat.tolist()) == list(range(g.num_interior))
+    assert all(lev.size and (np.diff(lev) > 0).all() for lev in levels)
+    level = np.zeros(g.num_vertices, dtype=int)  # by canonical position; boundary 0
+    for k, lev in enumerate(levels, 1):
+        level[nb + lev] = k
+    pi, pj = g.edge_positions()
+    # every edge joins equal or consecutive levels
+    assert (np.abs(level[pi] - level[pj]) <= 1).all()
+    neighbours = [set() for _ in range(g.num_vertices)]
+    for a, b in zip(pi.tolist(), pj.tolist()):
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    # the reached vertices, by a search from the boundary
+    reached, stack = set(range(nb)), list(range(nb))
+    while stack:
+        for w in neighbours[stack.pop()] - reached:
+            reached.add(w)
+            stack.append(w)
+    unreached = set(range(g.num_vertices)) - reached
+    # unreached vertices form the last level, alone
+    if unreached:
+        assert set((nb + levels[-1]).tolist()) == unreached
+    reached_levels = levels[:-1] if unreached else levels
+    # level 1 is exactly the interior vertices with a boundary neighbour, and
+    # each vertex of a deeper reached level has a neighbour one level up
+    touching = {v for v in range(nb, g.num_vertices) if min(neighbours[v], default=nb) < nb}
+    assert set((nb + reached_levels[0]).tolist() if reached_levels else []) == touching
+    for v in reached - set(range(nb)):
+        assert level[v] == 1 or any(level[w] == level[v] - 1 for w in neighbours[v])
+
+
+def test_interior_levels_of_a_perimeter_grid():
+    # 7 x 7 grid, boundary the perimeter: three rings of 16, 8 and 1 vertices
+    v = np.arange(49).reshape(7, 7)
+    edges = [(int(a), int(b)) for x, y in ((v[:, :-1], v[:, 1:]), (v[:-1], v[1:]))
+             for a, b in zip(x.ravel(), y.ravel())]
+    boundary = sorted({*v[0].tolist(), *v[-1].tolist(), *v[:, 0].tolist(), *v[:, -1].tolist()})
+    g = build_graph(49, boundary, edges)
+    assert [len(lev) for lev in g.interior_levels] == [16, 8, 1]
+    assert g.interior_levels is g.interior_levels  # computed once
+    assert g.order[g.num_boundary + int(g.interior_levels[-1][0])] == 24

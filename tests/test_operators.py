@@ -106,6 +106,20 @@ def test_schrodinger_adds_potential_in_vertex_order():
     assert np.allclose(M - L, np.diag([10.0, 30.0, 20.0]))
 
 
+def test_real_weights_assemble_real_and_complex_ones_complex():
+    g = path3()
+    real = MatrixEdgeField.from_blocks(np.ones((2, 1, 1)))  # stored complex, imaginary part 0
+    complex_sigma = MatrixEdgeField.from_blocks([[[1.0]], [[1.0 + 0.5j]]])
+    real_q = MatrixNodeField.from_blocks(np.full((3, 1, 1), 0.5))
+    complex_q = MatrixNodeField.from_blocks([[[0.5]], [[0.5j]], [[0.5]]])
+    assert assemble_laplacian(g, real).matrix.dtype == np.float64
+    assert assemble_schrodinger(g, real, real_q).matrix.dtype == np.float64
+    assert assemble_laplacian(g, complex_sigma).matrix.dtype == np.complex128
+    assert assemble_schrodinger(g, complex_sigma, real_q).matrix.dtype == np.complex128
+    M = assemble_schrodinger(g, real, complex_q).matrix
+    assert M.dtype == np.complex128 and M[2, 2] == 2.0 + 0.5j
+
+
 @st.composite
 def networks(draw):
     """Random connected graph (spanning tree plus extra edges), a random
