@@ -22,10 +22,7 @@ from .dirichlet import (
 )
 from .elastic import (
     ElasticNetwork,
-    FrequencyOperator,
-    damper_conductivity,
     displacement_to_forces,
-    frequency_operator,
     make_spec_eigenvalues,
     make_spec_masses_known_springs,
     make_spec_springs_known_masses,
@@ -50,8 +47,6 @@ from .graph import (
     build_graph,
     is_connected,
     is_interior_connected,
-    unvec,
-    vec,
 )
 from .inversion import (
     InadmissibleParameterError,
@@ -70,20 +65,10 @@ from .inversion import (
     uniqueness_test,
 )
 from .operators import (
-    BlockOperator,
     EigenData,
-    assemble_laplacian,
-    assemble_schrodinger,
     cylinder_embed,
-    cylinder_graph,
-    cylinder_permutation,
-    cylinder_scalar_weights,
     eigen_decompose,
-    gradient_matrix,
-    korn_constants,
     laplacian_matrix,
-    projected_gradient_matrix,
-    scalar_laplacian,
     schrodinger_matrix,
 )
 

@@ -30,7 +30,7 @@ from .fileio import (
     save_matrix,
 )
 from .graph import FieldError, GraphError, MatrixEdgeField
-from .operators import BlockOperator, eigen_decompose
+from .operators import eigen_decompose
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,14 +116,14 @@ def _write_json(path: str | None, doc: dict) -> None:
 
 
 def _supported_regime(model: NetworkModel,
-                      sigma: MatrixEdgeField) -> tuple[DirichletRegime, BlockOperator]:
-    """Regime of the network and its operator, assembled once for both the
-    regime and the solve; RegimeError (exit 4) when unsupported."""
-    op = dirichlet._operator(model.graph, sigma, model.q)
-    regime = dirichlet._classify(model.graph, sigma, model.q, op.matrix)
+                      sigma: MatrixEdgeField) -> tuple[DirichletRegime, np.ndarray]:
+    """Regime of the network and its canonical operator M, assembled once for
+    both the regime and the solve; RegimeError (exit 4) when unsupported."""
+    M = dirichlet._operator(model.graph, sigma, model.q)
+    regime = dirichlet._classify(model.graph, sigma, model.q, M)
     if regime.tag is RegimeTag.UNSUPPORTED:
         raise dirichlet.RegimeError(str(regime.diagnostics))
-    return regime, op
+    return regime, M
 
 
 def cmd_forward(args) -> int:
@@ -131,7 +131,7 @@ def cmd_forward(args) -> int:
     gvec = _load_boundary_data(args.boundary, model)
     g = model.graph
     sigma = model.conductivity()
-    regime, op = _supported_regime(model, sigma)
+    regime, M = _supported_regime(model, sigma)
     doc: dict = {"regime": regime.tag.value}
     Q = None
     if regime.tag.is_psd:
@@ -139,9 +139,8 @@ def cmd_forward(args) -> int:
         # range Q spans, so one spectrum gives both
         Q = dirichlet.q_basis(g, regime.eig or eigen_decompose(sigma))
         doc["floppy_dim"] = Q.shape[0] - Q.shape[1]
-    u = dirichlet._solve(g, op, gvec, Q)
-    resid = np.linalg.norm((op.matrix @ u.canonical(g))[op.nb:])
-    doc["residual"] = float(resid)
+    u, resid = dirichlet._solve(g, M, sigma.d, gvec, Q)
+    doc["residual"] = resid
     doc["u"] = [[complex_to_json(z) for z in u.values[v]] for v in range(g.num_vertices)]
     doc["vertex_ids"] = list(model.vertex_ids)
     _write_json(args.output, doc)
@@ -152,9 +151,10 @@ def cmd_dtn(args) -> int:
     model = load_network(args.network)
     g = model.graph
     sigma = model.conductivity()
-    regime, op = _supported_regime(model, sigma)
+    regime, M = _supported_regime(model, sigma)
     Q = None if regime.tag.is_pd else dirichlet.q_basis(g, regime.eig or eigen_decompose(sigma))
-    m, sym = dirichlet._symmetric_dtn(op.matrix, op.nb, Q, dirichlet._level_rows(g, op.d))
+    m, sym = dirichlet._symmetric_dtn(M, sigma.d * g.num_boundary, Q,
+                                      dirichlet._level_rows(g, sigma.d))
     provenance = "pd" if regime.tag.is_pd else "psd"
     save_matrix(m, args.output, extra={"provenance": provenance, "symmetry_residual": sym})
     print(f"provenance: {provenance}")
@@ -214,17 +214,18 @@ def cmd_floppy(args) -> int:
     model = load_network(args.network)
     g = model.graph
     sigma = model.conductivity()
-    regime, op = _supported_regime(model, sigma)
+    regime, M = _supported_regime(model, sigma)
     if regime.tag.is_pd:
         print("floppy dimension: 0")
         return EXIT_OK
     basis = dirichlet.floppy_basis(g, sigma)
     print(f"floppy dimension: {basis.dim}")
     # a floppy mode vanishes on the boundary, so a zero potential adds no flux
+    nb = sigma.d * g.num_boundary
     worst = 0.0
     for c in range(basis.dim):
         z = basis.modes[:, c]
-        worst = max(worst, float(np.abs((op.matrix @ z)[:op.nb]).max(initial=0.0)))
+        worst = max(worst, float(np.abs((M @ z)[:nb]).max(initial=0.0)))
         print(f"mode {c}: {[round(x, 12) for x in z.tolist()]}")
     print(f"max boundary-flux violation: {worst:.3e}")
     return EXIT_OK

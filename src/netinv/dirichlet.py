@@ -24,13 +24,11 @@ from .graph import (
     is_interior_connected,
 )
 from .operators import (
-    BlockOperator,
     EigenData,
     _real_if_real,
-    assemble_laplacian,
-    assemble_schrodinger,
     eigen_decompose,
     laplacian_matrix,
+    schrodinger_matrix,
 )
 
 __all__ = [
@@ -117,7 +115,7 @@ def _is_zero_field(values: np.ndarray) -> bool:
 def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DirichletRegime:
     """Deterministic regime tag, first match in the order PD_SIGMA, PD_Q,
     PSD_REAL, PSD_COMMUTING, else UNSUPPORTED with diagnostics."""
-    return _classify(g, sigma, q, _operator(g, sigma, q).matrix)
+    return _classify(g, sigma, q, _operator(g, sigma, q))
 
 
 def _classify(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None,
@@ -286,21 +284,35 @@ def _dirichlet_state_matrix(M: np.ndarray, nb: int, Q: np.ndarray | None = None,
                       -_interior_solve(M, nb, M[nb:, :nb], Q, levels)])
 
 
-def _operator(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> BlockOperator:
-    return assemble_laplacian(g, sigma) if q is None else assemble_schrodinger(g, sigma, q)
+def _operator(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> np.ndarray:
+    """The canonical Laplacian of sigma, or Schrodinger matrix of (sigma, q),
+    after checking that the fields fit g and each other."""
+    if sigma.values.shape[0] != g.num_edges:
+        raise FieldError("conductivity does not match edge count")
+    if q is None:
+        return laplacian_matrix(g, sigma.values)
+    if sigma.d != q.d:
+        raise FieldError("conductivity and potential block sizes differ")
+    if q.values.shape[0] != g.num_vertices:
+        raise FieldError("potential does not match vertex count")
+    return schrodinger_matrix(g, sigma.values, q.values)
 
 
-def _solve(g: Graph, op: BlockOperator, gb: np.ndarray | VectorNodeField,
-           Q: np.ndarray | None = None) -> VectorNodeField:
+def _solve(g: Graph, M: np.ndarray, d: int, gb: np.ndarray | VectorNodeField,
+           Q: np.ndarray | None = None) -> tuple[VectorNodeField, float]:
+    """The Dirichlet solution for boundary data gb of the canonical operator M
+    with d x d blocks, and its interior residual |(M u)_I|, RegimeError when
+    that is beyond RESIDUAL_TOL."""
+    nb = d * g.num_boundary
     gvec = _boundary_vec(g, gb)
-    if gvec.shape != (op.nb,):
+    if gvec.shape != (nb,):
         raise FieldError("boundary data has wrong length")
-    flat = np.concatenate([gvec, -_interior_solve(op.matrix, op.nb, op.IB @ gvec, Q,
-                                                  _level_rows(g, op.d))])
-    resid = np.linalg.norm((op.matrix @ flat)[op.nb:])
+    flat = np.concatenate([gvec, -_interior_solve(M, nb, M[nb:, :nb] @ gvec, Q,
+                                                  _level_rows(g, d))])
+    resid = float(np.linalg.norm((M @ flat)[nb:]))
     if resid > RESIDUAL_TOL * (1.0 + np.linalg.norm(gvec)):
         raise RegimeError(f"interior residual {resid:.3e} beyond tolerance")
-    return VectorNodeField.from_canonical(g, flat, op.d)
+    return VectorNodeField.from_canonical(g, flat, d), resid
 
 
 def solve_dirichlet_pd(
@@ -313,14 +325,14 @@ def solve_dirichlet_pd(
 
     Returns the node field u with u_B = gb and vanishing interior equations.
     """
-    return _solve(g, _operator(g, sigma, q), gb)
+    return _solve(g, _operator(g, sigma, q), sigma.d, gb)[0]
 
 
 def dtn_pd(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DtnMap:
     """Schur-complement Dirichlet-to-Neumann map for invertible interiors,
     exactly symmetric."""
-    op = _operator(g, sigma, q)
-    lam = _symmetric_dtn(op.matrix, op.nb, levels=_level_rows(g, op.d))[0]
+    d = sigma.d
+    lam = _symmetric_dtn(_operator(g, sigma, q), d * g.num_boundary, levels=_level_rows(g, d))[0]
     return DtnMap(matrix=lam.astype(complex, copy=False), provenance="pd")
 
 
@@ -373,14 +385,13 @@ def solve_dirichlet_psd(
     basis, so the floppy component is zero.
     """
     eig = eigen_decompose(sigma)
-    return _solve(g, assemble_laplacian(g, sigma), gb, q_basis(g, eig))
+    return _solve(g, _operator(g, sigma, None), sigma.d, gb, q_basis(g, eig))[0]
 
 
 def dtn_psd(g: Graph, sigma: MatrixEdgeField) -> DtnMap:
     """Dirichlet-to-Neumann map for rank-deficient conductivities via the Q
     basis of the interior range, exactly symmetric."""
     eig = eigen_decompose(sigma)
-    op = assemble_laplacian(g, sigma)
-    lam = _symmetric_dtn(op.matrix, op.nb, q_basis(g, eig))[0]
+    lam = _symmetric_dtn(_operator(g, sigma, None), sigma.d * g.num_boundary, q_basis(g, eig))[0]
     return DtnMap(matrix=lam.astype(complex, copy=False), provenance="psd")
 

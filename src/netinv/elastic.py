@@ -1,5 +1,6 @@
-"""Spring/mass/damper networks: geometric rank-1 conductivities, the
-frequency-domain operator and the elastodynamic problem specs."""
+"""Spring/mass/damper networks: geometric rank-1 conductivities, the scaled
+frequency-domain operator, displacement-to-forces maps and the
+elastodynamic problem specs."""
 
 from __future__ import annotations
 
@@ -8,24 +9,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dirichlet import DtnMap, _level_rows, _symmetric_dtn, dtn_psd, q_basis
-from .graph import FieldError, Graph, MatrixEdgeField, _vertex_rows
+from .graph import FieldError, Graph, MatrixEdgeField, _edge_rows, _vertex_rows
 from .inversion import ProblemSpec, _make_spec
 from .operators import (
     EigenData,
     _scaled_down,
     eigen_decompose,
     laplacian_matrix,
-    projected_gradient_matrix,
     schrodinger_matrix,
 )
 
 __all__ = [
     "ElasticNetwork",
-    "FrequencyOperator",
     "spring_conductivity",
-    "damper_conductivity",
     "spring_directions",
-    "frequency_operator",
     "displacement_to_forces",
     "make_spec_static_springs",
     "make_spec_springs_known_masses",
@@ -96,34 +93,11 @@ def spring_directions(net: ElasticNetwork) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _projector_field(net: ElasticNetwork, weights: np.ndarray) -> MatrixEdgeField:
-    dirs = spring_directions(net)
-    blocks = np.einsum("e,ea,eb->eab", np.asarray(weights, dtype=complex), dirs, dirs)
-    return MatrixEdgeField.from_blocks(blocks)
-
-
 def spring_conductivity(net: ElasticNetwork) -> MatrixEdgeField:
     """Rank-1 block k(e) x(e) x(e)^T per edge, x(e) the spring direction."""
-    return _projector_field(net, net.k)
-
-
-def damper_conductivity(net: ElasticNetwork) -> MatrixEdgeField:
-    """Same geometry as the spring conductivity, weighted by c_e."""
-    return _projector_field(net, net.c_e)
-
-
-@dataclass(frozen=True)
-class FrequencyOperator:
-    """Scaled frequency-domain operator and its mass/damping/stiffness parts.
-
-    ``matrix`` is (j w M + C + (j w)^-1 K) in the canonical ordering; times
-    j w it equals -w^2 M + j w C + K.
-    """
-
-    matrix: np.ndarray
-    mass: np.ndarray
-    damping: np.ndarray
-    stiffness: np.ndarray
+    dirs = spring_directions(net)
+    return MatrixEdgeField.from_blocks(
+        np.einsum("e,ea,eb->eab", np.asarray(net.k, dtype=complex), dirs, dirs))
 
 
 def _require_dynamic(net: ElasticNetwork) -> None:
@@ -145,19 +119,6 @@ def _scaled_operator(net: ElasticNetwork, edge: np.ndarray, vertex: np.ndarray) 
     return schrodinger_matrix(net.graph,
                               np.asarray(edge)[:, None, None] * (dirs[:, :, None] * dirs[:, None, :]),
                               np.asarray(vertex)[:, None, None] * np.eye(net.d))
-
-
-def frequency_operator(net: ElasticNetwork) -> FrequencyOperator:
-    """The scaled operator with conductivity mu + (j w)^-1 sigma and
-    potential q_damp + j w q_mass, and the pencil's three parts."""
-    _require_dynamic(net)
-    jw = 1j * net.omega
-    return FrequencyOperator(
-        matrix=_scaled_operator(net, net.c_e + net.k / jw, net.c_v + jw * net.mass),
-        mass=_scaled_operator(net, np.zeros(net.graph.num_edges), net.mass),
-        damping=_scaled_operator(net, net.c_e, net.c_v),
-        stiffness=laplacian_matrix(net.graph, spring_conductivity(net).values),
-    )
 
 
 def displacement_to_forces(net: ElasticNetwork, regime: str) -> DtnMap:
@@ -184,6 +145,16 @@ def displacement_to_forces(net: ElasticNetwork, regime: str) -> DtnMap:
 # ---------------------------------------------------------------------------
 
 
+def _projected_gradient(g: Graph, x: np.ndarray):
+    """The state rows U -> x(e)^T (U_i - U_j) for every edge (i, j), edge by
+    edge: the components of the edge gradients of the canonical state matrix
+    U along the r columns of x, (|E|, d, r)."""
+    E, d, r = x.shape
+    plus, minus = _edge_rows(g, d)
+    xt = x.transpose(0, 2, 1)
+    return lambda U: (xt @ (U[plus] - U[minus]).reshape(E, d, -1)).reshape(E * r, -1)
+
+
 def make_spec_eigenvalues(g: Graph, eig: EigenData) -> ProblemSpec:
     """Recover per-edge conductivity eigenvalues for fixed real eigenvectors.
 
@@ -195,12 +166,11 @@ def make_spec_eigenvalues(g: Graph, eig: EigenData) -> ProblemSpec:
     if (eig.ranks != r).any():
         raise FieldError("eigenvalue spec needs a uniform rank")
     E = g.num_edges
-    P = projected_gradient_matrix(g, eig)  # (r|E|, d|V|)
     xt = eig.x.transpose(0, 2, 1)
     return _make_spec(
         "eigenvalues", g, d, r * E,
         op=lambda lam: laplacian_matrix(g, (eig.x * lam.reshape(E, r)[:, None, :]) @ xt),
-        rows=lambda U: P @ U,
+        rows=_projected_gradient(g, eig.x),
         cone=lambda lam: lam.reshape(-1, 1, 1),
         Q=q_basis(g, eig),
     )
@@ -235,12 +205,11 @@ def make_spec_springs_known_masses(net: ElasticNetwork) -> ProblemSpec:
     g = net.graph
     w = net.omega
     jw = 1j * w
-    P = projected_gradient_matrix(g, eigen_decompose(spring_conductivity(net)))
     vertex = net.c_v + jw * net.mass
     return _make_spec(
         "springs_dampers", g, net.d, g.num_edges,
         op=lambda rho: _scaled_operator(net, rho / jw, vertex),
-        rows=lambda U: P @ U,
+        rows=_projected_gradient(g, eigen_decompose(spring_conductivity(net)).x),
         cone=lambda rho: _dynamic_cone(rho, 1.0, w),
         scale=jw,
     )

@@ -24,8 +24,6 @@ __all__ = [
     "MatrixEdgeField",
     "MatrixNodeField",
     "VectorNodeField",
-    "vec",
-    "unvec",
     "SYMMETRY_TOL",
 ]
 
@@ -232,10 +230,6 @@ class MatrixNodeField:
         values.setflags(write=False)
         return cls(d=values.shape[1], values=values)
 
-    @classmethod
-    def zero(cls, num_vertices: int, d: int) -> "MatrixNodeField":
-        return cls.from_blocks(np.zeros((num_vertices, d, d), dtype=complex))
-
 
 @dataclass(frozen=True)
 class VectorNodeField:
@@ -277,6 +271,14 @@ def _vertex_rows(g: Graph, d: int) -> np.ndarray:
     return (np.asarray(g.position)[:, None] * d + np.arange(d)).ravel()
 
 
+def _edge_rows(g: Graph, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical rows of the d components at the ends i and j of every edge
+    (i, j), edge by edge: U[plus] - U[minus] is the edge gradient of the
+    canonical state matrix U, (d|E|, n)."""
+    pi, pj = g.edge_positions()
+    return (pi[:, None] * d + np.arange(d)).ravel(), (pj[:, None] * d + np.arange(d)).ravel()
+
+
 def _block_outer(S1: np.ndarray, S2: np.ndarray, b: int) -> np.ndarray:
     """Blockwise outer products of two (K b, n) state matrices, (K b b, n n).
 
@@ -315,13 +317,4 @@ def _block_outer_split(S: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     X *= 2.0 ** (0.5 * ((c == a).astype(int)[:, None] - (i == j)))
     return (X.reshape(len(T) * c.size, i.size),
             W_minus.reshape(len(T) * int(pairs.sum()), int(off.sum())))
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Column-major stacking of a matrix into a vector."""
-    return np.asarray(a).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    return np.asarray(v).reshape(shape, order="F")
 

@@ -9,7 +9,14 @@ from typing import Callable
 import numpy as np
 
 from .dirichlet import _dirichlet_state_matrix, _level_rows, _schur_dtn
-from .graph import Graph, MatrixEdgeField, _block_outer, _block_outer_split, _vertex_rows
+from .graph import (
+    Graph,
+    MatrixEdgeField,
+    _block_outer,
+    _block_outer_split,
+    _edge_rows,
+    _vertex_rows,
+)
 from .operators import laplacian_matrix, schrodinger_matrix
 
 __all__ = [
@@ -18,6 +25,7 @@ __all__ = [
     "UniquenessVerdict",
     "NewtonTrace",
     "InadmissibleParameterError",
+    "LineScan",
     "product_matrix",
     "jacobian",
     "fd_jacobian",
@@ -427,7 +435,7 @@ def make_spec_conductivity(g: Graph, d: int) -> ProblemSpec:
     Parameter layout: per-edge column-stacked d x d blocks, edge order.
     States: the edge gradients of the Dirichlet states.
     """
-    plus, minus = ((pos[:, None] * d + np.arange(d)).ravel() for pos in g.edge_positions())
+    plus, minus = _edge_rows(g, d)
     return _make_spec(
         "conductivity", g, d, d * d * g.num_edges,
         op=lambda p: laplacian_matrix(g, _blocks(p, d)),

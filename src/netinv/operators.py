@@ -1,4 +1,4 @@
-"""Discrete gradient, block Laplacian / Schrodinger assembly and spectral helpers."""
+"""Block Laplacian / Schrodinger assembly, the layered embedding and the edge eigendecomposition."""
 
 from __future__ import annotations
 
@@ -7,28 +7,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import (
-    FieldError,
-    Graph,
-    MatrixEdgeField,
-    MatrixNodeField,
-    build_graph,
-)
+from .graph import FieldError, Graph, MatrixEdgeField, MatrixNodeField
 
 __all__ = [
-    "BlockOperator",
     "EigenData",
-    "gradient_matrix",
-    "assemble_laplacian",
-    "assemble_schrodinger",
     "laplacian_matrix",
     "schrodinger_matrix",
-    "scalar_laplacian",
     "cylinder_embed",
-    "cylinder_graph",
-    "cylinder_permutation",
     "eigen_decompose",
-    "korn_constants",
     "RANK_TOL",
     "COMMUTE_TOL",
 ]
@@ -36,26 +22,6 @@ __all__ = [
 # Relative threshold for treating an eigenvalue of sigma'(e) as zero.
 RANK_TOL = 1e-10
 COMMUTE_TOL = 1e-10
-# Largest imaginary entry a conductivity may have and still count as real.
-_IMAG_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BlockOperator:
-    """Square matrix over the canonical vertex ordering with named
-    boundary/interior sub-blocks; real when the weights are."""
-
-    matrix: np.ndarray  # (d|V|, d|V|)
-    d: int
-    num_boundary: int
-
-    @property
-    def nb(self) -> int:
-        return self.d * self.num_boundary
-
-    @property
-    def IB(self) -> np.ndarray:
-        return self.matrix[self.nb:, : self.nb]
 
 
 @dataclass(frozen=True)
@@ -73,19 +39,6 @@ class EigenData:
     x: np.ndarray  # (|E|, d, r), real
     lam: np.ndarray  # (|E|, r), complex with positive real part where used
     ranks: np.ndarray  # (|E|,), ints in 1..r
-
-
-def gradient_matrix(g: Graph, d: int) -> np.ndarray:
-    """Dense discrete gradient, shape (d|E|, d|V|), canonical column ordering.
-
-    Row block for edge (i, j) with i < j carries +I_d at i and -I_d at j.
-    """
-    pi, pj = g.edge_positions()
-    e = np.arange(g.num_edges)
-    D = np.zeros((g.num_edges, d, g.num_vertices, d))
-    D[e, :, pi] = np.eye(d)
-    D[e, :, pj] = -np.eye(d)
-    return D.reshape(d * g.num_edges, d * g.num_vertices)
 
 
 def _require_finite_sums(g: Graph, diagonal: np.ndarray) -> None:
@@ -141,40 +94,6 @@ def schrodinger_matrix(g: Graph, sigma_blocks: np.ndarray, q_blocks: np.ndarray)
     return M
 
 
-def assemble_laplacian(g: Graph, sigma: MatrixEdgeField) -> BlockOperator:
-    if sigma.values.shape[0] != g.num_edges:
-        raise FieldError("conductivity does not match edge count")
-    return BlockOperator(
-        matrix=laplacian_matrix(g, sigma.values),
-        d=sigma.d,
-        num_boundary=g.num_boundary,
-    )
-
-
-def assemble_schrodinger(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField) -> BlockOperator:
-    if sigma.d != q.d:
-        raise FieldError("conductivity and potential block sizes differ")
-    if q.values.shape[0] != g.num_vertices:
-        raise FieldError("potential does not match vertex count")
-    return BlockOperator(
-        matrix=schrodinger_matrix(g, sigma.values, q.values),
-        d=sigma.d,
-        num_boundary=g.num_boundary,
-    )
-
-
-def scalar_laplacian(n: int, edges: Sequence[tuple[int, int]], weights: np.ndarray) -> np.ndarray:
-    """Scalar weighted Laplacian in natural vertex-id order (no partition)."""
-    weights = np.asarray(weights, dtype=float)
-    L = np.zeros((n, n))
-    for (i, j), w in zip(edges, weights):
-        L[i, i] += w
-        L[j, j] += w
-        L[i, j] -= w
-        L[j, i] -= w
-    return L
-
-
 def cylinder_embed(
     path: Graph,
     layer: Graph,
@@ -195,12 +114,13 @@ def cylinder_embed(
     if len(layer_weights) != k or len(coupling_weights) != k - 1:
         raise FieldError("need k layer weight vectors and k-1 coupling vectors")
     d = layer.num_vertices
+    natural = np.ix_(layer.position, layer.position)  # canonical -> vertex-id order
     q_blocks = np.empty((k, d, d), dtype=complex)
     for j in range(k):
         w = np.asarray(layer_weights[j], dtype=float)
         if w.shape != (layer.num_edges,):
             raise FieldError("layer weight vector has wrong length")
-        q_blocks[j] = scalar_laplacian(d, layer.edges, w)
+        q_blocks[j] = laplacian_matrix(layer, w[:, None, None])[natural]
     s_blocks = np.empty((k - 1, d, d), dtype=complex)
     for j in range(k - 1):
         w = np.asarray(coupling_weights[j], dtype=float)
@@ -211,49 +131,6 @@ def cylinder_embed(
         MatrixEdgeField.from_blocks(s_blocks),
         MatrixNodeField.from_blocks(q_blocks),
     )
-
-
-def cylinder_graph(path: Graph, layer: Graph, boundary: Sequence[int] | None = None) -> Graph:
-    """Cartesian product graph: vertex (j, v) gets id j * |V(layer)| + v.
-
-    Edge order matches the weight layout of :func:`cylinder_scalar_weights`:
-    first all within-layer edges (layer 0, 1, ...), then all rungs.
-    """
-    k = path.num_vertices
-    d = layer.num_vertices
-    edges: list[tuple[int, int]] = []
-    for j in range(k):
-        for a, b in layer.edges:
-            edges.append((j * d + a, j * d + b))
-    for j in range(k - 1):
-        for v in range(d):
-            edges.append((j * d + v, (j + 1) * d + v))
-    if boundary is None:
-        boundary = [0]
-    return build_graph(k * d, boundary, edges)
-
-
-def cylinder_scalar_weights(
-    layer_weights: Sequence[np.ndarray], coupling_weights: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Scalar weight vector matching the edge order of :func:`cylinder_graph`."""
-    return np.concatenate([np.asarray(w, dtype=float).ravel() for w in layer_weights]
-                          + [np.asarray(w, dtype=float).ravel() for w in coupling_weights])
-
-
-def cylinder_permutation(path: Graph, layer: Graph, cyl: Graph) -> np.ndarray:
-    """Index map pi with M_path == M_cyl[pi][:, pi].
-
-    Canonical index ``path.position[j] * d + v`` of the block operator on the
-    path corresponds to canonical index ``cyl.position[j * d + v]`` of the
-    scalar operator on the product graph.
-    """
-    d = layer.num_vertices
-    pi = np.empty(path.num_vertices * d, dtype=int)
-    for j in range(path.num_vertices):
-        for v in range(d):
-            pi[path.position[j] * d + v] = cyl.position[j * d + v]
-    return pi
 
 
 def _scaled_down(a: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
@@ -316,30 +193,3 @@ def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
     lam_imag = np.ldexp(np.diagonal(core, axis1=1, axis2=2), si_exp[:, 0])
     lam = np.where(used, w[:, d - r:], 0.0) + 1j * lam_imag
     return EigenData(d=d, rank=r, x=x, lam=lam, ranks=ranks)
-
-
-def projected_gradient_matrix(g: Graph, eig: EigenData) -> np.ndarray:
-    """diag(x)^T nabla as a dense matrix, shape (sum_e r_e, d|V|): one row
-    per used (edge, column) pair, edge by edge."""
-    r = eig.rank
-    edge, col = np.nonzero(np.arange(r) >= r - eig.ranks[:, None])
-    xt = eig.x[edge, :, col]  # (sum_e r_e, d)
-    pi, pj = g.edge_positions()
-    rows = np.arange(len(edge))
-    P = np.zeros((len(edge), g.num_vertices, eig.d))
-    P[rows, pi[edge]] = xt
-    P[rows, pj[edge]] = -xt
-    return P.reshape(len(edge), g.num_vertices * eig.d)
-
-
-def korn_constants(sigma: MatrixEdgeField) -> tuple[float, float, float]:
-    """(lambda_min, smallest positive eigenvalue, lambda_max) over all edge
-    blocks of a real conductivity."""
-    if np.abs(sigma.values.imag).max(initial=0.0) > _IMAG_TOL:
-        raise FieldError("korn constants require a real conductivity")
-    all_eigs = np.linalg.eigvalsh(sigma.values.real).ravel()
-    lam_max = float(all_eigs.max())
-    positive = all_eigs[all_eigs > RANK_TOL * max(lam_max, np.finfo(float).tiny)]
-    if positive.size == 0:
-        raise FieldError("conductivity has no positive eigenvalues")
-    return float(all_eigs.min()), float(positive.min()), lam_max

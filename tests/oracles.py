@@ -3,11 +3,13 @@
 import numpy as np
 
 from netinv.dirichlet import PD_TOL, ZERO_TOL, RegimeTag
+from netinv.elastic import ElasticNetwork, spring_conductivity, spring_directions
 from netinv.graph import (
     FieldError,
     Graph,
     MatrixEdgeField,
     MatrixNodeField,
+    build_graph,
     is_connected,
     is_interior_connected,
 )
@@ -15,16 +17,123 @@ from netinv.operators import (
     COMMUTE_TOL,
     RANK_TOL,
     EigenData,
-    assemble_laplacian,
     eigen_decompose,
     laplacian_matrix,
+    schrodinger_matrix,
 )
+
+# Largest imaginary entry a conductivity may have and still count as real.
+_IMAG_TOL = 1e-12
+
+
+def vec(a: np.ndarray) -> np.ndarray:
+    """Column-major stacking of a matrix into a vector."""
+    return np.asarray(a).reshape(-1, order="F")
+
+
+def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    return np.asarray(v).reshape(shape, order="F")
+
+
+def gradient_matrix(g: Graph, d: int) -> np.ndarray:
+    """Dense discrete gradient, shape (d|E|, d|V|), canonical column ordering.
+
+    Row block for edge (i, j) with i < j carries +I_d at i and -I_d at j.
+    """
+    pi, pj = g.edge_positions()
+    e = np.arange(g.num_edges)
+    D = np.zeros((g.num_edges, d, g.num_vertices, d))
+    D[e, :, pi] = np.eye(d)
+    D[e, :, pj] = -np.eye(d)
+    return D.reshape(d * g.num_edges, d * g.num_vertices)
+
+
+def projected_gradient_matrix(g: Graph, eig: EigenData) -> np.ndarray:
+    """diag(x)^T nabla as a dense matrix, shape (sum_e r_e, d|V|): one row
+    per used (edge, column) pair, edge by edge."""
+    r = eig.rank
+    edge, col = np.nonzero(np.arange(r) >= r - eig.ranks[:, None])
+    xt = eig.x[edge, :, col]  # (sum_e r_e, d)
+    pi, pj = g.edge_positions()
+    rows = np.arange(len(edge))
+    P = np.zeros((len(edge), g.num_vertices, eig.d))
+    P[rows, pi[edge]] = xt
+    P[rows, pj[edge]] = -xt
+    return P.reshape(len(edge), g.num_vertices * eig.d)
+
+
+def korn_constants(sigma: MatrixEdgeField) -> tuple[float, float, float]:
+    """(lambda_min, smallest positive eigenvalue, lambda_max) over all edge
+    blocks of a real conductivity."""
+    if np.abs(sigma.values.imag).max(initial=0.0) > _IMAG_TOL:
+        raise FieldError("korn constants require a real conductivity")
+    all_eigs = np.linalg.eigvalsh(sigma.values.real).ravel()
+    lam_max = float(all_eigs.max())
+    positive = all_eigs[all_eigs > RANK_TOL * max(lam_max, np.finfo(float).tiny)]
+    if positive.size == 0:
+        raise FieldError("conductivity has no positive eigenvalues")
+    return float(all_eigs.min()), float(positive.min()), lam_max
+
+
+def cylinder_graph(path: Graph, layer: Graph, boundary=None) -> Graph:
+    """Cartesian product graph: vertex (j, v) gets id j * |V(layer)| + v.
+
+    Edge order matches the weight layout of :func:`cylinder_scalar_weights`:
+    first all within-layer edges (layer 0, 1, ...), then all rungs.
+    """
+    k = path.num_vertices
+    d = layer.num_vertices
+    edges: list[tuple[int, int]] = []
+    for j in range(k):
+        for a, b in layer.edges:
+            edges.append((j * d + a, j * d + b))
+    for j in range(k - 1):
+        for v in range(d):
+            edges.append((j * d + v, (j + 1) * d + v))
+    if boundary is None:
+        boundary = [0]
+    return build_graph(k * d, boundary, edges)
+
+
+def cylinder_scalar_weights(layer_weights, coupling_weights) -> np.ndarray:
+    """Scalar weight vector matching the edge order of :func:`cylinder_graph`."""
+    return np.concatenate([np.asarray(w, dtype=float).ravel() for w in layer_weights]
+                          + [np.asarray(w, dtype=float).ravel() for w in coupling_weights])
+
+
+def cylinder_permutation(path: Graph, layer: Graph, cyl: Graph) -> np.ndarray:
+    """Index map pi with M_path == M_cyl[pi][:, pi].
+
+    Canonical index ``path.position[j] * d + v`` of the block operator on the
+    path corresponds to canonical index ``cyl.position[j * d + v]`` of the
+    scalar operator on the product graph.
+    """
+    d = layer.num_vertices
+    pi = np.empty(path.num_vertices * d, dtype=int)
+    for j in range(path.num_vertices):
+        for v in range(d):
+            pi[path.position[j] * d + v] = cyl.position[j * d + v]
+    return pi
+
+
+def frequency_pencil(net: ElasticNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mass, damping and stiffness parts (M, C, K) of the pencil
+    -w^2 M + j w C + K in the canonical ordering: M has m(i) I per vertex,
+    C has c_e(e) x(e) x(e)^T per edge and c_v(i) I per vertex, x(e) the
+    spring direction, and K is the Laplacian of the spring conductivity."""
+    g, d = net.graph, net.d
+    dirs = spring_directions(net)
+    xx, eye = dirs[:, :, None] * dirs[:, None, :], np.eye(d)
+    mass = schrodinger_matrix(g, np.zeros((g.num_edges, d, d)),
+                              np.asarray(net.mass)[:, None, None] * eye)
+    damping = schrodinger_matrix(g, np.asarray(net.c_e)[:, None, None] * xx,
+                                 np.asarray(net.c_v)[:, None, None] * eye)
+    return mass, damping, laplacian_matrix(g, spring_conductivity(net).values)
 
 
 def dtn_pseudoinverse_oracle(g: Graph, sigma: MatrixEdgeField) -> np.ndarray:
     """Independent SVD-pseudoinverse form of the rank-deficient map."""
-    op = assemble_laplacian(g, sigma)
-    M, nb = op.matrix, op.nb
+    M, nb = laplacian_matrix(g, sigma.values), sigma.d * g.num_boundary
     if not g.num_interior:
         return M[:nb, :nb].copy()
     return M[:nb, :nb] - M[:nb, nb:] @ np.linalg.pinv(M[nb:, nb:]) @ M[nb:, :nb]

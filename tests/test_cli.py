@@ -137,6 +137,23 @@ def test_forward_assembles_once(tmp_path, monkeypatch):
     assert forward_counts(tmp_path, monkeypatch, p3_doc(), [[1.0], [0.0]]) == (1, 0)
 
 
+def test_forward_writes_the_residual_the_solve_checked(tmp_path, monkeypatch):
+    solved = []
+    original = dirichlet._solve
+
+    def recorded(*args, **kwargs):
+        solved.append(original(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(dirichlet, "_solve", recorded)
+    net = write(tmp_path, "net.json", collinear_springs_doc())
+    bc = write(tmp_path, "bc.json", {"g": [[0.1, 0.0], [0.0, 0.2]]})
+    out = tmp_path / "sol.json"
+    assert main(["forward", net, bc, "-o", str(out)]) == EXIT_OK
+    (_, resid), = solved
+    assert json.loads(out.read_text())["residual"] == resid
+
+
 def test_forward_psd_assembles_twice(tmp_path, monkeypatch):
     # the operator, and the one interior spectrum that gives both the Q
     # basis and the floppy dimension
@@ -284,9 +301,9 @@ def test_dtn_file_is_the_symmetric_part_of_the_schur_product(tmp_path, make_doc)
     import netinv as ni
     model = ni.load_network(net)
     sigma = model.conductivity()
-    op = dirichlet._operator(model.graph, sigma, model.q)
+    M = dirichlet._operator(model.graph, sigma, model.q)
     Q = dirichlet.q_basis(model.graph, operators.eigen_decompose(sigma))  # both are PSD
-    F = dirichlet._schur_dtn(op.matrix, op.nb, Q)
+    F = dirichlet._schur_dtn(M, sigma.d * model.graph.num_boundary, Q)
     m = load_matrix(out)
     assert np.array_equal(m, m.T)
     # F is real for the real truss; the file's imaginary parts are then +0.0

@@ -23,24 +23,21 @@ from netinv.dirichlet import (
     _symmetric_dtn,
 )
 from netinv.graph import (
+    FieldError,
     MatrixEdgeField,
     MatrixNodeField,
     build_graph,
 )
 from netinv.inversion import _blocks, _vec_blocks, make_spec_conductivity
-from netinv.operators import (
-    assemble_laplacian,
-    assemble_schrodinger,
-    eigen_decompose,
-    gradient_matrix,
-    laplacian_matrix,
-    schrodinger_matrix,
-)
+from netinv.operators import eigen_decompose, laplacian_matrix, schrodinger_matrix
 
 from oracles import (
     classify_regime_eigvalsh,
     complex_state_matrix,
     dtn_pseudoinverse_oracle,
+    gradient_matrix,
+    korn_constants,
+    projected_gradient_matrix,
     relative_error,
 )
 
@@ -246,8 +243,8 @@ def test_solve_pd_interior_residual_zero():
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(7, 2, 17))
     gb = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     u = solve_dirichlet_pd(g, sigma, None, gb)
-    op = assemble_laplacian(g, sigma)
-    res = (op.matrix @ u.canonical(g))[2 * g.num_boundary:]
+    M = laplacian_matrix(g, sigma.values)
+    res = (M @ u.canonical(g))[2 * g.num_boundary:]
     assert np.abs(res).max() < 1e-10
     assert np.allclose(u.boundary_values(g), gb)
 
@@ -261,6 +258,26 @@ def test_solve_pd_linear_in_boundary_data():
     u2 = solve_dirichlet_pd(g, sigma, None, g2)
     u12 = solve_dirichlet_pd(g, sigma, None, g1 + 2 * g2)
     assert np.abs(u12.values - u1.values - 2 * u2.values).max() < 1e-10
+
+
+ONES = MatrixEdgeField.from_blocks(np.ones((2, 1, 1)))
+
+
+@pytest.mark.parametrize("sigma, q, message", [
+    (MatrixEdgeField.from_blocks(np.ones((3, 1, 1))), None,
+     "conductivity does not match edge count"),
+    (MatrixEdgeField.from_blocks(np.ones((1, 1, 1))),
+     MatrixNodeField.from_blocks(np.ones((3, 1, 1))), "conductivity does not match edge count"),
+    (ONES, MatrixNodeField.from_blocks(np.ones((2, 1, 1))),
+     "potential does not match vertex count"),
+    (ONES, MatrixNodeField.from_blocks(np.ones((3, 2, 2))), "block sizes differ"),
+])
+def test_fields_that_do_not_fit_the_graph_are_refused(sigma, q, message):
+    g = path3()
+    for call in (lambda: dtn_pd(g, sigma, q), lambda: classify_regime(g, sigma, q),
+                 lambda: solve_dirichlet_pd(g, sigma, q, np.ones(2))):
+        with pytest.raises(FieldError, match=message):
+            call()
 
 
 def test_dtn_pd_path3_series():
@@ -286,9 +303,8 @@ def test_dtn_pd_symmetric_and_matches_flux():
     # flux oracle: boundary rows of the operator applied to the solution
     gb = rng.standard_normal(6)
     u = solve_dirichlet_pd(g, sigma, q, gb)
-    from netinv.operators import assemble_schrodinger
-    op = assemble_schrodinger(g, sigma, q)
-    flux = (op.matrix @ u.canonical(g))[:6]
+    M = schrodinger_matrix(g, sigma.values, q.values)
+    flux = (M @ u.canonical(g))[:6]
     assert np.abs(dtn.matrix @ gb - flux).max() < 1e-10
 
 
@@ -350,12 +366,12 @@ def test_q_basis_spans_interior_range():
     g, sigma = collinear_springs()
     eig = eigen_decompose(sigma)
     Q = q_basis(g, eig)
-    op = assemble_laplacian(g, sigma)
-    M_II = op.matrix[op.nb:, op.nb:]
+    M, nb = laplacian_matrix(g, sigma.values), sigma.d * g.num_boundary
+    M_II, M_IB = M[nb:, nb:], M[nb:, :nb]
     # projector onto range(Q) reproduces the interior block columns
     P = Q @ Q.T
     assert np.abs(P @ M_II - M_II).max() < 1e-10
-    assert np.abs(P @ op.IB - op.IB).max() < 1e-10
+    assert np.abs(P @ M_IB - M_IB).max() < 1e-10
 
 
 def test_q_basis_depends_only_on_eigenvectors():
@@ -451,15 +467,14 @@ def test_dtn_psd_invariant_under_q_remix():
     g, sigma = collinear_springs()
     eig = eigen_decompose(sigma)
     Q = q_basis(g, eig)
-    op = assemble_laplacian(g, sigma)
     # random orthogonal remix of the basis columns gives the same map
     r = Q.shape[1]
     a = rng.standard_normal((r, r))
     w, v = np.linalg.eigh(a + a.T)
     Q2 = Q @ v
-    M, nb = op.matrix, op.nb
+    M, nb = laplacian_matrix(g, sigma.values), sigma.d * g.num_boundary
     core = Q2.T @ M[nb:, nb:] @ Q2
-    remixed = M[:nb, :nb] - M[:nb, nb:] @ Q2 @ np.linalg.solve(core, Q2.T @ op.IB)
+    remixed = M[:nb, :nb] - M[:nb, nb:] @ Q2 @ np.linalg.solve(core, Q2.T @ M[nb:, :nb])
     assert np.abs(remixed - dtn_psd(g, sigma).matrix).max() < 1e-10
 
 
@@ -467,8 +482,7 @@ def test_dtn_no_interior():
     g = build_graph(2, [0, 1], [(0, 1)])
     sigma = MatrixEdgeField.from_blocks(np.outer([1.0, 0.0], [1.0, 0.0])[None])
     lam = dtn_psd(g, sigma).matrix
-    op = assemble_laplacian(g, sigma)
-    assert np.array_equal(lam, op.matrix[:op.nb, :op.nb])
+    assert np.array_equal(lam, laplacian_matrix(g, sigma.values))
 
 
 @st.composite
@@ -612,11 +626,11 @@ def test_real_psd_map_matches_complex_arithmetic():
     path, mixed = mixed_rank_path()
     for g, sigma in [collinear_springs(), (path, MatrixEdgeField.from_blocks(mixed.values.real))]:
         assert classify_regime(g, sigma, None).tag is RegimeTag.PSD_REAL
-        op = assemble_laplacian(g, sigma)
-        U = complex_state_matrix(op.matrix, op.nb, q_basis(g, eigen_decompose(sigma)))
+        M, nb = laplacian_matrix(g, sigma.values), sigma.d * g.num_boundary
+        U = complex_state_matrix(M, nb, q_basis(g, eigen_decompose(sigma)))
         lam = dtn_psd(g, sigma).matrix
         assert lam.dtype == complex
-        assert relative_error(lam, op.matrix[:op.nb] @ U, op.matrix) <= 1e-12
+        assert relative_error(lam, M[:nb] @ U, M) <= 1e-12
 
 
 def test_interior_solve_is_real_exactly_for_real_operators(monkeypatch):
@@ -659,7 +673,6 @@ def test_imaginary_conductivity_is_kept():
 
 def test_korn_inequality_random_u():
     # for real sigma > 0: |grad u|^2 <= (1/lam_*) u^T L u
-    from netinv.operators import gradient_matrix, korn_constants
     g = build_graph(6, [0, 5], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)])
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(6, 2, 77, imag=0.0))
     lam_min, _, lam_max = korn_constants(sigma)
@@ -677,7 +690,6 @@ def test_korn_inequality_random_u():
 def test_modified_korn_inequality_psd():
     # for real sigma >= 0 both bounds hold with projected gradients and the
     # smallest positive eigenvalue
-    from netinv.operators import korn_constants, projected_gradient_matrix
     g, sigma = collinear_springs()
     _, lam_minp, lam_max = korn_constants(sigma)
     eig = eigen_decompose(sigma)
@@ -724,8 +736,8 @@ def test_complex_psd_subspace_equalities():
     # operators agree, and the boundary coupling maps into the interior range
     g, sigma_real = collinear_springs()
     sigma = MatrixEdgeField.from_blocks((1.0 + 0.7j) * sigma_real.values)
-    op = assemble_laplacian(g, sigma)
-    opr = assemble_laplacian(g, sigma_real)
+    M = laplacian_matrix(g, sigma.values)
+    Mr = laplacian_matrix(g, sigma_real.values)
 
     def null_proj(m):
         u, s, vh = np.linalg.svd(m)
@@ -733,15 +745,15 @@ def test_complex_psd_subspace_equalities():
         v = vh[len(s) - keep.sum():].conj().T if keep.sum() else np.zeros((m.shape[1], 0))
         return v @ v.conj().T
 
-    nb = op.nb
-    p_complex = null_proj(op.matrix[nb:, nb:])
-    p_real = null_proj(opr.matrix[nb:, nb:].real)
+    nb = sigma.d * g.num_boundary
+    p_complex = null_proj(M[nb:, nb:])
+    p_real = null_proj(Mr[nb:, nb:].real)
     assert np.abs(p_complex - p_real).max() < 1e-8
     # range inclusion via projector onto range(II)
-    u, s, _ = np.linalg.svd(op.matrix[nb:, nb:])
+    u, s, _ = np.linalg.svd(M[nb:, nb:])
     keep = s > 1e-10 * s.max()
     pr = u[:, keep] @ u[:, keep].conj().T
-    assert np.abs(pr @ op.IB - op.IB).max() < 1e-8
+    assert np.abs(pr @ M[nb:, :nb] - M[nb:, :nb]).max() < 1e-8
 
 
 def test_energy_minimization_psd():
@@ -791,8 +803,9 @@ def test_dtn_pd_is_the_symmetric_part_of_the_schur_product(net, with_q):
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(g.num_edges, d, seed))
     q = MatrixNodeField.from_blocks(random_spd_blocks(g.num_vertices, d, seed + 1)) \
         if with_q else None
-    op = assemble_schrodinger(g, sigma, q) if with_q else assemble_laplacian(g, sigma)
-    check_symmetric_part(op.matrix, op.nb, dtn_pd(g, sigma, q).matrix,
+    M = schrodinger_matrix(g, sigma.values, q.values) if with_q \
+        else laplacian_matrix(g, sigma.values)
+    check_symmetric_part(M, d * g.num_boundary, dtn_pd(g, sigma, q).matrix,
                          levels=_level_rows(g, d))
 
 
@@ -805,9 +818,9 @@ def test_dtn_psd_is_the_symmetric_part_of_the_schur_product(net):
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     sigma = MatrixEdgeField.from_blocks(
         np.einsum("e,ea,eb->eab", local.uniform(0.5, 2.0, g.num_edges), x, x))
-    op = assemble_laplacian(g, sigma)
     Q = q_basis(g, eigen_decompose(sigma))
-    check_symmetric_part(op.matrix, op.nb, dtn_psd(g, sigma).matrix, Q)
+    check_symmetric_part(laplacian_matrix(g, sigma.values), d * g.num_boundary,
+                         dtn_psd(g, sigma).matrix, Q)
 
 
 def test_symmetry_residual_is_the_discarded_asymmetry():
@@ -815,8 +828,8 @@ def test_symmetry_residual_is_the_discarded_asymmetry():
     g = build_graph(5, [0, 2, 4], [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3), (1, 4)])
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(6, 2, 41))
     q = MatrixNodeField.from_blocks(0.1 * random_spd_blocks(5, 2, 43))
-    op = assemble_schrodinger(g, sigma, q)
-    assert check_symmetric_part(op.matrix, op.nb, dtn_pd(g, sigma, q).matrix,
+    M = schrodinger_matrix(g, sigma.values, q.values)
+    assert check_symmetric_part(M, 2 * g.num_boundary, dtn_pd(g, sigma, q).matrix,
                                 levels=_level_rows(g, 2)) > 0
 
 

@@ -1,4 +1,4 @@
-"""Spring networks, frequency-domain operators and elastodynamic specs."""
+"""Spring networks, the scaled frequency-domain operator and elastodynamic specs."""
 
 from dataclasses import replace
 
@@ -8,9 +8,8 @@ import pytest
 from netinv import elastic, operators
 from netinv.elastic import (
     ElasticNetwork,
-    damper_conductivity,
+    _scaled_operator,
     displacement_to_forces,
-    frequency_operator,
     make_spec_eigenvalues,
     make_spec_masses_known_springs,
     make_spec_springs_known_masses,
@@ -30,7 +29,12 @@ from netinv.inversion import (
 )
 from netinv.operators import eigen_decompose, laplacian_matrix
 
-from oracles import complex_state_matrix, relative_error
+from oracles import (
+    complex_state_matrix,
+    frequency_pencil,
+    projected_gradient_matrix,
+    relative_error,
+)
 
 rng = np.random.default_rng(53)
 
@@ -128,19 +132,25 @@ def test_spring_eigendata_matches_directions():
 
 def test_frequency_operator_combination():
     net = braced_network()
-    op = frequency_operator(net)
+    mass, damping, stiffness = frequency_pencil(net)
     jw = 1j * net.omega
-    combined = jw * op.mass + op.damping + op.stiffness / jw
-    assert np.abs(op.matrix - combined).max() < 1e-12
+    scaled = _scaled_operator(net, net.c_e + net.k / jw, net.c_v + jw * net.mass)
+    combined = jw * mass + damping + stiffness / jw
+    assert np.abs(scaled - combined).max() < 1e-12
     # times jw it is the standard quadratic pencil
-    pencil = -net.omega ** 2 * op.mass + jw * op.damping + op.stiffness
-    assert np.abs(jw * op.matrix - pencil).max() < 1e-10
+    pencil = -net.omega ** 2 * mass + jw * damping + stiffness
+    assert np.abs(jw * scaled - pencil).max() < 1e-10
 
 
 def test_frequency_operator_requires_dynamic():
-    net = braced_network(c_v=0.0)
-    with pytest.raises(FieldError):
-        frequency_operator(net)
+    # the dynamic map and both dynamic specs refuse omega = 0 and c_v = 0
+    for net, message in ((braced_network(omega=0.0), "nonzero frequency"),
+                         (braced_network(c_v=0.0), "nodal damping")):
+        for call in (lambda: displacement_to_forces(net, "dynamic"),
+                     lambda: make_spec_springs_known_masses(net),
+                     lambda: make_spec_masses_known_springs(net)):
+            with pytest.raises(FieldError, match=message):
+                call()
 
 
 def test_static_map_collinear_series():
@@ -160,8 +170,8 @@ def test_dynamic_map_homogeneity_bridge():
         net = braced_network(c_v=0.7 + 0.1 * trial, omega=omega, seed=trial)
         nb = 2 * net.graph.num_boundary
         lam = displacement_to_forces(net, "dynamic").matrix
-        op = frequency_operator(net)
-        pencil = -omega ** 2 * op.mass + 1j * omega * op.damping + op.stiffness
+        mass, damping, stiffness = frequency_pencil(net)
+        pencil = -omega ** 2 * mass + 1j * omega * damping + stiffness
         oracle = _schur_dtn(pencil, nb)
         assert np.abs(lam - oracle).max() < 1e-10
 
@@ -258,7 +268,6 @@ def test_static_springs_real_route_matches_complex_arithmetic():
     # the static map and the static-springs states solve a real operator in
     # real arithmetic; the reference solves the same operator by complex LU
     from netinv.dirichlet import q_basis
-    from netinv.operators import projected_gradient_matrix
     for net in (braced_network(seed=3), collinear_network()):
         sigma = spring_conductivity(net)
         eig = eigen_decompose(sigma)
@@ -272,6 +281,20 @@ def test_static_springs_real_route_matches_complex_arithmetic():
         assert relative_error(states, projected_gradient_matrix(net.graph, eig) @ U, U) <= 1e-12
 
 
+@pytest.mark.parametrize("omega", [0.5, -2.0])
+def test_springs_dampers_states_match_projected_gradient(omega):
+    # the edge-gradient gather against the dense projected gradient, on the
+    # complex states of the scaled operator
+    net = braced_network(c_v=0.6, omega=omega, seed=4)
+    jw = 1j * omega
+    rho = net.k + jw * net.c_e
+    M = _scaled_operator(net, rho / jw, net.c_v + jw * net.mass)
+    U = complex_state_matrix(M, net.d * net.graph.num_boundary)
+    P = projected_gradient_matrix(net.graph, eigen_decompose(spring_conductivity(net)))
+    states = make_spec_springs_known_masses(net).states(rho)
+    assert relative_error(states, P @ U, U) <= 1e-12
+
+
 def test_states_representative_independent():
     # floppy modes have zero projected gradient, so the eigenvalue-spec states
     # do not depend on the representative of the rank-deficient solve
@@ -279,7 +302,6 @@ def test_states_representative_independent():
     eig = eigen_decompose(spring_conductivity(net))
     spec = make_spec_eigenvalues(net.graph, eig)
     from netinv.dirichlet import floppy_basis
-    from netinv.operators import projected_gradient_matrix
     basis = floppy_basis(net.graph, spring_conductivity(net))
     P = projected_gradient_matrix(net.graph, eig)
     assert basis.dim >= 1
@@ -335,17 +357,7 @@ def test_uniqueness_static_springs():
     assert v.holds
 
 
-def test_damper_conductivity_geometry():
-    net = braced_network()
-    mu = damper_conductivity(net)
-    sigma = spring_conductivity(net)
-    for e in range(9):
-        assert np.abs(mu.values[e] / net.c_e[e]
-                      - sigma.values[e] / net.k[e]).max() < 1e-12
-
-
 def test_spring_laplacian_is_stiffness():
     net = braced_network()
-    op = frequency_operator(net)
     K = laplacian_matrix(net.graph, spring_conductivity(net).values)
-    assert np.abs(op.stiffness - K).max() == 0.0
+    assert np.abs(frequency_pencil(net)[2] - K).max() == 0.0

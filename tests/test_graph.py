@@ -15,9 +15,9 @@ from netinv.graph import (
     build_graph,
     is_connected,
     is_interior_connected,
-    unvec,
-    vec,
 )
+
+from oracles import unvec, vec
 
 rng = np.random.default_rng(42)
 
@@ -147,7 +147,7 @@ def test_symmetric_part_near_the_float_maximum():
 def test_matrix_node_field_shapes():
     with pytest.raises(FieldError):
         MatrixNodeField.from_blocks(np.zeros((2, 2, 3)))
-    f = MatrixNodeField.zero(4, 2)
+    f = MatrixNodeField.from_blocks(np.zeros((4, 2, 2)))
     assert f.values.shape == (4, 2, 2)
     assert f.d == 2
 

@@ -13,7 +13,7 @@ from netinv.elastic import (
     make_spec_static_springs,
     spring_conductivity,
 )
-from netinv.graph import MatrixEdgeField, build_graph, vec
+from netinv.graph import MatrixEdgeField, build_graph
 from netinv.inversion import (
     InadmissibleParameterError,
     _admissible_extent,
@@ -31,7 +31,7 @@ from netinv.inversion import (
 )
 from netinv.operators import eigen_decompose
 
-from oracles import admissible_extent_bisection
+from oracles import admissible_extent_bisection, vec
 
 rng = np.random.default_rng(37)
 

@@ -1,4 +1,5 @@
-"""Gradient, Laplacian/Schrodinger assembly, cylinder embedding and spectra."""
+"""Laplacian/Schrodinger assembly, cylinder embedding, spectra and the
+gradient oracles."""
 
 import numpy as np
 import pytest
@@ -12,23 +13,18 @@ from netinv.graph import (
     VectorNodeField,
     build_graph,
 )
-from netinv.operators import (
-    assemble_laplacian,
-    assemble_schrodinger,
-    cylinder_embed,
+from netinv.operators import cylinder_embed, eigen_decompose, laplacian_matrix, schrodinger_matrix
+
+from oracles import (
     cylinder_graph,
     cylinder_permutation,
     cylinder_scalar_weights,
-    eigen_decompose,
+    eigen_decompose_loop,
     gradient_matrix,
     korn_constants,
-    laplacian_matrix,
     projected_gradient_matrix,
-    scalar_laplacian,
-    schrodinger_matrix,
+    reconstruct_from_eigen,
 )
-
-from oracles import eigen_decompose_loop, reconstruct_from_eigen
 
 rng = np.random.default_rng(11)
 
@@ -78,7 +74,7 @@ def test_laplacian_oracle_dense_assembly():
     d = 2
     blocks = random_spd_blocks(g.num_edges, d, 5)
     sigma = MatrixEdgeField.from_blocks(blocks)
-    L = assemble_laplacian(g, sigma).matrix
+    L = laplacian_matrix(g, sigma.values)
 
     n = g.num_vertices
     oracle = np.zeros((n * d, n * d), dtype=complex)
@@ -100,7 +96,7 @@ def test_schrodinger_adds_potential_in_vertex_order():
     g = path3()
     sigma = MatrixEdgeField.from_blocks(np.ones((2, 1, 1)))
     q = MatrixNodeField.from_blocks(np.array([[[10.0]], [[20.0]], [[30.0]]]))
-    M = assemble_schrodinger(g, sigma, q).matrix
+    M = schrodinger_matrix(g, sigma.values, q.values)
     # canonical ordering (0, 2, 1): diagonal potential is (10, 30, 20)
     L = laplacian_matrix(g, sigma.values)
     assert np.allclose(M - L, np.diag([10.0, 30.0, 20.0]))
@@ -112,11 +108,11 @@ def test_real_weights_assemble_real_and_complex_ones_complex():
     complex_sigma = MatrixEdgeField.from_blocks([[[1.0]], [[1.0 + 0.5j]]])
     real_q = MatrixNodeField.from_blocks(np.full((3, 1, 1), 0.5))
     complex_q = MatrixNodeField.from_blocks([[[0.5]], [[0.5j]], [[0.5]]])
-    assert assemble_laplacian(g, real).matrix.dtype == np.float64
-    assert assemble_schrodinger(g, real, real_q).matrix.dtype == np.float64
-    assert assemble_laplacian(g, complex_sigma).matrix.dtype == np.complex128
-    assert assemble_schrodinger(g, complex_sigma, real_q).matrix.dtype == np.complex128
-    M = assemble_schrodinger(g, real, complex_q).matrix
+    assert laplacian_matrix(g, real.values).dtype == np.float64
+    assert schrodinger_matrix(g, real.values, real_q.values).dtype == np.float64
+    assert laplacian_matrix(g, complex_sigma.values).dtype == np.complex128
+    assert schrodinger_matrix(g, complex_sigma.values, real_q.values).dtype == np.complex128
+    M = schrodinger_matrix(g, real.values, complex_q.values)
     assert M.dtype == np.complex128 and M[2, 2] == 2.0 + 0.5j
 
 
@@ -169,28 +165,14 @@ def test_assembly_refuses_a_vertex_sum_beyond_float_range():
     # a star: the centre's block is the one sum of four edge blocks
     star = build_graph(5, [1, 2, 3, 4], [(0, 1), (0, 2), (0, 3), (0, 4)])
     with pytest.raises(FieldError, match="vertex 0 overflows"):
-        assemble_laplacian(star, MatrixEdgeField.from_blocks(np.full((4, 1, 1), 5e307)))
-    L = assemble_laplacian(star, MatrixEdgeField.from_blocks(np.full((4, 1, 1), 3e307))).matrix
+        laplacian_matrix(star, MatrixEdgeField.from_blocks(np.full((4, 1, 1), 5e307)).values)
+    L = laplacian_matrix(star, MatrixEdgeField.from_blocks(np.full((4, 1, 1), 3e307)).values)
     assert L[4, 4] == 4 * 3e307
     # a potential that tips a vertex over
     sigma = MatrixEdgeField.from_blocks(np.array([[[1e308]], [[1.0]]]))
     q = MatrixNodeField.from_blocks(np.array([[[0.0]], [[1e308]], [[0.0]]]))
     with pytest.raises(FieldError, match="vertex 1 overflows"):
-        assemble_schrodinger(path3(), sigma, q)
-
-
-def test_block_operator_partitions():
-    g = build_graph(4, [0, 2], [(0, 1), (1, 2), (2, 3), (0, 3)])
-    sigma = MatrixEdgeField.from_blocks(random_spd_blocks(4, 2, 8))
-    op = assemble_laplacian(g, sigma)
-    nb = 2 * g.num_boundary
-    assert op.nb == nb
-    assert np.array_equal(op.matrix[nb:, :nb], op.IB)
-
-
-def test_scalar_laplacian_natural_order():
-    L = scalar_laplacian(3, [(0, 1), (1, 2)], np.array([1.0, 1.0]))
-    assert np.allclose(L, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
+        schrodinger_matrix(path3(), sigma.values, q.values)
 
 
 def test_cylinder_embedding_p3_x_p2():
@@ -219,6 +201,27 @@ def test_cylinder_embedding_larger():
     cyl = cylinder_graph(path, layer, boundary=[0, 9])
     weights = cylinder_scalar_weights(layer_w, coup_w)
     M_cyl = laplacian_matrix(cyl, weights.reshape(-1, 1, 1))
+    pi = cylinder_permutation(path, layer, cyl)
+    assert np.abs(M_path - M_cyl[np.ix_(pi, pi)]).max() < 1e-13
+
+
+def test_cylinder_embedding_layer_boundary_not_first():
+    # the layer's boundary is vertices 3 and 1, so its canonical order
+    # (3, 1, 0, 2) differs from the vertex-id order of the potential blocks
+    path = build_graph(3, [0, 2], [(0, 1), (1, 2)])
+    layer = build_graph(4, [3, 1], [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
+    layer_w = [rng.uniform(0.1, 3.0, 5) for _ in range(3)]
+    coup_w = [rng.uniform(0.1, 3.0, 4) for _ in range(2)]
+    sigma, q = cylinder_embed(path, layer, layer_w, coup_w)
+    for j in range(3):
+        L = np.zeros((4, 4))
+        for (a, b), w in zip(layer.edges, layer_w[j]):
+            L[[a, b], [a, b]] += w
+            L[[a, b], [b, a]] -= w
+        assert np.abs(q.values[j] - L).max() < 1e-13
+    M_path = schrodinger_matrix(path, sigma.values, q.values)
+    cyl = cylinder_graph(path, layer, boundary=[3, 9])
+    M_cyl = laplacian_matrix(cyl, cylinder_scalar_weights(layer_w, coup_w).reshape(-1, 1, 1))
     pi = cylinder_permutation(path, layer, cyl)
     assert np.abs(M_path - M_cyl[np.ix_(pi, pi)]).max() < 1e-13
 
