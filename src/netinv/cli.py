@@ -29,7 +29,7 @@ from .fileio import (
     parse_complex,
     save_matrix,
 )
-from .graph import FieldError, GraphError, MatrixEdgeField
+from .graph import FieldError, GraphError
 from .operators import eigen_decompose
 
 EXIT_OK = 0
@@ -115,10 +115,11 @@ def _write_json(path: str | None, doc: dict) -> None:
         print(text)
 
 
-def _supported_regime(model: NetworkModel,
-                      sigma: MatrixEdgeField) -> tuple[DirichletRegime, np.ndarray]:
+def _supported_regime(model: NetworkModel) -> tuple[DirichletRegime, np.ndarray]:
     """Regime of the network and its canonical operator M, assembled once for
-    both the regime and the solve; RegimeError (exit 4) when unsupported."""
+    both the regime and the solve; RegimeError (exit 4) when unsupported.
+    The regime's route is what every solve of M takes."""
+    sigma = model.conductivity()
     M = dirichlet._operator(model.graph, sigma, model.q)
     regime = dirichlet._classify(model.graph, sigma, model.q, M)
     if regime.tag is RegimeTag.UNSUPPORTED:
@@ -130,16 +131,11 @@ def cmd_forward(args) -> int:
     model = load_network(args.network)
     gvec = _load_boundary_data(args.boundary, model)
     g = model.graph
-    sigma = model.conductivity()
-    regime, M = _supported_regime(model, sigma)
+    regime, M = _supported_regime(model)
     doc: dict = {"regime": regime.tag.value}
-    Q = None
-    if regime.tag.is_psd:
-        # the floppy modes are the nullspace of the interior block whose
-        # range Q spans, so one spectrum gives both
-        Q = dirichlet.q_basis(g, regime.eig or eigen_decompose(sigma))
-        doc["floppy_dim"] = Q.shape[0] - Q.shape[1]
-    u, resid = dirichlet._solve(g, M, sigma.d, gvec, Q)
+    if regime.route.floppy is not None:
+        doc["floppy_dim"] = regime.route.floppy.shape[1]
+    u, resid = dirichlet._solve(M, g, gvec, regime.route)
     doc["residual"] = resid
     doc["u"] = [[complex_to_json(z) for z in u.values[v]] for v in range(g.num_vertices)]
     doc["vertex_ids"] = list(model.vertex_ids)
@@ -149,12 +145,8 @@ def cmd_forward(args) -> int:
 
 def cmd_dtn(args) -> int:
     model = load_network(args.network)
-    g = model.graph
-    sigma = model.conductivity()
-    regime, M = _supported_regime(model, sigma)
-    Q = None if regime.tag.is_pd else dirichlet.q_basis(g, regime.eig or eigen_decompose(sigma))
-    m, sym = dirichlet._symmetric_dtn(M, sigma.d * g.num_boundary, Q,
-                                      dirichlet._level_rows(g, sigma.d))
+    regime, M = _supported_regime(model)
+    m, sym = dirichlet._symmetric_dtn(M, regime.route)
     provenance = "pd" if regime.tag.is_pd else "psd"
     save_matrix(m, args.output, extra={"provenance": provenance, "symmetry_residual": sym})
     print(f"provenance: {provenance}")
@@ -212,19 +204,16 @@ def cmd_invert(args) -> int:
 
 def cmd_floppy(args) -> int:
     model = load_network(args.network)
-    g = model.graph
-    sigma = model.conductivity()
-    regime, M = _supported_regime(model, sigma)
-    if regime.tag.is_pd:
+    regime, M = _supported_regime(model)
+    modes = regime.route.floppy
+    if modes is None:
         print("floppy dimension: 0")
         return EXIT_OK
-    basis = dirichlet.floppy_basis(g, sigma)
-    print(f"floppy dimension: {basis.dim}")
+    print(f"floppy dimension: {modes.shape[1]}")
     # a floppy mode vanishes on the boundary, so a zero potential adds no flux
-    nb = sigma.d * g.num_boundary
+    nb = regime.route.nb
     worst = 0.0
-    for c in range(basis.dim):
-        z = basis.modes[:, c]
+    for c, z in enumerate(modes.T):
         worst = max(worst, float(np.abs((M @ z)[:nb]).max(initial=0.0)))
         print(f"mode {c}: {[round(x, 12) for x in z.tolist()]}")
     print(f"max boundary-flux violation: {worst:.3e}")

@@ -4,7 +4,9 @@ Two regimes are supported. In the positive-definite regimes the interior
 block of the Schrodinger operator is invertible and the map is a plain Schur
 complement. In the rank-deficient (positive-semidefinite) regimes the
 interior block has a nullspace of floppy modes; solves pick the minimal-norm
-representative and the map uses a basis Q of the interior range.
+representative and the map uses a basis Q of the interior range. Which of
+the two applies is decided once, as the ``_Route`` that the classification
+keeps and every solve takes.
 """
 
 from __future__ import annotations
@@ -71,17 +73,31 @@ class RegimeTag(enum.Enum):
     def is_pd(self) -> bool:
         return self in (RegimeTag.PD_SIGMA, RegimeTag.PD_Q)
 
-    @property
-    def is_psd(self) -> bool:
-        return self in (RegimeTag.PSD_REAL, RegimeTag.PSD_COMMUTING)
+
+@dataclass(frozen=True, eq=False)
+class _Route:
+    """How the interior of a canonical operator on one graph with d x d
+    blocks is solved; built only by ``_route``. The first nb rows and
+    columns are the boundary. In the positive-definite regimes ``rows`` are
+    the interior rows grouped by level, deepest last; one level (or none) is
+    all rows as one slice, whose blocks are views and whose products are
+    those of one dense solve, bit for bit. In the rank-deficient regimes
+    ``Q`` is a real orthonormal basis of the interior range and ``floppy``
+    the orthonormal floppy modes, (d|V|, f) in canonical order and zero on
+    the boundary."""
+
+    nb: int
+    rows: list | None = None
+    Q: np.ndarray | None = None
+    floppy: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class DirichletRegime:
     tag: RegimeTag
     diagnostics: dict = field(default_factory=dict)
-    # the edge eigendata, when classifying computed it (PSD_COMMUTING)
-    eig: EigenData | None = field(default=None, repr=False, compare=False)
+    # how every supported regime is solved; None when unsupported
+    route: _Route | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -155,22 +171,25 @@ def _classify(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None,
             np.linalg.cholesky(Lr_II - shift * np.eye(len(Lr_II)))
         except np.linalg.LinAlgError:
             continue
-        return DirichletRegime(tag, {**diag, "cholesky_shift": shift} if n_I else diag)
+        return DirichletRegime(tag, {**diag, "cholesky_shift": shift} if n_I else diag,
+                               _route(g, d))
     if not n_I and len(q_values) and _blocks_min_eig(qr[list(g.boundary)]) > PD_TOL:
-        return DirichletRegime(RegimeTag.PD_Q, diag)
+        return DirichletRegime(RegimeTag.PD_Q, diag, _route(g, d))
 
-    # PSD regimes need q = 0, sigma' >= 0 and no zero edge blocks
+    # PSD regimes need q = 0, sigma' >= 0, no zero edge blocks and an edge
+    # eigendecomposition, whose spectrum splits into Q and the floppy modes
     norms = np.abs(sigma.values).reshape(g.num_edges, -1).max(axis=1)
     if _is_zero_field(q_values) and sigma_min > -PD_TOL * (1.0 + sigma_scale):
         if (norms <= ZERO_TOL).any():
             diag["zero_edge"] = int(np.argmin(norms))
-        elif _is_zero_field(si):
-            return DirichletRegime(RegimeTag.PSD_REAL, diag)
         else:
             try:
-                return DirichletRegime(RegimeTag.PSD_COMMUTING, diag, eigen_decompose(sigma))
+                eig = eigen_decompose(sigma)
             except FieldError as exc:
                 diag["commuting_failure"] = str(exc)
+            else:
+                tag = RegimeTag.PSD_REAL if _is_zero_field(si) else RegimeTag.PSD_COMMUTING
+                return DirichletRegime(tag, diag, _route(g, d, eig))
     # only an unsupported network reports lambda_min(Lr_II), so only it pays for eigvalsh
     diag["laplacian_interior_min_eig"] = float(np.linalg.eigvalsh(Lr_II).min()) if n_I else 0.0
     return DirichletRegime(RegimeTag.UNSUPPORTED, diag)
@@ -182,14 +201,28 @@ def _boundary_vec(g: Graph, gb: np.ndarray | VectorNodeField) -> np.ndarray:
     return np.asarray(gb, dtype=complex).reshape(-1)
 
 
-def _level_rows(g: Graph, d: int) -> list:
-    """The rows of the interior block of a canonical operator on g with d x d
-    blocks, grouped by the interior levels of g (``Graph.interior_levels``),
-    deepest last. One level (or none) is all rows, as a slice: its blocks are
-    then views and its products those of one dense solve, bit for bit."""
-    if len(g.interior_levels) <= 1:
-        return [slice(None)]
-    return [(lev[:, None] * d + np.arange(d)).ravel() for lev in g.interior_levels]
+def _route(g: Graph, d: int, eig: EigenData | None = None) -> _Route:
+    """The route of a canonical operator on g with d x d blocks: without
+    ``eig``, the interior rows grouped by the levels of g
+    (``Graph.interior_levels``); with the edge eigendata ``eig``, Q and the
+    floppy modes as the two parts of one spectrum, that of the interior
+    block of the Laplacian whose edge blocks are x x^T (every kept
+    eigenvalue set to 1), split at _NULL_TOL times its largest eigenvalue.
+    That nullspace is the complex Laplacian's in the supported rank-deficient
+    regimes, and the split does not depend on how widely the edge
+    eigenvalues spread."""
+    nb = d * g.num_boundary
+    if eig is None:
+        levels = g.interior_levels
+        if len(levels) <= 1:
+            return _Route(nb, rows=[slice(None)])
+        return _Route(nb, rows=[(lev[:, None] * d + np.arange(d)).ravel() for lev in levels])
+    unit = laplacian_matrix(g, eig.x @ eig.x.transpose(0, 2, 1))
+    w, v = np.linalg.eigh(unit.real[nb:, nb:])
+    kept = w > _NULL_TOL * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
+    floppy = np.zeros((len(unit), int((~kept).sum())))
+    floppy[nb:] = v[:, ~kept]
+    return _Route(nb, Q=v[:, kept], floppy=floppy)
 
 
 def _solved(S: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -216,28 +249,26 @@ def _eliminate(A: np.ndarray, rows: list, b: np.ndarray):
     return S, y, solves
 
 
-def _interior_solve(M: np.ndarray, nb: int, rhs: np.ndarray, Q: np.ndarray | None = None,
-                    levels: list | None = None) -> np.ndarray:
-    """M_II^-1 rhs for a canonical operator M whose first nb rows and columns
-    are the boundary; the interior of a Dirichlet solution is -M_II^-1 M_IB g.
+def _interior_solve(M: np.ndarray, rhs: np.ndarray, route: _Route) -> np.ndarray:
+    """M_II^-1 rhs for a canonical operator M on the route's graph; the
+    interior of a Dirichlet solution is -M_II^-1 M_IB g.
 
-    M_II is eliminated on the interior ``levels`` of its graph, its rows
-    grouped as ``_level_rows`` gives them, and the solution back-substituted
-    (``_eliminate``); with one level (None) this is one dense solve. With Q,
-    an orthonormal basis of the interior range, it is the minimal-norm
-    Q (Q^T M_II Q)^-1 Q^T rhs of the rank-deficient regimes.
+    M_II is eliminated on the route's level rows and the solution
+    back-substituted (``_eliminate``); with one level this is one dense
+    solve. On a Q route it is the minimal-norm Q (Q^T M_II Q)^-1 Q^T rhs of
+    the rank-deficient regimes.
     Every Dirichlet solution, DtN map and state matrix goes through here, in
     real arithmetic when M is real and rhs has no imaginary part.
     """
     rhs = _real_if_real(rhs)
-    M_II = M[nb:, nb:]
+    M_II, Q = M[route.nb:, route.nb:], route.Q
     if Q is not None:
         # near the float maximum, the system is first divided exactly by a
         # power of two, so that Q^T M_II Q cannot overflow
         e = np.frexp(np.abs(M_II).max(initial=0.0))[1]
         scale = np.ldexp(1.0, -e) if e > 500 else 1.0
         return Q @ _solved(Q.T @ (scale * M_II) @ Q, Q.T @ (scale * rhs))
-    rows = levels or [slice(None)]
+    rows = route.rows
     b = rhs if rhs.ndim == 2 else rhs[:, None]
     S, y, solves = _eliminate(M_II, rows, b)
     x = _solved(S, y)
@@ -249,39 +280,36 @@ def _interior_solve(M: np.ndarray, nb: int, rhs: np.ndarray, Q: np.ndarray | Non
     return out.reshape(rhs.shape)
 
 
-def _schur_dtn(M: np.ndarray, nb: int, Q: np.ndarray | None = None,
-               levels: list | None = None) -> np.ndarray:
+def _schur_dtn(M: np.ndarray, route: _Route) -> np.ndarray:
     """Schur complement M_BB - M_BI M_II^-1 M_IB, real exactly when M is.
 
     M_BI vanishes outside the first interior level, so the elimination of
     ``_interior_solve`` stops at S_1: this is M_BB - M_B1 S_1^-1 M_1B, with no
     back-substitution. The Q route of the rank-deficient regimes is dense."""
-    if Q is not None:
-        return M[:nb, :nb] - M[:nb, nb:] @ _interior_solve(M, nb, M[nb:, :nb], Q)
-    M_II = M[nb:, nb:]
-    rows = levels or [slice(None)]
+    nb = route.nb
+    if route.Q is not None:
+        return M[:nb, :nb] - M[:nb, nb:] @ _interior_solve(M, M[nb:, :nb], route)
+    M_II, rows = M[nb:, nb:], route.rows
     S = _eliminate(M_II, rows, np.zeros((len(M_II), 0), dtype=M.dtype))[0]
     return M[:nb, :nb] - M[:nb, nb:][:, rows[0]] @ _solved(S, M[nb:, :nb][rows[0]])
 
 
-def _symmetric_dtn(M: np.ndarray, nb: int, Q: np.ndarray | None = None,
-                   levels: list | None = None) -> tuple[np.ndarray, float]:
+def _symmetric_dtn(M: np.ndarray, route: _Route) -> tuple[np.ndarray, float]:
     """The symmetric part (F + F^T) / 2 of the Schur product F = _schur_dtn(M,
-    nb, Q, levels), and the asymmetry max|F - F^T| it discards. M is
+    route), and the asymmetry max|F - F^T| it discards. M is
     symmetric, so the exact map is too; the symmetric part is never farther
     from it in the Frobenius norm, the projection being orthogonal. Halved
     before the sum, which cannot overflow and gives the same bits in the
     normal range."""
-    F = _schur_dtn(M, nb, Q, levels)
+    F = _schur_dtn(M, route)
     return 0.5 * F + 0.5 * F.T, float(np.abs(F - F.T).max(initial=0.0))
 
 
-def _dirichlet_state_matrix(M: np.ndarray, nb: int, Q: np.ndarray | None = None,
-                            levels: list | None = None) -> np.ndarray:
+def _dirichlet_state_matrix(M: np.ndarray, route: _Route) -> np.ndarray:
     """Solutions of the Dirichlet problem for every basis boundary vector,
     stacked as columns in the canonical ordering."""
-    return np.vstack([np.eye(nb, dtype=complex),
-                      -_interior_solve(M, nb, M[nb:, :nb], Q, levels)])
+    nb = route.nb
+    return np.vstack([np.eye(nb, dtype=complex), -_interior_solve(M, M[nb:, :nb], route)])
 
 
 def _operator(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> np.ndarray:
@@ -298,21 +326,20 @@ def _operator(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> np
     return schrodinger_matrix(g, sigma.values, q.values)
 
 
-def _solve(g: Graph, M: np.ndarray, d: int, gb: np.ndarray | VectorNodeField,
-           Q: np.ndarray | None = None) -> tuple[VectorNodeField, float]:
+def _solve(M: np.ndarray, g: Graph, gb: np.ndarray | VectorNodeField,
+           route: _Route) -> tuple[VectorNodeField, float]:
     """The Dirichlet solution for boundary data gb of the canonical operator M
-    with d x d blocks, and its interior residual |(M u)_I|, RegimeError when
-    that is beyond RESIDUAL_TOL."""
-    nb = d * g.num_boundary
+    on g, and its interior residual |(M u)_I|, RegimeError when that is
+    beyond RESIDUAL_TOL."""
+    nb = route.nb
     gvec = _boundary_vec(g, gb)
     if gvec.shape != (nb,):
         raise FieldError("boundary data has wrong length")
-    flat = np.concatenate([gvec, -_interior_solve(M, nb, M[nb:, :nb] @ gvec, Q,
-                                                  _level_rows(g, d))])
+    flat = np.concatenate([gvec, -_interior_solve(M, M[nb:, :nb] @ gvec, route)])
     resid = float(np.linalg.norm((M @ flat)[nb:]))
     if resid > RESIDUAL_TOL * (1.0 + np.linalg.norm(gvec)):
         raise RegimeError(f"interior residual {resid:.3e} beyond tolerance")
-    return VectorNodeField.from_canonical(g, flat, d), resid
+    return VectorNodeField.from_canonical(g, flat, len(M) // g.num_vertices), resid
 
 
 def solve_dirichlet_pd(
@@ -325,53 +352,28 @@ def solve_dirichlet_pd(
 
     Returns the node field u with u_B = gb and vanishing interior equations.
     """
-    return _solve(g, _operator(g, sigma, q), sigma.d, gb)[0]
+    return _solve(_operator(g, sigma, q), g, gb, _route(g, sigma.d))[0]
 
 
 def dtn_pd(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DtnMap:
     """Schur-complement Dirichlet-to-Neumann map for invertible interiors,
     exactly symmetric."""
-    d = sigma.d
-    lam = _symmetric_dtn(_operator(g, sigma, q), d * g.num_boundary, levels=_level_rows(g, d))[0]
+    lam = _symmetric_dtn(_operator(g, sigma, q), _route(g, sigma.d))[0]
     return DtnMap(matrix=lam.astype(complex, copy=False), provenance="pd")
-
-
-def _interior_spectrum(g: Graph, blocks: np.ndarray):
-    """Eigenpairs of the interior block of the real Laplacian of ``blocks``,
-    and the cut _NULL_TOL * |largest eigenvalue| below which one counts as
-    zero."""
-    nb = blocks.shape[1] * g.num_boundary
-    w, v = np.linalg.eigh(laplacian_matrix(g, blocks).real[nb:, nb:])
-    return w, v, _NULL_TOL * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
-
-
-def _unit_blocks(eig: EigenData) -> np.ndarray:
-    """x x^T per edge: the edge blocks with every kept eigenvalue set to 1."""
-    return eig.x @ eig.x.transpose(0, 2, 1)
 
 
 def floppy_basis(g: Graph, sigma: MatrixEdgeField) -> FloppyBasis:
     """Orthonormal basis of displacements with zero boundary values and zero
-    interior net force, as canonical-ordering columns.
-
-    The modes are the complement of the Q basis in the same interior
-    spectrum, that of the unit-eigenvalue Laplacian; its nullspace is that
-    of the complex Laplacian in the supported rank-deficient regimes, and
-    the count does not depend on how widely the edge eigenvalues spread.
-    """
-    w, v, cut = _interior_spectrum(g, _unit_blocks(eigen_decompose(sigma)))
-    null = v[:, w <= cut]
-    modes = np.zeros((sigma.d * g.num_vertices, null.shape[1]))
-    modes[sigma.d * g.num_boundary:] = null
-    return FloppyBasis(modes=modes)
+    interior net force, as canonical-ordering columns: the complement of the
+    Q basis in one interior spectrum (``_route``)."""
+    return FloppyBasis(modes=_route(g, sigma.d, eigen_decompose(sigma)).floppy)
 
 
 def q_basis(g: Graph, eig: EigenData) -> np.ndarray:
     """Real orthonormal basis of the range of the interior Laplacian block,
     (d|I|, rank), built from the conductivity eigenvectors only (unit
     eigenvalues)."""
-    w, v, cut = _interior_spectrum(g, _unit_blocks(eig))
-    return v[:, w > cut]
+    return _route(g, eig.d, eig).Q
 
 
 def solve_dirichlet_psd(
@@ -384,14 +386,13 @@ def solve_dirichlet_psd(
     The interior part is the pseudoinverse solve realized through the Q
     basis, so the floppy component is zero.
     """
-    eig = eigen_decompose(sigma)
-    return _solve(g, _operator(g, sigma, None), sigma.d, gb, q_basis(g, eig))[0]
+    M = _operator(g, sigma, None)
+    return _solve(M, g, gb, _route(g, sigma.d, eigen_decompose(sigma)))[0]
 
 
 def dtn_psd(g: Graph, sigma: MatrixEdgeField) -> DtnMap:
     """Dirichlet-to-Neumann map for rank-deficient conductivities via the Q
     basis of the interior range, exactly symmetric."""
-    eig = eigen_decompose(sigma)
-    lam = _symmetric_dtn(_operator(g, sigma, None), sigma.d * g.num_boundary, q_basis(g, eig))[0]
+    M = _operator(g, sigma, None)
+    lam = _symmetric_dtn(M, _route(g, sigma.d, eigen_decompose(sigma)))[0]
     return DtnMap(matrix=lam.astype(complex, copy=False), provenance="psd")
-

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirichlet import DtnMap, _level_rows, _symmetric_dtn, dtn_psd, q_basis
+from .dirichlet import DtnMap, _route, _symmetric_dtn, dtn_psd
 from .graph import FieldError, Graph, MatrixEdgeField, _edge_rows, _vertex_rows
 from .inversion import ProblemSpec, _make_spec
 from .operators import (
@@ -134,8 +134,7 @@ def displacement_to_forces(net: ElasticNetwork, regime: str) -> DtnMap:
         _require_dynamic(net)
         jw = 1j * net.omega
         M = _scaled_operator(net, net.c_e + net.k / jw, net.c_v + jw * net.mass)
-        g = net.graph
-        lam = _symmetric_dtn(M, net.d * g.num_boundary, levels=_level_rows(g, net.d))[0]
+        lam = _symmetric_dtn(M, _route(net.graph, net.d))[0]
         return DtnMap(matrix=jw * lam, provenance="pd")
     raise ValueError(f"unknown regime {regime!r}")
 
@@ -168,11 +167,10 @@ def make_spec_eigenvalues(g: Graph, eig: EigenData) -> ProblemSpec:
     E = g.num_edges
     xt = eig.x.transpose(0, 2, 1)
     return _make_spec(
-        "eigenvalues", g, d, r * E,
+        "eigenvalues", _route(g, d, eig), r * E,
         op=lambda lam: laplacian_matrix(g, (eig.x * lam.reshape(E, r)[:, None, :]) @ xt),
         rows=_projected_gradient(g, eig.x),
         cone=lambda lam: lam.reshape(-1, 1, 1),
-        Q=q_basis(g, eig),
     )
 
 
@@ -207,7 +205,7 @@ def make_spec_springs_known_masses(net: ElasticNetwork) -> ProblemSpec:
     jw = 1j * w
     vertex = net.c_v + jw * net.mass
     return _make_spec(
-        "springs_dampers", g, net.d, g.num_edges,
+        "springs_dampers", _route(g, net.d), g.num_edges,
         op=lambda rho: _scaled_operator(net, rho / jw, vertex),
         rows=_projected_gradient(g, eigen_decompose(spring_conductivity(net)).x),
         cone=lambda rho: _dynamic_cone(rho, 1.0, w),
@@ -231,7 +229,7 @@ def make_spec_masses_known_springs(net: ElasticNetwork) -> ProblemSpec:
     edge = (net.k + jw * net.c_e) / jw
     perm = _vertex_rows(g, net.d)
     return _make_spec(
-        "masses_dampers", g, net.d, g.num_vertices,
+        "masses_dampers", _route(g, net.d), g.num_vertices,
         op=lambda rho: _scaled_operator(net, edge, rho / jw),
         rows=lambda U: U[perm],
         cone=lambda rho: _dynamic_cone(rho, -1.0, w),

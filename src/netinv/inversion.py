@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dirichlet import _dirichlet_state_matrix, _level_rows, _schur_dtn
+from .dirichlet import _dirichlet_state_matrix, _Route, _route, _schur_dtn
 from .graph import (
     Graph,
     MatrixEdgeField,
@@ -161,7 +161,7 @@ def product_matrix(spec: ProblemSpec, p1: np.ndarray, p2: np.ndarray) -> Product
 def jacobian(spec: ProblemSpec, p: np.ndarray) -> np.ndarray:
     """n^2 x m Jacobian of vec(forward map) at p, as the transposed product
     matrix at (p, p)."""
-    return product_matrix(spec, p, p).W.T.copy()
+    return product_matrix(spec, p, p).W.T
 
 
 def fd_jacobian(spec: ProblemSpec, p: np.ndarray, h: float = 1e-5,
@@ -255,7 +255,7 @@ def newton_invert(
     tvec = target.reshape(-1, order="F")
     r = spec.forward(p).reshape(-1, order="F") - tvec
     rnorm = float(np.linalg.norm(r))
-    trace = NewtonTrace(iterates=[p.copy()], residuals=[rnorm], step_lengths=[], reason="")
+    iterates, residuals, step_lengths = [p.copy()], [rnorm], []
     stop_res = residual_tol * (1.0 + np.linalg.norm(tvec))
 
     reason = "max_iter"
@@ -286,17 +286,15 @@ def newton_invert(
         p = cand
         r = r_new
         rnorm = float(np.sqrt(phi_new))
-        trace.iterates.append(p.copy())
-        trace.residuals.append(rnorm)
-        trace.step_lengths.append(t)
+        iterates.append(p.copy())
+        residuals.append(rnorm)
+        step_lengths.append(t)
         if t * np.linalg.norm(dp) <= _STEP_TOL:
             reason = "step"
             break
-    else:
-        reason = "max_iter"
     if rnorm <= stop_res:
         reason = "residual"
-    return p, NewtonTrace(trace.iterates, trace.residuals, trace.step_lengths, reason)
+    return p, NewtonTrace(iterates, residuals, step_lengths, reason)
 
 
 @dataclass(frozen=True)
@@ -391,30 +389,28 @@ def identity_residual(spec: ProblemSpec, p1: np.ndarray, p2: np.ndarray) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _make_spec(name: str, g: Graph, d: int, m: int, op: Callable, rows: Callable,
+def _make_spec(name: str, route: _Route, m: int, op: Callable, rows: Callable,
                cone: Callable, block: int = 1, components: int = 1,
-               Q: np.ndarray | None = None, scale: complex = 1) -> ProblemSpec:
-    """A complex-parameter ProblemSpec from its data: the graph g and block
-    size d, the operator p -> M in canonical order, the linear map ``rows``
-    from the canonical Dirichlet state matrix to the states, the interior
-    range basis Q of the rank-deficient regimes, the factor ``scale`` of the
-    forward map and the admissible cone (``ProblemSpec``). Without Q, the
-    interior is eliminated on the levels of g."""
-    nb, levels = d * g.num_boundary, _level_rows(g, d)
+               scale: complex = 1) -> ProblemSpec:
+    """A complex-parameter ProblemSpec from its data: the route every
+    operator p -> M (in canonical order) is solved by, built once for the
+    spec, the linear map ``rows`` from the canonical Dirichlet state matrix
+    to the states, the factor ``scale`` of the forward map and the
+    admissible cone (``ProblemSpec``)."""
 
     def forward(p: np.ndarray) -> np.ndarray:
-        F = _schur_dtn(op(p), nb, Q, levels).astype(complex, copy=False)
+        F = _schur_dtn(op(p), route).astype(complex, copy=False)
         return F if scale == 1 else scale * F
 
     def states(p: np.ndarray) -> np.ndarray:
-        return rows(_dirichlet_state_matrix(op(p), nb, Q, levels))
+        return rows(_dirichlet_state_matrix(op(p), route))
 
     def admissible(p: np.ndarray) -> bool:
         p = np.asarray(p).reshape(-1)
         return p.shape == (m,) and bool(np.isfinite(p).all()) \
             and _cone_cholesky(cone(p)) is not None
 
-    return ProblemSpec(name=name, m=m, n=nb, is_real=False, admissible=admissible,
+    return ProblemSpec(name=name, m=m, n=route.nb, is_real=False, admissible=admissible,
                        forward=forward, states=states, cone=cone, block=block,
                        components=components)
 
@@ -437,7 +433,7 @@ def make_spec_conductivity(g: Graph, d: int) -> ProblemSpec:
     """
     plus, minus = _edge_rows(g, d)
     return _make_spec(
-        "conductivity", g, d, d * d * g.num_edges,
+        "conductivity", _route(g, d), d * d * g.num_edges,
         op=lambda p: laplacian_matrix(g, _blocks(p, d)),
         rows=lambda U: U[plus] - U[minus],
         cone=lambda p: _blocks(p, d),
@@ -455,13 +451,13 @@ def make_spec_schrodinger(g: Graph, sigma: MatrixEdgeField) -> ProblemSpec:
     Laplacian block.
     """
     d = sigma.d
-    nb = d * g.num_boundary
+    route = _route(g, d)
     interior = list(g.interior)
     Lr = laplacian_matrix(g, sigma.values.real).real
-    lam_II = float(np.linalg.eigvalsh(Lr[nb:, nb:]).min()) if g.num_interior else 0.0
+    lam_II = float(np.linalg.eigvalsh(Lr[route.nb:, route.nb:]).min()) if g.num_interior else 0.0
     perm = _vertex_rows(g, d)
     return _make_spec(
-        "schrodinger", g, d, d * d * g.num_vertices,
+        "schrodinger", route, d * d * g.num_vertices,
         op=lambda p: schrodinger_matrix(g, sigma.values, _blocks(p, d)),
         rows=lambda U: U[perm],
         cone=lambda p: _blocks(p, d)[interior] + lam_II * np.eye(d),

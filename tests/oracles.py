@@ -237,13 +237,16 @@ def classify_regime_eigvalsh(g: Graph, sigma: MatrixEdgeField,
         return RegimeTag.UNSUPPORTED
     if (np.abs(sigma.values).reshape(g.num_edges, -1).max(axis=1) <= ZERO_TOL).any():
         return RegimeTag.UNSUPPORTED
-    if is_zero(sigma.values.imag):
-        return RegimeTag.PSD_REAL
     try:
         eigen_decompose(sigma)
     except FieldError:
         return RegimeTag.UNSUPPORTED
-    return RegimeTag.PSD_COMMUTING
+    return RegimeTag.PSD_REAL if is_zero(sigma.values.imag) else RegimeTag.PSD_COMMUTING
+
+
+def schur_complement(M: np.ndarray, nb: int) -> np.ndarray:
+    """M_BB - M_BI M_II^-1 M_IB by one dense np.linalg.solve."""
+    return M[:nb, :nb] - M[:nb, nb:] @ np.linalg.solve(M[nb:, nb:], M[nb:, :nb])
 
 
 def complex_state_matrix(M: np.ndarray, nb: int, Q: np.ndarray | None = None) -> np.ndarray:

@@ -174,9 +174,9 @@ def test_dtn_assembles_once_per_operator(tmp_path, monkeypatch, doc, counts):
     assert command_counts(tmp_path, monkeypatch, doc, "dtn", "-o", out) == counts
 
 
-@pytest.mark.parametrize("command", ["dtn", "forward"])
+@pytest.mark.parametrize("command", ["dtn", "forward", "floppy"])
 def test_psd_commuting_decomposes_once(tmp_path, monkeypatch, command):
-    # the classification's eigendata gives the Q basis too
+    # the classification's eigendata gives the Q basis and the floppy modes too
     calls = []
     original = operators.eigen_decompose
 
@@ -187,7 +187,7 @@ def test_psd_commuting_decomposes_once(tmp_path, monkeypatch, command):
     for module in (operators, dirichlet, cli):
         monkeypatch.setattr(module, "eigen_decompose", counted)
     net = write(tmp_path, "net.json", mixed_rank_doc())
-    args = ["-o", str(tmp_path / "out.json")]
+    args = [] if command == "floppy" else ["-o", str(tmp_path / "out.json")]
     if command == "forward":
         args = [write(tmp_path, "bc.json", {"g": [[1.0, 0.0], [0.0, 0.0]]}), *args]
     assert main([command, net, *args]) == EXIT_OK
@@ -252,15 +252,16 @@ def test_forward_malformed_json_exits_1(tmp_path):
 
 
 def test_forward_unsupported_regime_exits_4(tmp_path, capsys):
-    doc = p3_doc()
-    doc["edges"][0]["sigma"] = [[-1.0]]  # indefinite conductivity
-    net = write(tmp_path, "net.json", doc)
     bc = write(tmp_path, "bc.json", {"g": [[1.0], [0.0]]})
     out = str(tmp_path / "dtn.json")
-    # every command that classifies the regime: forward, dtn and floppy
-    for argv in (["forward", net, bc], ["dtn", net, "-o", out], ["floppy", net]):
-        assert main(argv) == EXIT_UNSUPPORTED
-        assert "unsupported regime" in capsys.readouterr().err
+    # an indefinite conductivity; and sigma' >= 0 within PD_TOL where edge 0
+    # has no positive eigenvalue to decompose, so that no route solves it
+    for sigma0 in (-1.0, -1e-11):
+        net = write(tmp_path, "net.json", p3_doc((sigma0, 1.0)))
+        # every command that classifies the regime: forward, dtn and floppy
+        for argv in (["forward", net, bc], ["dtn", net, "-o", out], ["floppy", net]):
+            assert main(argv) == EXIT_UNSUPPORTED
+            assert capsys.readouterr().err.startswith("unsupported regime: ")
 
 
 def test_dtn_single_edge(tmp_path):
@@ -302,8 +303,8 @@ def test_dtn_file_is_the_symmetric_part_of_the_schur_product(tmp_path, make_doc)
     model = ni.load_network(net)
     sigma = model.conductivity()
     M = dirichlet._operator(model.graph, sigma, model.q)
-    Q = dirichlet.q_basis(model.graph, operators.eigen_decompose(sigma))  # both are PSD
-    F = dirichlet._schur_dtn(M, sigma.d * model.graph.num_boundary, Q)
+    route = dirichlet._route(model.graph, sigma.d, operators.eigen_decompose(sigma))  # both are PSD
+    F = dirichlet._schur_dtn(M, route)
     m = load_matrix(out)
     assert np.array_equal(m, m.T)
     # F is real for the real truss; the file's imaginary parts are then +0.0

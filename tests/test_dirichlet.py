@@ -18,7 +18,7 @@ from netinv.dirichlet import (
     solve_dirichlet_psd,
     _dirichlet_state_matrix,
     _interior_solve,
-    _level_rows,
+    _route,
     _schur_dtn,
     _symmetric_dtn,
 )
@@ -112,6 +112,17 @@ def test_classify_unsupported_noncommuting():
     reg = classify_regime(g, sigma, None)
     assert reg.tag is RegimeTag.UNSUPPORTED
     assert "commuting_failure" in reg.diagnostics or reg.diagnostics
+
+
+def test_classify_unsupported_without_edge_eigendata():
+    # within PD_TOL of sigma' >= 0, but edge 0 has no positive eigenvalue:
+    # the decomposition's message is reported, and no route is kept
+    g = path3()
+    sigma = MatrixEdgeField.from_blocks(np.array([[[-1e-11]], [[1.0]]]))
+    reg = classify_regime(g, sigma, None)
+    assert reg.tag is RegimeTag.UNSUPPORTED
+    assert reg.diagnostics["commuting_failure"] == "edge 0 has zero real part"
+    assert reg.route is None
 
 
 def test_classify_unsupported_indefinite():
@@ -504,8 +515,9 @@ def schur_pinv_oracle(M, nb):
     return M[:nb, :nb] - M[:nb, nb:] @ np.linalg.pinv(M[nb:, nb:]) @ M[nb:, :nb]
 
 
-def check_state_matrix(M, nb, lam, Q=None):
-    U = _dirichlet_state_matrix(M, nb, Q)
+def check_state_matrix(M, route, lam):
+    nb = route.nb
+    U = _dirichlet_state_matrix(M, route)
     assert np.abs((M @ U)[nb:]).max(initial=0.0) < 1e-10
     assert np.abs(M[:nb] @ U - lam).max() < 1e-10
 
@@ -526,7 +538,7 @@ def test_dtn_pd_matches_schur_oracle(net, with_q):
     if not with_q:
         constants = np.kron(np.ones((g.num_boundary, 1)), np.eye(d))
         assert np.abs(lam @ constants).max() < 1e-10
-    check_state_matrix(M, nb, lam)
+    check_state_matrix(M, _route(g, d), lam)
 
 
 @settings(max_examples=60, deadline=None)
@@ -546,8 +558,7 @@ def test_dtn_psd_rank_one_matches_pseudoinverse_oracle(net):
     assume(w.size == 0 or (w[w > 1e-10 * w.max()] > 1e-6 * w.max()).all())
     lam = dtn_psd(g, sigma).matrix
     assert np.abs(lam - dtn_pseudoinverse_oracle(g, sigma)).max() < 1e-10
-    Q = q_basis(g, eigen_decompose(sigma))
-    check_state_matrix(laplacian_matrix(g, blocks), nb, lam, Q)
+    check_state_matrix(laplacian_matrix(g, blocks), _route(g, d, eigen_decompose(sigma)), lam)
 
 
 def rank_one_blocks(count, d, local):
@@ -783,11 +794,11 @@ def test_pd_regime_error_on_misuse():
 # ---------------------------------------------------------------------------
 
 
-def check_symmetric_part(M, nb, lam, Q=None, levels=None) -> float:
+def check_symmetric_part(M, route, lam) -> float:
     """lam is exactly symmetric and is (F + F^T) / 2, bit for bit, of the
     Schur product F; returns the asymmetry max|F - F^T| it discards."""
-    F = _schur_dtn(M, nb, Q, levels)
-    sym, residual = _symmetric_dtn(M, nb, Q, levels)
+    F = _schur_dtn(M, route)
+    sym, residual = _symmetric_dtn(M, route)
     assert np.array_equal(lam, lam.T)
     # F and sym are real for a real M, lam is complex with +0.0 imaginary parts
     assert lam.tobytes() == sym.astype(complex).tobytes() \
@@ -805,8 +816,7 @@ def test_dtn_pd_is_the_symmetric_part_of_the_schur_product(net, with_q):
         if with_q else None
     M = schrodinger_matrix(g, sigma.values, q.values) if with_q \
         else laplacian_matrix(g, sigma.values)
-    check_symmetric_part(M, d * g.num_boundary, dtn_pd(g, sigma, q).matrix,
-                         levels=_level_rows(g, d))
+    check_symmetric_part(M, _route(g, d), dtn_pd(g, sigma, q).matrix)
 
 
 @settings(max_examples=40, deadline=None)
@@ -818,9 +828,8 @@ def test_dtn_psd_is_the_symmetric_part_of_the_schur_product(net):
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     sigma = MatrixEdgeField.from_blocks(
         np.einsum("e,ea,eb->eab", local.uniform(0.5, 2.0, g.num_edges), x, x))
-    Q = q_basis(g, eigen_decompose(sigma))
-    check_symmetric_part(laplacian_matrix(g, sigma.values), d * g.num_boundary,
-                         dtn_psd(g, sigma).matrix, Q)
+    check_symmetric_part(laplacian_matrix(g, sigma.values), _route(g, d, eigen_decompose(sigma)),
+                         dtn_psd(g, sigma).matrix)
 
 
 def test_symmetry_residual_is_the_discarded_asymmetry():
@@ -829,8 +838,7 @@ def test_symmetry_residual_is_the_discarded_asymmetry():
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(6, 2, 41))
     q = MatrixNodeField.from_blocks(0.1 * random_spd_blocks(5, 2, 43))
     M = schrodinger_matrix(g, sigma.values, q.values)
-    assert check_symmetric_part(M, 2 * g.num_boundary, dtn_pd(g, sigma, q).matrix,
-                                levels=_level_rows(g, 2)) > 0
+    assert check_symmetric_part(M, _route(g, 2), dtn_pd(g, sigma, q).matrix) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -889,23 +897,24 @@ def test_level_elimination_matches_one_dense_solve(drawn, imag, with_q, seed):
     sigma = random_spd_blocks(g.num_edges, d, seed, imag)
     M = schrodinger_matrix(g, sigma, random_spd_blocks(g.num_vertices, d, seed + 1, imag)) \
         if with_q else laplacian_matrix(g, sigma)
-    nb, levels = d * g.num_boundary, _level_rows(g, d)
+    route = _route(g, d)
+    nb = route.nb
     assume(g.num_interior)
     X, lam = dense_reference(M, nb)
-    assert relative_error(_schur_dtn(M, nb, levels=levels), lam, M) <= 1e-12
+    assert relative_error(_schur_dtn(M, route), lam, M) <= 1e-12
     states = np.vstack([np.eye(nb), -X])
-    assert relative_error(_dirichlet_state_matrix(M, nb, levels=levels), states, states) <= 1e-12
+    assert relative_error(_dirichlet_state_matrix(M, route), states, states) <= 1e-12
     # right-hand sides on every level, one at a time and as columns
     b = local.standard_normal((len(M) - nb, 3))
     if imag:
         b = b + 1j * local.standard_normal(b.shape)
     x = np.linalg.solve(M[nb:, nb:], b)
-    assert relative_error(_interior_solve(M, nb, b, levels=levels), x, x) <= 1e-12
-    assert relative_error(_interior_solve(M, nb, b[:, 0], levels=levels), x[:, 0], x) <= 1e-12
+    assert relative_error(_interior_solve(M, b, route), x, x) <= 1e-12
+    assert relative_error(_interior_solve(M, b[:, 0], route), x[:, 0], x) <= 1e-12
     if len(g.interior_levels) == 1:
-        assert _schur_dtn(M, nb, levels=levels).tobytes() == lam.tobytes()
-        assert _interior_solve(M, nb, b, levels=levels).tobytes() == x.tobytes()
-        assert _interior_solve(M, nb, b[:, 0], levels=levels).tobytes() == \
+        assert _schur_dtn(M, route).tobytes() == lam.tobytes()
+        assert _interior_solve(M, b, route).tobytes() == x.tobytes()
+        assert _interior_solve(M, b[:, 0], route).tobytes() == \
             np.linalg.solve(M[nb:, nb:], b[:, 0]).tobytes()
     if not with_q:
         # blocks that are not symmetric, as a finite-difference step makes
@@ -933,7 +942,7 @@ def test_singular_level_complement_is_a_regime_error():
     g, sigma = collinear_springs()
     M = laplacian_matrix(g, sigma.values)
     with pytest.raises(RegimeError):
-        _schur_dtn(M, 4, levels=_level_rows(g, 2))
+        _schur_dtn(M, _route(g, 2))
     # the path 0-1-2-3 with boundary 0 has three levels; with vertex 3 cut
     # off and its diagonal zeroed, the deepest complement S_3 = A_33 is 0
     g = build_graph(4, [0], [(0, 1), (1, 2), (2, 3)])
@@ -941,4 +950,4 @@ def test_singular_level_complement_is_a_regime_error():
     M[3, 3] = 0.0
     M[2, 3] = M[3, 2] = 0.0
     with pytest.raises(RegimeError):
-        _interior_solve(M, 1, np.ones(3), levels=_level_rows(g, 1))
+        _interior_solve(M, np.ones(3), _route(g, 1))
