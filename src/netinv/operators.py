@@ -17,11 +17,18 @@ __all__ = [
     "eigen_decompose",
     "RANK_TOL",
     "COMMUTE_TOL",
+    "JOINT_TOL",
+    "JOINT_SWEEPS",
 ]
 
 # Relative threshold for treating an eigenvalue of sigma'(e) as zero.
 RANK_TOL = 1e-10
 COMMUTE_TOL = 1e-10
+# Largest off-diagonal entry of x^T sigma'' x, relative to its largest entry,
+# that eigen_decompose leaves in place; a larger one is rotated away.
+JOINT_TOL = 2.0 ** -46
+# Jacobi sweeps of that rotation; each pass roughly squares what is left.
+JOINT_SWEEPS = 6
 
 
 @dataclass(frozen=True)
@@ -30,8 +37,9 @@ class EigenData:
     block, with real orthonormal x(e) spanning the range of the real part.
 
     ``rank`` is the largest edge rank r. Edge e uses the last ``ranks[e]``
-    of the r columns, in ascending order of the real eigenvalues; its other
-    columns of ``x`` and entries of ``lam`` are zero.
+    of the r columns, in ascending order of the real eigenvalues (up to the
+    rotations that split a near-repeated one); its other columns of ``x``
+    and entries of ``lam`` are zero.
     """
 
     d: int
@@ -145,12 +153,59 @@ def _scaled_down(a: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
     return (np.ldexp(a, -e) if e.any() else a), e
 
 
+def _product_in_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last two axes, summed one index at a time, so that
+    each entry rounds the same whatever the batch around it (a BLAS
+    product's rounding depends on the shapes)."""
+    return sum(a[..., :, k, None] * b[..., None, k, :] for k in range(a.shape[-1]))
+
+
+def _diagonalize_jointly(x: np.ndarray, a: np.ndarray, b: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi rotations of the columns of x (n, d, r) that diagonalize the
+    symmetric pairs a = x^T sigma' x and b = x^T sigma'' x (n, r, r)
+    together, by Cardoso and Souloumiac's angle (the one that minimizes
+    the squared off-diagonal pair entries of both). Each of a, b is first
+    scaled by a power of two to entries below 1. Returns the rotated x and
+    the diagonal of the rotated a. Elementwise arithmetic only, so each
+    edge's result is independent of the others in the batch."""
+    x = x.copy()
+    ea, eb = (np.frexp(np.abs(m).max(axis=(1, 2), keepdims=True))[1] for m in (a, b))
+    a, b = np.ldexp(a, -ea), np.ldexp(b, -eb)
+    r = x.shape[-1]
+    for _ in range(JOINT_SWEEPS):
+        for p in range(r - 1):
+            for q in range(p + 1, r):
+                h = [(m[:, p, p] - m[:, q, q], m[:, p, q] + m[:, q, p]) for m in (a, b)]
+                ton = sum(h0 * h0 - h1 * h1 for h0, h1 in h)
+                toff = 2.0 * sum(h0 * h1 for h0, h1 in h)
+                rad = np.sqrt(ton * ton + toff * toff)
+                # (cos 2t, sin 2t) is the half angle of (ton, toff), taken
+                # without cancellation; ton = toff = 0 leaves the pair alone
+                u = np.where(ton >= 0, ton + rad, np.abs(toff))
+                v = np.where(ton >= 0, toff, np.copysign(rad - ton, toff))
+                n = np.sqrt(u * u + v * v)
+                n_safe = np.where(n > 0, n, 1.0)
+                c = np.sqrt(0.5 + 0.5 * np.where(n > 0, u / n_safe, 1.0))
+                s = v / n_safe / (2.0 * c)
+                c1, s1 = c[:, None], s[:, None]
+                xp, xq = x[:, :, p], x[:, :, q]
+                x[:, :, p], x[:, :, q] = c1 * xp + s1 * xq, c1 * xq - s1 * xp
+                for m in (a, b):
+                    mp, mq = m[:, p, :], m[:, q, :]
+                    m[:, p, :], m[:, q, :] = c1 * mp + s1 * mq, c1 * mq - s1 * mp
+                    mp, mq = m[:, :, p], m[:, :, q]
+                    m[:, :, p], m[:, :, q] = c1 * mp + s1 * mq, c1 * mq - s1 * mp
+    return x, np.ldexp(np.diagonal(a, axis1=1, axis2=2), ea[:, 0])
+
+
 def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
     """Eigendecomposition of all edge blocks at once, for conductivities
     whose real and imaginary parts commute and share real eigenvectors.
 
     Keeps the eigenvalues of sigma'(e) above RANK_TOL times the largest one;
-    the imaginary eigenvalues are read off in the same eigenbasis. Raises,
+    the imaginary eigenvalues are read off in the same eigenbasis, after
+    Jacobi rotations where sigma''(e) is not diagonal in it. Raises,
     naming the first failing edge, on non-commuting parts, on a zero real
     part and when the nullspace of the real part is not contained in that of
     the imaginary part.
@@ -171,6 +226,18 @@ def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
     r = int(ranks.max())
     used = keep[:, d - r:]
     x = np.where(used[:, None, :], v[:, :, d - r:], 0.0)
+    lam_real = np.where(used, w[:, d - r:], 0.0)
+    if r > 1 and si.any():
+        # eigh fixes eigenvectors of sigma' only up to rounding over the gap
+        # between their eigenvalues, so a near-repeated one can leave
+        # x^T sigma'' x off diagonal; such edges are rotated to diagonalize
+        # both parts at once
+        b = _product_in_order(x.transpose(0, 2, 1), _product_in_order(si, x))
+        off = np.abs(b * (1.0 - np.eye(r))).max(axis=(1, 2))
+        rough = np.flatnonzero(off > JOINT_TOL * np.abs(b).max(axis=(1, 2)))
+        if rough.size:
+            x[rough], lam_real[rough] = _diagonalize_jointly(
+                x[rough], lam_real[rough, :, None] * np.eye(r), b[rough])
     # deterministic signs: first nonzero component of each column positive
     nz = np.abs(x) > 1e-14
     first = np.take_along_axis(x, nz.argmax(axis=1)[:, None, :], axis=1)
@@ -191,5 +258,5 @@ def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
         e = int(bad.argmax())
         raise FieldError(next(msg for mask, msg in failures if mask[e]).format(e))
     lam_imag = np.ldexp(np.diagonal(core, axis1=1, axis2=2), si_exp[:, 0])
-    lam = np.where(used, w[:, d - r:], 0.0) + 1j * lam_imag
+    lam = lam_real + 1j * lam_imag
     return EigenData(d=d, rank=r, x=x, lam=lam, ranks=ranks)

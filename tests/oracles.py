@@ -15,6 +15,8 @@ from netinv.graph import (
 )
 from netinv.operators import (
     COMMUTE_TOL,
+    JOINT_SWEEPS,
+    JOINT_TOL,
     RANK_TOL,
     EigenData,
     eigen_decompose,
@@ -139,10 +141,48 @@ def dtn_pseudoinverse_oracle(g: Graph, sigma: MatrixEdgeField) -> np.ndarray:
     return M[:nb, :nb] - M[:nb, nb:] @ np.linalg.pinv(M[nb:, nb:]) @ M[nb:, :nb]
 
 
+def _product_in_order_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for one pair of matrices, as a sum of outer products taken in
+    index order."""
+    return sum(np.outer(a[:, k], b[k]) for k in range(a.shape[1]))
+
+
+def _diagonalize_jointly_loop(x: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Cyclic Jacobi rotations of the columns of x (d, r) with the joint
+    angle for a = x^T sigma' x and b = x^T sigma'' x, one pair of scalars at
+    a time; the rotated x and diagonal of a."""
+    x = x.copy()
+    ea, eb = (np.frexp(np.abs(m).max())[1] for m in (a, b))
+    a, b = np.ldexp(a, -ea), np.ldexp(b, -eb)
+    r = x.shape[1]
+    for _ in range(JOINT_SWEEPS):
+        for p in range(r - 1):
+            for q in range(p + 1, r):
+                h = [(m[p, p] - m[q, q], m[p, q] + m[q, p]) for m in (a, b)]
+                ton = sum(h0 * h0 - h1 * h1 for h0, h1 in h)
+                toff = 2.0 * sum(h0 * h1 for h0, h1 in h)
+                rad = np.sqrt(ton * ton + toff * toff)
+                if ton >= 0:
+                    u, v = ton + rad, toff
+                else:
+                    u, v = abs(toff), np.copysign(rad - ton, toff)
+                n = np.sqrt(u * u + v * v)
+                if n > 0:
+                    c = np.sqrt(0.5 + 0.5 * (u / n))
+                    s = v / n / (2.0 * c)
+                else:
+                    c, s = 1.0, 0.0
+                for m in (x.T, a, a.T, b, b.T):
+                    mp, mq = m[p].copy(), m[q].copy()
+                    m[p], m[q] = c * mp + s * mq, c * mq - s * mp
+    return x, np.ldexp(np.diag(a), ea)
+
+
 def eigen_decompose_loop(sigma: MatrixEdgeField) -> tuple[list, list]:
     """Per-edge eigendecomposition, one edge at a time: lists of the kept
     eigenvectors x(e) (d, r_e) and eigenvalues lambda(e) (r_e,), with the
-    same keep rule, sign rule and checks as ``eigen_decompose``."""
+    same keep rule, joint rotation, sign rule and checks as
+    ``eigen_decompose``."""
     xs, lams = [], []
     for e, block in enumerate(sigma.values):
         sr = block.real
@@ -156,6 +196,12 @@ def eigen_decompose_loop(sigma: MatrixEdgeField) -> tuple[list, list]:
         if not keep.any():
             raise FieldError(f"edge {e} has zero real part")
         x = v[:, keep]
+        lam_real = w[keep]
+        if x.shape[1] > 1:
+            b = _product_in_order_loop(x.T, _product_in_order_loop(si, x))
+            off = np.abs(b - np.diag(np.diag(b))).max()
+            if off > JOINT_TOL * np.abs(b).max():
+                x, lam_real = _diagonalize_jointly_loop(x, np.diag(lam_real), b)
         for c in range(x.shape[1]):
             col = x[:, c]
             nz = np.flatnonzero(np.abs(col) > 1e-14)
@@ -166,7 +212,7 @@ def eigen_decompose_loop(sigma: MatrixEdgeField) -> tuple[list, list]:
             raise FieldError(
                 f"nullspace of real part of edge {e} not contained in that of imaginary part")
         xs.append(x)
-        lams.append(w[keep] + 1j * np.diag(x.T @ si @ x))
+        lams.append(lam_real + 1j * np.diag(x.T @ si @ x))
     return xs, lams
 
 

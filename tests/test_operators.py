@@ -249,6 +249,29 @@ def test_eigen_decompose_reconstructs():
         assert np.allclose(x.T @ x, np.eye(x.shape[1]))
 
 
+def test_eigen_decompose_splits_a_repeated_real_eigenvalue():
+    # sigma' = I leaves the eigenbasis to sigma'', whose eigenvalues are 0.5, 1.5
+    si = np.array([[1.0, 0.5], [0.5, 1.0]])
+    sigma = MatrixEdgeField.from_blocks((np.eye(2) + 1j * si)[None])
+    eig = eigen_decompose(sigma)
+    assert np.allclose(np.sort(eig.lam[0].imag), [0.5, 1.5], rtol=0, atol=1e-15)
+    assert np.allclose(eig.lam[0].real, 1.0, rtol=0, atol=1e-15)
+    assert np.abs(reconstruct_from_eigen(eig).values - sigma.values).max() < 1e-15
+
+
+def test_eigen_decompose_near_repeated_real_eigenvalues():
+    # real eigenvalues 1e-9 apart with imaginary ones 2 apart: eigh's vectors
+    # of sigma' alone leave about 1e-7 of sigma'' off the diagonal
+    v = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+    w = np.array([1.0, 1.0 + 1e-9, 2.0]) + 1j * np.array([-1.0, 1.0, 0.5])
+    sigma = MatrixEdgeField.from_blocks((v @ np.diag(w) @ v.T)[None])
+    eig = eigen_decompose(sigma)
+    assert np.abs(reconstruct_from_eigen(eig).values - sigma.values).max() < 1e-14
+    x = eig.x[0]
+    core = x.T @ sigma.values[0].imag @ x
+    assert np.abs(core - np.diag(np.diag(core))).max() < 1e-14
+
+
 def test_eigen_decompose_rank_deficient():
     x = np.array([3.0, 4.0]) / 5.0
     block = 2.0 * np.outer(x, x)
