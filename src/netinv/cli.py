@@ -115,27 +115,24 @@ def _write_json(path: str | None, doc: dict) -> None:
         print(text)
 
 
-def _supported_regime(model: NetworkModel) -> tuple[DirichletRegime, np.ndarray]:
-    """Regime of the network and its canonical operator M, assembled once for
-    both the regime and the solve; RegimeError (exit 4) when unsupported.
-    The regime's route is what every solve of M takes."""
-    sigma = model.conductivity()
-    M = dirichlet._operator(model.graph, sigma, model.q)
-    regime = dirichlet._classify(model.graph, sigma, model.q, M)
+def _supported_regime(model: NetworkModel) -> DirichletRegime:
+    """Regime of the network, RegimeError (exit 4) when unsupported. Every
+    solve takes the regime's route on its operator, assembled once."""
+    regime = dirichlet.classify_regime(model.graph, model.conductivity(), model.q)
     if regime.tag is RegimeTag.UNSUPPORTED:
         raise dirichlet.RegimeError(str(regime.diagnostics))
-    return regime, M
+    return regime
 
 
 def cmd_forward(args) -> int:
     model = load_network(args.network)
     gvec = _load_boundary_data(args.boundary, model)
     g = model.graph
-    regime, M = _supported_regime(model)
+    regime = _supported_regime(model)
     doc: dict = {"regime": regime.tag.value}
     if regime.route.floppy is not None:
         doc["floppy_dim"] = regime.route.floppy.shape[1]
-    u, resid = dirichlet._solve(M, g, gvec, regime.route)
+    u, resid = dirichlet._solve(regime.operator, g, gvec, regime.route)
     doc["residual"] = resid
     doc["u"] = [[complex_to_json(z) for z in u.values[v]] for v in range(g.num_vertices)]
     doc["vertex_ids"] = list(model.vertex_ids)
@@ -145,8 +142,8 @@ def cmd_forward(args) -> int:
 
 def cmd_dtn(args) -> int:
     model = load_network(args.network)
-    regime, M = _supported_regime(model)
-    m, sym = dirichlet._symmetric_dtn(M, regime.route)
+    regime = _supported_regime(model)
+    m, sym = dirichlet._symmetric_dtn(regime.operator, regime.route)
     provenance = "pd" if regime.tag.is_pd else "psd"
     save_matrix(m, args.output, extra={"provenance": provenance, "symmetry_residual": sym})
     print(f"provenance: {provenance}")
@@ -204,7 +201,7 @@ def cmd_invert(args) -> int:
 
 def cmd_floppy(args) -> int:
     model = load_network(args.network)
-    regime, M = _supported_regime(model)
+    regime = _supported_regime(model)
     modes = regime.route.floppy
     if modes is None:
         print("floppy dimension: 0")
@@ -214,7 +211,7 @@ def cmd_floppy(args) -> int:
     nb = regime.route.nb
     worst = 0.0
     for c, z in enumerate(modes.T):
-        worst = max(worst, float(np.abs((M @ z)[:nb]).max(initial=0.0)))
+        worst = max(worst, float(np.abs((regime.operator @ z)[:nb]).max(initial=0.0)))
         print(f"mode {c}: {[round(x, 12) for x in z.tolist()]}")
     print(f"max boundary-flux violation: {worst:.3e}")
     return EXIT_OK

@@ -96,8 +96,10 @@ class _Route:
 class DirichletRegime:
     tag: RegimeTag
     diagnostics: dict = field(default_factory=dict)
-    # how every supported regime is solved; None when unsupported
+    # how every supported regime is solved, and the canonical operator M of
+    # (sigma, q) that it solves; None when unsupported
     route: _Route | None = field(default=None, repr=False, compare=False)
+    operator: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -130,51 +132,51 @@ def _is_zero_field(values: np.ndarray) -> bool:
 
 def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DirichletRegime:
     """Deterministic regime tag, first match in the order PD_SIGMA, PD_Q,
-    PSD_REAL, PSD_COMMUTING, else UNSUPPORTED with diagnostics."""
-    return _classify(g, sigma, q, _operator(g, sigma, q))
+    PSD_REAL, PSD_COMMUTING, else UNSUPPORTED with diagnostics; a supported
+    regime keeps its route and the operator M of (sigma, q), assembled here.
 
-
-def _classify(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None,
-              M: np.ndarray) -> DirichletRegime:
-    """classify_regime on the assembled operator M of (sigma, q)."""
+    The paper's criteria are (i) sigma' > 0 and q_I' > -lambda_min((L_sigma')_II)
+    and (ii) q_I' > 0 and (L_sigma')_II > -lambda_min(diag(q_I')). sigma'_e > 0
+    (lambda_min > PD_TOL lambda_max) on every edge of a connected graph with a
+    boundary makes (L_sigma')_II > 0, so (i) holds with no test when q_I' >= 0;
+    otherwise one Cholesky of Lr_II - shift I certifies (i) or (ii)."""
+    M = _operator(g, sigma, q)
     diag: dict = {}
     if not (is_connected(g) and is_interior_connected(g)):
         diag["connected"] = is_connected(g)
         diag["interior_connected"] = is_interior_connected(g)
         return DirichletRegime(RegimeTag.UNSUPPORTED, diag)
 
-    d, n_I = sigma.d, g.num_interior
+    d, n_I, nb = sigma.d, g.num_interior, sigma.d * g.num_boundary
     sr, si = sigma.values.real, sigma.values.imag
     q_values = q.values if q is not None else np.zeros((g.num_vertices, d, d))
     qr = q_values.real
 
-    sigma_min = _blocks_min_eig(sr)
-    sigma_scale = np.abs(sr).max(initial=0.0)
+    w = np.linalg.eigvalsh(sr)  # ascending, edge by edge
+    sigma_min, sigma_scale = float(w.min()), np.abs(sr).max(initial=0.0)
     diag["sigma_real_min_eig"] = sigma_min
-
-    # Lr_II, the real interior Laplacian: M's real interior block less Re q_I
+    pd_edges = bool((w[:, 0] > PD_TOL * w[:, -1]).all())
     q_I = qr[list(g.interior)]
-    Lr_II = M[d * g.num_boundary:, d * g.num_boundary:].real.copy()
-    Lr_II.reshape(n_I, d, n_I, d)[np.arange(n_I), :, np.arange(n_I)] -= q_I
     q_I_min = _blocks_min_eig(q_I) if n_I else np.inf
     diag["q_interior_real_min_eig"] = q_I_min if n_I else None
+    if pd_edges and q_I_min >= 0:
+        return DirichletRegime(RegimeTag.PD_SIGMA, diag, _route(g, d), M)
 
-    # (i) sigma' > 0 and q_I' > -lambda_min((L_sigma')_II), where lambda_II >= 0, or
-    # (ii) q_I' > 0 and (L_sigma')_II > -lambda_min(diag(q_I')); each a Cholesky of Lr_II - shift I
-    criteria = []
-    if sigma_min > PD_TOL * (1.0 + sigma_scale):
-        criteria.append((RegimeTag.PD_SIGMA, (PD_TOL - q_I_min) / (1.0 - PD_TOL)))
-    if n_I and q_I_min > PD_TOL * (1.0 + np.abs(q_I).max(initial=0.0)):
-        criteria.append((RegimeTag.PD_Q, PD_TOL * (1.0 + abs(q_I_min)) - q_I_min))
-    for tag, shift in criteria:
+    # Lr_II, the real interior Laplacian: M's real interior block less Re q_I
+    Lr_II = M[nb:, nb:].real.copy()
+    Lr_II.reshape(n_I, d, n_I, d)[np.arange(n_I), :, np.arange(n_I)] -= q_I
+    # one certificate: (i) when q_I' is indefinite, else (ii) when q_I' > 0
+    if pd_edges or n_I and q_I_min > PD_TOL * (1.0 + np.abs(q_I).max(initial=0.0)):
+        tag, shift = ((RegimeTag.PD_SIGMA, (PD_TOL - q_I_min) / (1.0 - PD_TOL)) if pd_edges
+                      else (RegimeTag.PD_Q, PD_TOL * (1.0 + abs(q_I_min)) - q_I_min))
         try:
             np.linalg.cholesky(Lr_II - shift * np.eye(len(Lr_II)))
         except np.linalg.LinAlgError:
-            continue
-        return DirichletRegime(tag, {**diag, "cholesky_shift": shift} if n_I else diag,
-                               _route(g, d))
+            pass
+        else:
+            return DirichletRegime(tag, {**diag, "cholesky_shift": shift}, _route(g, d), M)
     if not n_I and len(q_values) and _blocks_min_eig(qr[list(g.boundary)]) > PD_TOL:
-        return DirichletRegime(RegimeTag.PD_Q, diag, _route(g, d))
+        return DirichletRegime(RegimeTag.PD_Q, diag, _route(g, d), M)
 
     # PSD regimes need q = 0, sigma' >= 0, no zero edge blocks and an edge
     # eigendecomposition, whose spectrum splits into Q and the floppy modes
@@ -189,7 +191,7 @@ def _classify(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None,
                 diag["commuting_failure"] = str(exc)
             else:
                 tag = RegimeTag.PSD_REAL if _is_zero_field(si) else RegimeTag.PSD_COMMUTING
-                return DirichletRegime(tag, diag, _route(g, d, eig))
+                return DirichletRegime(tag, diag, _route(g, d, eig), M)
     # only an unsupported network reports lambda_min(Lr_II), so only it pays for eigvalsh
     diag["laplacian_interior_min_eig"] = float(np.linalg.eigvalsh(Lr_II).min()) if n_I else 0.0
     return DirichletRegime(RegimeTag.UNSUPPORTED, diag)

@@ -241,9 +241,11 @@ def admissible_extent_bisection(spec, p, dp, sign: float, t_max: float) -> float
 
 def classify_regime_eigvalsh(g: Graph, sigma: MatrixEdgeField,
                              q: MatrixNodeField | None) -> RegimeTag:
-    """Regime tag by the full spectrum: the PD criteria compare the smallest
-    eigenvalue lambda_II of the real interior Laplacian, from a dense
-    eigvalsh, with a margin; the same order and tolerances as
+    """Regime tag by the full spectrum: sigma' > 0 is lambda_min(sigma'_e) >
+    PD_TOL lambda_max(sigma'_e) on every edge, which makes the real interior
+    Laplacian positive definite, so with q_I' >= 0 criterion (i) holds;
+    otherwise the PD criteria compare its smallest eigenvalue lambda_II, from
+    a dense eigvalsh, with a margin. The same order and tolerances as
     ``classify_regime``."""
     if not (is_connected(g) and is_interior_connected(g)):
         return RegimeTag.UNSUPPORTED
@@ -257,7 +259,9 @@ def classify_regime_eigvalsh(g: Graph, sigma: MatrixEdgeField,
     sr = sigma.values.real
     q_values = q.values if q is not None else np.zeros((g.num_vertices, sigma.d, sigma.d))
     qr = q_values.real
-    sigma_min = blocks_min_eig(sr)
+    edge_eigs = np.linalg.eigvalsh(sr)
+    sigma_min = float(edge_eigs.min())
+    pd_edges = (edge_eigs[:, 0] > PD_TOL * edge_eigs[:, -1]).all()
     sigma_scale = np.abs(sr).max(initial=0.0)
     nb = sigma.d * g.num_boundary
     Lr_II = laplacian_matrix(g, sr).real[nb:, nb:]
@@ -265,9 +269,9 @@ def classify_regime_eigvalsh(g: Graph, sigma: MatrixEdgeField,
     q_I = qr[list(g.interior)] if g.interior else np.zeros((0, sigma.d, sigma.d))
     q_I_min = blocks_min_eig(q_I) if len(q_I) else np.inf
 
-    # (i) sigma' > 0 and q_I' > -lambda_min((L_sigma')_II)
-    if sigma_min > PD_TOL * (1.0 + sigma_scale):
-        if not g.interior or q_I_min + lam_II > margin(lam_II):
+    # (i) sigma' > 0 and q_I' > -lambda_min((L_sigma')_II), where lambda_II > 0
+    if pd_edges:
+        if q_I_min >= 0 or q_I_min + lam_II > margin(lam_II):
             return RegimeTag.PD_SIGMA
     # (ii) q_I' > 0 and (L_sigma')_II > -lambda_min(diag(q_I'))
     if g.interior and q_I_min > PD_TOL * (1.0 + np.abs(q_I).max(initial=0.0)):

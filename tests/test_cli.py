@@ -301,10 +301,8 @@ def test_dtn_file_is_the_symmetric_part_of_the_schur_product(tmp_path, make_doc)
     assert main(["dtn", net, "-o", str(out)]) == EXIT_OK
     import netinv as ni
     model = ni.load_network(net)
-    sigma = model.conductivity()
-    M = dirichlet._operator(model.graph, sigma, model.q)
-    route = dirichlet._route(model.graph, sigma.d, operators.eigen_decompose(sigma))  # both are PSD
-    F = dirichlet._schur_dtn(M, route)
+    regime = dirichlet.classify_regime(model.graph, model.conductivity(), model.q)
+    F = dirichlet._schur_dtn(regime.operator, regime.route)
     m = load_matrix(out)
     assert np.array_equal(m, m.T)
     # F is real for the real truss; the file's imaginary parts are then +0.0

@@ -116,13 +116,13 @@ def test_classify_unsupported_noncommuting():
 
 def test_classify_unsupported_without_edge_eigendata():
     # within PD_TOL of sigma' >= 0, but edge 0 has no positive eigenvalue:
-    # the decomposition's message is reported, and no route is kept
+    # the decomposition's message is reported, and no route or operator is kept
     g = path3()
     sigma = MatrixEdgeField.from_blocks(np.array([[[-1e-11]], [[1.0]]]))
     reg = classify_regime(g, sigma, None)
     assert reg.tag is RegimeTag.UNSUPPORTED
     assert reg.diagnostics["commuting_failure"] == "edge 0 has zero real part"
-    assert reg.route is None
+    assert reg.route is None and reg.operator is None
 
 
 def test_classify_unsupported_indefinite():
@@ -192,24 +192,36 @@ def test_hand_fixtures_keep_their_tags_and_the_oracles():
 
 
 def test_interior_eigvalsh_only_for_unsupported_tags(monkeypatch):
-    # the PD tags are certified by Cholesky and the PSD tags need no
-    # interior spectrum; only an unsupported network reports lambda_min
-    calls = []
-    original = np.linalg.eigvalsh
+    # PD_SIGMA with q_I' >= 0 holds by the theorem, other PD tags take at
+    # most one Cholesky, and the PSD tags need no interior spectrum; only an
+    # unsupported network reports lambda_min
+    calls, factored = [], []
+    original, original_cholesky = np.linalg.eigvalsh, np.linalg.cholesky
 
     def counted(a, *args, **kwargs):
         if np.ndim(a) == 2:
             calls.append(np.shape(a))
         return original(a, *args, **kwargs)
 
+    def counted_cholesky(a, *args, **kwargs):
+        factored.append(False)
+        out = original_cholesky(a, *args, **kwargs)
+        factored[-1] = True
+        return out
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     for g, sigma, q, tag in hand_fixtures():
         calls.clear()
+        factored.clear()
         diag = classify_regime(g, sigma, q).diagnostics
         reported = "laplacian_interior_min_eig" in diag
         assert reported == (tag is RegimeTag.UNSUPPORTED and "connected" not in diag)
         assert len(calls) == (reported and g.num_interior > 0)
-        assert ("cholesky_shift" in diag) == (tag.is_pd and g.num_interior > 0)
+        assert len(factored) <= 1
+        if tag is RegimeTag.PD_SIGMA:  # every such fixture has q_I' >= 0
+            assert not factored
+        assert ("cholesky_shift" in diag) == any(factored)
 
 
 def test_unsupported_diagnostics_carry_interior_min_eig():
@@ -229,11 +241,17 @@ def test_unsupported_diagnostics_carry_interior_min_eig():
 def test_pd_diagnostics_record_the_certificate():
     g = path3()
     sigma = MatrixEdgeField.from_blocks(np.ones((2, 1, 1)))
+    # criterion (i) with q_I' >= 0 holds by the theorem: no certificate
     q = MatrixNodeField.from_blocks(np.full((3, 1, 1), 0.25))
-    diag = classify_regime(g, sigma, q).diagnostics
-    # criterion (i): lambda_min(Lr_II) = 2 > (PD_TOL - 0.25) / (1 - PD_TOL)
-    assert diag["cholesky_shift"] == (PD_TOL - 0.25) / (1.0 - PD_TOL)
-    assert "laplacian_interior_min_eig" not in diag
+    regime = classify_regime(g, sigma, q)
+    assert regime.tag is RegimeTag.PD_SIGMA
+    assert "cholesky_shift" not in regime.diagnostics
+    # with q_I' < 0 it is certified: lambda_min(Lr_II) = 2 > (PD_TOL + 0.25) / (1 - PD_TOL)
+    q = MatrixNodeField.from_blocks(np.full((3, 1, 1), -0.25))
+    regime = classify_regime(g, sigma, q)
+    assert regime.tag is RegimeTag.PD_SIGMA
+    assert regime.diagnostics["cholesky_shift"] == (PD_TOL + 0.25) / (1.0 - PD_TOL)
+    assert "laplacian_interior_min_eig" not in regime.diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +586,18 @@ def rank_one_blocks(count, d, local):
 
 
 @settings(max_examples=200, deadline=None)
-@given(networks(), st.sampled_from(["sigma", "sigma+q", "indefinite+q", "rank_one", "rank_one+q"]),
+@given(networks(), st.sampled_from(["sigma", "sigma+q", "indefinite+q", "rank_one", "rank_one+q",
+                                    "spread"]),
        st.floats(-1.0, 1.5))
 def test_cholesky_certificate_matches_eigvalsh_oracle(net, kind, level):
     g, d, seed = net
     local = np.random.default_rng(seed)
     if kind.startswith("rank_one"):
         blocks = rank_one_blocks(g.num_edges, d, local)
+    elif kind == "spread":
+        # SPD edges whose sizes spread over 24 decades are still PD_SIGMA
+        blocks = random_spd_blocks(g.num_edges, d, seed) \
+            * 10.0 ** local.uniform(-12, 12, g.num_edges)[:, None, None]
     else:
         # eigenvalues of the real parts are at least 2; less 3.5 I, most
         # draws are indefinite
@@ -597,14 +620,41 @@ def test_cholesky_certificate_matches_eigvalsh_oracle(net, kind, level):
         q_values = q.values.real if q is not None else np.zeros((g.num_vertices, d, d))
         q_I = q_values[list(g.interior)]
         q_min = np.linalg.eigvalsh(q_I).min()
-        sr = sigma.values.real
+        edge_eigs = np.linalg.eigvalsh(sigma.values.real)
         thresholds = []
-        if np.linalg.eigvalsh(sr).min() > PD_TOL * (1.0 + np.abs(sr).max()):
-            thresholds.append((PD_TOL - q_min) / (1.0 - PD_TOL))
-        if q_min > PD_TOL * (1.0 + np.abs(q_I).max()):
+        # at most one Cholesky runs: (i) per edge when q_I' is indefinite, else (ii)
+        if (edge_eigs[:, 0] > PD_TOL * edge_eigs[:, -1]).all():
+            if q_min < 0:
+                thresholds.append((PD_TOL - q_min) / (1.0 - PD_TOL))
+        elif q_min > PD_TOL * (1.0 + np.abs(q_I).max()):
             thresholds.append(PD_TOL * (1.0 + abs(q_min)) - q_min)
         assume(all(abs(w[0] - t) > 1e-8 * (1.0 + scale) for t in thresholds))
-    assert classify_regime(g, sigma, q).tag is classify_regime_eigvalsh(g, sigma, q)
+    tag = classify_regime(g, sigma, q).tag
+    assert tag is classify_regime_eigvalsh(g, sigma, q)
+    if kind == "spread":
+        assert tag is RegimeTag.PD_SIGMA
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks(), st.sampled_from([0.0, 0.2]), st.booleans(), st.integers(-1000, 1000))
+def test_pd_sigma_and_its_map_are_exact_under_powers_of_two(net, imag, with_q, k):
+    # sigma'_e > 0 is tested edge by edge and q_I' >= 0 needs no certificate,
+    # so 2^k (sigma, q) is PD_SIGMA for every k in range, and its map is 2^k
+    # times the map, bit for bit
+    g, d, seed = net
+    sigma = random_spd_blocks(g.num_edges, d, seed, imag)
+    q = random_spd_blocks(g.num_vertices, d, seed + 1, imag) if with_q else None
+
+    def scaled_map(scale):
+        regime = classify_regime(g, MatrixEdgeField.from_blocks(scale * sigma),
+                                 None if q is None else MatrixNodeField.from_blocks(scale * q))
+        assert regime.tag is RegimeTag.PD_SIGMA
+        return _symmetric_dtn(regime.operator, regime.route)[0]
+
+    unscaled = scaled_map(1.0)
+    # ldexp of the real and imaginary parts, as a float view
+    expected = np.ldexp(unscaled.view(float), k).view(unscaled.dtype)
+    assert scaled_map(2.0 ** k).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
