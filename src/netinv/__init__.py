@@ -16,9 +16,6 @@ from .dirichlet import (
     dtn_pd,
     dtn_psd,
     floppy_basis,
-    q_basis,
-    solve_dirichlet_pd,
-    solve_dirichlet_psd,
 )
 from .elastic import (
     ElasticNetwork,
@@ -45,8 +42,6 @@ from .graph import (
     MatrixNodeField,
     VectorNodeField,
     build_graph,
-    is_connected,
-    is_interior_connected,
 )
 from .inversion import (
     InadmissibleParameterError,

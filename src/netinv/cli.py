@@ -132,7 +132,7 @@ def cmd_forward(args) -> int:
     doc: dict = {"regime": regime.tag.value}
     if regime.route.floppy is not None:
         doc["floppy_dim"] = regime.route.floppy.shape[1]
-    u, resid = dirichlet._solve(regime.operator, g, gvec, regime.route)
+    u, resid = regime.solve(gvec)
     doc["residual"] = resid
     doc["u"] = [[complex_to_json(z) for z in u.values[v]] for v in range(g.num_vertices)]
     doc["vertex_ids"] = list(model.vertex_ids)
@@ -143,11 +143,11 @@ def cmd_forward(args) -> int:
 def cmd_dtn(args) -> int:
     model = load_network(args.network)
     regime = _supported_regime(model)
-    m, sym = dirichlet._symmetric_dtn(regime.operator, regime.route)
-    provenance = "pd" if regime.tag.is_pd else "psd"
-    save_matrix(m, args.output, extra={"provenance": provenance, "symmetry_residual": sym})
-    print(f"provenance: {provenance}")
-    print(f"symmetry residual: {sym:.3e}")
+    dtn = regime.dtn()
+    save_matrix(dtn.matrix, args.output,
+                extra={"provenance": dtn.provenance, "symmetry_residual": dtn.asymmetry})
+    print(f"provenance: {dtn.provenance}")
+    print(f"symmetry residual: {dtn.asymmetry:.3e}")
     return EXIT_OK
 
 

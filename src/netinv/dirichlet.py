@@ -5,8 +5,9 @@ block of the Schrodinger operator is invertible and the map is a plain Schur
 complement. In the rank-deficient (positive-semidefinite) regimes the
 interior block has a nullspace of floppy modes; solves pick the minimal-norm
 representative and the map uses a basis Q of the interior range. Which of
-the two applies is decided once, as the ``_Route`` that the classification
-keeps and every solve takes.
+the two applies is decided once, by ``classify_regime``: the regime it
+returns keeps the ``_Route`` and the operator, and solves and gives the map
+on them.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .graph import (
     MatrixEdgeField,
     MatrixNodeField,
     VectorNodeField,
-    is_connected,
-    is_interior_connected,
 )
 from .operators import (
     EigenData,
@@ -40,12 +39,9 @@ __all__ = [
     "DtnMap",
     "RegimeError",
     "classify_regime",
-    "solve_dirichlet_pd",
-    "solve_dirichlet_psd",
     "dtn_pd",
     "dtn_psd",
     "floppy_basis",
-    "q_basis",
     "PD_TOL",
     "RESIDUAL_TOL",
 ]
@@ -94,12 +90,40 @@ class _Route:
 
 @dataclass(frozen=True)
 class DirichletRegime:
+    """A regime tag with its diagnostics; a supported regime solves the
+    Dirichlet problem of its network and gives its DtN map."""
+
     tag: RegimeTag
     diagnostics: dict = field(default_factory=dict)
-    # how every supported regime is solved, and the canonical operator M of
-    # (sigma, q) that it solves; None when unsupported
+    # the graph, how every supported regime is solved, and the canonical
+    # operator M of (sigma, q) that it solves; None when unsupported
+    graph: Graph | None = field(default=None, repr=False, compare=False)
     route: _Route | None = field(default=None, repr=False, compare=False)
     operator: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def _supported(self) -> _Route:
+        if self.route is None:
+            raise RegimeError(f"no solver for an unsupported regime: {self.diagnostics}")
+        return self.route
+
+    def dtn(self) -> DtnMap:
+        """The Dirichlet-to-Neumann map, exactly symmetric."""
+        return _dtn(self.operator, self._supported())
+
+    def solve(self, gb: np.ndarray | VectorNodeField) -> tuple[VectorNodeField, float]:
+        """The Dirichlet solution u with u_B = gb, minimal-norm in the
+        rank-deficient regimes, and its interior residual |(M u)_I|;
+        RegimeError when that is beyond RESIDUAL_TOL."""
+        g, M, nb = self.graph, self.operator, self._supported().nb
+        gvec = gb.boundary_values(g) if isinstance(gb, VectorNodeField) \
+            else np.asarray(gb, dtype=complex).reshape(-1)
+        if gvec.shape != (nb,):
+            raise FieldError("boundary data has wrong length")
+        flat = np.concatenate([gvec, -_interior_solve(M, M[nb:, :nb] @ gvec, self.route)])
+        resid = float(np.linalg.norm((M @ flat)[nb:]))
+        if resid > RESIDUAL_TOL * (1.0 + np.linalg.norm(gvec)):
+            raise RegimeError(f"interior residual {resid:.3e} beyond tolerance")
+        return VectorNodeField.from_canonical(g, flat, len(M) // g.num_vertices), resid
 
 
 @dataclass(frozen=True)
@@ -116,10 +140,13 @@ class FloppyBasis:
 
 @dataclass(frozen=True)
 class DtnMap:
-    """Boundary data map, complex d|B| x d|B|, with its construction route."""
+    """Boundary data map, complex d|B| x d|B|: the exact symmetric part of a
+    computed Schur product F, with its construction route and the asymmetry
+    max|F - F^T| that the symmetric part discards."""
 
     matrix: np.ndarray
-    provenance: str  # "pd" or "psd"
+    provenance: str  # "pd" (interior levels) or "psd" (Q basis)
+    asymmetry: float
 
 
 def _blocks_min_eig(blocks: np.ndarray) -> float:
@@ -137,14 +164,16 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
 
     The paper's criteria are (i) sigma' > 0 and q_I' > -lambda_min((L_sigma')_II)
     and (ii) q_I' > 0 and (L_sigma')_II > -lambda_min(diag(q_I')). sigma'_e > 0
-    (lambda_min > PD_TOL lambda_max) on every edge of a connected graph with a
-    boundary makes (L_sigma')_II > 0, so (i) holds with no test when q_I' >= 0;
-    otherwise one Cholesky of Lr_II - shift I certifies (i) or (ii)."""
+    (lambda_min > PD_TOL lambda_max) on every edge of a graph whose every
+    vertex reaches the boundary makes (L_sigma')_II > 0, so (i) holds with no
+    test when q_I' >= 0; otherwise one Cholesky of Lr_II - shift I certifies
+    (i) or (ii). A graph with a vertex that the boundary does not reach is
+    unsupported, the first such vertex id reported as ``unreached``."""
     M = _operator(g, sigma, q)
     diag: dict = {}
-    if not (is_connected(g) and is_interior_connected(g)):
-        diag["connected"] = is_connected(g)
-        diag["interior_connected"] = is_interior_connected(g)
+    unreached = np.flatnonzero(g.boundary_distance < 0)
+    if unreached.size:
+        diag["unreached"] = g.order[unreached[0]]
         return DirichletRegime(RegimeTag.UNSUPPORTED, diag)
 
     d, n_I, nb = sigma.d, g.num_interior, sigma.d * g.num_boundary
@@ -160,7 +189,7 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
     q_I_min = _blocks_min_eig(q_I) if n_I else np.inf
     diag["q_interior_real_min_eig"] = q_I_min if n_I else None
     if pd_edges and q_I_min >= 0:
-        return DirichletRegime(RegimeTag.PD_SIGMA, diag, _route(g, d), M)
+        return DirichletRegime(RegimeTag.PD_SIGMA, diag, g, _route(g, d), M)
 
     # Lr_II, the real interior Laplacian: M's real interior block less Re q_I
     Lr_II = M[nb:, nb:].real.copy()
@@ -174,9 +203,9 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
         except np.linalg.LinAlgError:
             pass
         else:
-            return DirichletRegime(tag, {**diag, "cholesky_shift": shift}, _route(g, d), M)
+            return DirichletRegime(tag, {**diag, "cholesky_shift": shift}, g, _route(g, d), M)
     if not n_I and len(q_values) and _blocks_min_eig(qr[list(g.boundary)]) > PD_TOL:
-        return DirichletRegime(RegimeTag.PD_Q, diag, _route(g, d), M)
+        return DirichletRegime(RegimeTag.PD_Q, diag, g, _route(g, d), M)
 
     # PSD regimes need q = 0, sigma' >= 0, no zero edge blocks and an edge
     # eigendecomposition, whose spectrum splits into Q and the floppy modes
@@ -191,16 +220,10 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
                 diag["commuting_failure"] = str(exc)
             else:
                 tag = RegimeTag.PSD_REAL if _is_zero_field(si) else RegimeTag.PSD_COMMUTING
-                return DirichletRegime(tag, diag, _route(g, d, eig), M)
+                return DirichletRegime(tag, diag, g, _route(g, d, eig), M)
     # only an unsupported network reports lambda_min(Lr_II), so only it pays for eigvalsh
     diag["laplacian_interior_min_eig"] = float(np.linalg.eigvalsh(Lr_II).min()) if n_I else 0.0
     return DirichletRegime(RegimeTag.UNSUPPORTED, diag)
-
-
-def _boundary_vec(g: Graph, gb: np.ndarray | VectorNodeField) -> np.ndarray:
-    if isinstance(gb, VectorNodeField):
-        return gb.boundary_values(g)
-    return np.asarray(gb, dtype=complex).reshape(-1)
 
 
 def _route(g: Graph, d: int, eig: EigenData | None = None) -> _Route:
@@ -296,15 +319,19 @@ def _schur_dtn(M: np.ndarray, route: _Route) -> np.ndarray:
     return M[:nb, :nb] - M[:nb, nb:][:, rows[0]] @ _solved(S, M[nb:, :nb][rows[0]])
 
 
-def _symmetric_dtn(M: np.ndarray, route: _Route) -> tuple[np.ndarray, float]:
-    """The symmetric part (F + F^T) / 2 of the Schur product F = _schur_dtn(M,
-    route), and the asymmetry max|F - F^T| it discards. M is
-    symmetric, so the exact map is too; the symmetric part is never farther
-    from it in the Frobenius norm, the projection being orthogonal. Halved
-    before the sum, which cannot overflow and gives the same bits in the
-    normal range."""
+def _dtn(M: np.ndarray, route: _Route, scale: complex = 1.0) -> DtnMap:
+    """The map of the Schur product F = scale * _schur_dtn(M, route): its
+    symmetric part (F + F^T) / 2 and the asymmetry max|F - F^T| it discards.
+    M is symmetric, so the exact map is too; the symmetric part is never
+    farther from it in the Frobenius norm, the projection being orthogonal.
+    Halved before the sum, which cannot overflow and gives the same bits in
+    the normal range. The provenance is that of the route."""
     F = _schur_dtn(M, route)
-    return 0.5 * F + 0.5 * F.T, float(np.abs(F - F.T).max(initial=0.0))
+    if scale != 1.0:
+        F = scale * F
+    return DtnMap(matrix=(0.5 * F + 0.5 * F.T).astype(complex, copy=False),
+                  provenance="pd" if route.Q is None else "psd",
+                  asymmetry=float(np.abs(F - F.T).max(initial=0.0)))
 
 
 def _dirichlet_state_matrix(M: np.ndarray, route: _Route) -> np.ndarray:
@@ -328,40 +355,10 @@ def _operator(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> np
     return schrodinger_matrix(g, sigma.values, q.values)
 
 
-def _solve(M: np.ndarray, g: Graph, gb: np.ndarray | VectorNodeField,
-           route: _Route) -> tuple[VectorNodeField, float]:
-    """The Dirichlet solution for boundary data gb of the canonical operator M
-    on g, and its interior residual |(M u)_I|, RegimeError when that is
-    beyond RESIDUAL_TOL."""
-    nb = route.nb
-    gvec = _boundary_vec(g, gb)
-    if gvec.shape != (nb,):
-        raise FieldError("boundary data has wrong length")
-    flat = np.concatenate([gvec, -_interior_solve(M, M[nb:, :nb] @ gvec, route)])
-    resid = float(np.linalg.norm((M @ flat)[nb:]))
-    if resid > RESIDUAL_TOL * (1.0 + np.linalg.norm(gvec)):
-        raise RegimeError(f"interior residual {resid:.3e} beyond tolerance")
-    return VectorNodeField.from_canonical(g, flat, len(M) // g.num_vertices), resid
-
-
-def solve_dirichlet_pd(
-    g: Graph,
-    sigma: MatrixEdgeField,
-    q: MatrixNodeField | None,
-    gb: np.ndarray | VectorNodeField,
-) -> VectorNodeField:
-    """Solve the Dirichlet problem when the interior block is invertible.
-
-    Returns the node field u with u_B = gb and vanishing interior equations.
-    """
-    return _solve(_operator(g, sigma, q), g, gb, _route(g, sigma.d))[0]
-
-
 def dtn_pd(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DtnMap:
     """Schur-complement Dirichlet-to-Neumann map for invertible interiors,
     exactly symmetric."""
-    lam = _symmetric_dtn(_operator(g, sigma, q), _route(g, sigma.d))[0]
-    return DtnMap(matrix=lam.astype(complex, copy=False), provenance="pd")
+    return _dtn(_operator(g, sigma, q), _route(g, sigma.d))
 
 
 def floppy_basis(g: Graph, sigma: MatrixEdgeField) -> FloppyBasis:
@@ -371,30 +368,7 @@ def floppy_basis(g: Graph, sigma: MatrixEdgeField) -> FloppyBasis:
     return FloppyBasis(modes=_route(g, sigma.d, eigen_decompose(sigma)).floppy)
 
 
-def q_basis(g: Graph, eig: EigenData) -> np.ndarray:
-    """Real orthonormal basis of the range of the interior Laplacian block,
-    (d|I|, rank), built from the conductivity eigenvectors only (unit
-    eigenvalues)."""
-    return _route(g, eig.d, eig).Q
-
-
-def solve_dirichlet_psd(
-    g: Graph,
-    sigma: MatrixEdgeField,
-    gb: np.ndarray | VectorNodeField,
-) -> VectorNodeField:
-    """Minimal-norm Dirichlet solution for rank-deficient conductivities.
-
-    The interior part is the pseudoinverse solve realized through the Q
-    basis, so the floppy component is zero.
-    """
-    M = _operator(g, sigma, None)
-    return _solve(M, g, gb, _route(g, sigma.d, eigen_decompose(sigma)))[0]
-
-
 def dtn_psd(g: Graph, sigma: MatrixEdgeField) -> DtnMap:
     """Dirichlet-to-Neumann map for rank-deficient conductivities via the Q
     basis of the interior range, exactly symmetric."""
-    M = _operator(g, sigma, None)
-    lam = _symmetric_dtn(M, _route(g, sigma.d, eigen_decompose(sigma)))[0]
-    return DtnMap(matrix=lam.astype(complex, copy=False), provenance="psd")
+    return _dtn(_operator(g, sigma, None), _route(g, sigma.d, eigen_decompose(sigma)))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirichlet import DtnMap, _route, _symmetric_dtn, dtn_psd
+from .dirichlet import DtnMap, _dtn, _route, dtn_psd
 from .graph import FieldError, Graph, MatrixEdgeField, _edge_rows, _vertex_rows
 from .inversion import ProblemSpec, _make_spec
 from .operators import (
@@ -126,7 +126,8 @@ def displacement_to_forces(net: ElasticNetwork, regime: str) -> DtnMap:
 
     ``regime`` is "static" (rank-deficient spring conductivity, zero
     potential) or "dynamic" (frequency domain; the map of the unscaled
-    variables recovered as j w times the scaled-operator map).
+    variables recovered as j w times the scaled-operator map, and so is the
+    asymmetry its symmetric part discards).
     """
     if regime == "static":
         return dtn_psd(net.graph, spring_conductivity(net))
@@ -134,8 +135,7 @@ def displacement_to_forces(net: ElasticNetwork, regime: str) -> DtnMap:
         _require_dynamic(net)
         jw = 1j * net.omega
         M = _scaled_operator(net, net.c_e + net.k / jw, net.c_v + jw * net.mass)
-        lam = _symmetric_dtn(M, _route(net.graph, net.d))[0]
-        return DtnMap(matrix=jw * lam, provenance="pd")
+        return _dtn(M, _route(net.graph, net.d), jw)
     raise ValueError(f"unknown regime {regime!r}")
 
 

@@ -259,6 +259,8 @@ def save_matrix(m: np.ndarray, path: str | Path, extra: dict | None = None) -> N
                     out.append(f"{z.imag:.17g}")
                 writer.writerow(out)
         return
+    if np.iscomplexobj(m) and not m.imag.view(np.uint64).any():
+        m = m.real  # every imaginary part is +0.0, which the real path writes alike
     data = object()  # stands for the matrix, whose text is written below
     doc = {"shape": [int(m.shape[0]), int(m.shape[1])], "data": data}
     if extra:

@@ -19,8 +19,6 @@ __all__ = [
     "FieldError",
     "Graph",
     "build_graph",
-    "is_connected",
-    "is_interior_connected",
     "MatrixEdgeField",
     "MatrixNodeField",
     "VectorNodeField",
@@ -74,14 +72,11 @@ class Graph:
         return pos[ends[:, 0]], pos[ends[:, 1]]
 
     @cached_property
-    def interior_levels(self) -> tuple[np.ndarray, ...]:
-        """The interior split by graph distance from the boundary, as arrays of
-        interior indices (canonical position less num_boundary), ascending
-        within each level. Level 1 is the interior neighbours of the
-        boundary; vertices the boundary does not reach form one last level.
-        Every edge joins equal or consecutive levels, so the interior block of
-        an operator is block tridiagonal on them. Computed once per graph, by
-        a breadth-first search over the edge arrays, a numpy step per level."""
+    def boundary_distance(self) -> np.ndarray:
+        """Graph distance of every vertex from the boundary, in canonical
+        order: 0 on the boundary, -1 where the boundary does not reach.
+        Computed once per graph, by a breadth-first search over the edge
+        arrays, a numpy step per level; read-only."""
         pi, pj = self.edge_positions()
         dist = np.where(np.arange(self.num_vertices) < self.num_boundary, 0, -1)
         front, k = dist == 0, 0
@@ -91,8 +86,20 @@ class Graph:
             near[pj[front[pi]]] = near[pi[front[pj]]] = True
             front = near & (dist < 0)
             dist[front] = k
-        dist[dist < 0] = k  # unreached: one level after the last reached one
-        inner = dist[self.num_boundary:]
+        dist.setflags(write=False)
+        return dist
+
+    @cached_property
+    def interior_levels(self) -> tuple[np.ndarray, ...]:
+        """The interior split by ``boundary_distance``, as arrays of interior
+        indices (canonical position less num_boundary), ascending within each
+        level. Level 1 is the interior neighbours of the boundary; vertices
+        the boundary does not reach form one last level. Every edge joins
+        equal or consecutive levels, so the interior block of an operator is
+        block tridiagonal on them."""
+        inner = self.boundary_distance[self.num_boundary:]
+        k = int(inner.max(initial=0)) + 1
+        inner = np.where(inner < 0, k, inner)  # unreached: one level after the last
         return tuple(lev for lev in (np.flatnonzero(inner == j) for j in range(1, k + 1))
                      if lev.size)
 
@@ -140,43 +147,6 @@ def build_graph(n: int, boundary: Sequence[int], edges: Sequence[Sequence[int]])
         order=order,
         position=tuple(position),
     )
-
-
-def _components(n: int, edges: Sequence[tuple[int, int]], nodes: Sequence[int]) -> int:
-    """Number of connected components of the subgraph induced by ``nodes``."""
-    nodeset = set(nodes)
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for i, j in edges:
-        if i in nodeset and j in nodeset:
-            adj[i].append(j)
-            adj[j].append(i)
-    seen: set[int] = set()
-    count = 0
-    for start in nodes:
-        if start in seen:
-            continue
-        count += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return count
-
-
-def is_connected(g: Graph) -> bool:
-    return _components(g.num_vertices, g.edges, range(g.num_vertices)) <= 1
-
-
-def is_interior_connected(g: Graph) -> bool:
-    """Connectivity of the subgraph induced by interior nodes (vacuously true
-    when the interior is empty)."""
-    if not g.interior:
-        return True
-    return _components(g.num_vertices, g.edges, g.interior) <= 1
 
 
 def _symmetrize_blocks(values: np.ndarray, what: str) -> np.ndarray:

@@ -10,8 +10,6 @@ from netinv.graph import (
     MatrixEdgeField,
     MatrixNodeField,
     build_graph,
-    is_connected,
-    is_interior_connected,
 )
 from netinv.operators import (
     COMMUTE_TOL,
@@ -239,6 +237,20 @@ def admissible_extent_bisection(spec, p, dp, sign: float, t_max: float) -> float
     return lo
 
 
+def every_vertex_reaches_the_boundary(g: Graph) -> bool:
+    """Reachability as the fixed point of r = r or A r, from the boundary
+    indicator r, with A the dense adjacency matrix."""
+    A = np.zeros((g.num_vertices, g.num_vertices), dtype=int)
+    for i, j in g.edges:
+        A[i, j] = A[j, i] = 1
+    r = np.isin(np.arange(g.num_vertices), g.boundary)
+    while True:
+        grown = r | (A @ r > 0)
+        if (grown == r).all():
+            return bool(r.all())
+        r = grown
+
+
 def classify_regime_eigvalsh(g: Graph, sigma: MatrixEdgeField,
                              q: MatrixNodeField | None) -> RegimeTag:
     """Regime tag by the full spectrum: sigma' > 0 is lambda_min(sigma'_e) >
@@ -246,8 +258,8 @@ def classify_regime_eigvalsh(g: Graph, sigma: MatrixEdgeField,
     Laplacian positive definite, so with q_I' >= 0 criterion (i) holds;
     otherwise the PD criteria compare its smallest eigenvalue lambda_II, from
     a dense eigvalsh, with a margin. The same order and tolerances as
-    ``classify_regime``."""
-    if not (is_connected(g) and is_interior_connected(g)):
+    ``classify_regime``, which needs every vertex to reach the boundary."""
+    if not every_vertex_reaches_the_boundary(g):
         return RegimeTag.UNSUPPORTED
 
     def margin(x):

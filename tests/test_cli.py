@@ -139,13 +139,13 @@ def test_forward_assembles_once(tmp_path, monkeypatch):
 
 def test_forward_writes_the_residual_the_solve_checked(tmp_path, monkeypatch):
     solved = []
-    original = dirichlet._solve
+    original = dirichlet.DirichletRegime.solve
 
     def recorded(*args, **kwargs):
         solved.append(original(*args, **kwargs))
         return solved[-1]
 
-    monkeypatch.setattr(dirichlet, "_solve", recorded)
+    monkeypatch.setattr(dirichlet.DirichletRegime, "solve", recorded)
     net = write(tmp_path, "net.json", collinear_springs_doc())
     bc = write(tmp_path, "bc.json", {"g": [[0.1, 0.0], [0.0, 0.2]]})
     out = tmp_path / "sol.json"
@@ -262,6 +262,26 @@ def test_forward_unsupported_regime_exits_4(tmp_path, capsys):
         for argv in (["forward", net, bc], ["dtn", net, "-o", out], ["floppy", net]):
             assert main(argv) == EXIT_UNSUPPORTED
             assert capsys.readouterr().err.startswith("unsupported regime: ")
+
+
+def test_split_path_is_solved(tmp_path):
+    # the path 0-1-2-3-4 with boundary {0, 2, 4}: its interior {1, 3} has no
+    # interior edge, but every vertex reaches the boundary
+    net = write(tmp_path, "net.json", {
+        "d": 1,
+        "vertices": [{"id": v, "boundary": v % 2 == 0} for v in range(5)],
+        "edges": [{"i": v, "j": v + 1, "sigma": [[s]]} for v, s in enumerate((1.0, 2.0, 1.0, 3.0))],
+    })
+    out = tmp_path / "dtn.json"
+    assert main(["dtn", net, "-o", str(out)]) == EXIT_OK
+    series = np.array([[2 / 3, -2 / 3, 0], [-2 / 3, 17 / 12, -3 / 4], [0, -3 / 4, 3 / 4]])
+    assert np.abs(load_matrix(out) - series).max() <= 1e-12
+    bc = write(tmp_path, "bc.json", {"g": [[1.0], [0.0], [0.0]]})
+    sol = tmp_path / "sol.json"
+    assert main(["forward", net, bc, "-o", str(sol)]) == EXIT_OK
+    doc = json.loads(sol.read_text())
+    assert doc["regime"] == "pd_sigma"
+    assert np.abs(np.array(doc["u"])[:, 0, 0] - [1.0, 1 / 3, 0.0, 0.0, 0.0]).max() <= 1e-15
 
 
 def test_dtn_single_edge(tmp_path):

@@ -13,14 +13,11 @@ from netinv.dirichlet import (
     dtn_pd,
     dtn_psd,
     floppy_basis,
-    q_basis,
-    solve_dirichlet_pd,
-    solve_dirichlet_psd,
     _dirichlet_state_matrix,
+    _dtn,
     _interior_solve,
     _route,
     _schur_dtn,
-    _symmetric_dtn,
 )
 from netinv.graph import (
     FieldError,
@@ -141,11 +138,39 @@ def test_classify_unsupported_zero_edge():
 
 
 def test_classify_unsupported_disconnected():
+    # the component {2, 3} has no boundary vertex
     g = build_graph(4, [0], [(0, 1), (2, 3)])
     sigma = MatrixEdgeField.from_blocks(np.ones((2, 1, 1)))
     reg = classify_regime(g, sigma, None)
     assert reg.tag is RegimeTag.UNSUPPORTED
-    assert reg.diagnostics["connected"] is False
+    assert reg.diagnostics["unreached"] in (2, 3)
+    for call in (reg.dtn, lambda: reg.solve(np.ones(1))):
+        with pytest.raises(RegimeError, match="unsupported"):
+            call()
+    # a vertex id, not a canonical position: vertex 0 is at position 1
+    g = build_graph(4, [2], [(2, 3), (0, 1)])
+    assert classify_regime(g, MatrixEdgeField.from_blocks(np.ones((2, 1, 1))), None) \
+        .diagnostics == {"unreached": 0}
+
+
+def split_path():
+    """The path 0-1-2-3-4 with boundary {0, 2, 4}: its interior vertices 1
+    and 3 are not joined, but each reaches the boundary."""
+    g = build_graph(5, [0, 2, 4], [(0, 1), (1, 2), (2, 3), (3, 4)])
+    return g, MatrixEdgeField.from_blocks(np.array([1.0, 2.0, 1.0, 3.0]).reshape(4, 1, 1))
+
+
+def test_split_path_is_pd_sigma_with_the_series_map():
+    g, sigma = split_path()
+    regime = classify_regime(g, sigma, None)
+    assert regime.tag is RegimeTag.PD_SIGMA
+    series = np.array([[2 / 3, -2 / 3, 0], [-2 / 3, 17 / 12, -3 / 4], [0, -3 / 4, 3 / 4]])
+    dtn = regime.dtn()
+    assert np.abs(dtn.matrix - series).max() <= 1e-12
+    assert dtn.matrix.tobytes() == dtn_pd(g, sigma, None).matrix.tobytes()
+    u, resid = regime.solve([1.0, 0.0, 0.0])
+    assert np.abs(u.values.ravel() - [1.0, 1 / 3, 0.0, 0.0, 0.0]).max() <= 1e-15
+    assert resid <= 1e-15
 
 
 def hand_fixtures():
@@ -182,6 +207,7 @@ def hand_fixtures():
          MatrixNodeField.from_blocks(np.full((3, 1, 1), -3.0)), RegimeTag.UNSUPPORTED),
         (build_graph(4, [0], [(0, 1), (2, 3)]), MatrixEdgeField.from_blocks(np.ones((2, 1, 1))),
          None, RegimeTag.UNSUPPORTED),
+        (*split_path(), None, RegimeTag.PD_SIGMA),
     ]
 
 
@@ -216,7 +242,7 @@ def test_interior_eigvalsh_only_for_unsupported_tags(monkeypatch):
         factored.clear()
         diag = classify_regime(g, sigma, q).diagnostics
         reported = "laplacian_interior_min_eig" in diag
-        assert reported == (tag is RegimeTag.UNSUPPORTED and "connected" not in diag)
+        assert reported == (tag is RegimeTag.UNSUPPORTED and "unreached" not in diag)
         assert len(calls) == (reported and g.num_interior > 0)
         assert len(factored) <= 1
         if tag is RegimeTag.PD_SIGMA:  # every such fixture has q_I' >= 0
@@ -263,7 +289,7 @@ def test_solve_pd_path3_hand():
     # scalar path, unit conductances, g = (1, 0): interior value is the mean
     g = path3()
     sigma = MatrixEdgeField.from_blocks(np.ones((2, 1, 1)))
-    u = solve_dirichlet_pd(g, sigma, None, np.array([1.0, 0.0]))
+    u = classify_regime(g, sigma, None).solve(np.array([1.0, 0.0]))[0]
     assert np.allclose(u.values.reshape(-1), [1.0, 0.5, 0.0])
 
 
@@ -271,7 +297,7 @@ def test_solve_pd_interior_residual_zero():
     g = build_graph(6, [0, 3], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(7, 2, 17))
     gb = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    u = solve_dirichlet_pd(g, sigma, None, gb)
+    u = classify_regime(g, sigma, None).solve(gb)[0]
     M = laplacian_matrix(g, sigma.values)
     res = (M @ u.canonical(g))[2 * g.num_boundary:]
     assert np.abs(res).max() < 1e-10
@@ -283,9 +309,9 @@ def test_solve_pd_linear_in_boundary_data():
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(2, 2, 31))
     g1 = rng.standard_normal(4)
     g2 = rng.standard_normal(4)
-    u1 = solve_dirichlet_pd(g, sigma, None, g1)
-    u2 = solve_dirichlet_pd(g, sigma, None, g2)
-    u12 = solve_dirichlet_pd(g, sigma, None, g1 + 2 * g2)
+    u1 = classify_regime(g, sigma, None).solve(g1)[0]
+    u2 = classify_regime(g, sigma, None).solve(g2)[0]
+    u12 = classify_regime(g, sigma, None).solve(g1 + 2 * g2)[0]
     assert np.abs(u12.values - u1.values - 2 * u2.values).max() < 1e-10
 
 
@@ -303,8 +329,7 @@ ONES = MatrixEdgeField.from_blocks(np.ones((2, 1, 1)))
 ])
 def test_fields_that_do_not_fit_the_graph_are_refused(sigma, q, message):
     g = path3()
-    for call in (lambda: dtn_pd(g, sigma, q), lambda: classify_regime(g, sigma, q),
-                 lambda: solve_dirichlet_pd(g, sigma, q, np.ones(2))):
+    for call in (lambda: dtn_pd(g, sigma, q), lambda: classify_regime(g, sigma, q)):
         with pytest.raises(FieldError, match=message):
             call()
 
@@ -331,7 +356,7 @@ def test_dtn_pd_symmetric_and_matches_flux():
     assert np.abs(dtn.matrix - dtn.matrix.T).max() < 1e-10
     # flux oracle: boundary rows of the operator applied to the solution
     gb = rng.standard_normal(6)
-    u = solve_dirichlet_pd(g, sigma, q, gb)
+    u = classify_regime(g, sigma, q).solve(gb)[0]
     M = schrodinger_matrix(g, sigma.values, q.values)
     flux = (M @ u.canonical(g))[:6]
     assert np.abs(dtn.matrix @ gb - flux).max() < 1e-10
@@ -394,7 +419,7 @@ def test_floppy_dim_matches_dense_nullspace_oracle():
 def test_q_basis_spans_interior_range():
     g, sigma = collinear_springs()
     eig = eigen_decompose(sigma)
-    Q = q_basis(g, eig)
+    Q = _route(g, sigma.d, eig).Q
     M, nb = laplacian_matrix(g, sigma.values), sigma.d * g.num_boundary
     M_II, M_IB = M[nb:, nb:], M[nb:, :nb]
     # projector onto range(Q) reproduces the interior block columns
@@ -408,15 +433,15 @@ def test_q_basis_depends_only_on_eigenvectors():
     eig1 = eigen_decompose(sigma)
     scaled = MatrixEdgeField.from_blocks(np.stack([7.0 * b for b in sigma.values]))
     eig2 = eigen_decompose(scaled)
-    Q1 = q_basis(g, eig1)
-    Q2 = q_basis(g, eig2)
+    Q1 = _route(g, sigma.d, eig1).Q
+    Q2 = _route(g, sigma.d, eig2).Q
     assert np.abs(Q1 - Q2).max() < 1e-12
 
 
 def test_solve_psd_minimal_norm():
     g, sigma = collinear_springs()
     gb = np.array([1.0, 0.0, 0.0, 0.0])
-    u = solve_dirichlet_psd(g, sigma, gb)
+    u = classify_regime(g, sigma, None).solve(gb)[0]
     flat = u.canonical(g)
     # interior component orthogonal to the floppy mode
     basis = floppy_basis(g, sigma)
@@ -429,7 +454,7 @@ def test_solve_psd_minimal_norm():
 def test_psd_solution_unique_up_to_floppy():
     g, sigma = collinear_springs()
     gb = rng.standard_normal(4)
-    u = solve_dirichlet_psd(g, sigma, gb).canonical(g)
+    u = classify_regime(g, sigma, None).solve(gb)[0].canonical(g)
     basis = floppy_basis(g, sigma)
     L = laplacian_matrix(g, sigma.values)
     # adding any floppy mode keeps the solution feasible and leaves the
@@ -472,7 +497,7 @@ def test_dtn_psd_mixed_rank_commuting():
     assert classify_regime(g, sigma, None).tag is RegimeTag.PSD_COMMUTING
     a = dtn_psd(g, sigma).matrix
     assert np.abs(a - dtn_pseudoinverse_oracle(g, sigma)).max() < 1e-10
-    u = solve_dirichlet_psd(g, sigma, rng.standard_normal(4))
+    u = classify_regime(g, sigma, None).solve(rng.standard_normal(4))[0]
     assert abs(u.values[2, 1]) < 1e-12  # minimal norm: floppy component is zero
 
 
@@ -495,7 +520,7 @@ def test_dtn_psd_matches_pseudoinverse_oracle():
 def test_dtn_psd_invariant_under_q_remix():
     g, sigma = collinear_springs()
     eig = eigen_decompose(sigma)
-    Q = q_basis(g, eig)
+    Q = _route(g, sigma.d, eig).Q
     # random orthogonal remix of the basis columns gives the same map
     r = Q.shape[1]
     a = rng.standard_normal((r, r))
@@ -635,6 +660,28 @@ def test_cholesky_certificate_matches_eigvalsh_oracle(net, kind, level):
         assert tag is RegimeTag.PD_SIGMA
 
 
+def check_regime_solves_as_its_route(g, sigma, q, gb):
+    """A supported regime's map is dtn_pd's (PD tags) or dtn_psd's (PSD tags),
+    bit for bit; its solution has u_B = gb and reports the residual
+    |(M u)_I| of the u it returns."""
+    regime = classify_regime(g, sigma, q)
+    expected = dtn_pd(g, sigma, q) if regime.tag.is_pd else dtn_psd(g, sigma)
+    dtn = regime.dtn()
+    assert dtn.matrix.tobytes() == expected.matrix.tobytes()
+    assert (dtn.provenance, dtn.asymmetry) == (expected.provenance, expected.asymmetry)
+    u, resid = regime.solve(gb)
+    assert u.boundary_values(g).tobytes() == np.asarray(gb, dtype=complex).tobytes()
+    nb = sigma.d * g.num_boundary
+    assert resid == np.linalg.norm((regime.operator @ u.canonical(g))[nb:])
+
+
+def test_hand_fixtures_solve_as_their_route():
+    for g, sigma, q, tag in hand_fixtures():
+        if tag is not RegimeTag.UNSUPPORTED:
+            gb = rng.standard_normal(sigma.d * g.num_boundary)
+            check_regime_solves_as_its_route(g, sigma, q, gb)
+
+
 @settings(max_examples=100, deadline=None)
 @given(networks(), st.sampled_from([0.0, 0.2]), st.booleans(), st.integers(-1000, 1000))
 def test_pd_sigma_and_its_map_are_exact_under_powers_of_two(net, imag, with_q, k):
@@ -649,7 +696,7 @@ def test_pd_sigma_and_its_map_are_exact_under_powers_of_two(net, imag, with_q, k
         regime = classify_regime(g, MatrixEdgeField.from_blocks(scale * sigma),
                                  None if q is None else MatrixNodeField.from_blocks(scale * q))
         assert regime.tag is RegimeTag.PD_SIGMA
-        return _symmetric_dtn(regime.operator, regime.route)[0]
+        return regime.dtn().matrix
 
     unscaled = scaled_map(1.0)
     # ldexp of the real and imaginary parts, as a float view
@@ -688,7 +735,7 @@ def test_real_psd_map_matches_complex_arithmetic():
     for g, sigma in [collinear_springs(), (path, MatrixEdgeField.from_blocks(mixed.values.real))]:
         assert classify_regime(g, sigma, None).tag is RegimeTag.PSD_REAL
         M, nb = laplacian_matrix(g, sigma.values), sigma.d * g.num_boundary
-        U = complex_state_matrix(M, nb, q_basis(g, eigen_decompose(sigma)))
+        U = complex_state_matrix(M, nb, _route(g, sigma.d, eigen_decompose(sigma)).Q)
         lam = dtn_psd(g, sigma).matrix
         assert lam.dtype == complex
         assert relative_error(lam, M[:nb] @ U, M) <= 1e-12
@@ -708,7 +755,7 @@ def test_interior_solve_is_real_exactly_for_real_operators(monkeypatch):
         seen.clear()
         sigma = MatrixEdgeField.from_blocks(random_spd_blocks(6, 2, 47, imag=imag))
         dtn_pd(g, sigma, None)
-        solve_dirichlet_pd(g, sigma, None, np.ones(6))
+        classify_regime(g, sigma, None).solve(np.ones(6))
         assert seen == [(dtype, dtype)] * 2
 
 
@@ -822,7 +869,7 @@ def test_energy_minimization_psd():
     # over interior perturbations
     g, sigma = collinear_springs()
     gb = rng.standard_normal(4)
-    u = solve_dirichlet_psd(g, sigma, gb).canonical(g)
+    u = classify_regime(g, sigma, None).solve(gb)[0].canonical(g)
     L = laplacian_matrix(g, sigma.values).real
     e0 = (u @ L @ u).real
     for _ in range(100):
@@ -836,7 +883,7 @@ def test_pd_regime_error_on_misuse():
     # rank-deficient conductivity makes the interior block singular
     g, sigma = collinear_springs()
     with pytest.raises(RegimeError):
-        solve_dirichlet_pd(g, sigma, None, np.array([1.0, 0.0, 0.0, 0.0]))
+        dtn_pd(g, sigma, None)
 
 
 # ---------------------------------------------------------------------------
@@ -844,17 +891,18 @@ def test_pd_regime_error_on_misuse():
 # ---------------------------------------------------------------------------
 
 
-def check_symmetric_part(M, route, lam) -> float:
-    """lam is exactly symmetric and is (F + F^T) / 2, bit for bit, of the
+def check_symmetric_part(M, route, dtn) -> float:
+    """The map is exactly symmetric and is (F + F^T) / 2, bit for bit, of the
     Schur product F; returns the asymmetry max|F - F^T| it discards."""
     F = _schur_dtn(M, route)
-    sym, residual = _symmetric_dtn(M, route)
+    lam = dtn.matrix
     assert np.array_equal(lam, lam.T)
-    # F and sym are real for a real M, lam is complex with +0.0 imaginary parts
-    assert lam.tobytes() == sym.astype(complex).tobytes() \
+    # F is real for a real M, lam is complex with +0.0 imaginary parts
+    assert lam.tobytes() == _dtn(M, route).matrix.tobytes() \
         == (0.5 * (F + F.T)).astype(complex).tobytes()
-    assert residual == np.abs(F - F.T).max(initial=0.0)
-    return residual
+    assert dtn.asymmetry == np.abs(F - F.T).max(initial=0.0)
+    assert dtn.provenance == ("pd" if route.Q is None else "psd")
+    return dtn.asymmetry
 
 
 @settings(max_examples=40, deadline=None)
@@ -866,7 +914,7 @@ def test_dtn_pd_is_the_symmetric_part_of_the_schur_product(net, with_q):
         if with_q else None
     M = schrodinger_matrix(g, sigma.values, q.values) if with_q \
         else laplacian_matrix(g, sigma.values)
-    check_symmetric_part(M, _route(g, d), dtn_pd(g, sigma, q).matrix)
+    check_symmetric_part(M, _route(g, d), dtn_pd(g, sigma, q))
 
 
 @settings(max_examples=40, deadline=None)
@@ -879,7 +927,7 @@ def test_dtn_psd_is_the_symmetric_part_of_the_schur_product(net):
     sigma = MatrixEdgeField.from_blocks(
         np.einsum("e,ea,eb->eab", local.uniform(0.5, 2.0, g.num_edges), x, x))
     check_symmetric_part(laplacian_matrix(g, sigma.values), _route(g, d, eigen_decompose(sigma)),
-                         dtn_psd(g, sigma).matrix)
+                         dtn_psd(g, sigma))
 
 
 def test_symmetry_residual_is_the_discarded_asymmetry():
@@ -888,7 +936,7 @@ def test_symmetry_residual_is_the_discarded_asymmetry():
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(6, 2, 41))
     q = MatrixNodeField.from_blocks(0.1 * random_spd_blocks(5, 2, 43))
     M = schrodinger_matrix(g, sigma.values, q.values)
-    assert check_symmetric_part(M, _route(g, 2), dtn_pd(g, sigma, q).matrix) > 0
+    assert check_symmetric_part(M, _route(g, 2), dtn_pd(g, sigma, q)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1001,3 +1049,32 @@ def test_singular_level_complement_is_a_regime_error():
     M[2, 3] = M[3, 2] = 0.0
     with pytest.raises(RegimeError):
         _interior_solve(M, np.ones(3), _route(g, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(networks(), level_graphs()),
+       st.sampled_from(["sigma", "sigma+q", "indefinite+q", "rank_one", "rank_one+q"]),
+       st.sampled_from([0.0, 0.3]), st.integers(0, 2**32 - 1))
+def test_every_supported_regime_solves_as_its_route(drawn, kind, imag, seed):
+    # the level graphs add trees, whose interior is often split, and grids
+    g, d = drawn[:2]
+    local = np.random.default_rng(seed)
+    if kind.startswith("rank_one"):
+        # complex multiples of real rank-one blocks commute
+        blocks = (1.0 + imag * 1j) * rank_one_blocks(g.num_edges, d, local)
+    else:
+        shift = 3.5 if kind == "indefinite+q" else 0.0
+        blocks = random_spd_blocks(g.num_edges, d, seed, imag) - shift * np.eye(d)
+    sigma = MatrixEdgeField.from_blocks(blocks)
+    q = MatrixNodeField.from_blocks(random_spd_blocks(g.num_vertices, d, seed + 1, imag)) \
+        if kind.endswith("+q") else None
+    assume(classify_regime(g, sigma, q).tag is not RegimeTag.UNSUPPORTED)
+    # as in the rank-one oracle test: skip near-mechanisms and near-singular
+    # interiors, whose residual no route keeps within RESIDUAL_TOL
+    nb = d * g.num_boundary
+    M = laplacian_matrix(g, sigma.values) if q is None \
+        else schrodinger_matrix(g, sigma.values, q.values)
+    w = np.linalg.svd(M[nb:, nb:], compute_uv=False)
+    assume(w.size == 0 or (w[w > 1e-10 * w.max()] > 1e-6 * w.max()).all())
+    gb = local.standard_normal(nb) + 1j * local.standard_normal(nb)
+    check_regime_solves_as_its_route(g, sigma, q, gb)

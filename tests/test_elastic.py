@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from netinv import elastic, operators
+from netinv.dirichlet import _route, _schur_dtn
 from netinv.elastic import (
     ElasticNetwork,
     _scaled_operator,
@@ -191,6 +192,24 @@ def test_dynamic_map_and_both_dynamic_specs_agree(omega):
         assert np.abs(masses - lam).max() <= 1e-12 * scale
 
 
+def test_dynamic_map_asymmetry_is_that_of_the_returned_map():
+    # the map of the unscaled variables is the symmetric part of m = j w F, F
+    # the scaled operator's Schur product, and reports what that discards;
+    # scaling by w = -2, a power of two, is exact, so it is then |w| times
+    # the asymmetry of F bit for bit
+    for omega in (1.3, -2.0):
+        net = braced_network(c_v=0.6, omega=omega, seed=3)
+        jw = 1j * omega
+        M = _scaled_operator(net, net.c_e + net.k / jw, net.c_v + jw * net.mass)
+        F = _schur_dtn(M, _route(net.graph, net.d))
+        m = jw * F
+        dtn = displacement_to_forces(net, "dynamic")
+        assert dtn.asymmetry == np.abs(m - m.T).max() > 0
+        assert dtn.matrix.tobytes() == (0.5 * m + 0.5 * m.T).tobytes()
+        assert dtn.provenance == "pd"
+    assert dtn.asymmetry == 2.0 * np.abs(F - F.T).max()
+
+
 def test_dynamic_map_assembles_once(monkeypatch):
     calls = []
     original = operators.laplacian_matrix
@@ -267,13 +286,12 @@ def test_jacobian_fd_all_elastic_specs():
 def test_static_springs_real_route_matches_complex_arithmetic():
     # the static map and the static-springs states solve a real operator in
     # real arithmetic; the reference solves the same operator by complex LU
-    from netinv.dirichlet import q_basis
     for net in (braced_network(seed=3), collinear_network()):
         sigma = spring_conductivity(net)
         eig = eigen_decompose(sigma)
         M = laplacian_matrix(net.graph, sigma.values)
         nb = net.d * net.graph.num_boundary
-        U = complex_state_matrix(M, nb, q_basis(net.graph, eig))
+        U = complex_state_matrix(M, nb, _route(net.graph, net.d, eig).Q)
         lam = displacement_to_forces(net, "static").matrix
         states = make_spec_static_springs(net).states(net.k)
         assert lam.dtype == states.dtype == complex

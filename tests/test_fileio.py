@@ -377,15 +377,17 @@ EXTRA = st.one_of(st.none(), st.dictionaries(
 def written_matrices(draw):
     """An r x c complex matrix, 0 x c and r x 0 included, whose parts come
     from a few drawn floats, so that values repeat; optionally with +0.0
-    imaginary parts or a float64 matrix, and optionally exactly symmetric."""
+    imaginary parts, which the writer takes down its real path, or with
+    zeros of either sign, which it must not; or a float64 matrix; and
+    optionally exactly symmetric."""
     r = draw(st.integers(0, 5))
     c = r if draw(st.booleans()) else draw(st.integers(0, 5))
     pool = draw(st.lists(WRITER_FLOATS, min_size=1, max_size=5))
     m = np.empty((r, c), dtype=complex)
     # assigned part by part, so that a signed zero keeps its sign
     m.real = np.reshape([draw(st.sampled_from(pool)) for _ in range(r * c)], (r, c))
-    m.imag = 0.0 if draw(st.booleans()) else \
-        np.reshape([draw(st.sampled_from(pool)) for _ in range(r * c)], (r, c))
+    imag = draw(st.sampled_from([[0.0], [0.0, -0.0], pool]))
+    m.imag = np.reshape([draw(st.sampled_from(imag)) for _ in range(r * c)], (r, c))
     if r == c and draw(st.booleans()):
         i, j = np.tril_indices(r, -1)
         m[i, j] = m[j, i]
@@ -408,7 +410,7 @@ def test_matrix_json_text_is_what_json_dumps_writes(tmp_path_factory, m, extra):
 
 
 def test_negative_zero_imaginary_parts_keep_their_sign(tmp_path):
-    # a complex matrix is never written as a real one: -0.0 stays -0.0
+    # a -0.0 imaginary part is never written as real: it stays -0.0
     m = np.empty((2, 2), dtype=complex)
     m.real = [[1.5, -0.0], [0.0, 2.0]]
     m.imag = [[-0.0, 0.0], [-0.0, -0.0]]

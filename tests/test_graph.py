@@ -13,8 +13,6 @@ from netinv.graph import (
     SYMMETRY_TOL,
     VectorNodeField,
     build_graph,
-    is_connected,
-    is_interior_connected,
 )
 
 from oracles import unvec, vec
@@ -64,23 +62,18 @@ def test_build_rejects_empty_boundary():
         build_graph(3, [], [(0, 1)])
 
 
-def test_connectivity():
-    g = path3()
-    assert is_connected(g)
-    assert is_interior_connected(g)
-    # two components
-    g2 = build_graph(4, [0], [(0, 1), (2, 3)])
-    assert not is_connected(g2)
-
-
-def test_interior_connectivity():
-    # interior nodes 2, 3 not joined by an interior edge
+def test_boundary_distance():
+    # canonical order: boundary first, then the interior ascending
+    assert path3().boundary_distance.tolist() == [0, 0, 1]
+    # the component {2, 3} has no boundary vertex
+    assert build_graph(4, [0], [(0, 1), (2, 3)]).boundary_distance.tolist() == [0, 1, -1, -1]
+    # interior vertices 2, 3 not joined by an interior edge both reach the boundary
     g = build_graph(4, [0, 1], [(0, 2), (1, 3), (2, 1), (3, 0)])
-    assert is_connected(g)
-    assert not is_interior_connected(g)
-    # no interior at all is vacuously connected
-    g3 = build_graph(2, [0, 1], [(0, 1)])
-    assert is_interior_connected(g3)
+    assert g.boundary_distance.tolist() == [0, 0, 1, 1]
+    assert g.boundary_distance is g.boundary_distance  # computed once
+    with pytest.raises(ValueError):
+        g.boundary_distance[0] = 1
+    assert build_graph(2, [0, 1], [(0, 1)]).boundary_distance.tolist() == [0, 0]
 
 
 def test_rebuild_is_deterministic():
@@ -207,6 +200,9 @@ def test_interior_levels_are_the_distances_from_the_boundary(g):
             reached.add(w)
             stack.append(w)
     unreached = set(range(g.num_vertices)) - reached
+    # the distances are the levels, and -1 where the boundary does not reach
+    assert g.boundary_distance.tolist() == [
+        -1 if v in unreached else int(level[v]) for v in range(g.num_vertices)]
     # unreached vertices form the last level, alone
     if unreached:
         assert set((nb + levels[-1]).tolist()) == unreached
