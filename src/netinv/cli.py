@@ -180,11 +180,8 @@ def cmd_invert(args) -> int:
     if target.shape != (spec.n, spec.n):
         raise SchemaError(f"target must be {spec.n} x {spec.n}")
     p0 = _parse_p0(args.p0, spec, p_file)
-    try:
-        p, trace = inversion.newton_invert(spec, target, p0, max_iter=args.max_iters,
-                                           residual_tol=args.residual_tol)
-    except inversion.InadmissibleParameterError as exc:
-        raise SchemaError(str(exc)) from exc
+    p, trace = inversion.newton_invert(spec, target, p0, max_iter=args.max_iters,
+                                       residual_tol=args.residual_tol)
     doc = {
         "problem": args.problem,
         "parameters": [complex_to_json(z) for z in np.asarray(p, dtype=complex)],
@@ -314,7 +311,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SchemaError, GraphError, FieldError, FileNotFoundError) as exc:
+    except (SchemaError, GraphError, FieldError, FileNotFoundError,
+            inversion.InadmissibleParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except dirichlet.RegimeError as exc:

@@ -274,17 +274,36 @@ def _block_outer_split(S: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
       (i = j) on the rows c = a that pi fixes; X_r + X_pi(r) times 1 (i < j)
       or 1/sqrt(2) (i = j) on the others;
     * W-, rows (k, c < a), columns i < j: X_r - X_pi(r); no rows when b = 1.
+
+    Only the pairs i <= j whose states meet, both nonzero in some row group
+    k, get a column; the others are zero and change no singular value. The
+    blocks are written in place, each product of two states into an array
+    that is neither factor: numpy may round such a complex product otherwise.
     """
     n = S.shape[1]
-    T = S.reshape(-1, b, n)
+    T = np.ascontiguousarray(S).reshape(-1, b, n)
+    nonzero = (T != 0).any(axis=1).astype(float)
+    i, j = np.nonzero(np.triu(nonzero.T @ nonzero))  # in np.triu_indices order
+    off = np.flatnonzero(i < j)
     c, a = np.triu_indices(b)
-    i, j = np.triu_indices(n)
-    pairs, off = c < a, i < j
-    X = T[:, a][:, :, i] * T[:, c][:, :, j]
-    X_pi = T[:, c[pairs]][:, :, i] * T[:, a[pairs]][:, :, j]
-    W_minus = X[:, pairs][:, :, off] - X_pi[:, :, off]
-    X[:, pairs] += X_pi
-    X *= 2.0 ** (0.5 * ((c == a).astype(int)[:, None] - (i == j)))
-    return (X.reshape(len(T) * c.size, i.size),
-            W_minus.reshape(len(T) * int(pairs.sum()), int(off.sum())))
+    W_plus = np.empty((len(T), c.size, i.size), T.dtype)
+    W_minus = np.empty((len(T), c.size - b, off.size), T.dtype)
+    tmp = np.empty((3, len(T), i.size), T.dtype)
 
+    def product(out: np.ndarray, x: int, y: int) -> np.ndarray:
+        """out = S[k b + x, i] S[k b + y, j] for every row group k."""
+        return np.multiply(np.take(T[:, x], i, axis=1, out=tmp[0], mode="clip"),
+                           np.take(T[:, y], j, axis=1, out=tmp[1], mode="clip"), out=out)
+
+    for r, (cr, ar) in enumerate(zip(c, a)):
+        X = product(W_plus[:, r], ar, cr)
+        if cr < ar:
+            X_pi = product(tmp[2], cr, ar)
+            # r less the cr + 1 rows c = a before it is the row of W-
+            np.subtract(np.take(X, off, axis=1, out=tmp[0, :, :off.size], mode="clip"),
+                        np.take(X_pi, off, axis=1, out=tmp[1, :, :off.size], mode="clip"),
+                        out=W_minus[:, r - cr - 1])
+            np.add(X, X_pi, out=X)
+    W_plus *= 2.0 ** (0.5 * ((c == a).astype(int)[:, None] - (i == j)))
+    return (W_plus.reshape(len(T) * c.size, i.size),
+            W_minus.reshape(len(T) * (c.size - b), off.size))

@@ -90,13 +90,13 @@ class ProblemSpec:
 
     def _split(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """bilinear(S, S) as the blocks W+ and W- of its exact orthogonal
-        split (``graph._block_outer_split``)."""
+        split, less zero columns (``graph._block_outer_split``)."""
         return tuple(self._sum_components(B) for B in _block_outer_split(S, self.block))
 
     def _sum_components(self, W: np.ndarray) -> np.ndarray:
         if self.components == 1:
             return W
-        return W.reshape(-1, self.components, W.shape[1]).sum(axis=1)
+        return W.reshape(len(W) // self.components, self.components, W.shape[1]).sum(axis=1)
 
     def _flat(self, x: np.ndarray, what: str, error: type[ValueError]) -> np.ndarray:
         """x as a flat real (``is_real``) or complex vector; a real spec
@@ -202,7 +202,7 @@ def uniqueness_test(spec: ProblemSpec, p: np.ndarray,
     the shape of W or of a block of its split rules out m independent rows.
     The singular values come from the two blocks of the exact split of W
     (``ProblemSpec._split``), in real arithmetic when the states are real;
-    W itself is never formed.
+    W itself is never formed, nor its columns of states that never meet.
     """
     _require_epsilon(epsilon)
     p = spec.require_admissible(p)
@@ -210,11 +210,12 @@ def uniqueness_test(spec: ProblemSpec, p: np.ndarray,
     if not S.imag.any():
         S = S.real
     blocks = spec._split(S)
-    # the transposes, blocks of the Jacobian, are mostly tall: LAPACK's
-    # faster orientation, and a copy-free view
-    svals = np.concatenate([np.linalg.svd(B.T, compute_uv=False) for B in blocks])
+    # the transposes, blocks of the Jacobian, stay mostly tall without the
+    # pairs that never meet: LAPACK's faster orientation, and a copy-free view
+    svals = np.concatenate([np.zeros(0)] + [np.linalg.svd(B.T, compute_uv=False)
+                                            for B in blocks if B.size])
     sigma_max = float(svals.max()) if svals.size else 0.0
-    # a block with more rows than columns: the rows of W cannot be independent
+    # more rows than kept columns (those left out are zero): W's rows are dependent
     deficient = any(B.shape[0] > B.shape[1] for B in blocks)
     sigma_min = 0.0 if deficient or not svals.size else float(svals.min())
     return UniquenessVerdict(

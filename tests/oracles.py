@@ -330,3 +330,35 @@ def relative_error(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> float:
     for a DtN map, the state matrix for states (a map or its states can
     vanish, e.g. with one boundary vertex and no potential)."""
     return float(np.abs(a - b).max() / np.abs(scale).max())
+
+
+def block_outer_split_full(S: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks W+ and W- of the exact split of W = graph._block_outer(S,
+    S, b) with a column for every pair of states, i <= j (W+) and i < j (W-),
+    whether or not the two states meet, by fancy indexing over whole arrays.
+
+    W+ has rows (k, c <= a): X_r = S[k b + a, i] S[k b + c, j] times sqrt(2)
+    (i < j) or 1 (i = j) where c = a, and X_r + X_pi(r) times 1 (i < j) or
+    1/sqrt(2) (i = j) elsewhere, pi swapping c and a; W- has rows (k, c < a)
+    and holds X_r - X_pi(r).
+    """
+    n = S.shape[1]
+    T = S.reshape(-1, b, n)
+    c, a = np.triu_indices(b)
+    i, j = np.triu_indices(n)
+    pairs, off = c < a, i < j
+    X = T[:, a][:, :, i] * T[:, c][:, :, j]
+    X_pi = T[:, c[pairs]][:, :, i] * T[:, a[pairs]][:, :, j]
+    W_minus = X[:, pairs][:, :, off] - X_pi[:, :, off]
+    X[:, pairs] += X_pi
+    X *= 2.0 ** (0.5 * ((c == a).astype(int)[:, None] - (i == j)))
+    return (X.reshape(len(T) * c.size, i.size),
+            W_minus.reshape(len(T) * int(pairs.sum()), int(off.sum())))
+
+
+def meeting_pairs(S: np.ndarray, b: int) -> np.ndarray:
+    """For every pair i <= j of columns of S, in np.triu_indices order,
+    whether both are nonzero in one group of b rows, pair by pair."""
+    groups = S.reshape(-1, b, S.shape[1])
+    return np.array([any(g[:, i].any() and g[:, j].any() for g in groups)
+                     for i, j in zip(*np.triu_indices(S.shape[1]))], dtype=bool)

@@ -379,6 +379,19 @@ def test_uniqueness_epsilon_monotone(tmp_path):
     assert code == EXIT_INCONCLUSIVE
 
 
+@pytest.mark.parametrize("command", [["uniqueness"], ["scan", "--samples", "2"]])
+@pytest.mark.parametrize("doc", [collinear_springs_doc(), p3_doc((-1.0, 2.0))],
+                         ids=["collinear_springs", "negative_sigma"])
+def test_inadmissible_parameter_in_the_file_exits_1(tmp_path, capsys, command, doc):
+    # the conductivity the file holds is outside the admissible cone: the
+    # collinear springs' blocks are rank one, and the path's first is -1
+    net = write(tmp_path, "net.json", doc)
+    assert main([command[0], net, "--problem", "conductivity", *command[1:]]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not admissible" in err
+    assert "Traceback" not in err
+
+
 def test_invert_roundtrip_conductivity(tmp_path):
     import netinv as ni
     truth = write(tmp_path, "truth.json", p3_doc((1.3, 0.7)))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netinv.graph import (
@@ -12,10 +12,11 @@ from netinv.graph import (
     MatrixNodeField,
     SYMMETRY_TOL,
     VectorNodeField,
+    _block_outer_split,
     build_graph,
 )
 
-from oracles import unvec, vec
+from oracles import block_outer_split_full, meeting_pairs, unvec, vec
 
 rng = np.random.default_rng(42)
 
@@ -225,3 +226,46 @@ def test_interior_levels_of_a_perimeter_grid():
     assert [len(lev) for lev in g.interior_levels] == [16, 8, 1]
     assert g.interior_levels is g.interior_levels  # computed once
     assert g.order[g.num_boundary + int(g.interior_levels[-1][0])] == 24
+
+
+@st.composite
+def state_matrices(draw):
+    """(S, b): a (K b, n) state matrix, real or complex, C or Fortran
+    ordered, whose states are zeroed (with signed zeros) on whole groups of b
+    rows at random."""
+    b, n, K = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    local = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    T = local.uniform(0.5, 2.0, (K, b, n)) * local.choice([-1.0, 1.0], (K, b, n))
+    if draw(st.booleans()):
+        T = T + 1j * local.uniform(-2.0, 2.0, (K, b, n))
+    kept = draw(st.lists(st.booleans(), min_size=K * n, max_size=K * n))
+    S = (T * np.reshape(kept, (K, 1, n))).reshape(K * b, n)
+    return (np.asfortranarray(S) if draw(st.booleans()) else S), b
+
+
+def disjoint_states(b, n):
+    """State k nonzero on row group k only: no two states meet."""
+    S = np.zeros((n * b, n))
+    for k in range(n):
+        S[k * b:(k + 1) * b, k] = 1.5 - k
+    return S
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_matrices())
+@example((np.array([[1.5], [-0.5], [2.0]]), 3))  # n = 1
+@example((np.array([[1.0, 0.0, 2.0], [0.0, 0.0, -1.0], [0.5, 1j, 0.0], [0.0, 2.0, 0.0]]), 1))
+@example((disjoint_states(2, 4), 2))  # only i = j is kept
+@example((disjoint_states(1, 3), 1))
+def test_block_outer_split_leaves_out_exactly_the_zero_columns(case):
+    # the blocks are the full split's, bit for bit, less the columns of
+    # states that never meet in a row group; those are all of its zero columns
+    S, b = case
+    meet = meeting_pairs(S, b)
+    i, j = np.triu_indices(S.shape[1])
+    for new, full, kept in zip(_block_outer_split(S, b), block_outer_split_full(S, b),
+                               (meet, meet[i < j])):
+        assert new.dtype == full.dtype and new.shape == (full.shape[0], kept.sum())
+        assert new.tobytes() == np.ascontiguousarray(full[:, kept]).tobytes()
+        if full.shape[0]:
+            assert (full.any(axis=0) == kept).all()

@@ -31,7 +31,7 @@ from netinv.inversion import (
 )
 from netinv.operators import eigen_decompose
 
-from oracles import admissible_extent_bisection, vec
+from oracles import admissible_extent_bisection, block_outer_split_full, meeting_pairs, vec
 
 rng = np.random.default_rng(37)
 
@@ -255,6 +255,61 @@ def test_uniqueness_structural_zero():
     assert v.sigma_min == 0.0
     assert v.sigma_max > 0.0
     assert not v.holds
+
+
+@pytest.mark.parametrize("d, calls", [(1, 1), (2, 2)])
+def test_uniqueness_calls_the_svd_once_per_nonempty_block(monkeypatch, d, calls):
+    # W- has no rows when d = 1, so only W+ is decomposed
+    svd, shapes = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs:
+                        shapes.append(a.shape) or svd(a, *args, **kwargs))
+    g = eight_node_graph()
+    uniqueness_test(make_spec_conductivity(g, d), random_spd_vec(g.num_edges, d, 4))
+    assert len(shapes) == calls and all(0 not in shape for shape in shapes)
+
+
+def two_components():
+    """Boundary pairs {0, 1} and {2, 3} in two components, each pair joined
+    directly and through interior vertices: 8 edges and 4 states, but a
+    state of one component never meets one of the other."""
+    edges = [(0, 1), (0, 4), (1, 4), (0, 5), (1, 5), (2, 3), (2, 6), (3, 6)]
+    return build_graph(7, [0, 1, 2, 3], edges)
+
+
+def test_rank_bound_holds_on_the_kept_columns():
+    # W+ has 8 rows and 10 columns, of which the 6 pairs that meet are kept:
+    # more rows than kept columns, so sigma_min is exactly 0, as the full W,
+    # of rank 6 < m = 8, has it up to round-off
+    spec = make_spec_conductivity(two_components(), 1)
+    p = np.linspace(0.5, 2.0, spec.m).astype(complex)
+    plus, minus = spec._split(spec.states(p))
+    assert plus.shape == (8, 6) and minus.shape == (0, 2) and spec.m <= spec.n ** 2
+    v = uniqueness_test(spec, p)
+    s = np.linalg.svd(product_matrix(spec, p, p).W, compute_uv=False)
+    assert v.sigma_min == 0.0 and abs(v.sigma_max - s[0]) <= 1e-12 * s[0]
+    assert s[spec.m - 1] <= 1e-12 * s[0]
+    assert v.holds == (s[spec.m - 1] > v.epsilon * s[0]) and not v.holds
+
+
+def test_masses_split_keeps_a_block_without_columns():
+    # no interior: every state is a unit vector, so no two states meet and
+    # W- keeps no column (and, with b = 1, has no row); the components of
+    # W+ are summed as those of the full split
+    g = build_graph(2, [0, 1], [(0, 1)])
+    net = ElasticNetwork(graph=g, positions=np.array([[0.0, 0.0], [1.0, 0.5]]),
+                         k=np.array([1.5]), c_e=np.array([0.2]),
+                         mass=np.array([1.0, 2.0]), c_v=np.array([0.5, 0.7]))
+    spec = make_spec_masses_known_springs(net)
+    p = -net.omega ** 2 * net.mass + 1j * net.omega * net.c_v
+    S = spec.states(p)
+    plus, minus = spec._split(S)
+    kept = meeting_pairs(S, 1)
+    assert kept.sum() == spec.n and minus.shape == (0, 0)
+    assert plus.tobytes() == spec._sum_components(block_outer_split_full(S, 1)[0][:, kept]).tobytes()
+    v = uniqueness_test(spec, p)
+    s = np.linalg.svd(product_matrix(spec, p, p).W, compute_uv=False)
+    assert abs(v.sigma_max - s[0]) <= 1e-12 * s[0]
+    assert abs(v.sigma_min - s[spec.m - 1]) <= 1e-12 * s[0] and v.holds
 
 
 SPEC_FACTORIES = ("conductivity", "schrodinger", "eigenvalues", "springs_static",
