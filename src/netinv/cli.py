@@ -21,11 +21,11 @@ from .dirichlet import DirichletRegime, RegimeTag
 from .fileio import (
     NetworkModel,
     SchemaError,
-    _complex_array,
-    _read_json,
     complex_to_json,
+    load_boundary,
     load_matrix,
     load_network,
+    load_values,
     parse_complex,
     save_matrix,
 )
@@ -86,26 +86,6 @@ def _build_spec(model: NetworkModel, problem: str):
     return spec, p
 
 
-def _load_boundary_data(path: str, model: NetworkModel) -> np.ndarray:
-    doc = _read_json(path)
-    if not isinstance(doc, dict) or "g" not in doc:
-        raise SchemaError("boundary condition file needs a 'g' key")
-    rows = doc["g"]
-    nb = model.graph.num_boundary
-    if not isinstance(rows, list) or len(rows) != nb:
-        raise SchemaError(f"'g' must list {nb} boundary displacement vectors")
-
-    def per_entry():
-        out = np.empty((nb, model.d), dtype=complex)
-        for r, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != model.d:
-                raise SchemaError(f"boundary vector {r} must have {model.d} components")
-            out[r] = [parse_complex(x) for x in row]
-        return out
-
-    return _complex_array(rows, (nb, model.d), per_entry).reshape(-1)
-
-
 def _write_json(path: str | None, doc: dict) -> None:
     # the documents are fresh lists and numbers, so the encoder need not look for a cycle
     text = json.dumps(doc, indent=1, check_circular=False)
@@ -126,13 +106,13 @@ def _supported_regime(model: NetworkModel) -> DirichletRegime:
 
 def cmd_forward(args) -> int:
     model = load_network(args.network)
-    gvec = _load_boundary_data(args.boundary, model)
     g = model.graph
+    gb = load_boundary(args.boundary, g.num_boundary, model.d)
     regime = _supported_regime(model)
     doc: dict = {"regime": regime.tag.value}
     if regime.route.floppy is not None:
         doc["floppy_dim"] = regime.route.floppy.shape[1]
-    u, resid = regime.solve(gvec)
+    u, resid = regime.solve(gb)
     doc["residual"] = resid
     doc["u"] = [[complex_to_json(z) for z in u.values[v]] for v in range(g.num_vertices)]
     doc["vertex_ids"] = list(model.vertex_ids)
@@ -165,10 +145,7 @@ def _parse_p0(arg: complex | Path | None, spec, default: np.ndarray) -> np.ndarr
     if arg is None:
         return default
     if isinstance(arg, Path):
-        doc = _read_json(arg)
-        if not isinstance(doc, list):
-            raise SchemaError("--p0 file must hold a JSON list of values")
-        return np.array([parse_complex(x) for x in doc])
+        return load_values(arg)
     fill = np.full(spec.m, arg, dtype=complex)
     return fill.real if spec.is_real else fill
 

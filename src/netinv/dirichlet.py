@@ -258,30 +258,30 @@ def _solved(S: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise RegimeError("interior block is singular; regime misclassified") from exc
 
 
-def _eliminate(A: np.ndarray, rows: list, b: np.ndarray):
+def _eliminate(A: np.ndarray, rows: list):
     """Eliminate the block tridiagonal A level by level from the deepest one
-    out: S_L = A_LL, S_k = A_kk - A_k,k+1 S_k+1^-1 A_k+1,k, and the columns of
-    b alike, y_L = b_L, y_k = b_k - A_k,k+1 S_k+1^-1 y_k+1. Returns S_1, y_1
-    and, deepest first, the solves Z_k+1 = S_k+1^-1 [A_k+1,k, y_k+1] that
-    back-substitution needs. A_k+1,k is read from A, which need not be
-    symmetric."""
-    S, y, solves = A[rows[-1]][:, rows[-1]], b[rows[-1]], []
+    out: S_L = A_LL, S_k = A_kk - A_k,k+1 Z_k+1 with Z_k+1 = S_k+1^-1 A_k+1,k.
+    Returns S_1 and, deepest first, the Z_k+1 that back-substitution needs.
+    A_k+1,k is read from A, which need not be symmetric."""
+    S, solves = A[rows[-1]][:, rows[-1]], []
     for r, s in zip(rows[-2::-1], rows[:0:-1]):
-        Z = _solved(S, np.concatenate([A[s[:, None], r], y], axis=1))
-        AZ = A[r[:, None], s] @ Z
-        S, y = A[r[:, None], r] - AZ[:, :len(r)], b[r] - AZ[:, len(r):]
+        Z = _solved(S, A[s[:, None], r])
+        S = A[r[:, None], r] - A[r[:, None], s] @ Z
         solves.append(Z)
-    return S, y, solves
+    return S, solves
 
 
 def _interior_solve(M: np.ndarray, rhs: np.ndarray, route: _Route) -> np.ndarray:
-    """M_II^-1 rhs for a canonical operator M on the route's graph; the
-    interior of a Dirichlet solution is -M_II^-1 M_IB g.
+    """M_II^-1 rhs for a canonical operator M on the route's graph and a
+    right-hand side rhs = M_IB G, one column per column of G (or a vector);
+    the interior of a Dirichlet solution is -M_II^-1 M_IB g.
 
-    M_II is eliminated on the route's level rows and the solution
-    back-substituted (``_eliminate``); with one level this is one dense
-    solve. On a Q route it is the minimal-norm Q (Q^T M_II Q)^-1 Q^T rhs of
-    the rank-deficient regimes.
+    M_II is eliminated on the route's level rows (``_eliminate``), S_1 x_1 =
+    rhs_1 is solved and x_k+1 = -Z_k+1 x_k back-substituted; with one level
+    this is one dense solve. rhs is read on level 1 only: M_IB vanishes
+    outside it, level 1 being exactly the interior vertices with a boundary
+    neighbour. On a Q route it is the minimal-norm Q (Q^T M_II Q)^-1 Q^T rhs
+    of the rank-deficient regimes.
     Every Dirichlet solution, DtN map and state matrix goes through here, in
     real arithmetic when M is real and rhs has no imaginary part.
     """
@@ -294,15 +294,13 @@ def _interior_solve(M: np.ndarray, rhs: np.ndarray, route: _Route) -> np.ndarray
         scale = np.ldexp(1.0, -e) if e > 500 else 1.0
         return Q @ _solved(Q.T @ (scale * M_II) @ Q, Q.T @ (scale * rhs))
     rows = route.rows
-    b = rhs if rhs.ndim == 2 else rhs[:, None]
-    S, y, solves = _eliminate(M_II, rows, b)
-    x = _solved(S, y)
-    out = np.empty(b.shape, dtype=x.dtype)
+    S, solves = _eliminate(M_II, rows)
+    x = _solved(S, rhs[rows[0]])
+    out = np.empty(rhs.shape, dtype=x.dtype)
     out[rows[0]] = x
-    for r, s, Z in zip(rows, rows[1:], reversed(solves)):
-        x = Z[:, len(r):] - Z[:, :len(r)] @ x
-        out[s] = x
-    return out.reshape(rhs.shape)
+    for s, Z in zip(rows[1:], reversed(solves)):
+        out[s] = x = -(Z @ x)
+    return out
 
 
 def _schur_dtn(M: np.ndarray, route: _Route) -> np.ndarray:
@@ -314,9 +312,8 @@ def _schur_dtn(M: np.ndarray, route: _Route) -> np.ndarray:
     nb = route.nb
     if route.Q is not None:
         return M[:nb, :nb] - M[:nb, nb:] @ _interior_solve(M, M[nb:, :nb], route)
-    M_II, rows = M[nb:, nb:], route.rows
-    S = _eliminate(M_II, rows, np.zeros((len(M_II), 0), dtype=M.dtype))[0]
-    return M[:nb, :nb] - M[:nb, nb:][:, rows[0]] @ _solved(S, M[nb:, :nb][rows[0]])
+    S, level_1 = _eliminate(M[nb:, nb:], route.rows)[0], route.rows[0]
+    return M[:nb, :nb] - M[:nb, nb:][:, level_1] @ _solved(S, M[nb:, :nb][level_1])
 
 
 def _dtn(M: np.ndarray, route: _Route, scale: complex = 1.0) -> DtnMap:

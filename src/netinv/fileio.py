@@ -17,6 +17,8 @@ __all__ = [
     "SchemaError",
     "NetworkModel",
     "load_network",
+    "load_boundary",
+    "load_values",
     "save_matrix",
     "load_matrix",
     "parse_complex",
@@ -58,16 +60,6 @@ def _read_json(path: str | Path):
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _parse_complex_matrix(data, shape: tuple[int, int], what: str) -> np.ndarray:
-    try:
-        m = np.array([[parse_complex(x) for x in row] for row in data], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad {what}: {exc}") from exc
-    if m.shape != shape:
-        raise SchemaError(f"{what} must be {shape[0]}x{shape[1]}")
-    return m
-
-
 def _numbers(values) -> np.ndarray | None:
     """``values`` as a float array, read by one np.array call; None unless it
     is a regular array whose every entry is a JSON number within float range."""
@@ -88,18 +80,35 @@ def _pairs_to_complex(a: np.ndarray) -> np.ndarray:
     return z
 
 
-def _complex_array(values, shape: tuple[int, ...], per_entry) -> np.ndarray:
-    """A complex field of ``shape`` from JSON ``values``, all plain numbers or
-    all [re, im] pairs, read as one array. Anything else (mixed forms, or an
-    entry that is not a finite number) is read by ``per_entry()``, which parses
-    entry by entry, names the entry at fault and gives the same bits."""
+def _entries(values, shape: tuple[int, ...]) -> list | complex:
+    """Nested lists of ``shape`` parsed entry by entry by ``parse_complex``."""
+    if not shape:
+        return parse_complex(values)
+    if not isinstance(values, list) or len(values) != shape[0]:
+        got = f"a list of {len(values)}" if isinstance(values, list) else repr(values)
+        raise SchemaError(f"expected a list of {shape[0]}, got {got}")
+    return [_entries(v, shape[1:]) for v in values]
+
+
+def _complex_array(values: list, shape: tuple[int, ...], name) -> np.ndarray:
+    """A complex field of ``shape`` from the JSON list ``values`` of shape[0]
+    blocks, each entry a finite number or an [re, im] pair. Written in one
+    form throughout, it is read as one array; otherwise (mixed forms, or an
+    entry that is not a finite number) entry by entry, which gives the same
+    bits, and a SchemaError names block k by ``name(k)``."""
     a = _numbers(values)
     if a is not None and np.isfinite(a).all():
         if a.shape == shape or (a.shape == (0,) and shape[0] == 0):  # no rows, so no columns
             return a.astype(complex).reshape(shape)
         if a.shape == (*shape, 2):
             return _pairs_to_complex(a)
-    return per_entry()
+    out = np.empty(shape, dtype=complex)
+    for k, block in enumerate(values):
+        try:
+            out[k] = _entries(block, shape[1:])
+        except SchemaError as exc:
+            raise SchemaError(f"bad {name(k)}: {exc}") from exc
+    return out
 
 
 def _floats(values, what: str, ndim: int) -> np.ndarray:
@@ -116,7 +125,7 @@ class NetworkModel:
     """Parsed network document.
 
     Either ``sigma`` (explicit conductivity blocks) or ``network`` (spring
-    geometry) is present; ``q`` and ``omega`` are optional extras.
+    geometry, with the document's ``omega``) is present; ``q`` is optional.
     """
 
     graph: Graph
@@ -124,7 +133,6 @@ class NetworkModel:
     sigma: MatrixEdgeField | None
     q: MatrixNodeField | None
     network: ElasticNetwork | None
-    omega: float | None
     vertex_ids: tuple[int, ...]
 
     def conductivity(self) -> MatrixEdgeField:
@@ -179,13 +187,14 @@ def load_network(path: str | Path) -> NetworkModel:
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
+    # checked on every network, read by spring networks only
+    omega = float(_floats(doc.get("omega", 1.0), "omega", 0))
     has_sigma = ["sigma" in e for e in edges_doc]
     has_k = ["k" in e for e in edges_doc]
     if all(has_sigma) and not any(has_k):
         sigma = MatrixEdgeField.from_blocks(_complex_array(
-            [e["sigma"] for e in edges_doc], (len(edges_doc), d, d), lambda: np.stack([
-                _parse_complex_matrix(e["sigma"], (d, d), f"sigma of edge ({e['i']},{e['j']})")
-                for e in edges_doc])))
+            [e["sigma"] for e in edges_doc], (len(edges_doc), d, d),
+            lambda k: f"sigma of edge ({edges_doc[k]['i']},{edges_doc[k]['j']})"))
         network = None
     elif all(has_k) and not any(has_sigma):
         if any("position" not in v for v in vertices):
@@ -200,7 +209,7 @@ def load_network(path: str | Path) -> NetworkModel:
                 c_e=_floats([e.get("c_e", 0.0) for e in edges_doc], "spring dampers", 1),
                 mass=_floats([v.get("mass", 1.0) for v in vertices], "masses", 1),
                 c_v=_floats([v.get("c_v", 0.0) for v in vertices], "nodal dampers", 1),
-                omega=float(_floats(doc.get("omega", 1.0), "omega", 0)),
+                omega=omega,
             )
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
@@ -214,15 +223,28 @@ def load_network(path: str | Path) -> NetworkModel:
         if not isinstance(q_doc, list) or len(q_doc) != len(vertices):
             raise SchemaError("q must list one d x d block per vertex")
         q = MatrixNodeField.from_blocks(_complex_array(
-            q_doc, (len(q_doc), d, d), lambda: np.stack([
-                _parse_complex_matrix(block, (d, d), f"q of vertex {ids[k]}")
-                for k, block in enumerate(q_doc)])))
+            q_doc, (len(q_doc), d, d), lambda k: f"q of vertex {ids[k]}"))
 
-    omega = float(_floats(doc["omega"], "omega", 0)) if "omega" in doc else None
-    return NetworkModel(
-        graph=g, d=d, sigma=sigma, q=q, network=network, omega=omega,
-        vertex_ids=tuple(ids),
-    )
+    return NetworkModel(graph=g, d=d, sigma=sigma, q=q, network=network, vertex_ids=tuple(ids))
+
+
+def load_boundary(path: str | Path, nb: int, d: int) -> np.ndarray:
+    """The nb vectors of d entries, one per boundary vertex, of a {"g": [...]} document."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or "g" not in doc:
+        raise SchemaError("boundary condition file needs a 'g' key")
+    rows = doc["g"]
+    if not isinstance(rows, list) or len(rows) != nb:
+        raise SchemaError(f"'g' must list {nb} boundary displacement vectors")
+    return _complex_array(rows, (nb, d), lambda r: f"boundary vector {r}")
+
+
+def load_values(path: str | Path) -> np.ndarray:
+    """A document that is a JSON list of values, as a complex vector."""
+    doc = _read_json(path)
+    if not isinstance(doc, list):
+        raise SchemaError(f"{path} must hold a JSON list of values")
+    return _complex_array(doc, (len(doc),), lambda k: f"value {k} of {path}")
 
 
 def _json_pairs(m: np.ndarray) -> str:
@@ -248,16 +270,11 @@ def save_matrix(m: np.ndarray, path: str | Path, extra: dict | None = None) -> N
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     path = Path(path)
     if path.suffix == ".csv":
-        m = m.astype(complex, copy=False)
+        parts = np.ascontiguousarray(m, dtype=complex).view(float)  # re, im, re, im, ...
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["rows", m.shape[0], "cols", m.shape[1]])
-            for row in m:
-                out = []
-                for z in row:
-                    out.append(f"{z.real:.17g}")
-                    out.append(f"{z.imag:.17g}")
-                writer.writerow(out)
+            writer.writerows([f"{x:.17g}" for x in row] for row in parts.tolist())
         return
     if np.iscomplexobj(m) and not m.imag.view(np.uint64).any():
         m = m.real  # every imaginary part is +0.0, which the real path writes alike
@@ -280,9 +297,12 @@ def load_matrix(path: str | Path) -> np.ndarray:
             raise SchemaError("csv matrix needs a 'rows,r,cols,c' header")
         try:
             r, c = int(rows[0][1]), int(rows[0][3])
-            vals = np.array(rows[1:], dtype=float).reshape(r, 2 * c)
+            vals = np.array(rows[1:], dtype=float)
         except ValueError as exc:
             raise SchemaError(f"bad csv matrix in {path}: {exc}") from exc
+        # vals is (rows, cells) when there are data rows, else (0,)
+        if min(r, c) < 0 or len(vals) != r or vals.size != 2 * r * c:
+            raise SchemaError(f"csv matrix in {path} does not match its header 'rows,{r},cols,{c}'")
         if not np.isfinite(vals).all():
             raise SchemaError(f"csv matrix in {path} has non-finite entries")
         return _pairs_to_complex(vals.reshape(r, c, 2))
@@ -293,4 +313,6 @@ def load_matrix(path: str | Path) -> np.ndarray:
             or not all(type(n) is int and n >= 0 for n in doc["shape"]):
         raise SchemaError("matrix 'shape' must be [rows, cols], two integers >= 0")
     shape, data = tuple(doc["shape"]), doc["data"]
-    return _complex_array(data, shape, lambda: _parse_complex_matrix(data, shape, "matrix data"))
+    if not isinstance(data, list) or len(data) != shape[0]:
+        raise SchemaError(f"matrix 'data' must list {shape[0]} rows")
+    return _complex_array(data, shape, lambda k: f"row {k} of matrix data")

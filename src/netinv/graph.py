@@ -66,10 +66,18 @@ class Graph:
         return len(self.interior)
 
     def edge_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical positions of the endpoints i and j of every edge (i, j)."""
+        """Canonical positions of the endpoints i and j of every edge (i, j);
+        built once per graph, read-only."""
+        return self._edge_positions
+
+    @cached_property
+    def _edge_positions(self) -> tuple[np.ndarray, np.ndarray]:
         pos = np.asarray(self.position, dtype=np.intp)
         ends = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
-        return pos[ends[:, 0]], pos[ends[:, 1]]
+        pi, pj = pos[ends[:, 0]], pos[ends[:, 1]]
+        pi.setflags(write=False)
+        pj.setflags(write=False)
+        return pi, pj
 
     @cached_property
     def boundary_distance(self) -> np.ndarray:
@@ -164,41 +172,35 @@ def _symmetrize_blocks(values: np.ndarray, what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MatrixEdgeField:
+class _BlockField:
+    """One complex d x d symmetric matrix per item; a subclass names the
+    item as ``what`` and the Graph attribute that counts them as ``items``."""
+
+    d: int
+    values: np.ndarray  # (items, d, d)
+
+    @classmethod
+    def from_blocks(cls, blocks: np.ndarray | Sequence[np.ndarray]):
+        values = np.asarray(blocks, dtype=complex)
+        if values.ndim != 3 or values.shape[1] != values.shape[2]:
+            raise FieldError(f"{cls.what} field needs shape ({cls.items}, d, d)")
+        if not np.isfinite(values).all():
+            raise FieldError(f"{cls.what} field has non-finite entries")
+        values = _symmetrize_blocks(values, cls.what)
+        values.setflags(write=False)
+        return cls(d=values.shape[1], values=values)
+
+
+class MatrixEdgeField(_BlockField):
     """One complex d x d symmetric matrix per edge, in edge order."""
 
-    d: int
-    values: np.ndarray  # (|E|, d, d)
-
-    @classmethod
-    def from_blocks(cls, blocks: np.ndarray | Sequence[np.ndarray]) -> "MatrixEdgeField":
-        values = np.asarray(blocks, dtype=complex)
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise FieldError("edge field needs shape (num_edges, d, d)")
-        if not np.isfinite(values).all():
-            raise FieldError("edge field has non-finite entries")
-        values = _symmetrize_blocks(values, "edge")
-        values.setflags(write=False)
-        return cls(d=values.shape[1], values=values)
+    what, items = "edge", "num_edges"
 
 
-@dataclass(frozen=True)
-class MatrixNodeField:
+class MatrixNodeField(_BlockField):
     """One complex d x d symmetric matrix per vertex, indexed by vertex id."""
 
-    d: int
-    values: np.ndarray  # (|V|, d, d)
-
-    @classmethod
-    def from_blocks(cls, blocks: np.ndarray | Sequence[np.ndarray]) -> "MatrixNodeField":
-        values = np.asarray(blocks, dtype=complex)
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise FieldError("node field needs shape (num_vertices, d, d)")
-        if not np.isfinite(values).all():
-            raise FieldError("node field has non-finite entries")
-        values = _symmetrize_blocks(values, "node")
-        values.setflags(write=False)
-        return cls(d=values.shape[1], values=values)
+    what, items = "node", "num_vertices"
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 
 from netinv.dirichlet import PD_TOL, ZERO_TOL, RegimeTag
 from netinv.elastic import ElasticNetwork, spring_conductivity, spring_directions
+from netinv.fileio import SchemaError, parse_complex
 from netinv.graph import (
     FieldError,
     Graph,
@@ -362,3 +363,25 @@ def meeting_pairs(S: np.ndarray, b: int) -> np.ndarray:
     groups = S.reshape(-1, b, S.shape[1])
     return np.array([any(g[:, i].any() and g[:, j].any() for g in groups)
                      for i, j in zip(*np.triu_indices(S.shape[1]))], dtype=bool)
+
+
+def complex_field_per_entry(values: list, shape: tuple[int, ...], name) -> np.ndarray:
+    """The complex array of ``shape`` (every axis after the first nonzero)
+    held by the nested JSON lists ``values``, one ``parse_complex`` per index
+    of ``np.ndindex``, following the path from block k down to the entry; a
+    SchemaError names block k by ``name(k)`` and says where the nesting
+    departs from ``shape``."""
+    out = np.empty(shape, dtype=complex)
+    for index in np.ndindex(shape):
+        node = values[index[0]]
+        try:
+            for length, i in zip(shape[1:], index[1:]):
+                if not isinstance(node, list):
+                    raise SchemaError(f"expected a list of {length}, got {node!r}")
+                if len(node) != length:
+                    raise SchemaError(f"expected a list of {length}, got a list of {len(node)}")
+                node = node[i]
+            out[index] = parse_complex(node)
+        except SchemaError as exc:
+            raise SchemaError(f"bad {name(index[0])}: {exc}") from exc
+    return out

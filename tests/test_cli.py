@@ -101,6 +101,19 @@ def test_forward_p3(tmp_path, capsys):
     assert doc["residual"] < 1e-12
 
 
+def test_forward_reads_a_boundary_file_that_mixes_numbers_and_pairs(tmp_path):
+    # each entry is a number or an [re, im] pair, and one file may mix them
+    net = write(tmp_path, "net.json", collinear_springs_doc())
+    texts = []
+    for name, g in (("plain", [[0.1, 0.0], [0.0, -0.0]]),
+                    ("mixed", [[[0.1, 0.0], 0.0], [0.0, [-0.0, 0.0]]])):
+        out = tmp_path / f"{name}.json"
+        assert main(["forward", net, write(tmp_path, f"{name}_bc.json", {"g": g}),
+                     "-o", str(out)]) == EXIT_OK
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+
+
 def command_counts(tmp_path, monkeypatch, doc, command, *args):
     """Laplacian assemblies and interior (2-D) eigh calls of one run of a
     command on the network ``doc``."""
@@ -414,6 +427,22 @@ def test_invert_roundtrip_conductivity(tmp_path):
     assert doc["residuals"][-1] <= doc["residuals"][0]
 
 
+def test_invert_reads_a_p0_file_that_mixes_numbers_and_pairs(tmp_path):
+    import netinv as ni
+    net = write(tmp_path, "net.json", p3_doc((1.3, 0.7)))
+    model = ni.load_network(net)
+    target = tmp_path / "target.json"
+    ni.save_matrix(ni.dtn_pd(model.graph, model.sigma, model.q).matrix, target)
+    texts = []
+    for name, p0 in (("plain", [1.0, 1.0]), ("mixed", [1.0, [1.0, 0.0]])):
+        out = tmp_path / f"{name}.json"
+        assert main(["invert", net, str(target), "--problem", "conductivity",
+                     "--p0", write(tmp_path, f"{name}_p0.json", p0), "-o", str(out)]) == EXIT_OK
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["residuals"][0] > 0  # p0 was read, not the file's sigma
+
+
 def test_invert_springs_recovers(tmp_path):
     import netinv as ni
     k_true = list(np.random.default_rng(4).uniform(0.5, 2.0, 9))
@@ -576,6 +605,16 @@ def test_invert_non_numeric_csv_target_exits_1(tmp_path, capsys):
     code = main(["invert", net, str(target), "--problem", "conductivity"])
     assert code == EXIT_USAGE
     assert "bad csv matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["rows,2,cols,2\n0.5,0,-0.5,0,-0.5,0,0.5,0\n",
+                                  "rows,-1,cols,2\n0.5,0,-0.5,0\n-0.5,0,0.5,0\n"])
+def test_invert_csv_target_whose_header_disagrees_exits_1(tmp_path, capsys, text):
+    net = write(tmp_path, "net.json", p3_doc())
+    target = tmp_path / "target.csv"
+    target.write_text(text)
+    assert main(["invert", net, str(target), "--problem", "conductivity"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_problem_requires_matching_fields(tmp_path):

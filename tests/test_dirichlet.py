@@ -1002,13 +1002,21 @@ def test_level_elimination_matches_one_dense_solve(drawn, imag, with_q, seed):
     assert relative_error(_schur_dtn(M, route), lam, M) <= 1e-12
     states = np.vstack([np.eye(nb), -X])
     assert relative_error(_dirichlet_state_matrix(M, route), states, states) <= 1e-12
-    # right-hand sides on every level, one at a time and as columns
-    b = local.standard_normal((len(M) - nb, 3))
+    # every caller passes M_IB G, and M_IB is zero outside level 1, the
+    # only level of the right-hand side that the kernel reads
+    outside = np.ones(g.num_interior, dtype=bool)
+    outside[g.interior_levels[0]] = False
+    assert not M[nb:, :nb].reshape(g.num_interior, d, nb)[outside].any()
+    # boundary data G, one vector at a time and as columns
+    G = local.standard_normal((nb, 3))
     if imag:
-        b = b + 1j * local.standard_normal(b.shape)
+        G = G + 1j * local.standard_normal(G.shape)
+    b = M[nb:, :nb] @ G
     x = np.linalg.solve(M[nb:, nb:], b)
-    assert relative_error(_interior_solve(M, b, route), x, x) <= 1e-12
-    assert relative_error(_interior_solve(M, b[:, 0], route), x[:, 0], x) <= 1e-12
+    # x = 0 when no interior vertex has a boundary neighbour, and then so must the kernel's be
+    scale = x if x.any() else np.ones(1)
+    assert relative_error(_interior_solve(M, b, route), x, scale) <= 1e-12
+    assert relative_error(_interior_solve(M, b[:, 0], route), x[:, 0], scale) <= 1e-12
     if len(g.interior_levels) == 1:
         assert _schur_dtn(M, route).tobytes() == lam.tobytes()
         assert _interior_solve(M, b, route).tobytes() == x.tobytes()

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import complex_field_per_entry
+
 from netinv.fileio import (
     SchemaError,
     _complex_array,
-    _parse_complex_matrix,
     complex_to_json,
+    load_boundary,
     load_matrix,
     load_network,
+    load_values,
     parse_complex,
     save_matrix,
 )
@@ -207,6 +210,28 @@ def test_load_network_refuses_ids_that_are_not_integers(tmp_path, where, value, 
         load_network(path)
 
 
+def test_boundary_and_value_files_name_the_entry_at_fault(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"g": [[1.0, [0.5, -0.0]], [[2.0, 1.0], 3]]}))
+    g = load_boundary(path, 2, 2)
+    assert g.tobytes() == np.array([[1.0, complex(0.5, -0.0)], [2.0 + 1.0j, 3.0]]).tobytes()
+    for bad, message in (([[1.0, 0.0], [1.0]], r"^bad boundary vector 1: expected a list of 2, "
+                                                r"got a list of 1$"),
+                         ([[1.0, 0.0], [1.0, True]], "^bad boundary vector 1: expected a finite"),
+                         ([[1.0, 0.0]], "'g' must list 2 boundary displacement vectors")):
+        path.write_text(json.dumps({"g": bad}))
+        with pytest.raises(SchemaError, match=message):
+            load_boundary(path, 2, 2)
+    path.write_text(json.dumps([1, [2.0, -1.0], -0.0]))
+    assert load_values(path).tobytes() == np.array([1.0, 2.0 - 1.0j, complex(-0.0, 0.0)]).tobytes()
+    path.write_text(json.dumps([1, [2.0, "1"]]))
+    with pytest.raises(SchemaError, match=r"^bad value 1 of .*doc\.json: expected a finite"):
+        load_values(path)
+    path.write_text(json.dumps({"p0": [1.0]}))
+    with pytest.raises(SchemaError, match="JSON list of values"):
+        load_values(path)
+
+
 def test_load_network_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     for text in ("{not json",
@@ -247,6 +272,14 @@ def test_matrix_csv_roundtrip(tmp_path):
     save_matrix(m, path)
     back = load_matrix(path)
     assert np.abs(back - m).max() < 1e-15
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_matrix_csv_roundtrip_without_entries(tmp_path, shape):
+    path = tmp_path / "m.csv"
+    save_matrix(np.zeros(shape, dtype=complex), path)
+    back = load_matrix(path)
+    assert back.shape == shape and back.dtype == complex
 
 
 def test_matrix_csv_roundtrip_keeps_signed_zeros(tmp_path):
@@ -298,7 +331,12 @@ def test_matrix_csv_schema_errors(tmp_path):
                  "rows,2,cols,1\n1.0,0.0\n",       # missing row
                  "rows,1,cols,2\n1.0,0.0,2.0\n",   # short row
                  "rows,1,cols,1\nnan,0.0\n",       # non-finite entry
-                 "rows,x,cols,1\n1.0,0.0\n"):      # bad header
+                 "rows,x,cols,1\n1.0,0.0\n",       # bad header
+                 # a header that disagrees with its data
+                 "rows,-1,cols,1\n1.0,0.0\n2.0,0.0\n",
+                 "rows,1,cols,-1\n1.0,0.0\n",
+                 "rows,0,cols,-1\n",
+                 "rows,2,cols,1\n1.0,0.0,2.0,0.0\n"):
         path.write_text(text)
         with pytest.raises(SchemaError):
             load_matrix(path)
@@ -327,18 +365,35 @@ BAD_ENTRIES = st.one_of(
 
 @st.composite
 def complex_fields(draw):
-    """A stack of n r x c matrices as JSON values: all plain numbers or all
+    """A field of one to three axes as JSON values (a --p0 list; boundary
+    vectors or matrix data; a stack of blocks), all plain numbers or all
     [re, im] pairs, with up to three entries replaced by a pair, a plain
-    number or a refused entry."""
-    n, r, c = (draw(st.integers(1, 3)) for _ in range(3))
-    pairs = draw(st.booleans())
-    entry = st.lists(NUMBERS, min_size=2, max_size=2) if pairs else NUMBERS
-    values = [[[draw(entry) for _ in range(c)] for _ in range(r)] for _ in range(n)]
-    for _ in range(draw(st.integers(0, 3))):
-        k, i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, r - 1)), draw(st.integers(0, c - 1))
-        values[k][i][j] = draw(st.one_of(NUMBERS, st.lists(NUMBERS, min_size=2, max_size=2),
-                                         BAD_ENTRIES))
-    return values, (n, r, c)
+    number or a refused entry, and maybe one inner list replaced by a number
+    or by a list of numbers of any length. Every axis after the first is
+    nonzero."""
+    ndim = draw(st.integers(1, 3))
+    shape = (draw(st.integers(0, 3)), *(draw(st.integers(1, 3)) for _ in range(ndim - 1)))
+    entry = st.lists(NUMBERS, min_size=2, max_size=2) if draw(st.booleans()) else NUMBERS
+
+    def build(dims):
+        return [build(dims[1:]) for _ in range(dims[0])] if dims else draw(entry)
+
+    def replace(depth, value):
+        *path, last = (draw(st.integers(0, n - 1)) for n in shape[:depth])
+        node = values
+        for i in path:
+            node = node[i]
+        node[last] = value
+
+    values = build(shape)
+    if shape[0]:
+        for _ in range(draw(st.integers(0, 3))):
+            replace(ndim, draw(st.one_of(NUMBERS, st.lists(NUMBERS, min_size=2, max_size=2),
+                                         BAD_ENTRIES)))
+        if ndim > 1 and draw(st.booleans()):
+            replace(draw(st.integers(1, ndim - 1)),
+                    draw(st.one_of(NUMBERS, st.lists(NUMBERS, max_size=4))))
+    return values, shape
 
 
 def outcome(read):
@@ -351,15 +406,15 @@ def outcome(read):
 
 @settings(max_examples=300, deadline=None)
 @given(complex_fields())
-def test_array_reader_matches_the_per_entry_reader(field):
+def test_array_reader_matches_the_per_entry_reference(field):
     # bit-identical arrays, signed zeros included, or the same SchemaError
-    values, (n, r, c) = field
+    values, shape = field
 
-    def per_entry():
-        return np.stack([_parse_complex_matrix(b, (r, c), f"block {k}")
-                         for k, b in enumerate(values)])
+    def name(k):
+        return f"block {k}"
 
-    assert outcome(lambda: _complex_array(values, (n, r, c), per_entry)) == outcome(per_entry)
+    assert outcome(lambda: _complex_array(values, shape, name)) == \
+        outcome(lambda: complex_field_per_entry(values, shape, name))
 
 
 # floats the matrix writer must spell as json.dumps does: signed zeros,

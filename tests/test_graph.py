@@ -77,6 +77,17 @@ def test_boundary_distance():
     assert build_graph(2, [0, 1], [(0, 1)]).boundary_distance.tolist() == [0, 0]
 
 
+def test_edge_positions_are_built_once_and_read_only():
+    # boundary [3, 1] first, then the interior 0, 2, 4 ascending
+    g = build_graph(5, [3, 1], [(4, 0), (1, 3), (2, 4), (0, 3)])
+    pi, pj = g.edge_positions()
+    assert pi.tolist() == [2, 1, 3, 2] and pj.tolist() == [4, 0, 4, 0]
+    assert all(a is b for a, b in zip(g.edge_positions(), (pi, pj)))
+    for a in (pi, pj):
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
 def test_rebuild_is_deterministic():
     edges = [(4, 0), (1, 3), (2, 4), (0, 3)]
     a = build_graph(5, [1, 0], edges)
