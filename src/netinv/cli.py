@@ -77,10 +77,8 @@ def _build_spec(model: NetworkModel, problem: str):
     elif problem == "masses":
         if model.network is None:
             raise SchemaError("masses problem needs spring-network edges (k + positions)")
-        net = model.network
-        spec = elastic.make_spec_masses_known_springs(net)
-        w = net.omega
-        p = -w * w * net.mass + 1j * w * net.c_v
+        spec = elastic.make_spec_masses_known_springs(model.network)
+        p = model.network.rho_v
     else:
         raise SchemaError(f"unknown problem {problem!r}")
     return spec, p

@@ -113,15 +113,19 @@ class DirichletRegime:
     def solve(self, gb: np.ndarray | VectorNodeField) -> tuple[VectorNodeField, float]:
         """The Dirichlet solution u with u_B = gb, minimal-norm in the
         rank-deficient regimes, and its interior residual |(M u)_I|;
-        RegimeError when that is beyond RESIDUAL_TOL."""
+        RegimeError when that is beyond RESIDUAL_TOL, FieldError when u is
+        beyond float range."""
         g, M, nb = self.graph, self.operator, self._supported().nb
         gvec = gb.boundary_values(g) if isinstance(gb, VectorNodeField) \
             else np.asarray(gb, dtype=complex).reshape(-1)
         if gvec.shape != (nb,):
             raise FieldError("boundary data has wrong length")
-        flat = np.concatenate([gvec, -_interior_solve(M, M[nb:, :nb] @ gvec, self.route)])
-        resid = float(np.linalg.norm((M @ flat)[nb:]))
-        if resid > RESIDUAL_TOL * (1.0 + np.linalg.norm(gvec)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            flat = np.concatenate([gvec, -_interior_solve(M, M[nb:, :nb] @ gvec, self.route)])
+            resid = float(np.linalg.norm((M @ flat)[nb:]))
+        if not np.isfinite(flat).all():
+            raise FieldError("the Dirichlet solution overflows")
+        if not resid <= RESIDUAL_TOL * (1.0 + np.linalg.norm(gvec)):  # NaN fails too
             raise RegimeError(f"interior residual {resid:.3e} beyond tolerance")
         return VectorNodeField.from_canonical(g, flat, len(M) // g.num_vertices), resid
 
@@ -316,19 +320,21 @@ def _schur_dtn(M: np.ndarray, route: _Route) -> np.ndarray:
     return M[:nb, :nb] - M[:nb, nb:][:, level_1] @ _solved(S, M[nb:, :nb][level_1])
 
 
-def _dtn(M: np.ndarray, route: _Route, scale: complex = 1.0) -> DtnMap:
-    """The map of the Schur product F = scale * _schur_dtn(M, route): its
-    symmetric part (F + F^T) / 2 and the asymmetry max|F - F^T| it discards.
+def _dtn(M: np.ndarray, route: _Route) -> DtnMap:
+    """The map of the Schur product F = _schur_dtn(M, route): its symmetric
+    part (F + F^T) / 2 and the asymmetry max|F - F^T| it discards.
     M is symmetric, so the exact map is too; the symmetric part is never
     farther from it in the Frobenius norm, the projection being orthogonal.
     Halved before the sum, which cannot overflow and gives the same bits in
-    the normal range. The provenance is that of the route."""
-    F = _schur_dtn(M, route)
-    if scale != 1.0:
-        F = scale * F
+    the normal range. The provenance is that of the route. A map beyond
+    float range is refused with a FieldError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = _schur_dtn(M, route)
+        asymmetry = float(np.abs(F - F.T).max(initial=0.0))
+    if not (np.isfinite(F).all() and np.isfinite(asymmetry)):
+        raise FieldError("the Dirichlet-to-Neumann map overflows")
     return DtnMap(matrix=(0.5 * F + 0.5 * F.T).astype(complex, copy=False),
-                  provenance="pd" if route.Q is None else "psd",
-                  asymmetry=float(np.abs(F - F.T).max(initial=0.0)))
+                  provenance="pd" if route.Q is None else "psd", asymmetry=asymmetry)
 
 
 def _dirichlet_state_matrix(M: np.ndarray, route: _Route) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Spring/mass/damper networks: geometric rank-1 conductivities, the scaled
-frequency-domain operator, displacement-to-forces maps and the
-elastodynamic problem specs."""
+"""Spring/mass/damper networks: geometric rank-1 conductivities, the
+frequency-domain pencil, displacement-to-forces maps and the elastodynamic
+problem specs."""
 
 from __future__ import annotations
 
@@ -82,6 +82,16 @@ class ElasticNetwork:
     def d(self) -> int:
         return self.positions.shape[1]
 
+    @property
+    def rho_e(self) -> np.ndarray:
+        """Complex spring coefficient k + j w c_e per edge."""
+        return self.k + 1j * self.omega * self.c_e
+
+    @property
+    def rho_v(self) -> np.ndarray:
+        """Complex nodal coefficient -w^2 m + j w c_v per vertex."""
+        return -self.omega ** 2 * self.mass + 1j * self.omega * self.c_v
+
 
 def spring_directions(net: ElasticNetwork) -> np.ndarray:
     """Unit direction (p(i) - p(j)) / |p(i) - p(j)| per edge, (|E|, d)."""
@@ -107,35 +117,29 @@ def _require_dynamic(net: ElasticNetwork) -> None:
         raise FieldError("dynamic problems need strictly positive nodal damping")
 
 
-def _scaled_operator(net: ElasticNetwork, edge: np.ndarray, vertex: np.ndarray) -> np.ndarray:
-    """Canonical Schrodinger matrix with block edge(e) x(e) x(e)^T on every
-    edge and vertex(i) I on every vertex.
-
-    Divided by j w, the pencil -w^2 M + j w C + K is this operator at
-    edge = rho_e / (j w) and vertex = rho_v / (j w), with rho_e = k + j w c_e
-    and rho_v = -w^2 m + j w c_v; both have the same Dirichlet solutions.
-    """
+def _pencil(net: ElasticNetwork, rho_e: np.ndarray, rho_v: np.ndarray) -> np.ndarray:
+    """The pencil -w^2 M + j w C + K at (rho_e, rho_v): the canonical
+    Schrodinger matrix with block rho_e(e) x(e) x(e)^T on every edge and
+    rho_v(i) I on every vertex. At (net.rho_e, net.rho_v) it is the
+    network's own frequency-domain operator."""
     dirs = spring_directions(net)
     return schrodinger_matrix(net.graph,
-                              np.asarray(edge)[:, None, None] * (dirs[:, :, None] * dirs[:, None, :]),
-                              np.asarray(vertex)[:, None, None] * np.eye(net.d))
+                              np.asarray(rho_e)[:, None, None] * (dirs[:, :, None] * dirs[:, None, :]),
+                              np.asarray(rho_v)[:, None, None] * np.eye(net.d))
 
 
 def displacement_to_forces(net: ElasticNetwork, regime: str) -> DtnMap:
     """Boundary displacement to boundary forces map.
 
     ``regime`` is "static" (rank-deficient spring conductivity, zero
-    potential) or "dynamic" (frequency domain; the map of the unscaled
-    variables recovered as j w times the scaled-operator map, and so is the
-    asymmetry its symmetric part discards).
+    potential) or "dynamic" (frequency domain; the Schur complement of the
+    pencil at the network's own rho_e and rho_v).
     """
     if regime == "static":
         return dtn_psd(net.graph, spring_conductivity(net))
     if regime == "dynamic":
         _require_dynamic(net)
-        jw = 1j * net.omega
-        M = _scaled_operator(net, net.c_e + net.k / jw, net.c_v + jw * net.mass)
-        return _dtn(M, _route(net.graph, net.d), jw)
+        return _dtn(_pencil(net, net.rho_e, net.rho_v), _route(net.graph, net.d))
     raise ValueError(f"unknown regime {regime!r}")
 
 
@@ -191,48 +195,38 @@ def _dynamic_cone(rho: np.ndarray, re_sign: float, omega: float) -> np.ndarray:
 
 
 def make_spec_springs_known_masses(net: ElasticNetwork) -> ProblemSpec:
-    """Recover complex spring coefficients rho = k + j w c_e at a fixed
-    frequency, with masses and nodal dampers known.
+    """Recover the complex spring coefficients rho (``ElasticNetwork.rho_e``)
+    at a fixed frequency, with masses and nodal dampers known.
 
-    Forward map computed through the scaled frequency-domain operator and the
-    homogeneity relation (factor j w); the Dirichlet solution is
-    scaling-invariant, so the scaled operator yields the unscaled
-    displacements directly. Admissible when Re rho > 0 and sign(w) Im rho > 0.
+    The operator is the pencil at (rho, net.rho_v). Admissible when
+    Re rho > 0 and sign(w) Im rho > 0.
     """
     _require_dynamic(net)
     g = net.graph
-    w = net.omega
-    jw = 1j * w
-    vertex = net.c_v + jw * net.mass
     return _make_spec(
         "springs_dampers", _route(g, net.d), g.num_edges,
-        op=lambda rho: _scaled_operator(net, rho / jw, vertex),
+        op=lambda rho: _pencil(net, rho, net.rho_v),
         rows=_projected_gradient(g, eigen_decompose(spring_conductivity(net)).x),
-        cone=lambda rho: _dynamic_cone(rho, 1.0, w),
-        scale=jw,
+        cone=lambda rho: _dynamic_cone(rho, 1.0, net.omega),
     )
 
 
 def make_spec_masses_known_springs(net: ElasticNetwork) -> ProblemSpec:
-    """Recover complex nodal coefficients rho = -w^2 m + j w c_v at a fixed
-    frequency, with springs and spring dampers known.
+    """Recover the complex nodal coefficients rho (``ElasticNetwork.rho_v``)
+    at a fixed frequency, with springs and spring dampers known.
 
-    The per-node d x d potential is rho(i) I, so the pairing collapses to one
-    complex number per node: the sum of the d componentwise products of the
-    two displacement states. Admissible when Re rho < 0 and
-    sign(w) Im rho > 0.
+    The operator is the pencil at (net.rho_e, rho): the per-node d x d
+    potential is rho(i) I, so the pairing collapses to one complex number per
+    node, the sum of the d componentwise products of the two displacement
+    states. Admissible when Re rho < 0 and sign(w) Im rho > 0.
     """
     _require_dynamic(net)
     g = net.graph
-    w = net.omega
-    jw = 1j * w
-    edge = (net.k + jw * net.c_e) / jw
     perm = _vertex_rows(g, net.d)
     return _make_spec(
         "masses_dampers", _route(g, net.d), g.num_vertices,
-        op=lambda rho: _scaled_operator(net, edge, rho / jw),
+        op=lambda rho: _pencil(net, net.rho_e, rho),
         rows=lambda U: U[perm],
-        cone=lambda rho: _dynamic_cone(rho, -1.0, w),
+        cone=lambda rho: _dynamic_cone(rho, -1.0, net.omega),
         components=net.d,
-        scale=jw,
     )

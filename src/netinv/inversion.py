@@ -10,6 +10,7 @@ import numpy as np
 
 from .dirichlet import _dirichlet_state_matrix, _Route, _route, _schur_dtn
 from .graph import (
+    FieldError,
     Graph,
     MatrixEdgeField,
     _block_outer,
@@ -203,13 +204,17 @@ def uniqueness_test(spec: ProblemSpec, p: np.ndarray,
     The singular values come from the two blocks of the exact split of W
     (``ProblemSpec._split``), in real arithmetic when the states are real;
     W itself is never formed, nor its columns of states that never meet.
+    A block beyond float range is refused with a FieldError.
     """
     _require_epsilon(epsilon)
     p = spec.require_admissible(p)
-    S = spec.states(p)
-    if not S.imag.any():
-        S = S.real
-    blocks = spec._split(S)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = spec.states(p)
+        if not S.imag.any():
+            S = S.real
+        blocks = spec._split(S)
+    if not all(np.isfinite(B).all() for B in blocks):
+        raise FieldError(f"{spec.name}: the product matrix W(p, p) overflows")
     # the transposes, blocks of the Jacobian, stay mostly tall without the
     # pairs that never meet: LAPACK's faster orientation, and a copy-free view
     svals = np.concatenate([np.zeros(0)] + [np.linalg.svd(B.T, compute_uv=False)
@@ -306,7 +311,10 @@ class LineScan:
 
 
 def _sym_real(blocks: np.ndarray) -> np.ndarray:
-    return 0.5 * (blocks + blocks.transpose(0, 2, 1)).real
+    """Symmetric real parts, halved before the sum, which cannot overflow and
+    gives the same bits in the normal range."""
+    real = blocks.real
+    return 0.5 * real + 0.5 * real.transpose(0, 2, 1)
 
 
 def _cone_cholesky(blocks: np.ndarray) -> np.ndarray | None:
@@ -334,7 +342,7 @@ def _admissible_extent(spec: ProblemSpec, p: np.ndarray, dp: np.ndarray,
     mu = np.linalg.eigvalsh(np.linalg.solve(L, X.transpose(0, 2, 1)))
 
     def reach(rate: float) -> float:
-        return t_max if rate * t_max <= 1.0 else 1.0 / rate
+        return t_max if rate <= 1.0 / t_max else 1.0 / rate
 
     return -reach(mu.max(initial=0.0)), reach(-mu.min(initial=0.0))
 
@@ -391,17 +399,14 @@ def identity_residual(spec: ProblemSpec, p1: np.ndarray, p2: np.ndarray) -> floa
 
 
 def _make_spec(name: str, route: _Route, m: int, op: Callable, rows: Callable,
-               cone: Callable, block: int = 1, components: int = 1,
-               scale: complex = 1) -> ProblemSpec:
+               cone: Callable, block: int = 1, components: int = 1) -> ProblemSpec:
     """A complex-parameter ProblemSpec from its data: the route every
     operator p -> M (in canonical order) is solved by, built once for the
     spec, the linear map ``rows`` from the canonical Dirichlet state matrix
-    to the states, the factor ``scale`` of the forward map and the
-    admissible cone (``ProblemSpec``)."""
+    to the states and the admissible cone (``ProblemSpec``)."""
 
     def forward(p: np.ndarray) -> np.ndarray:
-        F = _schur_dtn(op(p), route).astype(complex, copy=False)
-        return F if scale == 1 else scale * F
+        return _schur_dtn(op(p), route).astype(complex, copy=False)
 
     def states(p: np.ndarray) -> np.ndarray:
         return rows(_dirichlet_state_matrix(op(p), route))

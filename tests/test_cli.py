@@ -1,17 +1,18 @@
 """End-to-end command line behavior, including the exit-code contract."""
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from netinv import cli, dirichlet, operators
 from netinv.cli import main
 from netinv.fileio import load_matrix
 
-from oracles import dtn_pseudoinverse_oracle
+from oracles import dtn_pseudoinverse_oracle, gradient_matrix, schur_complement
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -344,6 +345,82 @@ def test_dtn_file_is_the_symmetric_part_of_the_schur_product(tmp_path, make_doc)
     assert residual == np.abs(F - F.T).max() > 0
 
 
+def test_dtn_of_a_path_scaled_by_a_power_of_two_is_scaled_exactly(tmp_path):
+    # positive definiteness is decided edge by edge, so it does not depend on
+    # the scale, and the map of sigma = 2^-40 and 2^-39 is exactly 2^-40
+    # times that of sigma = 1 and 2
+    data = []
+    for name, sigma in (("big", (1.0, 2.0)), ("small", (2.0 ** -40, 2.0 ** -39))):
+        out = tmp_path / f"{name}_dtn.json"
+        assert main(["dtn", write(tmp_path, f"{name}.json", p3_doc(sigma)), "-o", str(out)]) == EXIT_OK
+        data.append(json.loads(out.read_text())["data"])
+    big, small = data
+    assert small == [[[math.ldexp(x, -40) for x in z] for z in row] for row in big]
+
+
+def grid_doc():
+    """A 7 x 7 grid, the perimeter its boundary, with seeded SPD 2 x 2 blocks:
+    its interior has three levels."""
+    rng = np.random.default_rng(7)
+    ids = np.arange(49).reshape(7, 7)
+    edges = [(int(a), int(b)) for x, y in ((ids[:, :-1], ids[:, 1:]), (ids[:-1], ids[1:]))
+             for a, b in zip(x.ravel(), y.ravel())]
+    a = rng.standard_normal((len(edges), 2, 2))
+    blocks = a @ a.transpose(0, 2, 1) + 2 * np.eye(2)
+    ring = {*ids[0].tolist(), *ids[-1].tolist(), *ids[:, 0].tolist(), *ids[:, -1].tolist()}
+    return {"d": 2, "vertices": [{"id": v, "boundary": v in ring} for v in range(49)],
+            "edges": [{"i": i, "j": j, "sigma": b.tolist()} for (i, j), b in zip(edges, blocks)]}
+
+
+def grid_reference(path):
+    """The grid's dense operator D^T diag(sigma) D, its edge gradient D and nb."""
+    import netinv as ni
+    model = ni.load_network(path)
+    g, d = model.graph, model.d
+    D = gradient_matrix(g, d)
+    D3 = D.reshape(g.num_edges, d, -1)
+    M = np.einsum("eai,eab,ebj->ij", D3, model.sigma.values.real, D3)
+    return M, D, d * g.num_boundary
+
+
+def test_dtn_of_a_grid_by_levels_is_one_dense_solve(tmp_path):
+    # the interior is eliminated level by level; the map must equal one dense
+    # solve on the whole interior to 1e-12 relative and be exactly symmetric
+    net = write(tmp_path, "grid.json", grid_doc())
+    out = tmp_path / "grid_dtn.json"
+    assert main(["dtn", net, "-o", str(out)]) == EXIT_OK
+    M, _, nb = grid_reference(net)
+    ref = schur_complement(M, nb)
+    m = np.array(json.loads(out.read_text())["data"])
+    assert (m[..., 1] == 0).all()
+    m = m[..., 0]
+    assert (m == m.T).all(), "not exactly symmetric"
+    assert np.abs(m - ref).max() / np.abs(ref).max() <= 1e-12
+
+
+def test_uniqueness_of_a_grid_is_that_of_the_full_product_matrix(tmp_path, capsys):
+    # a corner has no interior neighbour, so its states never meet most
+    # others and W's columns for those pairs are left out, being zero. The
+    # printed extremes must be those of a dense SVD of the full W, and the
+    # exit code the verdict's
+    net = write(tmp_path, "grid.json", grid_doc())
+    rc = main(["uniqueness", net, "--problem", "conductivity"])
+    M, D, nb = grid_reference(net)
+    U = np.vstack([np.eye(nb), -np.linalg.solve(M[nb:, nb:], M[nb:, :nb])])
+    # the edge gradients of the states, and per edge vec(u v^T) for every pair
+    G = (D @ U).reshape(-1, 2, nb)
+    W = (G[:, :, None, :, None] * G[:, None, :, None, :]).reshape(-1, nb * nb)
+    s = np.linalg.svd(W, compute_uv=False)
+    m = len(W)
+    s_max, s_min = s[0], (s[m - 1] if m <= s.size else 0.0)
+    out = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert abs(float(out["sigma_max"]) - s_max) <= 1e-10 * s_max, (out, s_max)
+    assert abs(float(out["sigma_min"]) - s_min) <= 1e-10 * s_max, (out, s_min)
+    holds = s_min > 1e-8 * s_max
+    assert out["verdict"] == ("holds" if holds else "inconclusive"), out
+    assert rc == (EXIT_OK if holds else EXIT_INCONCLUSIVE)
+
+
 def test_dtn_mixed_rank_commuting(tmp_path):
     net = write(tmp_path, "net.json", mixed_rank_doc())
     out = tmp_path / "dtn.json"
@@ -634,6 +711,26 @@ def test_dtn_near_the_float_maximum(tmp_path, capsys):
             "edges": [{"i": 0, "j": v, "sigma": [[5e307]]} for v in range(1, 5)]}
     assert main(["dtn", write(tmp_path, "star.json", star), "-o", out]) == EXIT_USAGE
     assert capsys.readouterr().err.endswith("vertex 0 overflows\n")
+    # refused: finite weights whose exact map lies beyond float range; the
+    # interior value of the first path is 0.5 + 5e607j
+    far = p3_doc(([1e-300, 1e308], [1e-300, -1e308]))
+    for doc in (far, p3_doc(([1.0, 1e308], [1.0, -1e308]))):
+        assert main(["dtn", write(tmp_path, "far.json", doc), "-o", out]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: the Dirichlet-to-Neumann map overflows\n"
+    bc = write(tmp_path, "bc.json", {"g": [[1.0], [0.0]]})
+    assert main(["forward", write(tmp_path, "far.json", far), bc]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: the Dirichlet solution overflows\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("problem", ["conductivity", "schrodinger"])
+@pytest.mark.parametrize("command", [["uniqueness"], ["scan", "--samples", "3"]],
+                         ids=["uniqueness", "scan"])
+def test_product_matrix_beyond_float_range_exits_1(tmp_path, capsys, command, problem):
+    # the states are finite, u_1 = 0.5 + 5e307j, but their products in W are not
+    net = write(tmp_path, "net.json", p3_doc(([1.0, 1e308], [1.0, -1e308])))
+    assert main([command[0], net, "--problem", problem, *command[1:]]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {problem}: the product matrix W(p, p) overflows\n"
 
 
 def set_at(doc, where, value):
@@ -689,22 +786,90 @@ FUZZ_ENTRIES = st.one_of(
     st.lists(FUZZ_NUMBERS, max_size=3), st.dictionaries(st.text(max_size=2), FUZZ_NUMBERS, max_size=1))
 
 
+FUZZ_DOCS = [p3_doc, single_edge_doc, collinear_springs_doc, mixed_rank_doc, braced_truss_doc,
+             lambda: {**p3_doc(), "q": [[[0.5]] for _ in range(3)]}]
+
+
 @st.composite
 def fuzzed_networks(draw):
-    doc = draw(st.sampled_from([p3_doc, single_edge_doc, collinear_springs_doc, mixed_rank_doc,
-                                braced_truss_doc,
-                                lambda: {**p3_doc(), "q": [[[0.5]] for _ in range(3)]}]))()
+    doc = draw(st.sampled_from(FUZZ_DOCS))()
     for _ in range(draw(st.integers(0, 3))):
         set_at(doc, draw(st.sampled_from(numeric_slots(doc))), draw(FUZZ_ENTRIES))
     return doc
 
 
+def entry_slots(doc):
+    """Paths to every entry of a network document, each with whether it is
+    complex: the entries of sigma and q blocks, spring constants and
+    position coordinates."""
+    d, slots = doc["d"], []
+    for e, edge in enumerate(doc["edges"]):
+        slots += ([(("edges", e, "sigma", r, c), True) for r in range(d) for c in range(d)]
+                  if "sigma" in edge else [(("edges", e, "k"), False)])
+    for v, vertex in enumerate(doc["vertices"]):
+        if "position" in vertex:
+            slots += [(("vertices", v, "position", c), False) for c in range(d)]
+    for v in range(len(doc.get("q", []))):
+        slots += [(("q", v, r, c), True) for r in range(d) for c in range(d)]
+    return slots
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FINITE_PAIRS = st.lists(FINITE, min_size=2, max_size=2)
+
+
+@st.composite
+def valid_networks(draw):
+    """Documents whose every entry is valid: a finite float over the whole
+    range, or an [re, im] pair of them where the entry is complex."""
+    doc = draw(st.sampled_from(FUZZ_DOCS))()
+    for _ in range(draw(st.integers(1, 3))):
+        path, is_complex = draw(st.sampled_from(entry_slots(doc)))
+        set_at(doc, path, draw(st.one_of(FINITE, FINITE_PAIRS) if is_complex else FINITE))
+    return doc
+
+
+# the exit codes each fuzzed command may return; only uniqueness has a verdict
+COMMON_CODES = {EXIT_OK, EXIT_USAGE, EXIT_UNSUPPORTED}
+FUZZ_CODES = {"dtn": COMMON_CODES, "forward": COMMON_CODES, "floppy": COMMON_CODES,
+              "uniqueness": COMMON_CODES | {EXIT_INCONCLUSIVE}, "scan": COMMON_CODES}
+
+
+def fuzz_exit_code(tmp_path, command, doc) -> int:
+    """The exit code of ``command`` on the document: springs problems on
+    spring documents, conductivity otherwise, and a boundary file of
+    matching size."""
+    net = write(tmp_path, "net.json", doc)
+    problem = ["--problem", "springs" if "k" in doc["edges"][0] else "conductivity"]
+    nb = sum(bool(v.get("boundary")) for v in doc["vertices"])
+    args = {"dtn": ["-o", str(tmp_path / "o.json")],
+            "forward": [write(tmp_path, "bc.json", {"g": [[1.0] * doc["d"]] * nb})],
+            "floppy": [],
+            "uniqueness": problem,
+            "scan": [*problem, "--samples", "2"]}[command]
+    return main([command, net, *args])
+
+
 # an overflow or invalid operation is a failure too, not only an exception
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", list(FUZZ_CODES))
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(fuzzed_networks())
-def test_dtn_fuzz_exits_only_with_documented_codes(tmp_path, doc):
-    net = write(tmp_path, "net.json", doc)
-    assert main(["dtn", net, "-o", str(tmp_path / "o.json")]) in (EXIT_OK, EXIT_USAGE,
-                                                                  EXIT_UNSUPPORTED)
+@given(doc=fuzzed_networks())
+def test_fuzz_exits_only_with_documented_codes(tmp_path, command, doc):
+    assert fuzz_exit_code(tmp_path, command, doc) in FUZZ_CODES[command]
+
+
+# with the draws that once overflowed: in the symmetric part of the
+# admissible cone (uniqueness, scan), in the segment's reach (scan) and in
+# the residual of a solve (forward)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", list(FUZZ_CODES))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=valid_networks())
+@example(doc=single_edge_doc(8.98846567431158e307))
+@example(doc=single_edge_doc(5.24361440722239e-306))
+@example(doc=p3_doc(([1.0, 1.7976931348623151e308], 1.0)))
+def test_fuzz_with_valid_entries_exits_only_with_documented_codes(tmp_path, command, doc):
+    assert fuzz_exit_code(tmp_path, command, doc) in FUZZ_CODES[command]

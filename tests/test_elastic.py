@@ -1,4 +1,4 @@
-"""Spring networks, the scaled frequency-domain operator and elastodynamic specs."""
+"""Spring networks, the frequency-domain pencil and elastodynamic specs."""
 
 from dataclasses import replace
 
@@ -9,7 +9,7 @@ from netinv import elastic, operators
 from netinv.dirichlet import _route, _schur_dtn
 from netinv.elastic import (
     ElasticNetwork,
-    _scaled_operator,
+    _pencil,
     displacement_to_forces,
     make_spec_eigenvalues,
     make_spec_masses_known_springs,
@@ -133,15 +133,12 @@ def test_spring_eigendata_matches_directions():
 
 
 def test_frequency_operator_combination():
-    net = braced_network()
-    mass, damping, stiffness = frequency_pencil(net)
-    jw = 1j * net.omega
-    scaled = _scaled_operator(net, net.c_e + net.k / jw, net.c_v + jw * net.mass)
-    combined = jw * mass + damping + stiffness / jw
-    assert np.abs(scaled - combined).max() < 1e-12
-    # times jw it is the standard quadratic pencil
-    pencil = -net.omega ** 2 * mass + jw * damping + stiffness
-    assert np.abs(jw * scaled - pencil).max() < 1e-10
+    # the builder at the network's own (rho_e, rho_v) is the quadratic pencil
+    for omega in (1.0, -2.0):
+        net = braced_network(omega=omega)
+        mass, damping, stiffness = frequency_pencil(net)
+        pencil = -omega ** 2 * mass + 1j * omega * damping + stiffness
+        assert np.abs(_pencil(net, net.rho_e, net.rho_v) - pencil).max() < 1e-12
 
 
 def test_frequency_operator_requires_dynamic():
@@ -164,8 +161,8 @@ def test_static_map_collinear_series():
 
 
 def test_dynamic_map_homogeneity_bridge():
-    # the map assembled from the scaled operator times jw equals the Schur
-    # complement of the unscaled quadratic pencil
+    # the map equals the Schur complement of the quadratic pencil assembled
+    # by the oracle from its mass, damping and stiffness parts
     for trial in range(10):
         omega = [0.5, 1.0, 2.0][trial % 3]
         net = braced_network(c_v=0.7 + 0.1 * trial, omega=omega, seed=trial)
@@ -193,21 +190,15 @@ def test_dynamic_map_and_both_dynamic_specs_agree(omega):
 
 
 def test_dynamic_map_asymmetry_is_that_of_the_returned_map():
-    # the map of the unscaled variables is the symmetric part of m = j w F, F
-    # the scaled operator's Schur product, and reports what that discards;
-    # scaling by w = -2, a power of two, is exact, so it is then |w| times
-    # the asymmetry of F bit for bit
+    # the map is the symmetric part of F, the Schur product of the pencil
+    # itself, and reports the asymmetry that the symmetric part discards
     for omega in (1.3, -2.0):
         net = braced_network(c_v=0.6, omega=omega, seed=3)
-        jw = 1j * omega
-        M = _scaled_operator(net, net.c_e + net.k / jw, net.c_v + jw * net.mass)
-        F = _schur_dtn(M, _route(net.graph, net.d))
-        m = jw * F
+        F = _schur_dtn(_pencil(net, net.rho_e, net.rho_v), _route(net.graph, net.d))
         dtn = displacement_to_forces(net, "dynamic")
-        assert dtn.asymmetry == np.abs(m - m.T).max() > 0
-        assert dtn.matrix.tobytes() == (0.5 * m + 0.5 * m.T).tobytes()
+        assert dtn.asymmetry == np.abs(F - F.T).max() > 0
+        assert dtn.matrix.tobytes() == (0.5 * F + 0.5 * F.T).tobytes()
         assert dtn.provenance == "pd"
-    assert dtn.asymmetry == 2.0 * np.abs(F - F.T).max()
 
 
 def test_dynamic_map_assembles_once(monkeypatch):
@@ -302,14 +293,11 @@ def test_static_springs_real_route_matches_complex_arithmetic():
 @pytest.mark.parametrize("omega", [0.5, -2.0])
 def test_springs_dampers_states_match_projected_gradient(omega):
     # the edge-gradient gather against the dense projected gradient, on the
-    # complex states of the scaled operator
+    # complex states of the pencil
     net = braced_network(c_v=0.6, omega=omega, seed=4)
-    jw = 1j * omega
-    rho = net.k + jw * net.c_e
-    M = _scaled_operator(net, rho / jw, net.c_v + jw * net.mass)
-    U = complex_state_matrix(M, net.d * net.graph.num_boundary)
+    U = complex_state_matrix(_pencil(net, net.rho_e, net.rho_v), net.d * net.graph.num_boundary)
     P = projected_gradient_matrix(net.graph, eigen_decompose(spring_conductivity(net)))
-    states = make_spec_springs_known_masses(net).states(rho)
+    states = make_spec_springs_known_masses(net).states(net.rho_e)
     assert relative_error(states, P @ U, U) <= 1e-12
 
 
