@@ -1,13 +1,13 @@
 """Dirichlet solvers, floppy-mode machinery and Dirichlet-to-Neumann maps.
 
 Two regimes are supported. In the positive-definite regimes the interior
-block of the Schrodinger operator is invertible and the map is a plain Schur
-complement. In the rank-deficient (positive-semidefinite) regimes the
-interior block has a nullspace of floppy modes; solves pick the minimal-norm
-representative and the map uses a basis Q of the interior range. Which of
-the two applies is decided once, by ``classify_regime``: the regime it
-returns keeps the ``_Route`` and the operator, and solves and gives the map
-on them.
+block M_II of the Schrodinger operator is invertible and the map is a plain
+Schur complement. In the rank-deficient (positive-semidefinite) regimes M_II
+may have a nullspace of floppy modes F; adding gamma F F^T makes it
+invertible without changing the solution on its range, so solves give the
+minimal-norm representative by the same elimination. Which regime applies is
+decided once, by ``classify_regime``: the regime it returns keeps the
+``_Route`` and the operator, and solves and gives the map on them.
 """
 
 from __future__ import annotations
@@ -74,17 +74,14 @@ class RegimeTag(enum.Enum):
 class _Route:
     """How the interior of a canonical operator on one graph with d x d
     blocks is solved; built only by ``_route``. The first nb rows and
-    columns are the boundary. In the positive-definite regimes ``rows`` are
-    the interior rows grouped by level, deepest last; one level (or none) is
-    all rows as one slice, whose blocks are views and whose products are
-    those of one dense solve, bit for bit. In the rank-deficient regimes
-    ``Q`` is a real orthonormal basis of the interior range and ``floppy``
-    the orthonormal floppy modes, (d|V|, f) in canonical order and zero on
-    the boundary."""
+    columns are the boundary. ``rows`` are the interior rows grouped by
+    level, deepest last; one level (or none) is all rows as one slice, whose
+    blocks are views and whose products are those of one dense solve, bit
+    for bit. A route built from edge eigendata has ``floppy``, the floppy
+    modes, (d|V|, f) in canonical order and zero on the boundary."""
 
     nb: int
-    rows: list | None = None
-    Q: np.ndarray | None = None
+    rows: list
     floppy: np.ndarray | None = None
 
 
@@ -112,9 +109,10 @@ class DirichletRegime:
 
     def solve(self, gb: np.ndarray | VectorNodeField) -> tuple[VectorNodeField, float]:
         """The Dirichlet solution u with u_B = gb, minimal-norm in the
-        rank-deficient regimes, and its interior residual |(M u)_I|;
-        RegimeError when that is beyond RESIDUAL_TOL, FieldError when u is
-        beyond float range."""
+        rank-deficient regimes, and its interior residual |(2^-e M u)_I|, 2^e
+        just above M_II's largest diagonal entry (``_exponent``), the same
+        bits under (sigma, q) -> 2^k (sigma, q); RegimeError when that is
+        beyond RESIDUAL_TOL, FieldError when u is beyond float range."""
         g, M, nb = self.graph, self.operator, self._supported().nb
         gvec = gb.boundary_values(g) if isinstance(gb, VectorNodeField) \
             else np.asarray(gb, dtype=complex).reshape(-1)
@@ -122,7 +120,9 @@ class DirichletRegime:
             raise FieldError("boundary data has wrong length")
         with np.errstate(over="ignore", invalid="ignore"):
             flat = np.concatenate([gvec, -_interior_solve(M, M[nb:, :nb] @ gvec, self.route)])
-            resid = float(np.linalg.norm((M @ flat)[nb:]))
+            M_I = M[nb:]
+            resid = float(np.linalg.norm(
+                np.ldexp(M_I.view(float), -_exponent(M_I[:, nb:])).view(M.dtype) @ flat))
         if not np.isfinite(flat).all():
             raise FieldError("the Dirichlet solution overflows")
         if not resid <= RESIDUAL_TOL * (1.0 + np.linalg.norm(gvec)):  # NaN fails too
@@ -149,7 +149,7 @@ class DtnMap:
     max|F - F^T| that the symmetric part discards."""
 
     matrix: np.ndarray
-    provenance: str  # "pd" (interior levels) or "psd" (Q basis)
+    provenance: str  # "psd" for a route built from edge eigendata, else "pd"
     asymmetry: float
 
 
@@ -212,7 +212,7 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
         return DirichletRegime(RegimeTag.PD_Q, diag, g, _route(g, d), M)
 
     # PSD regimes need q = 0, sigma' >= 0, no zero edge blocks and an edge
-    # eigendecomposition, whose spectrum splits into Q and the floppy modes
+    # eigendecomposition, which gives the floppy modes
     norms = np.abs(sigma.values).reshape(g.num_edges, -1).max(axis=1)
     if _is_zero_field(q_values) and sigma_min > -PD_TOL * (1.0 + sigma_scale):
         if (norms <= ZERO_TOL).any():
@@ -231,27 +231,23 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
 
 
 def _route(g: Graph, d: int, eig: EigenData | None = None) -> _Route:
-    """The route of a canonical operator on g with d x d blocks: without
-    ``eig``, the interior rows grouped by the levels of g
-    (``Graph.interior_levels``); with the edge eigendata ``eig``, Q and the
-    floppy modes as the two parts of one spectrum, that of the interior
-    block of the Laplacian whose edge blocks are x x^T (every kept
-    eigenvalue set to 1), split at _NULL_TOL times its largest eigenvalue.
-    That nullspace is the complex Laplacian's in the supported rank-deficient
-    regimes, and the split does not depend on how widely the edge
-    eigenvalues spread."""
-    nb = d * g.num_boundary
-    if eig is None:
-        levels = g.interior_levels
-        if len(levels) <= 1:
-            return _Route(nb, rows=[slice(None)])
-        return _Route(nb, rows=[(lev[:, None] * d + np.arange(d)).ravel() for lev in levels])
-    unit = laplacian_matrix(g, eig.x @ eig.x.transpose(0, 2, 1))
-    w, v = np.linalg.eigh(unit.real[nb:, nb:])
-    kept = w > _NULL_TOL * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
-    floppy = np.zeros((len(unit), int((~kept).sum())))
-    floppy[nb:] = v[:, ~kept]
-    return _Route(nb, Q=v[:, kept], floppy=floppy)
+    """The route of a canonical operator on g with d x d blocks: the
+    interior rows grouped by the levels of g (``Graph.interior_levels``),
+    all in one level when there is a floppy mode. With the edge eigendata
+    ``eig``, the floppy modes are the nullspace of the interior block of the
+    Laplacian whose edge blocks are x x^T (every kept eigenvalue set to 1),
+    cut at _NULL_TOL times its largest eigenvalue: the complex Laplacian's
+    in the supported rank-deficient regimes, whatever the edge spread."""
+    nb, levels, floppy = d * g.num_boundary, g.interior_levels, None
+    if eig is not None:
+        unit = laplacian_matrix(g, eig.x @ eig.x.transpose(0, 2, 1))
+        w, v = np.linalg.eigh(unit.real[nb:, nb:])
+        kept = w > _NULL_TOL * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
+        floppy = np.zeros((len(unit), int((~kept).sum())))
+        floppy[nb:] = v[:, ~kept]
+    if len(levels) <= 1 or floppy is not None and floppy.shape[1]:
+        return _Route(nb, [slice(None)], floppy)
+    return _Route(nb, [(lev[:, None] * d + np.arange(d)).ravel() for lev in levels], floppy)
 
 
 def _solved(S: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -275,30 +271,43 @@ def _eliminate(A: np.ndarray, rows: list):
     return S, solves
 
 
+def _exponent(A: np.ndarray) -> int:
+    """e with 2^(e-1) <= |a_ii| < 2^e, a_ii A's largest diagonal entry."""
+    return int(np.frexp(np.abs(A.diagonal()).max(initial=0.0))[1])
+
+
+def _interior(M: np.ndarray, rhs: np.ndarray, route: _Route) -> tuple[np.ndarray, np.ndarray]:
+    """M_II, plus gamma F F^T with floppy modes F, and rhs: what both kernels
+    eliminate. gamma is the power of two just below M_II's largest diagonal
+    entry. M F = 0 in the supported regimes, so rhs = M_IB G is orthogonal to
+    F, the sum is invertible and gives the minimal-norm solution. Beyond
+    2^500 that entry is first divided out exactly, of the matrix and rhs."""
+    nb, F, A = route.nb, route.floppy, M[route.nb:, route.nb:]
+    e = _exponent(A)
+    if e > 500:
+        A, rhs, e = np.ldexp(1.0, -e) * A, np.ldexp(1.0, -e) * rhs, 0
+    if F is not None and F.shape[1]:
+        A = A + np.ldexp(1.0, e - 1) * (F[nb:] @ F[nb:].T)
+    return A, rhs
+
+
 def _interior_solve(M: np.ndarray, rhs: np.ndarray, route: _Route) -> np.ndarray:
     """M_II^-1 rhs for a canonical operator M on the route's graph and a
     right-hand side rhs = M_IB G, one column per column of G (or a vector);
-    the interior of a Dirichlet solution is -M_II^-1 M_IB g.
+    the interior of a Dirichlet solution is -M_II^-1 M_IB g. With floppy
+    modes it is the minimal-norm solution (``_interior``).
 
     M_II is eliminated on the route's level rows (``_eliminate``), S_1 x_1 =
     rhs_1 is solved and x_k+1 = -Z_k+1 x_k back-substituted; with one level
     this is one dense solve. rhs is read on level 1 only: M_IB vanishes
     outside it, level 1 being exactly the interior vertices with a boundary
-    neighbour. On a Q route it is the minimal-norm Q (Q^T M_II Q)^-1 Q^T rhs
-    of the rank-deficient regimes.
+    neighbour.
     Every Dirichlet solution, DtN map and state matrix goes through here, in
     real arithmetic when M is real and rhs has no imaginary part.
     """
-    rhs = _real_if_real(rhs)
-    M_II, Q = M[route.nb:, route.nb:], route.Q
-    if Q is not None:
-        # near the float maximum, the system is first divided exactly by a
-        # power of two, so that Q^T M_II Q cannot overflow
-        e = np.frexp(np.abs(M_II).max(initial=0.0))[1]
-        scale = np.ldexp(1.0, -e) if e > 500 else 1.0
-        return Q @ _solved(Q.T @ (scale * M_II) @ Q, Q.T @ (scale * rhs))
     rows = route.rows
-    S, solves = _eliminate(M_II, rows)
+    A, rhs = _interior(M, _real_if_real(rhs), route)
+    S, solves = _eliminate(A, rows)
     x = _solved(S, rhs[rows[0]])
     out = np.empty(rhs.shape, dtype=x.dtype)
     out[rows[0]] = x
@@ -312,12 +321,11 @@ def _schur_dtn(M: np.ndarray, route: _Route) -> np.ndarray:
 
     M_BI vanishes outside the first interior level, so the elimination of
     ``_interior_solve`` stops at S_1: this is M_BB - M_B1 S_1^-1 M_1B, with no
-    back-substitution. The Q route of the rank-deficient regimes is dense."""
-    nb = route.nb
-    if route.Q is not None:
-        return M[:nb, :nb] - M[:nb, nb:] @ _interior_solve(M, M[nb:, :nb], route)
-    S, level_1 = _eliminate(M[nb:, nb:], route.rows)[0], route.rows[0]
-    return M[:nb, :nb] - M[:nb, nb:][:, level_1] @ _solved(S, M[nb:, :nb][level_1])
+    back-substitution."""
+    nb, level_1 = route.nb, route.rows[0]
+    A, M_IB = _interior(M, M[nb:, :nb], route)
+    S = _eliminate(A, route.rows)[0]
+    return M[:nb, :nb] - M[:nb, nb:][:, level_1] @ _solved(S, M_IB[level_1])
 
 
 def _dtn(M: np.ndarray, route: _Route) -> DtnMap:
@@ -326,15 +334,15 @@ def _dtn(M: np.ndarray, route: _Route) -> DtnMap:
     M is symmetric, so the exact map is too; the symmetric part is never
     farther from it in the Frobenius norm, the projection being orthogonal.
     Halved before the sum, which cannot overflow and gives the same bits in
-    the normal range. The provenance is that of the route. A map beyond
-    float range is refused with a FieldError."""
+    the normal range. The provenance is "psd" on a route built from edge
+    eigendata, else "pd". A map beyond float range is refused (FieldError)."""
     with np.errstate(over="ignore", invalid="ignore"):
         F = _schur_dtn(M, route)
         asymmetry = float(np.abs(F - F.T).max(initial=0.0))
     if not (np.isfinite(F).all() and np.isfinite(asymmetry)):
         raise FieldError("the Dirichlet-to-Neumann map overflows")
     return DtnMap(matrix=(0.5 * F + 0.5 * F.T).astype(complex, copy=False),
-                  provenance="pd" if route.Q is None else "psd", asymmetry=asymmetry)
+                  provenance="pd" if route.floppy is None else "psd", asymmetry=asymmetry)
 
 
 def _dirichlet_state_matrix(M: np.ndarray, route: _Route) -> np.ndarray:
@@ -366,12 +374,11 @@ def dtn_pd(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DtnMa
 
 def floppy_basis(g: Graph, sigma: MatrixEdgeField) -> FloppyBasis:
     """Orthonormal basis of displacements with zero boundary values and zero
-    interior net force, as canonical-ordering columns: the complement of the
-    Q basis in one interior spectrum (``_route``)."""
+    interior net force, as canonical-ordering columns (``_route``)."""
     return FloppyBasis(modes=_route(g, sigma.d, eigen_decompose(sigma)).floppy)
 
 
 def dtn_psd(g: Graph, sigma: MatrixEdgeField) -> DtnMap:
-    """Dirichlet-to-Neumann map for rank-deficient conductivities via the Q
-    basis of the interior range, exactly symmetric."""
+    """Dirichlet-to-Neumann map for rank-deficient conductivities, with the
+    floppy modes regularized (``_interior``), exactly symmetric."""
     return _dtn(_operator(g, sigma, None), _route(g, sigma.d, eigen_decompose(sigma)))

@@ -161,8 +161,12 @@ def product_matrix(spec: ProblemSpec, p1: np.ndarray, p2: np.ndarray) -> Product
 
 def jacobian(spec: ProblemSpec, p: np.ndarray) -> np.ndarray:
     """n^2 x m Jacobian of vec(forward map) at p, as the transposed product
-    matrix at (p, p)."""
-    return product_matrix(spec, p, p).W.T
+    matrix at (p, p); a FieldError when W is beyond float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = product_matrix(spec, p, p).W
+    if not np.isfinite(W).all():
+        raise FieldError(f"{spec.name}: the product matrix W(p, p) overflows")
+    return W.T
 
 
 def fd_jacobian(spec: ProblemSpec, p: np.ndarray, h: float = 1e-5,
@@ -242,6 +246,13 @@ def _minimal_norm_step(spec: ProblemSpec, J: np.ndarray, r: np.ndarray) -> np.nd
     return dp
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of v, taken on v divided by its largest entry, so that it
+    overflows only when the norm itself is beyond float range."""
+    top = np.abs(v).max(initial=0.0)
+    return float(top * np.linalg.norm(v / top)) if top else 0.0
+
+
 def newton_invert(
     spec: ProblemSpec,
     target: np.ndarray,
@@ -253,16 +264,26 @@ def newton_invert(
     least-squares steps and backtracking line search.
 
     Accepted steps never increase the residual; iterates stay admissible.
+    An iterate whose residual norm is beyond float range is refused with a
+    FieldError.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape != (spec.n, spec.n):
         raise ValueError(f"target must be {spec.n} x {spec.n}")
     p = spec.require_admissible(p0)
     tvec = target.reshape(-1, order="F")
-    r = spec.forward(p).reshape(-1, order="F") - tvec
-    rnorm = float(np.linalg.norm(r))
+
+    def residual(p: np.ndarray) -> tuple[np.ndarray, float]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = spec.forward(p).reshape(-1, order="F") - tvec
+            rnorm = _norm(r)
+        if not np.isfinite(rnorm):
+            raise FieldError(f"{spec.name}: the Newton residual is beyond float range")
+        return r, rnorm
+
+    r, rnorm = residual(p)
     iterates, residuals, step_lengths = [p.copy()], [rnorm], []
-    stop_res = residual_tol * (1.0 + np.linalg.norm(tvec))
+    stop_res = residual_tol * (1.0 + _norm(tvec))
 
     reason = "max_iter"
     for _ in range(max_iter):
@@ -271,31 +292,27 @@ def newton_invert(
             break
         J = jacobian(spec, p)
         dp = _minimal_norm_step(spec, J, r)
-        if np.linalg.norm(dp) <= _STEP_TOL:
+        if _norm(dp) <= _STEP_TOL:
             reason = "step"
             break
         t = 1.0
-        phi = rnorm ** 2
         accepted = False
         while t >= _T_FLOOR:
             cand = p + t * dp
             if spec.admissible(cand):
-                r_new = spec.forward(cand).reshape(-1, order="F") - tvec
-                phi_new = float(np.linalg.norm(r_new)) ** 2
-                if phi_new <= (1.0 - 2.0 * _ARMIJO * t) * phi:
+                r_new, rnorm_new = residual(cand)
+                if rnorm_new <= np.sqrt(1.0 - 2.0 * _ARMIJO * t) * rnorm:
                     accepted = True
                     break
             t *= 0.5
         if not accepted:
             reason = "step_collapse"
             break
-        p = cand
-        r = r_new
-        rnorm = float(np.sqrt(phi_new))
+        p, r, rnorm = cand, r_new, rnorm_new
         iterates.append(p.copy())
         residuals.append(rnorm)
         step_lengths.append(t)
-        if t * np.linalg.norm(dp) <= _STEP_TOL:
+        if t * _norm(dp) <= _STEP_TOL:
             reason = "step"
             break
     if rnorm <= stop_res:
@@ -406,7 +423,11 @@ def _make_spec(name: str, route: _Route, m: int, op: Callable, rows: Callable,
     to the states and the admissible cone (``ProblemSpec``)."""
 
     def forward(p: np.ndarray) -> np.ndarray:
-        return _schur_dtn(op(p), route).astype(complex, copy=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = _schur_dtn(op(p), route)
+        if not np.isfinite(F).all():
+            raise FieldError(f"{name}: the Dirichlet-to-Neumann map overflows")
+        return F.astype(complex, copy=False)
 
     def states(p: np.ndarray) -> np.ndarray:
         return rows(_dirichlet_state_matrix(op(p), route))

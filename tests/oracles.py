@@ -312,6 +312,16 @@ def schur_complement(M: np.ndarray, nb: int) -> np.ndarray:
     return M[:nb, :nb] - M[:nb, nb:] @ np.linalg.solve(M[nb:, nb:], M[nb:, :nb])
 
 
+def range_basis(floppy: np.ndarray, nb: int) -> np.ndarray:
+    """A real orthonormal basis Q of the interior range in the supported
+    rank-deficient regimes: the orthogonal complement of the interior rows of
+    the floppy modes, the left singular vectors of I - F F^T for its unit
+    singular values."""
+    F = floppy[nb:]
+    u = np.linalg.svd(np.eye(len(F)) - F @ F.T)[0]
+    return u[:, :len(F) - F.shape[1]]
+
+
 def complex_state_matrix(M: np.ndarray, nb: int, Q: np.ndarray | None = None) -> np.ndarray:
     """Dirichlet states [I; -M_II^-1 M_IB] (through the interior range basis
     Q when given) by complex LU, whatever the imaginary part of M; the DtN

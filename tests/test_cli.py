@@ -180,7 +180,7 @@ def test_forward_psd_assembles_twice(tmp_path, monkeypatch):
     # one operator for the regime certificate and the Schur complement
     (p3_doc(), (1, 0)),
     ({**p3_doc(), "q": [[[0.0]], [[0.5]], [[0.0]]]}, (1, 0)),
-    # plus the interior spectrum of the Q basis
+    # plus the interior spectrum that gives the floppy modes
     (collinear_springs_doc(), (2, 1)),
 ])
 def test_dtn_assembles_once_per_operator(tmp_path, monkeypatch, doc, counts):
@@ -190,7 +190,7 @@ def test_dtn_assembles_once_per_operator(tmp_path, monkeypatch, doc, counts):
 
 @pytest.mark.parametrize("command", ["dtn", "forward", "floppy"])
 def test_psd_commuting_decomposes_once(tmp_path, monkeypatch, command):
-    # the classification's eigendata gives the Q basis and the floppy modes too
+    # the classification's eigendata gives the floppy modes too
     calls = []
     original = operators.eigen_decompose
 
@@ -256,6 +256,84 @@ def test_forward_psd_reports_floppy_dim(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["regime"] == "psd_real"
     assert doc["floppy_dim"] == 1
+
+
+def braced_grid_doc(n):
+    """An n x n grid of unit springs with both diagonals of every cell and the
+    perimeter as boundary: rigid, so rank-one blocks with no floppy mode."""
+    v = np.arange(n * n).reshape(n, n)
+    pairs = [(v[:, :-1], v[:, 1:]), (v[:-1], v[1:]), (v[:-1, :-1], v[1:, 1:]),
+             (v[:-1, 1:], v[1:, :-1])]
+    edges = [(int(a), int(b)) for x, y in pairs for a, b in zip(x.ravel(), y.ravel())]
+    perimeter = {*v[0], *v[-1], *v[:, 0], *v[:, -1]}
+    return {
+        "d": 2,
+        "vertices": [{"id": i, "boundary": i in perimeter, "position": [i % n, i // n]}
+                     for i in range(n * n)],
+        "edges": [{"i": i, "j": j, "k": 1.0} for i, j in edges],
+    }
+
+
+def test_rigid_spring_network_takes_the_interior_levels(tmp_path):
+    import netinv as ni
+    net = write(tmp_path, "net.json", braced_grid_doc(5))
+    model = ni.load_network(net)
+    regime = dirichlet.classify_regime(model.graph, model.conductivity(), None)
+    assert regime.tag is ni.RegimeTag.PSD_REAL
+    # the 3 x 3 interior is a ring and its centre: two levels, no floppy mode
+    assert len(regime.route.rows) == 2 and regime.route.floppy.shape == (50, 0)
+    dtn = regime.dtn()
+    assert dtn.provenance == "psd"
+    assert np.abs(dtn.matrix - dtn_pseudoinverse_oracle(model.graph, model.conductivity())).max() \
+        < 1e-12
+    bc = write(tmp_path, "bc.json", {"g": [[0.1, 0.0]] * 16})
+    out = tmp_path / "sol.json"
+    assert main(["forward", net, bc, "-o", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert (doc["regime"], doc["floppy_dim"]) == ("psd_real", 0)
+
+
+def scaled_kite_doc(c):
+    # the path 0-1-2-3 with the chord (0, 2), every conductance times c
+    sigma = [c * x for x in (1.0, 0.7, 1.3, 0.37)]
+    return {
+        "d": 1,
+        "vertices": [{"id": 0, "boundary": True}, {"id": 1}, {"id": 2},
+                     {"id": 3, "boundary": True}],
+        "edges": [{"i": i, "j": j, "sigma": [[x]]}
+                  for (i, j), x in zip([(0, 1), (1, 2), (2, 3), (0, 2)], sigma)],
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("doc, g", [
+    *((scaled_kite_doc(c), [[0.3], [1.1]]) for c in (1.0, 1e6, 1e8, 1e10, 1e12, 1e300)),
+    # u = (1, 1, 1) exactly, though M u overflows
+    (p3_doc(([1.0, 1.7976931348623151e308], 1.0)), [[1.0], [1.0]]),
+], ids=["1", "1e6", "1e8", "1e10", "1e12", "1e300", "imag_near_max"])
+def test_forward_residual_does_not_depend_on_the_scale_of_sigma(tmp_path, doc, g):
+    # the residual is taken of M divided by the power of two of its largest
+    # interior diagonal entry, so scaling sigma cannot push it past the tolerance
+    out = tmp_path / "sol.json"
+    assert main(["forward", write(tmp_path, "net.json", doc),
+                 write(tmp_path, "bc.json", {"g": g}), "-o", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["residual"] <= 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("doc, problem", [
+    (p3_doc(([1.0, 1e308], [1.0, -1e308])), "conductivity"),
+    (p3_doc(([1.0, 1e308], [1.0, -1e308])), "schrodinger"),
+    # the residual norm 2 * 8.988e307 is beyond float range
+    (single_edge_doc(8.98846567431158e307), "conductivity"),
+])
+def test_invert_near_the_float_maximum_exits_1(tmp_path, capsys, doc, problem):
+    target = write(tmp_path, "target.json", {"shape": [2, 2], "data": [[1, -1], [-1, 1]]})
+    out = tmp_path / "inv.json"
+    assert main(["invert", write(tmp_path, "net.json", doc), target, "--problem", problem,
+                 "-o", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {problem}: ")
+    assert not out.exists()
 
 
 def test_forward_malformed_json_exits_1(tmp_path):
@@ -832,21 +910,25 @@ def valid_networks(draw):
 # the exit codes each fuzzed command may return; only uniqueness has a verdict
 COMMON_CODES = {EXIT_OK, EXIT_USAGE, EXIT_UNSUPPORTED}
 FUZZ_CODES = {"dtn": COMMON_CODES, "forward": COMMON_CODES, "floppy": COMMON_CODES,
-              "uniqueness": COMMON_CODES | {EXIT_INCONCLUSIVE}, "scan": COMMON_CODES}
+              "uniqueness": COMMON_CODES | {EXIT_INCONCLUSIVE}, "scan": COMMON_CODES,
+              "invert": COMMON_CODES | {EXIT_NONCONVERGED}}
 
 
 def fuzz_exit_code(tmp_path, command, doc) -> int:
     """The exit code of ``command`` on the document: springs problems on
-    spring documents, conductivity otherwise, and a boundary file of
-    matching size."""
+    spring documents, conductivity otherwise, a boundary file of matching
+    size, and three Newton steps toward a zero map."""
     net = write(tmp_path, "net.json", doc)
     problem = ["--problem", "springs" if "k" in doc["edges"][0] else "conductivity"]
     nb = sum(bool(v.get("boundary")) for v in doc["vertices"])
+    n = nb * doc["d"]
     args = {"dtn": ["-o", str(tmp_path / "o.json")],
             "forward": [write(tmp_path, "bc.json", {"g": [[1.0] * doc["d"]] * nb})],
             "floppy": [],
             "uniqueness": problem,
-            "scan": [*problem, "--samples", "2"]}[command]
+            "scan": [*problem, "--samples", "2"],
+            "invert": [write(tmp_path, "target.json", {"shape": [n, n], "data": [[0.0] * n] * n}),
+                       *problem, "--max-iters", "3", "-o", str(tmp_path / "o.json")]}[command]
     return main([command, net, *args])
 
 
@@ -856,13 +938,16 @@ def fuzz_exit_code(tmp_path, command, doc) -> int:
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=fuzzed_networks())
+@example(doc=single_edge_doc(8.98846567431158e307))
+@example(doc=p3_doc(([1.0, 1e308], [1.0, -1e308])))
 def test_fuzz_exits_only_with_documented_codes(tmp_path, command, doc):
     assert fuzz_exit_code(tmp_path, command, doc) in FUZZ_CODES[command]
 
 
 # with the draws that once overflowed: in the symmetric part of the
-# admissible cone (uniqueness, scan), in the segment's reach (scan) and in
-# the residual of a solve (forward)
+# admissible cone (uniqueness, scan), in the segment's reach (scan), in
+# the residual of a solve (forward) and in the map and residual of Newton
+# (invert)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", list(FUZZ_CODES))
 @settings(max_examples=300, deadline=None,
@@ -871,5 +956,6 @@ def test_fuzz_exits_only_with_documented_codes(tmp_path, command, doc):
 @example(doc=single_edge_doc(8.98846567431158e307))
 @example(doc=single_edge_doc(5.24361440722239e-306))
 @example(doc=p3_doc(([1.0, 1.7976931348623151e308], 1.0)))
+@example(doc=p3_doc(([1.0, 1e308], [1.0, -1e308])))
 def test_fuzz_with_valid_entries_exits_only_with_documented_codes(tmp_path, command, doc):
     assert fuzz_exit_code(tmp_path, command, doc) in FUZZ_CODES[command]

@@ -35,6 +35,7 @@ from oracles import (
     gradient_matrix,
     korn_constants,
     projected_gradient_matrix,
+    range_basis,
     relative_error,
 )
 
@@ -416,26 +417,31 @@ def test_floppy_dim_matches_dense_nullspace_oracle():
     assert np.abs(G - np.eye(basis.dim)).max() < 1e-12
 
 
-def test_q_basis_spans_interior_range():
+def test_floppy_modes_span_the_interior_nullspace():
     g, sigma = collinear_springs()
-    eig = eigen_decompose(sigma)
-    Q = _route(g, sigma.d, eig).Q
+    F = _route(g, sigma.d, eigen_decompose(sigma)).floppy
     M, nb = laplacian_matrix(g, sigma.values), sigma.d * g.num_boundary
     M_II, M_IB = M[nb:, nb:], M[nb:, :nb]
-    # projector onto range(Q) reproduces the interior block columns
+    # F carries no force, the boundary rows included, and is the whole
+    # nullspace of the interior block
+    assert np.abs(M @ F).max() < 1e-10
+    svals = np.linalg.svd(M_II, compute_uv=False)
+    assert F.shape[1] == (svals <= 1e-10 * svals.max()).sum() == 1
+    # the projector onto its complement reproduces the interior block columns
+    Q = range_basis(F, nb)
     P = Q @ Q.T
     assert np.abs(P @ M_II - M_II).max() < 1e-10
     assert np.abs(P @ M_IB - M_IB).max() < 1e-10
 
 
-def test_q_basis_depends_only_on_eigenvectors():
+def test_floppy_modes_depend_only_on_eigenvectors():
     g, sigma = collinear_springs()
     eig1 = eigen_decompose(sigma)
     scaled = MatrixEdgeField.from_blocks(np.stack([7.0 * b for b in sigma.values]))
     eig2 = eigen_decompose(scaled)
-    Q1 = _route(g, sigma.d, eig1).Q
-    Q2 = _route(g, sigma.d, eig2).Q
-    assert np.abs(Q1 - Q2).max() < 1e-12
+    F1 = _route(g, sigma.d, eig1).floppy
+    F2 = _route(g, sigma.d, eig2).floppy
+    assert np.abs(F1 - F2).max() < 1e-12
 
 
 def test_solve_psd_minimal_norm():
@@ -519,14 +525,14 @@ def test_dtn_psd_matches_pseudoinverse_oracle():
 
 def test_dtn_psd_invariant_under_q_remix():
     g, sigma = collinear_springs()
-    eig = eigen_decompose(sigma)
-    Q = _route(g, sigma.d, eig).Q
-    # random orthogonal remix of the basis columns gives the same map
+    M, nb = laplacian_matrix(g, sigma.values), sigma.d * g.num_boundary
+    Q = range_basis(_route(g, sigma.d, eigen_decompose(sigma)).floppy, nb)
+    # the map through any orthonormal basis of the interior range, here a
+    # random orthogonal remix of one, is the regularized map
     r = Q.shape[1]
     a = rng.standard_normal((r, r))
     w, v = np.linalg.eigh(a + a.T)
     Q2 = Q @ v
-    M, nb = laplacian_matrix(g, sigma.values), sigma.d * g.num_boundary
     core = Q2.T @ M[nb:, nb:] @ Q2
     remixed = M[:nb, :nb] - M[:nb, nb:] @ Q2 @ np.linalg.solve(core, Q2.T @ M[nb:, :nb])
     assert np.abs(remixed - dtn_psd(g, sigma).matrix).max() < 1e-10
@@ -601,7 +607,11 @@ def test_dtn_psd_rank_one_matches_pseudoinverse_oracle(net):
     assume(w.size == 0 or (w[w > 1e-10 * w.max()] > 1e-6 * w.max()).all())
     lam = dtn_psd(g, sigma).matrix
     assert np.abs(lam - dtn_pseudoinverse_oracle(g, sigma)).max() < 1e-10
-    check_state_matrix(laplacian_matrix(g, blocks), _route(g, d, eigen_decompose(sigma)), lam)
+    route = _route(g, d, eigen_decompose(sigma))
+    check_state_matrix(laplacian_matrix(g, blocks), route, lam)
+    # minimal norm: every state is orthogonal to the floppy modes
+    U = _dirichlet_state_matrix(laplacian_matrix(g, blocks), route)
+    assert (np.abs(route.floppy.T @ U) <= 1e-12 * np.linalg.norm(U, axis=0)).all()
 
 
 def rank_one_blocks(count, d, local):
@@ -660,10 +670,18 @@ def test_cholesky_certificate_matches_eigvalsh_oracle(net, kind, level):
         assert tag is RegimeTag.PD_SIGMA
 
 
+def scaled_residual(M, nb, u):
+    """|(2^-e M u)_I|, 2^e the power of two just above the largest diagonal
+    entry of M_II in magnitude, 2^-e M formed exactly by ldexp."""
+    e = np.frexp(np.abs(np.diag(M)[nb:]).max(initial=0.0))[1]
+    scaled = np.ldexp(M.view(float), -e).view(M.dtype)
+    return np.linalg.norm(scaled[nb:] @ u)
+
+
 def check_regime_solves_as_its_route(g, sigma, q, gb):
     """A supported regime's map is dtn_pd's (PD tags) or dtn_psd's (PSD tags),
     bit for bit; its solution has u_B = gb and reports the residual
-    |(M u)_I| of the u it returns."""
+    |(2^-e M u)_I| of the u it returns (``scaled_residual``)."""
     regime = classify_regime(g, sigma, q)
     expected = dtn_pd(g, sigma, q) if regime.tag.is_pd else dtn_psd(g, sigma)
     dtn = regime.dtn()
@@ -672,7 +690,7 @@ def check_regime_solves_as_its_route(g, sigma, q, gb):
     u, resid = regime.solve(gb)
     assert u.boundary_values(g).tobytes() == np.asarray(gb, dtype=complex).tobytes()
     nb = sigma.d * g.num_boundary
-    assert resid == np.linalg.norm((regime.operator @ u.canonical(g))[nb:])
+    assert resid == scaled_residual(regime.operator, nb, u.canonical(g))
 
 
 def test_hand_fixtures_solve_as_their_route():
@@ -687,21 +705,25 @@ def test_hand_fixtures_solve_as_their_route():
 def test_pd_sigma_and_its_map_are_exact_under_powers_of_two(net, imag, with_q, k):
     # sigma'_e > 0 is tested edge by edge and q_I' >= 0 needs no certificate,
     # so 2^k (sigma, q) is PD_SIGMA for every k in range, and its map is 2^k
-    # times the map, bit for bit
+    # times the map, bit for bit; its solution and residual are the same bits
     g, d, seed = net
     sigma = random_spd_blocks(g.num_edges, d, seed, imag)
     q = random_spd_blocks(g.num_vertices, d, seed + 1, imag) if with_q else None
+    gb = np.random.default_rng(seed).standard_normal(d * g.num_boundary)
 
     def scaled_map(scale):
         regime = classify_regime(g, MatrixEdgeField.from_blocks(scale * sigma),
                                  None if q is None else MatrixNodeField.from_blocks(scale * q))
         assert regime.tag is RegimeTag.PD_SIGMA
-        return regime.dtn().matrix
+        u, resid = regime.solve(gb)
+        return regime.dtn().matrix, u.values.tobytes(), resid
 
-    unscaled = scaled_map(1.0)
+    unscaled, u, resid = scaled_map(1.0)
     # ldexp of the real and imaginary parts, as a float view
     expected = np.ldexp(unscaled.view(float), k).view(unscaled.dtype)
-    assert scaled_map(2.0 ** k).tobytes() == expected.tobytes()
+    lam, u_k, resid_k = scaled_map(2.0 ** k)
+    assert lam.tobytes() == expected.tobytes()
+    assert (u_k, resid_k) == (u, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +757,8 @@ def test_real_psd_map_matches_complex_arithmetic():
     for g, sigma in [collinear_springs(), (path, MatrixEdgeField.from_blocks(mixed.values.real))]:
         assert classify_regime(g, sigma, None).tag is RegimeTag.PSD_REAL
         M, nb = laplacian_matrix(g, sigma.values), sigma.d * g.num_boundary
-        U = complex_state_matrix(M, nb, _route(g, sigma.d, eigen_decompose(sigma)).Q)
+        floppy = _route(g, sigma.d, eigen_decompose(sigma)).floppy
+        U = complex_state_matrix(M, nb, range_basis(floppy, nb))
         lam = dtn_psd(g, sigma).matrix
         assert lam.dtype == complex
         assert relative_error(lam, M[:nb] @ U, M) <= 1e-12
@@ -901,7 +924,7 @@ def check_symmetric_part(M, route, dtn) -> float:
     assert lam.tobytes() == _dtn(M, route).matrix.tobytes() \
         == (0.5 * (F + F.T)).astype(complex).tobytes()
     assert dtn.asymmetry == np.abs(F - F.T).max(initial=0.0)
-    assert dtn.provenance == ("pd" if route.Q is None else "psd")
+    assert dtn.provenance == ("pd" if route.floppy is None else "psd")
     return dtn.asymmetry
 
 

@@ -34,6 +34,7 @@ from oracles import (
     complex_state_matrix,
     frequency_pencil,
     projected_gradient_matrix,
+    range_basis,
     relative_error,
     schur_complement,
 )
@@ -282,7 +283,7 @@ def test_static_springs_real_route_matches_complex_arithmetic():
         eig = eigen_decompose(sigma)
         M = laplacian_matrix(net.graph, sigma.values)
         nb = net.d * net.graph.num_boundary
-        U = complex_state_matrix(M, nb, _route(net.graph, net.d, eig).Q)
+        U = complex_state_matrix(M, nb, range_basis(_route(net.graph, net.d, eig).floppy, nb))
         lam = displacement_to_forces(net, "static").matrix
         states = make_spec_static_springs(net).states(net.k)
         assert lam.dtype == states.dtype == complex
