@@ -179,11 +179,12 @@ def cmd_floppy(args) -> int:
         print("floppy dimension: 0")
         return EXIT_OK
     print(f"floppy dimension: {modes.shape[1]}")
-    # a floppy mode vanishes on the boundary, so a zero potential adds no flux
-    nb = regime.route.nb
+    # a floppy mode vanishes on the boundary, and a route with one has one
+    # level, so its boundary flux (M z)_B is M_BI z_I
+    nb, M_BI = regime.route.nb, regime.operator.U[0]
     worst = 0.0
     for c, z in enumerate(modes.T):
-        worst = max(worst, float(np.abs((regime.operator @ z)[:nb]).max(initial=0.0)))
+        worst = max(worst, float(np.abs(M_BI @ z[nb:]).max(initial=0.0)))
         print(f"mode {c}: {[round(x, 12) for x in z.tolist()]}")
     print(f"max boundary-flux violation: {worst:.3e}")
     return EXIT_OK

@@ -26,10 +26,11 @@ from .graph import (
 )
 from .operators import (
     EigenData,
+    _LevelPlan,
+    _Levels,
+    _level_plan,
     _real_if_real,
     eigen_decompose,
-    laplacian_matrix,
-    schrodinger_matrix,
 )
 
 __all__ = [
@@ -73,16 +74,24 @@ class RegimeTag(enum.Enum):
 @dataclass(frozen=True, eq=False)
 class _Route:
     """How the interior of a canonical operator on one graph with d x d
-    blocks is solved; built only by ``_route``. The first nb rows and
-    columns are the boundary. ``rows`` are the interior rows grouped by
-    level, deepest last; one level (or none) is all rows as one slice, whose
-    blocks are views and whose products are those of one dense solve, bit
-    for bit. A route built from edge eigendata has ``floppy``, the floppy
-    modes, (d|V|, f) in canonical order and zero on the boundary."""
+    blocks is solved; built only by ``_route``. Its ``plan`` holds every
+    operator by levels (``operators._LevelPlan``): the interior levels of
+    the graph, deepest last, or the whole interior as one level, whose
+    products are those of one dense solve, bit for bit. A route built from
+    edge eigendata has ``floppy``, the floppy modes, (d|V|, f) in canonical
+    order and zero on the boundary; a route with a floppy mode has one
+    level."""
 
-    nb: int
-    rows: list
+    plan: _LevelPlan
     floppy: np.ndarray | None = None
+
+    @property
+    def nb(self) -> int:
+        return self.plan.nb
+
+    @property
+    def rows(self) -> list:
+        return self.plan.rows
 
 
 @dataclass(frozen=True)
@@ -92,11 +101,11 @@ class DirichletRegime:
 
     tag: RegimeTag
     diagnostics: dict = field(default_factory=dict)
-    # the graph, how every supported regime is solved, and the canonical
-    # operator M of (sigma, q) that it solves; None when unsupported
+    # the graph, how every supported regime is solved, and the operator M of
+    # (sigma, q) by the route's levels that it solves; None when unsupported
     graph: Graph | None = field(default=None, repr=False, compare=False)
     route: _Route | None = field(default=None, repr=False, compare=False)
-    operator: np.ndarray | None = field(default=None, repr=False, compare=False)
+    operator: _Levels | None = field(default=None, repr=False, compare=False)
 
     def _supported(self) -> _Route:
         if self.route is None:
@@ -110,24 +119,23 @@ class DirichletRegime:
     def solve(self, gb: np.ndarray | VectorNodeField) -> tuple[VectorNodeField, float]:
         """The Dirichlet solution u with u_B = gb, minimal-norm in the
         rank-deficient regimes, and its interior residual |(2^-e M u)_I|, 2^e
-        just above M_II's largest diagonal entry (``_exponent``), the same
-        bits under (sigma, q) -> 2^k (sigma, q); RegimeError when that is
-        beyond RESIDUAL_TOL, FieldError when u is beyond float range."""
+        just above M_II's largest diagonal entry, taken by the block rows of
+        the levels: the same bits under (sigma, q) -> 2^k (sigma, q);
+        RegimeError when that is beyond RESIDUAL_TOL, FieldError when u is
+        beyond float range."""
         g, M, nb = self.graph, self.operator, self._supported().nb
         gvec = gb.boundary_values(g) if isinstance(gb, VectorNodeField) \
             else np.asarray(gb, dtype=complex).reshape(-1)
         if gvec.shape != (nb,):
             raise FieldError("boundary data has wrong length")
         with np.errstate(over="ignore", invalid="ignore"):
-            flat = np.concatenate([gvec, -_interior_solve(M, M[nb:, :nb] @ gvec, self.route)])
-            M_I = M[nb:]
-            resid = float(np.linalg.norm(
-                np.ldexp(M_I.view(float), -_exponent(M_I[:, nb:])).view(M.dtype) @ flat))
+            flat = np.concatenate([gvec, -_interior_solve(M, M.L[0] @ gvec, self.route)])
+            resid = _residual(M, flat)
         if not np.isfinite(flat).all():
             raise FieldError("the Dirichlet solution overflows")
         if not resid <= RESIDUAL_TOL * (1.0 + np.linalg.norm(gvec)):  # NaN fails too
             raise RegimeError(f"interior residual {resid:.3e} beyond tolerance")
-        return VectorNodeField.from_canonical(g, flat, len(M) // g.num_vertices), resid
+        return VectorNodeField.from_canonical(g, flat, len(flat) // g.num_vertices), resid
 
 
 @dataclass(frozen=True)
@@ -164,39 +172,62 @@ def _is_zero_field(values: np.ndarray) -> bool:
 def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DirichletRegime:
     """Deterministic regime tag, first match in the order PD_SIGMA, PD_Q,
     PSD_REAL, PSD_COMMUTING, else UNSUPPORTED with diagnostics; a supported
-    regime keeps its route and the operator M of (sigma, q), assembled here.
+    regime keeps its route and the operator M of (sigma, q), scattered here
+    once, on the route's plan.
 
     The paper's criteria are (i) sigma' > 0 and q_I' > -lambda_min((L_sigma')_II)
     and (ii) q_I' > 0 and (L_sigma')_II > -lambda_min(diag(q_I')). sigma'_e > 0
     (lambda_min > PD_TOL lambda_max) on every edge of a graph whose every
     vertex reaches the boundary makes (L_sigma')_II > 0, so (i) holds with no
     test when q_I' >= 0; otherwise one Cholesky of Lr_II - shift I certifies
-    (i) or (ii). A graph with a vertex that the boundary does not reach is
-    unsupported, the first such vertex id reported as ``unreached``."""
-    M = _operator(g, sigma, q)
-    diag: dict = {}
+    (i) or (ii), on a dense Lr_II built for it. The PSD regimes need q = 0,
+    sigma' >= 0, no zero edge block and an edge eigendecomposition, which
+    gives the floppy modes and so the route, one level when there is a
+    floppy mode. Such a network is PD only by the theorem: with q = 0 and
+    an edge block that is not PD, neither certificate applies. So the tag,
+    and with it the route, is known before M is scattered, once, on the
+    plan the regime keeps. A graph with a vertex that the boundary does not reach is
+    unsupported, the first such vertex id reported as ``unreached``. M is
+    scattered on every network, so a sum beyond float range is refused
+    before any verdict."""
+    q_blocks = _checked(g, sigma, q)
+    d, n_I = sigma.d, g.num_interior
     unreached = np.flatnonzero(g.boundary_distance < 0)
     if unreached.size:
-        diag["unreached"] = g.order[unreached[0]]
-        return DirichletRegime(RegimeTag.UNSUPPORTED, diag)
+        _level_plan(g, d).scatter(sigma.values, q_blocks)
+        return DirichletRegime(RegimeTag.UNSUPPORTED, {"unreached": g.order[unreached[0]]})
 
-    d, n_I, nb = sigma.d, g.num_interior, sigma.d * g.num_boundary
     sr, si = sigma.values.real, sigma.values.imag
-    q_values = q.values if q is not None else np.zeros((g.num_vertices, d, d))
+    q_values = q_blocks if q_blocks is not None else np.zeros((g.num_vertices, d, d))
     qr = q_values.real
-
     w = np.linalg.eigvalsh(sr)  # ascending, edge by edge
     sigma_min, sigma_scale = float(w.min()), np.abs(sr).max(initial=0.0)
-    diag["sigma_real_min_eig"] = sigma_min
     pd_edges = bool((w[:, 0] > PD_TOL * w[:, -1]).all())
     q_I = qr[list(g.interior)]
     q_I_min = _blocks_min_eig(q_I) if n_I else np.inf
-    diag["q_interior_real_min_eig"] = q_I_min if n_I else None
+    diag: dict = {"sigma_real_min_eig": sigma_min,
+                  "q_interior_real_min_eig": q_I_min if n_I else None}
+    psd = _is_zero_field(q_values) and sigma_min > -PD_TOL * (1.0 + sigma_scale)
+    norms = np.abs(sigma.values).reshape(g.num_edges, -1).max(axis=1)
+    eig = None
+    if psd and not pd_edges:
+        if (norms <= ZERO_TOL).any():
+            diag["zero_edge"] = int(np.argmin(norms))
+        else:
+            try:
+                eig = eigen_decompose(sigma)
+            except FieldError as exc:
+                diag["commuting_failure"] = str(exc)
+    route = _route(g, d, eig)
+    M = route.plan.scatter(sigma.values, q_blocks)
     if pd_edges and q_I_min >= 0:
-        return DirichletRegime(RegimeTag.PD_SIGMA, diag, g, _route(g, d), M)
+        return DirichletRegime(RegimeTag.PD_SIGMA, diag, g, route, M)
+    if eig is not None:
+        tag = RegimeTag.PSD_REAL if _is_zero_field(si) else RegimeTag.PSD_COMMUTING
+        return DirichletRegime(tag, diag, g, route, M)
 
     # Lr_II, the real interior Laplacian: M's real interior block less Re q_I
-    Lr_II = M[nb:, nb:].real.copy()
+    Lr_II = M.interior().real.copy()
     Lr_II.reshape(n_I, d, n_I, d)[np.arange(n_I), :, np.arange(n_I)] -= q_I
     # one certificate: (i) when q_I' is indefinite, else (ii) when q_I' > 0
     if pd_edges or n_I and q_I_min > PD_TOL * (1.0 + np.abs(q_I).max(initial=0.0)):
@@ -207,24 +238,9 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
         except np.linalg.LinAlgError:
             pass
         else:
-            return DirichletRegime(tag, {**diag, "cholesky_shift": shift}, g, _route(g, d), M)
+            return DirichletRegime(tag, {**diag, "cholesky_shift": shift}, g, route, M)
     if not n_I and len(q_values) and _blocks_min_eig(qr[list(g.boundary)]) > PD_TOL:
-        return DirichletRegime(RegimeTag.PD_Q, diag, g, _route(g, d), M)
-
-    # PSD regimes need q = 0, sigma' >= 0, no zero edge blocks and an edge
-    # eigendecomposition, which gives the floppy modes
-    norms = np.abs(sigma.values).reshape(g.num_edges, -1).max(axis=1)
-    if _is_zero_field(q_values) and sigma_min > -PD_TOL * (1.0 + sigma_scale):
-        if (norms <= ZERO_TOL).any():
-            diag["zero_edge"] = int(np.argmin(norms))
-        else:
-            try:
-                eig = eigen_decompose(sigma)
-            except FieldError as exc:
-                diag["commuting_failure"] = str(exc)
-            else:
-                tag = RegimeTag.PSD_REAL if _is_zero_field(si) else RegimeTag.PSD_COMMUTING
-                return DirichletRegime(tag, diag, g, _route(g, d, eig), M)
+        return DirichletRegime(RegimeTag.PD_Q, diag, g, route, M)
     # only an unsupported network reports lambda_min(Lr_II), so only it pays for eigvalsh
     diag["laplacian_interior_min_eig"] = float(np.linalg.eigvalsh(Lr_II).min()) if n_I else 0.0
     return DirichletRegime(RegimeTag.UNSUPPORTED, diag)
@@ -232,22 +248,22 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
 
 def _route(g: Graph, d: int, eig: EigenData | None = None) -> _Route:
     """The route of a canonical operator on g with d x d blocks: the
-    interior rows grouped by the levels of g (``Graph.interior_levels``),
-    all in one level when there is a floppy mode. With the edge eigendata
-    ``eig``, the floppy modes are the nullspace of the interior block of the
-    Laplacian whose edge blocks are x x^T (every kept eigenvalue set to 1),
-    cut at _NULL_TOL times its largest eigenvalue: the complex Laplacian's
-    in the supported rank-deficient regimes, whatever the edge spread."""
-    nb, levels, floppy = d * g.num_boundary, g.interior_levels, None
+    interior levels of g (``operators._level_plan``), or the interior as one
+    level when there is a floppy mode. With the edge eigendata ``eig``, the
+    floppy modes are the nullspace of the interior block of the Laplacian
+    whose edge blocks are x x^T (every kept eigenvalue set to 1), cut at
+    _NULL_TOL times its largest eigenvalue: the complex Laplacian's in the
+    supported rank-deficient regimes, whatever the edge spread."""
+    plan, floppy = _level_plan(g, d), None
     if eig is not None:
-        unit = laplacian_matrix(g, eig.x @ eig.x.transpose(0, 2, 1))
-        w, v = np.linalg.eigh(unit.real[nb:, nb:])
+        one = _level_plan(g, d, one_level=True)
+        w, v = np.linalg.eigh(one.scatter(eig.x @ eig.x.transpose(0, 2, 1)).interior())
         kept = w > _NULL_TOL * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
-        floppy = np.zeros((len(unit), int((~kept).sum())))
-        floppy[nb:] = v[:, ~kept]
-    if len(levels) <= 1 or floppy is not None and floppy.shape[1]:
-        return _Route(nb, [slice(None)], floppy)
-    return _Route(nb, [(lev[:, None] * d + np.arange(d)).ravel() for lev in levels], floppy)
+        floppy = np.zeros((one.nb + one.interior_rows, int((~kept).sum())))
+        floppy[one.nb:] = v[:, ~kept]
+        if floppy.shape[1]:
+            plan = one
+    return _Route(plan, floppy)
 
 
 def _solved(S: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -258,77 +274,110 @@ def _solved(S: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise RegimeError("interior block is singular; regime misclassified") from exc
 
 
-def _eliminate(A: np.ndarray, rows: list):
-    """Eliminate the block tridiagonal A level by level from the deepest one
-    out: S_L = A_LL, S_k = A_kk - A_k,k+1 Z_k+1 with Z_k+1 = S_k+1^-1 A_k+1,k.
-    Returns S_1 and, deepest first, the Z_k+1 that back-substitution needs.
-    A_k+1,k is read from A, which need not be symmetric."""
-    S, solves = A[rows[-1]][:, rows[-1]], []
-    for r, s in zip(rows[-2::-1], rows[:0:-1]):
-        Z = _solved(S, A[s[:, None], r])
-        S = A[r[:, None], r] - A[r[:, None], s] @ Z
-        solves.append(Z)
-    return S, solves
-
-
-def _exponent(A: np.ndarray) -> int:
-    """e with 2^(e-1) <= |a_ii| < 2^e, a_ii A's largest diagonal entry."""
-    return int(np.frexp(np.abs(A.diagonal()).max(initial=0.0))[1])
-
-
-def _interior(M: np.ndarray, rhs: np.ndarray, route: _Route) -> tuple[np.ndarray, np.ndarray]:
-    """M_II, plus gamma F F^T with floppy modes F, and rhs: what both kernels
-    eliminate. gamma is the power of two just below M_II's largest diagonal
-    entry. M F = 0 in the supported regimes, so rhs = M_IB G is orthogonal to
-    F, the sum is invertible and gives the minimal-norm solution. Beyond
-    2^500 that entry is first divided out exactly, of the matrix and rhs."""
-    nb, F, A = route.nb, route.floppy, M[route.nb:, route.nb:]
-    e = _exponent(A)
+def _interior(M: _Levels, route: _Route) -> tuple[list, list, list, float | None]:
+    """What both kernels eliminate: the interior blocks D_k, U_k and L_k of
+    the levels k >= 1 of M (M_II), plus gamma F F^T on the one level of a
+    route with floppy modes F, and the factor s by which the right-hand side
+    is to be scaled with them, None when it is not. gamma is the power of two
+    just below M_II's largest diagonal entry. M F = 0 in the supported
+    regimes, so rhs = M_IB G is orthogonal to F, the sum is invertible and
+    gives the minimal-norm solution. Beyond 2^500 that entry is first divided
+    out exactly, s = 2^-e, of the blocks and of rhs."""
+    D, U, L, e, s = M.D[1:], M.U[1:], M.L[1:], M.exponent, None
     if e > 500:
-        A, rhs, e = np.ldexp(1.0, -e) * A, np.ldexp(1.0, -e) * rhs, 0
+        s = np.ldexp(1.0, -e)
+        D, U, L, e = [s * A for A in D], [s * A for A in U], [s * A for A in L], 0
+    F = route.floppy
     if F is not None and F.shape[1]:
-        A = A + np.ldexp(1.0, e - 1) * (F[nb:] @ F[nb:].T)
-    return A, rhs
+        F = F[route.nb:]
+        D = [D[0] + np.ldexp(1.0, e - 1) * (F @ F.T)]
+    return D, U, L, s
 
 
-def _interior_solve(M: np.ndarray, rhs: np.ndarray, route: _Route) -> np.ndarray:
-    """M_II^-1 rhs for a canonical operator M on the route's graph and a
-    right-hand side rhs = M_IB G, one column per column of G (or a vector);
-    the interior of a Dirichlet solution is -M_II^-1 M_IB g. With floppy
-    modes it is the minimal-norm solution (``_interior``).
+def _eliminate(D: list, U: list, L: list, solves: list | None = None) -> np.ndarray:
+    """Eliminate the block tridiagonal interior level by level from the
+    deepest one out: S_L = D_L, S_k = D_k - U_k Z_k+1 with
+    Z_k+1 = S_k+1^-1 L_k, the blocks A_kk, A_k,k+1 and A_k+1,k. Returns S_1;
+    the Z_k+1 that back-substitution needs are appended to ``solves``,
+    deepest first, when it is given. L_k need not be the transpose of U_k."""
+    S = D[-1]
+    for k in range(len(D) - 2, -1, -1):
+        Z = _solved(S, L[k])
+        S = U[k] @ Z
+        np.subtract(D[k], S, out=S)
+        if solves is not None:
+            solves.append(Z)
+    return S
 
-    M_II is eliminated on the route's level rows (``_eliminate``), S_1 x_1 =
-    rhs_1 is solved and x_k+1 = -Z_k+1 x_k back-substituted; with one level
-    this is one dense solve. rhs is read on level 1 only: M_IB vanishes
-    outside it, level 1 being exactly the interior vertices with a boundary
-    neighbour.
-    Every Dirichlet solution, DtN map and state matrix goes through here, in
-    real arithmetic when M is real and rhs has no imaginary part.
+
+def _level_solutions(M: _Levels, rhs: np.ndarray, route: _Route):
+    """The rows and the solution x_k of every level k of M_II x = M_IB G, for
+    the operator M by the route's levels and rhs = M_1B G, the right-hand
+    side on level 1 (one column per column of G, or a vector): M_IB vanishes
+    outside level 1, level 1 being exactly the interior vertices with a
+    boundary neighbour. With floppy modes x is the minimal-norm solution
+    (``_interior``).
+
+    The interior is eliminated level by level (``_eliminate``), S_1 x_1 =
+    rhs is solved and x_k+1 = -Z_k+1 x_k back-substituted; with one level
+    this is one dense solve. Every Dirichlet solution, DtN map and state
+    matrix goes through here, in real arithmetic when M is real and rhs has
+    no imaginary part.
     """
+    D, U, L, s = _interior(M, route)
+    rhs = _real_if_real(rhs)
+    if s is not None:
+        rhs = s * rhs
+    solves = []
+    x = _solved(_eliminate(D, U, L, solves), rhs)
     rows = route.rows
-    A, rhs = _interior(M, _real_if_real(rhs), route)
-    S, solves = _eliminate(A, rows)
-    x = _solved(S, rhs[rows[0]])
-    out = np.empty(rhs.shape, dtype=x.dtype)
-    out[rows[0]] = x
-    for s, Z in zip(rows[1:], reversed(solves)):
-        out[s] = x = -(Z @ x)
+    yield rows[0], x
+    for r, Z in zip(rows[1:], reversed(solves)):
+        x = Z @ x
+        np.negative(x, out=x)
+        yield r, x
+
+
+def _interior_solve(M: _Levels, rhs: np.ndarray, route: _Route) -> np.ndarray:
+    """M_II^-1 M_IB G in canonical interior order, rhs = M_1B G
+    (``_level_solutions``); the interior of a Dirichlet solution is
+    -M_II^-1 M_IB g."""
+    levels = list(_level_solutions(M, rhs, route))
+    x = levels[0][1]
+    out = np.empty((M.plan.interior_rows,) + x.shape[1:], dtype=x.dtype)
+    for r, x in levels:
+        out[r] = x
     return out
 
 
-def _schur_dtn(M: np.ndarray, route: _Route) -> np.ndarray:
+def _residual(M: _Levels, u: np.ndarray) -> float:
+    """|(2^-e M u)_I| for the canonical vector u, by the block rows of the
+    levels: row block k is L_k-1 u_k-1 + D_k u_k + U_k u_k+1, each block
+    first multiplied exactly by 2^-e (``_Levels.exponent``)."""
+    nb, rows, e = M.plan.nb, M.plan.rows, M.exponent
+    parts = [u[:nb]] + [u[nb:][r] for r in rows]
+
+    def scaled(A: np.ndarray) -> np.ndarray:
+        return np.ldexp(A.view(float), -e).view(A.dtype)
+
+    blocks = [scaled(M.L[k - 1]) @ parts[k - 1] + scaled(M.D[k]) @ parts[k]
+              + (scaled(M.U[k]) @ parts[k + 1] if k < len(rows) else 0.0)
+              for k in range(1, len(rows) + 1)]
+    return float(np.linalg.norm(np.concatenate(blocks)))
+
+
+def _schur_dtn(M: _Levels, route: _Route) -> np.ndarray:
     """Schur complement M_BB - M_BI M_II^-1 M_IB, real exactly when M is.
 
     M_BI vanishes outside the first interior level, so the elimination of
     ``_interior_solve`` stops at S_1: this is M_BB - M_B1 S_1^-1 M_1B, with no
     back-substitution."""
-    nb, level_1 = route.nb, route.rows[0]
-    A, M_IB = _interior(M, M[nb:, :nb], route)
-    S = _eliminate(A, route.rows)[0]
-    return M[:nb, :nb] - M[:nb, nb:][:, level_1] @ _solved(S, M_IB[level_1])
+    D, U, L, s = _interior(M, route)
+    M_1B = M.L[0] if s is None else s * M.L[0]
+    return M.D[0] - M.U[0] @ _solved(_eliminate(D, U, L), M_1B)
 
 
-def _dtn(M: np.ndarray, route: _Route) -> DtnMap:
+def _dtn(M: _Levels, route: _Route) -> DtnMap:
     """The map of the Schur product F = _schur_dtn(M, route): its symmetric
     part (F + F^T) / 2 and the asymmetry max|F - F^T| it discards.
     M is symmetric, so the exact map is too; the symmetric part is never
@@ -345,31 +394,37 @@ def _dtn(M: np.ndarray, route: _Route) -> DtnMap:
                   provenance="pd" if route.floppy is None else "psd", asymmetry=asymmetry)
 
 
-def _dirichlet_state_matrix(M: np.ndarray, route: _Route) -> np.ndarray:
+def _dirichlet_state_matrix(M: _Levels, route: _Route) -> np.ndarray:
     """Solutions of the Dirichlet problem for every basis boundary vector,
     stacked as columns in the canonical ordering."""
     nb = route.nb
-    return np.vstack([np.eye(nb, dtype=complex), -_interior_solve(M, M[nb:, :nb], route)])
+    U = np.eye(nb + M.plan.interior_rows, nb, dtype=complex)
+    interior = U[nb:]
+    for r, x in _level_solutions(M, M.L[0], route):
+        interior[r] = -x
+    return U
 
 
-def _operator(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> np.ndarray:
-    """The canonical Laplacian of sigma, or Schrodinger matrix of (sigma, q),
-    after checking that the fields fit g and each other."""
+def _checked(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> np.ndarray | None:
+    """The blocks of q, None without q, after checking that the fields fit g
+    and each other."""
     if sigma.values.shape[0] != g.num_edges:
         raise FieldError("conductivity does not match edge count")
     if q is None:
-        return laplacian_matrix(g, sigma.values)
+        return None
     if sigma.d != q.d:
         raise FieldError("conductivity and potential block sizes differ")
     if q.values.shape[0] != g.num_vertices:
         raise FieldError("potential does not match vertex count")
-    return schrodinger_matrix(g, sigma.values, q.values)
+    return q.values
 
 
 def dtn_pd(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DtnMap:
     """Schur-complement Dirichlet-to-Neumann map for invertible interiors,
     exactly symmetric."""
-    return _dtn(_operator(g, sigma, q), _route(g, sigma.d))
+    q_blocks = _checked(g, sigma, q)
+    route = _route(g, sigma.d)
+    return _dtn(route.plan.scatter(sigma.values, q_blocks), route)
 
 
 def floppy_basis(g: Graph, sigma: MatrixEdgeField) -> FloppyBasis:
@@ -381,4 +436,7 @@ def floppy_basis(g: Graph, sigma: MatrixEdgeField) -> FloppyBasis:
 def dtn_psd(g: Graph, sigma: MatrixEdgeField) -> DtnMap:
     """Dirichlet-to-Neumann map for rank-deficient conductivities, with the
     floppy modes regularized (``_interior``), exactly symmetric."""
-    return _dtn(_operator(g, sigma, None), _route(g, sigma.d, eigen_decompose(sigma)))
+    if sigma.values.shape[0] != g.num_edges:
+        raise FieldError("conductivity does not match edge count")
+    route = _route(g, sigma.d, eigen_decompose(sigma))
+    return _dtn(route.plan.scatter(sigma.values), route)

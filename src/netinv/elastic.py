@@ -11,13 +11,7 @@ import numpy as np
 from .dirichlet import DtnMap, _dtn, _route, dtn_psd
 from .graph import FieldError, Graph, MatrixEdgeField, _edge_rows, _vertex_rows
 from .inversion import ProblemSpec, _make_spec
-from .operators import (
-    EigenData,
-    _scaled_down,
-    eigen_decompose,
-    laplacian_matrix,
-    schrodinger_matrix,
-)
+from .operators import EigenData, _scaled_down, eigen_decompose
 
 __all__ = [
     "ElasticNetwork",
@@ -117,15 +111,15 @@ def _require_dynamic(net: ElasticNetwork) -> None:
         raise FieldError("dynamic problems need strictly positive nodal damping")
 
 
-def _pencil(net: ElasticNetwork, rho_e: np.ndarray, rho_v: np.ndarray) -> np.ndarray:
-    """The pencil -w^2 M + j w C + K at (rho_e, rho_v): the canonical
-    Schrodinger matrix with block rho_e(e) x(e) x(e)^T on every edge and
-    rho_v(i) I on every vertex. At (net.rho_e, net.rho_v) it is the
-    network's own frequency-domain operator."""
+def _pencil(net: ElasticNetwork, rho_e: np.ndarray, rho_v: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The pencil -w^2 M + j w C + K at (rho_e, rho_v) as the edge and vertex
+    blocks of a Schrodinger operator: rho_e(e) x(e) x(e)^T on every edge and
+    rho_v(i) I on every vertex, by vertex id. At (net.rho_e, net.rho_v) it is
+    the network's own frequency-domain operator."""
     dirs = spring_directions(net)
-    return schrodinger_matrix(net.graph,
-                              np.asarray(rho_e)[:, None, None] * (dirs[:, :, None] * dirs[:, None, :]),
-                              np.asarray(rho_v)[:, None, None] * np.eye(net.d))
+    return (np.asarray(rho_e)[:, None, None] * (dirs[:, :, None] * dirs[:, None, :]),
+            np.asarray(rho_v)[:, None, None] * np.eye(net.d))
 
 
 def displacement_to_forces(net: ElasticNetwork, regime: str) -> DtnMap:
@@ -139,7 +133,8 @@ def displacement_to_forces(net: ElasticNetwork, regime: str) -> DtnMap:
         return dtn_psd(net.graph, spring_conductivity(net))
     if regime == "dynamic":
         _require_dynamic(net)
-        return _dtn(_pencil(net, net.rho_e, net.rho_v), _route(net.graph, net.d))
+        route = _route(net.graph, net.d)
+        return _dtn(route.plan.scatter(*_pencil(net, net.rho_e, net.rho_v)), route)
     raise ValueError(f"unknown regime {regime!r}")
 
 
@@ -172,7 +167,7 @@ def make_spec_eigenvalues(g: Graph, eig: EigenData) -> ProblemSpec:
     xt = eig.x.transpose(0, 2, 1)
     return _make_spec(
         "eigenvalues", _route(g, d, eig), r * E,
-        op=lambda lam: laplacian_matrix(g, (eig.x * lam.reshape(E, r)[:, None, :]) @ xt),
+        op=lambda lam: ((eig.x * lam.reshape(E, r)[:, None, :]) @ xt, None),
         rows=_projected_gradient(g, eig.x),
         cone=lambda lam: lam.reshape(-1, 1, 1),
     )

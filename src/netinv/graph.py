@@ -111,6 +111,12 @@ class Graph:
         return tuple(lev for lev in (np.flatnonzero(inner == j) for j in range(1, k + 1))
                      if lev.size)
 
+    @cached_property
+    def _plans(self) -> dict:
+        """The operator plans built on this graph, by key
+        (``operators._level_plan``)."""
+        return {}
+
 
 def build_graph(n: int, boundary: Sequence[int], edges: Sequence[Sequence[int]]) -> Graph:
     """Build a graph with ``n`` vertices, the given boundary set and edge list.
@@ -262,7 +268,22 @@ def _block_outer(S1: np.ndarray, S2: np.ndarray, b: int) -> np.ndarray:
     return (S1.reshape(-1, 1, b, 1, n) * S2.reshape(-1, b, 1, n, 1)).reshape(-1, n * n)
 
 
-def _block_outer_split(S: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+def _split_plan(nonzero: np.ndarray, b: int) -> tuple[np.ndarray, ...]:
+    """What the split of _block_outer_split keeps, from the zero pattern of
+    a state matrix (``nonzero``, (K, n): whether row group k of state i has
+    a nonzero entry): the pairs i <= j of states that meet, both nonzero in
+    some row group, in np.triu_indices order, the positions of the pairs
+    i < j among them (the columns of W-) and the scale of each row (c, a)
+    and pair of W+."""
+    count = nonzero.astype(float)
+    i, j = np.nonzero(np.triu(count.T @ count))
+    c, a = np.triu_indices(b)
+    scale = 2.0 ** (0.5 * ((c == a).astype(int)[:, None] - (i == j)))
+    return i, j, np.flatnonzero(i < j), scale
+
+
+def _block_outer_split(S: np.ndarray, b: int, plan: tuple | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """W = _block_outer(S, S, b) as the diagonal blocks W+ and W- of one
     orthogonal change of row and column bases, without forming W.
 
@@ -277,16 +298,16 @@ def _block_outer_split(S: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
       or 1/sqrt(2) (i = j) on the others;
     * W-, rows (k, c < a), columns i < j: X_r - X_pi(r); no rows when b = 1.
 
-    Only the pairs i <= j whose states meet, both nonzero in some row group
-    k, get a column; the others are zero and change no singular value. The
-    blocks are written in place, each product of two states into an array
-    that is neither factor: numpy may round such a complex product otherwise.
+    Only the pairs i <= j whose states meet get a column (``_split_plan``,
+    from S's zero pattern unless ``plan`` gives it); the others are zero and
+    change no singular value. For b = 1, W+ is S[:, i] S[:, j] times the
+    scale. The blocks are written in place, each product of two states into
+    an array that is neither factor: numpy may round such a complex product
+    otherwise.
     """
     n = S.shape[1]
     T = np.ascontiguousarray(S).reshape(-1, b, n)
-    nonzero = (T != 0).any(axis=1).astype(float)
-    i, j = np.nonzero(np.triu(nonzero.T @ nonzero))  # in np.triu_indices order
-    off = np.flatnonzero(i < j)
+    i, j, off, scale = plan if plan is not None else _split_plan((T != 0).any(axis=1), b)
     c, a = np.triu_indices(b)
     W_plus = np.empty((len(T), c.size, i.size), T.dtype)
     W_minus = np.empty((len(T), c.size - b, off.size), T.dtype)
@@ -306,6 +327,6 @@ def _block_outer_split(S: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
                         np.take(X_pi, off, axis=1, out=tmp[1, :, :off.size], mode="clip"),
                         out=W_minus[:, r - cr - 1])
             np.add(X, X_pi, out=X)
-    W_plus *= 2.0 ** (0.5 * ((c == a).astype(int)[:, None] - (i == j)))
+    W_plus *= scale
     return (W_plus.reshape(len(T) * c.size, i.size),
             W_minus.reshape(len(T) * (c.size - b), off.size))

@@ -16,9 +16,9 @@ from .graph import (
     _block_outer,
     _block_outer_split,
     _edge_rows,
+    _split_plan,
     _vertex_rows,
 )
-from .operators import laplacian_matrix, schrodinger_matrix
 
 __all__ = [
     "ProblemSpec",
@@ -82,6 +82,9 @@ class ProblemSpec:
     cone: Callable[[np.ndarray], np.ndarray]
     block: int
     components: int = 1
+    # the split plan of the last zero pattern of a state matrix (``_split``);
+    # a copy made by dataclasses.replace starts empty
+    _split_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def bilinear(self, S1: np.ndarray, S2: np.ndarray) -> np.ndarray:
         """The m x n^2 product matrix W of two state matrices: column
@@ -91,8 +94,18 @@ class ProblemSpec:
 
     def _split(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """bilinear(S, S) as the blocks W+ and W- of its exact orthogonal
-        split, less zero columns (``graph._block_outer_split``)."""
-        return tuple(self._sum_components(B) for B in _block_outer_split(S, self.block))
+        split, less zero columns (``graph._block_outer_split``). The pairs
+        that meet, and the rest of the split plan, are kept for the zero
+        pattern of S, which seldom changes from one parameter to the next;
+        a new pattern replaces the plan."""
+        b = self.block
+        nonzero = (S.reshape(-1, b, S.shape[1]) != 0).any(axis=1)
+        key = (nonzero.shape, nonzero.tobytes())
+        plan = self._split_plans.get(key)
+        if plan is None:
+            self._split_plans.clear()
+            plan = self._split_plans[key] = _split_plan(nonzero, b)
+        return tuple(self._sum_components(B) for B in _block_outer_split(S, b, plan))
 
     def _sum_components(self, W: np.ndarray) -> np.ndarray:
         if self.components == 1:
@@ -417,20 +430,21 @@ def identity_residual(spec: ProblemSpec, p1: np.ndarray, p2: np.ndarray) -> floa
 
 def _make_spec(name: str, route: _Route, m: int, op: Callable, rows: Callable,
                cone: Callable, block: int = 1, components: int = 1) -> ProblemSpec:
-    """A complex-parameter ProblemSpec from its data: the route every
-    operator p -> M (in canonical order) is solved by, built once for the
-    spec, the linear map ``rows`` from the canonical Dirichlet state matrix
-    to the states and the admissible cone (``ProblemSpec``)."""
+    """A complex-parameter ProblemSpec from its data: the route built once
+    for the spec, its operator p -> (edge blocks, vertex blocks or None),
+    which the route's plan scatters into its levels, the linear map ``rows``
+    from the canonical Dirichlet state matrix to the states and the
+    admissible cone (``ProblemSpec``)."""
 
     def forward(p: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            F = _schur_dtn(op(p), route)
+            F = _schur_dtn(route.plan.scatter(*op(p)), route)
         if not np.isfinite(F).all():
             raise FieldError(f"{name}: the Dirichlet-to-Neumann map overflows")
         return F.astype(complex, copy=False)
 
     def states(p: np.ndarray) -> np.ndarray:
-        return rows(_dirichlet_state_matrix(op(p), route))
+        return rows(_dirichlet_state_matrix(route.plan.scatter(*op(p)), route))
 
     def admissible(p: np.ndarray) -> bool:
         p = np.asarray(p).reshape(-1)
@@ -461,7 +475,7 @@ def make_spec_conductivity(g: Graph, d: int) -> ProblemSpec:
     plus, minus = _edge_rows(g, d)
     return _make_spec(
         "conductivity", _route(g, d), d * d * g.num_edges,
-        op=lambda p: laplacian_matrix(g, _blocks(p, d)),
+        op=lambda p: (_blocks(p, d), None),
         rows=lambda U: U[plus] - U[minus],
         cone=lambda p: _blocks(p, d),
         block=d,
@@ -475,17 +489,18 @@ def make_spec_schrodinger(g: Graph, sigma: MatrixEdgeField) -> ProblemSpec:
     Parameter layout: per-vertex column-stacked d x d blocks, vertex id order.
     Admissible when sym(Re q(i)) + lambda_II I is positive definite at every
     interior vertex, lambda_II the smallest eigenvalue of the real interior
-    Laplacian block.
+    Laplacian block. That one dense eigvalsh, of the interior block built
+    from the route's levels, stays: it runs once per spec and fixes the cone.
     """
     d = sigma.d
     route = _route(g, d)
     interior = list(g.interior)
-    Lr = laplacian_matrix(g, sigma.values.real).real
-    lam_II = float(np.linalg.eigvalsh(Lr[route.nb:, route.nb:]).min()) if g.num_interior else 0.0
+    Lr_II = route.plan.scatter(sigma.values.real).interior()
+    lam_II = float(np.linalg.eigvalsh(Lr_II).min()) if g.num_interior else 0.0
     perm = _vertex_rows(g, d)
     return _make_spec(
         "schrodinger", route, d * d * g.num_vertices,
-        op=lambda p: schrodinger_matrix(g, sigma.values, _blocks(p, d)),
+        op=lambda p: (sigma.values, _blocks(p, d)),
         rows=lambda U: U[perm],
         cone=lambda p: _blocks(p, d)[interior] + lam_II * np.eye(d),
         block=d,

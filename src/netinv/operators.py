@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,21 +50,21 @@ class EigenData:
     ranks: np.ndarray  # (|E|,), ints in 1..r
 
 
-def _require_finite_sums(g: Graph, diagonal: np.ndarray) -> None:
-    """Refuse an operator whose diagonal blocks, (|V|, d, d) in canonical
-    order, overflowed. They are its only sums: every other block is one
-    finite edge block."""
+def _require_finite_sums(order, diagonal: np.ndarray) -> None:
+    """Refuse an operator whose diagonal blocks, (|V|, d, d) in the canonical
+    vertex ``order``, overflowed. They are its only sums: every other block
+    is one finite edge block."""
     bad = ~np.isfinite(diagonal).all(axis=(1, 2))
     if bad.any():
-        raise FieldError(f"the summed block at vertex {g.order[int(bad.argmax())]} overflows")
+        raise FieldError(f"the summed block at vertex {order[int(bad.argmax())]} overflows")
 
 
 def _real_if_real(a) -> np.ndarray:
     """``a`` as float64 when it has no imaginary part, else as complex128."""
     a = np.asarray(a)
-    if np.iscomplexobj(a) and not a.imag.any():
-        a = a.real
-    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+    if a.dtype.kind == "c" and a.imag.any():
+        return a.astype(complex, copy=False)
+    return (a.real if a.dtype.kind == "c" else a).astype(float, copy=False)
 
 
 def laplacian_matrix(g: Graph, blocks: np.ndarray) -> np.ndarray:
@@ -79,7 +80,7 @@ def laplacian_matrix(g: Graph, blocks: np.ndarray) -> np.ndarray:
         np.add.at(M, (pi, pi), blocks)
         np.add.at(M, (pj, pj), blocks)
     k = np.arange(n)
-    _require_finite_sums(g, M[k, k])
+    _require_finite_sums(g.order, M[k, k])
     M[pi, pj] = -blocks
     M[pj, pi] = -blocks
     return M.transpose(0, 2, 1, 3).reshape(n * d, n * d)
@@ -98,8 +99,177 @@ def schrodinger_matrix(g: Graph, sigma_blocks: np.ndarray, q_blocks: np.ndarray)
     D, k = M.reshape(n, d, n, d), np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         D[k, :, k] += q_blocks[list(g.order)]
-    _require_finite_sums(g, D[k, :, k])
+    _require_finite_sums(g.order, D[k, :, k])
     return M
+
+
+class _Levels(NamedTuple):
+    """A canonical operator held by levels (``_LevelPlan.scatter``), level 0
+    the boundary: D[k] is the diagonal block of level k (D[0] = M_BB), U[k]
+    the block from level k to k + 1 (U[0] = M_B1) and L[k] the block from
+    k + 1 to k (L[0] = M_1B), all views into one buffer. ``exponent`` is e
+    with 2^(e-1) <= |a_ii| < 2^e, a_ii M_II's largest diagonal entry."""
+
+    plan: "_LevelPlan"
+    D: list
+    U: list
+    L: list
+    exponent: int
+
+    def interior(self) -> np.ndarray:
+        """M_II as one dense array in canonical order; a view of the level
+        block when there is one level."""
+        rows = self.plan.rows
+        if len(rows) == 1:
+            return self.D[1]
+        A = np.zeros((self.plan.interior_rows,) * 2, self.D[0].dtype)
+        for k, r in enumerate(rows, 1):
+            A[np.ix_(r, r)] = self.D[k]
+            if k < len(rows):
+                A[np.ix_(r, rows[k])] = self.U[k]
+                A[np.ix_(rows[k], r)] = self.L[k]
+        return A
+
+
+@dataclass(frozen=True, eq=False)
+class _LevelPlan:
+    """Where each entry of a canonical operator on one graph with d x d
+    blocks lands when the operator is held by levels; built by
+    ``_level_plan``. Level 0 is the boundary and levels 1..L the interior
+    levels of the graph (``Graph.interior_levels``), or the whole interior
+    as one level. Every edge joins equal or consecutive levels, so the
+    operator is block tridiagonal on them, and one flat buffer holds its
+    blocks D_0, U_0, L_0, D_1, ..., D_L (``views``: start, shape and order,
+    row by row but for U_0 on more than one level).
+
+    ``rows`` are the interior rows of each level (canonical index less nb),
+    one slice when there is one level. Buffer indices: ``diag`` of each
+    entry of each vertex's diagonal block, in canonical order; ``edges`` of
+    the blocks (i, j) and (j, i) of each edge; ``inner`` of M_II's diagonal
+    entries. ``bins[with_q, complex]`` are the bincount bins of the weights
+    that ``_sums`` adds: the diagonal entry that each entry of each edge
+    block adds to, at its i-end, then at its j-end, then with q that of each
+    entry of each vertex block by vertex id; a complex entry is two weights,
+    real part first, into the two floats of its buffer entry. ``order`` is
+    the vertex ids in canonical order."""
+
+    nb: int
+    interior_rows: int
+    rows: list
+    views: list
+    size: int
+    order: np.ndarray
+    diag: np.ndarray
+    edges: np.ndarray
+    inner: np.ndarray
+    bins: dict
+
+    def scatter(self, blocks: np.ndarray, q_blocks: np.ndarray | None = None) -> _Levels:
+        """The Laplacian of the raw edge blocks (``laplacian_matrix``), plus
+        the vertex blocks ``q_blocks``, indexed by vertex id, when given
+        (``schrodinger_matrix``), by levels. Its blocks are that matrix's, bit
+        for bit: the diagonal blocks are summed in place (``_sums``), in the
+        order the dense assembly adds (i-ends, then j-ends, then q), and each
+        off-diagonal block is written, not summed, so a signed zero keeps its
+        sign. The same dtype, and FieldError, as the dense assembly."""
+        flat = _real_if_real(blocks).reshape(-1)
+        q = None if q_blocks is None else _real_if_real(q_blocks).reshape(-1)
+        buf = self._sums(flat, q)
+        if not np.isfinite(buf[self.diag]).all():
+            self._refuse(flat, q)
+        buf[self.edges] = -flat
+        exponent = math.frexp(np.abs(buf[self.inner]).max(initial=0.0))[1]
+        views = [np.ndarray(shape, buf.dtype, buf, start * buf.itemsize, order=order)
+                 for start, shape, order in self.views]
+        return _Levels(self, views[0::3], views[1::3], views[2::3], exponent)
+
+    def _sums(self, flat: np.ndarray, q: np.ndarray | None) -> np.ndarray:
+        """The buffer with every vertex's summed diagonal block, zero
+        elsewhere, by one bincount. Each bin adds from +0.0, so it never
+        holds -0.0; an imaginary part that only one of sigma and q has is
+        summed with the other's +0.0, as the dense assembly's promotion to
+        complex sums it."""
+        complex_ = flat.dtype.kind == "c" or q is not None and q.dtype.kind == "c"
+        if complex_:
+            flat = flat.astype(complex, copy=False).view(float)
+            q = None if q is None else q.astype(complex, copy=False).view(float)
+        parts = (flat, flat) if q is None else (flat, flat, q)
+        buf = np.bincount(self.bins[q is not None, complex_], np.concatenate(parts),
+                          self.size * (1 + complex_))
+        # float even with no weights, where bincount gives ints
+        buf = buf.astype(float, copy=False)
+        return buf.view(complex) if complex_ else buf
+
+    def _refuse(self, flat: np.ndarray, q: np.ndarray | None) -> None:
+        """FieldError naming the vertex that the dense assembly names: the
+        first whose summed edge blocks overflow, else the first whose sum
+        with q does."""
+        for vertex in (None, q):
+            sums = self._sums(flat, vertex)[self.diag]
+            _require_finite_sums(self.order, sums.reshape(self.order.size, -1, 1))
+
+
+def _level_plan(g: Graph, d: int, one_level: bool = False) -> _LevelPlan:
+    """The ``_LevelPlan`` of operators on g with d x d blocks, on the
+    interior levels of g or, with ``one_level`` or at most one level, on the
+    interior as one level in canonical order. Built once per graph and key,
+    with numpy, from ``Graph.edge_positions`` and ``Graph.interior_levels``."""
+    levels = g.interior_levels
+    one_level = one_level or len(levels) <= 1
+    key = (d, one_level)
+    if key in g._plans:
+        return g._plans[key]
+    if one_level:
+        levels = (np.arange(g.num_interior),)
+    n, nbv, comp = g.num_vertices, g.num_boundary, np.arange(d)
+    level_of, local = np.zeros(n, np.intp), np.arange(n)
+    for k, lev in enumerate(levels, 1):
+        level_of[nbv + lev] = k
+        local[nbv + lev] = np.arange(lev.size)
+    sizes = np.array([nbv] + [lev.size for lev in levels]) * d
+    shapes = []
+    for k in range(len(levels) + 1):
+        shapes.append((sizes[k], sizes[k]))
+        if k < len(levels):
+            shapes += [(sizes[k], sizes[k + 1]), (sizes[k + 1], sizes[k])]
+    stops = np.cumsum([r * c for r, c in shapes])
+    starts = np.concatenate([[0], stops[:-1], [0, 0]])  # two unused, for the last level
+    # M_B1 is held column by column on more than one level, as a gather of
+    # its level-1 columns from the dense operator is laid out: the product
+    # M_B1 S_1^-1 M_1B rounds by the layout BLAS is handed
+    by_column = np.arange(len(starts)) == (1 if len(levels) > 1 else -1)
+
+    def at(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Buffer index of entry (a, b) of the block at canonical positions
+        (r, c), (len(r), d * d)."""
+        kr, kc = level_of[r], level_of[c]
+        block = np.where(kr == kc, 3 * kr, np.where(kc > kr, 3 * kr + 1, 3 * kc + 2))
+        row = (local[r] * d)[:, None, None] + comp[:, None]
+        col = (local[c] * d)[:, None, None] + comp
+        within = np.where(by_column[block][:, None, None], col * sizes[kr][:, None, None] + row,
+                          row * sizes[kc][:, None, None] + col)
+        return (starts[block][:, None, None] + within).reshape(len(r), d * d)
+
+    pi, pj = g.edge_positions()
+    diag = at(np.arange(n), np.arange(n))
+    ends = diag[np.concatenate([pi, pj])].ravel()
+    with_q = np.concatenate([ends, diag[np.asarray(g.position, dtype=np.intp)].ravel()])
+    plan = _LevelPlan(
+        nb=int(sizes[0]),
+        interior_rows=d * g.num_interior,
+        rows=[slice(None)] if one_level else [(lev[:, None] * d + comp).ravel() for lev in levels],
+        views=[(int(a), (int(r), int(c)), "F" if f else "C")
+               for a, (r, c), f in zip(starts, shapes, by_column)],
+        size=int(stops[-1]),
+        order=np.asarray(g.order, dtype=np.intp),
+        diag=diag.ravel(),
+        edges=np.stack([at(pi, pj).ravel(), at(pj, pi).ravel()]),
+        inner=diag[nbv:, comp * (d + 1)].ravel(),
+        bins={(q, c): (2 * bins[:, None] + [0, 1]).ravel() if c else bins
+              for q, bins in ((False, ends), (True, with_q)) for c in (False, True)},
+    )
+    g._plans[key] = plan
+    return plan
 
 
 def cylinder_embed(

@@ -312,6 +312,43 @@ def schur_complement(M: np.ndarray, nb: int) -> np.ndarray:
     return M[:nb, :nb] - M[:nb, nb:] @ np.linalg.solve(M[nb:, nb:], M[nb:, :nb])
 
 
+def dense_route(M: np.ndarray, nb: int, rows: list, floppy: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The Schur complement and the canonical state matrix of the dense
+    canonical operator M by the level elimination on the interior ``rows``
+    of a route, run on M itself: each level block gathered from M by fancy
+    indexing (a view of M for one level), M_II plus gamma F F^T for floppy
+    modes F, gamma the power of two just below M_II's largest diagonal
+    entry, and M_II and the right-hand side divided exactly by that entry's
+    power of two beyond 2^500. The state matrix solves in real arithmetic
+    when M_IB has no imaginary part."""
+
+    def eliminate(rhs):
+        A = M[nb:, nb:]
+        e = int(np.frexp(np.abs(A.diagonal()).max(initial=0.0))[1])
+        if e > 500:
+            A, rhs, e = np.ldexp(1.0, -e) * A, np.ldexp(1.0, -e) * rhs, 0
+        if floppy is not None and floppy.shape[1]:
+            A = A + np.ldexp(1.0, e - 1) * (floppy[nb:] @ floppy[nb:].T)
+        S, solves = A[rows[-1]][:, rows[-1]], []
+        for r, s in zip(rows[-2::-1], rows[:0:-1]):
+            Z = np.linalg.solve(S, A[s[:, None], r])
+            S = A[r[:, None], r] - A[r[:, None], s] @ Z
+            solves.append(Z)
+        return S, solves, rhs
+
+    S, _, M_IB = eliminate(M[nb:, :nb])
+    schur = M[:nb, :nb] - M[:nb, nb:][:, rows[0]] @ np.linalg.solve(S, M_IB[rows[0]])
+    rhs = M[nb:, :nb]
+    S, solves, rhs = eliminate(rhs.real if np.iscomplexobj(rhs) and not rhs.imag.any() else rhs)
+    x = np.linalg.solve(S, rhs[rows[0]])
+    out = np.empty(rhs.shape, dtype=x.dtype)
+    out[rows[0]] = x
+    for s, Z in zip(rows[1:], reversed(solves)):
+        out[s] = x = -(Z @ x)
+    return schur, np.vstack([np.eye(nb, dtype=complex), -out])
+
+
 def range_basis(floppy: np.ndarray, nb: int) -> np.ndarray:
     """A real orthonormal basis Q of the interior range in the supported
     rank-deficient regimes: the orthogonal complement of the interior rows of

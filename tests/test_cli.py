@@ -116,11 +116,12 @@ def test_forward_reads_a_boundary_file_that_mixes_numbers_and_pairs(tmp_path):
 
 
 def command_counts(tmp_path, monkeypatch, doc, command, *args):
-    """Laplacian assemblies and interior (2-D) eigh calls of one run of a
-    command on the network ``doc``."""
+    """Operator assemblies (scatters of a level plan; the dense assembly is
+    never called) and interior (2-D) eigh calls of one run of a command on
+    the network ``doc``."""
     calls = []
     eighs = []
-    original = operators.laplacian_matrix
+    original = operators._LevelPlan.scatter
     original_eigh = np.linalg.eigh
 
     def counted(*args, **kwargs):
@@ -132,8 +133,12 @@ def command_counts(tmp_path, monkeypatch, doc, command, *args):
             eighs.append(1)
         return original_eigh(a, *args, **kwargs)
 
-    for module in (operators, dirichlet):
-        monkeypatch.setattr(module, "laplacian_matrix", counted)
+    def dense(*args, **kwargs):
+        raise AssertionError("a command assembled a dense operator")
+
+    monkeypatch.setattr(operators._LevelPlan, "scatter", counted)
+    monkeypatch.setattr(operators, "laplacian_matrix", dense)
+    monkeypatch.setattr(operators, "schrodinger_matrix", dense)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     net = write(tmp_path, "net.json", doc)
     assert main([command, net, *args]) == EXIT_OK
@@ -169,8 +174,8 @@ def test_forward_writes_the_residual_the_solve_checked(tmp_path, monkeypatch):
 
 
 def test_forward_psd_assembles_twice(tmp_path, monkeypatch):
-    # the operator, and the one interior spectrum that gives both the Q
-    # basis and the floppy dimension
+    # the operator, and the unit-eigenvalue interior, whose one spectrum
+    # gives the floppy modes and their dimension
     counts = forward_counts(tmp_path, monkeypatch, collinear_springs_doc(),
                             [[0.1, 0.0], [0.0, 0.0]])
     assert counts == (2, 1)

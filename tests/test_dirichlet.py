@@ -1,5 +1,7 @@
 """Regime classification, Dirichlet solvers, floppy modes and DtN maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,11 +28,12 @@ from netinv.graph import (
     build_graph,
 )
 from netinv.inversion import _blocks, _vec_blocks, make_spec_conductivity
-from netinv.operators import eigen_decompose, laplacian_matrix, schrodinger_matrix
+from netinv.operators import _LevelPlan, eigen_decompose, laplacian_matrix, schrodinger_matrix
 
 from oracles import (
     classify_regime_eigvalsh,
     complex_state_matrix,
+    dense_route,
     dtn_pseudoinverse_oracle,
     gradient_matrix,
     korn_constants,
@@ -564,9 +567,10 @@ def schur_pinv_oracle(M, nb):
     return M[:nb, :nb] - M[:nb, nb:] @ np.linalg.pinv(M[nb:, nb:]) @ M[nb:, :nb]
 
 
-def check_state_matrix(M, route, lam):
+def check_state_matrix(M, route, lam, op):
+    """The state matrix of ``op``, the operator M by the route's levels."""
     nb = route.nb
-    U = _dirichlet_state_matrix(M, route)
+    U = _dirichlet_state_matrix(op, route)
     assert np.abs((M @ U)[nb:]).max(initial=0.0) < 1e-10
     assert np.abs(M[:nb] @ U - lam).max() < 1e-10
 
@@ -587,7 +591,8 @@ def test_dtn_pd_matches_schur_oracle(net, with_q):
     if not with_q:
         constants = np.kron(np.ones((g.num_boundary, 1)), np.eye(d))
         assert np.abs(lam @ constants).max() < 1e-10
-    check_state_matrix(M, _route(g, d), lam)
+    route = _route(g, d)
+    check_state_matrix(M, route, lam, route.plan.scatter(sigma.values, q.values if with_q else None))
 
 
 @settings(max_examples=60, deadline=None)
@@ -608,9 +613,9 @@ def test_dtn_psd_rank_one_matches_pseudoinverse_oracle(net):
     lam = dtn_psd(g, sigma).matrix
     assert np.abs(lam - dtn_pseudoinverse_oracle(g, sigma)).max() < 1e-10
     route = _route(g, d, eigen_decompose(sigma))
-    check_state_matrix(laplacian_matrix(g, blocks), route, lam)
+    check_state_matrix(laplacian_matrix(g, blocks), route, lam, route.plan.scatter(blocks))
     # minimal norm: every state is orthogonal to the floppy modes
-    U = _dirichlet_state_matrix(laplacian_matrix(g, blocks), route)
+    U = _dirichlet_state_matrix(route.plan.scatter(blocks), route)
     assert (np.abs(route.floppy.T @ U) <= 1e-12 * np.linalg.norm(U, axis=0)).all()
 
 
@@ -670,18 +675,33 @@ def test_cholesky_certificate_matches_eigvalsh_oracle(net, kind, level):
         assert tag is RegimeTag.PD_SIGMA
 
 
-def scaled_residual(M, nb, u):
+def scaled_residual(M, route, u):
     """|(2^-e M u)_I|, 2^e the power of two just above the largest diagonal
-    entry of M_II in magnitude, 2^-e M formed exactly by ldexp."""
+    entry of M_II in magnitude, 2^-e M formed exactly by ldexp, by the block
+    rows of the route's levels as the solve takes it: row block k is
+    A_k,k-1 u_k-1 + A_kk u_k + A_k,k+1 u_k+1, each block gathered from M."""
+    nb = route.nb
     e = np.frexp(np.abs(np.diag(M)[nb:]).max(initial=0.0))[1]
     scaled = np.ldexp(M.view(float), -e).view(M.dtype)
-    return np.linalg.norm(scaled[nb:] @ u)
+    interior = np.arange(nb, len(M))
+    levels = [np.arange(nb)] + [interior[r] for r in route.rows]
+
+    def block(k, j):
+        return scaled[np.ix_(levels[k], levels[j])]
+
+    parts = [u[rows] for rows in levels]
+    last = len(levels) - 1
+    rows = [block(k, k - 1) @ parts[k - 1] + block(k, k) @ parts[k]
+            + (block(k, k + 1) @ parts[k + 1] if k < last else 0.0)
+            for k in range(1, last + 1)]
+    return np.linalg.norm(np.concatenate(rows))
 
 
 def check_regime_solves_as_its_route(g, sigma, q, gb):
     """A supported regime's map is dtn_pd's (PD tags) or dtn_psd's (PSD tags),
     bit for bit; its solution has u_B = gb and reports the residual
-    |(2^-e M u)_I| of the u it returns (``scaled_residual``)."""
+    |(2^-e M u)_I| of the u it returns (``scaled_residual`` of the dense
+    operator on the regime's route)."""
     regime = classify_regime(g, sigma, q)
     expected = dtn_pd(g, sigma, q) if regime.tag.is_pd else dtn_psd(g, sigma)
     dtn = regime.dtn()
@@ -689,8 +709,30 @@ def check_regime_solves_as_its_route(g, sigma, q, gb):
     assert (dtn.provenance, dtn.asymmetry) == (expected.provenance, expected.asymmetry)
     u, resid = regime.solve(gb)
     assert u.boundary_values(g).tobytes() == np.asarray(gb, dtype=complex).tobytes()
-    nb = sigma.d * g.num_boundary
-    assert resid == scaled_residual(regime.operator, nb, u.canonical(g))
+    M = laplacian_matrix(g, sigma.values) if q is None \
+        else schrodinger_matrix(g, sigma.values, q.values)
+    assert resid == scaled_residual(M, regime.route, u.canonical(g))
+
+
+def test_floppy_network_on_many_levels_is_scattered_once(monkeypatch):
+    # the path 0-1-2-3 with boundary 0 has three levels; springs along x
+    # leave the y displacements of 1, 2 and 3 floppy, so the operator is
+    # scattered once, on the one-level plan, after the unit-eigenvalue interior
+    plans = []
+    original = _LevelPlan.scatter
+
+    def counted(plan, *args, **kwargs):
+        plans.append(plan)
+        return original(plan, *args, **kwargs)
+
+    monkeypatch.setattr(_LevelPlan, "scatter", counted)
+    g = build_graph(4, [0], [(0, 1), (1, 2), (2, 3)])
+    sigma = MatrixEdgeField.from_blocks(np.tile(np.diag([1.0, 0.0]), (3, 1, 1)))
+    regime = classify_regime(g, sigma, None)
+    assert regime.tag is RegimeTag.PSD_REAL and regime.route.floppy.shape[1] == 3
+    assert len(g.interior_levels) == 3 and len(regime.route.rows) == 1
+    assert plans == [regime.operator.plan] * 2
+    check_regime_solves_as_its_route(g, sigma, None, np.array([0.3, -0.2]))
 
 
 def test_hand_fixtures_solve_as_their_route():
@@ -916,7 +958,8 @@ def test_pd_regime_error_on_misuse():
 
 def check_symmetric_part(M, route, dtn) -> float:
     """The map is exactly symmetric and is (F + F^T) / 2, bit for bit, of the
-    Schur product F; returns the asymmetry max|F - F^T| it discards."""
+    Schur product F of M, the operator by the route's levels; returns the
+    asymmetry max|F - F^T| it discards."""
     F = _schur_dtn(M, route)
     lam = dtn.matrix
     assert np.array_equal(lam, lam.T)
@@ -935,9 +978,9 @@ def test_dtn_pd_is_the_symmetric_part_of_the_schur_product(net, with_q):
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(g.num_edges, d, seed))
     q = MatrixNodeField.from_blocks(random_spd_blocks(g.num_vertices, d, seed + 1)) \
         if with_q else None
-    M = schrodinger_matrix(g, sigma.values, q.values) if with_q \
-        else laplacian_matrix(g, sigma.values)
-    check_symmetric_part(M, _route(g, d), dtn_pd(g, sigma, q))
+    route = _route(g, d)
+    check_symmetric_part(route.plan.scatter(sigma.values, q.values if with_q else None), route,
+                         dtn_pd(g, sigma, q))
 
 
 @settings(max_examples=40, deadline=None)
@@ -949,8 +992,8 @@ def test_dtn_psd_is_the_symmetric_part_of_the_schur_product(net):
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     sigma = MatrixEdgeField.from_blocks(
         np.einsum("e,ea,eb->eab", local.uniform(0.5, 2.0, g.num_edges), x, x))
-    check_symmetric_part(laplacian_matrix(g, sigma.values), _route(g, d, eigen_decompose(sigma)),
-                         dtn_psd(g, sigma))
+    route = _route(g, d, eigen_decompose(sigma))
+    check_symmetric_part(route.plan.scatter(sigma.values), route, dtn_psd(g, sigma))
 
 
 def test_symmetry_residual_is_the_discarded_asymmetry():
@@ -958,8 +1001,9 @@ def test_symmetry_residual_is_the_discarded_asymmetry():
     g = build_graph(5, [0, 2, 4], [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3), (1, 4)])
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(6, 2, 41))
     q = MatrixNodeField.from_blocks(0.1 * random_spd_blocks(5, 2, 43))
-    M = schrodinger_matrix(g, sigma.values, q.values)
-    assert check_symmetric_part(M, _route(g, 2), dtn_pd(g, sigma, q)) > 0
+    route = _route(g, 2)
+    assert check_symmetric_part(route.plan.scatter(sigma.values, q.values), route,
+                                dtn_pd(g, sigma, q)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1016,17 +1060,18 @@ def test_level_elimination_matches_one_dense_solve(drawn, imag, with_q, seed):
     with_q = with_q or detached  # a component without boundary needs q to be solvable
     local = np.random.default_rng(seed)
     sigma = random_spd_blocks(g.num_edges, d, seed, imag)
-    M = schrodinger_matrix(g, sigma, random_spd_blocks(g.num_vertices, d, seed + 1, imag)) \
-        if with_q else laplacian_matrix(g, sigma)
+    q = random_spd_blocks(g.num_vertices, d, seed + 1, imag) if with_q else None
+    M = schrodinger_matrix(g, sigma, q) if with_q else laplacian_matrix(g, sigma)
     route = _route(g, d)
+    op = route.plan.scatter(sigma, q)
     nb = route.nb
     assume(g.num_interior)
     X, lam = dense_reference(M, nb)
-    assert relative_error(_schur_dtn(M, route), lam, M) <= 1e-12
+    assert relative_error(_schur_dtn(op, route), lam, M) <= 1e-12
     states = np.vstack([np.eye(nb), -X])
-    assert relative_error(_dirichlet_state_matrix(M, route), states, states) <= 1e-12
+    assert relative_error(_dirichlet_state_matrix(op, route), states, states) <= 1e-12
     # every caller passes M_IB G, and M_IB is zero outside level 1, the
-    # only level of the right-hand side that the kernel reads
+    # only level of the right-hand side that the kernel takes
     outside = np.ones(g.num_interior, dtype=bool)
     outside[g.interior_levels[0]] = False
     assert not M[nb:, :nb].reshape(g.num_interior, d, nb)[outside].any()
@@ -1038,12 +1083,13 @@ def test_level_elimination_matches_one_dense_solve(drawn, imag, with_q, seed):
     x = np.linalg.solve(M[nb:, nb:], b)
     # x = 0 when no interior vertex has a boundary neighbour, and then so must the kernel's be
     scale = x if x.any() else np.ones(1)
-    assert relative_error(_interior_solve(M, b, route), x, scale) <= 1e-12
-    assert relative_error(_interior_solve(M, b[:, 0], route), x[:, 0], scale) <= 1e-12
+    b_1 = b[route.rows[0]]
+    assert relative_error(_interior_solve(op, b_1, route), x, scale) <= 1e-12
+    assert relative_error(_interior_solve(op, b_1[:, 0], route), x[:, 0], scale) <= 1e-12
     if len(g.interior_levels) == 1:
-        assert _schur_dtn(M, route).tobytes() == lam.tobytes()
-        assert _interior_solve(M, b, route).tobytes() == x.tobytes()
-        assert _interior_solve(M, b[:, 0], route).tobytes() == \
+        assert _schur_dtn(op, route).tobytes() == lam.tobytes()
+        assert _interior_solve(op, b, route).tobytes() == x.tobytes()
+        assert _interior_solve(op, b[:, 0], route).tobytes() == \
             np.linalg.solve(M[nb:, nb:], b[:, 0]).tobytes()
     if not with_q:
         # blocks that are not symmetric, as a finite-difference step makes
@@ -1069,17 +1115,19 @@ def test_one_level_dtn_is_one_dense_solve_bit_for_bit():
 def test_singular_level_complement_is_a_regime_error():
     # the collinear springs have a floppy interior mode: the only level is singular
     g, sigma = collinear_springs()
-    M = laplacian_matrix(g, sigma.values)
+    route = _route(g, 2)
     with pytest.raises(RegimeError):
-        _schur_dtn(M, _route(g, 2))
+        _schur_dtn(route.plan.scatter(sigma.values), route)
     # the path 0-1-2-3 with boundary 0 has three levels; with vertex 3 cut
     # off and its diagonal zeroed, the deepest complement S_3 = A_33 is 0
     g = build_graph(4, [0], [(0, 1), (1, 2), (2, 3)])
-    M = laplacian_matrix(g, np.ones((3, 1, 1)))
-    M[3, 3] = 0.0
-    M[2, 3] = M[3, 2] = 0.0
+    route = _route(g, 1)
+    op = route.plan.scatter(np.ones((3, 1, 1)))
+    assert len(op.D) == 4
+    op.D[3][:] = 0.0
+    op.U[2][:] = op.L[2][:] = 0.0
     with pytest.raises(RegimeError):
-        _interior_solve(M, np.ones(3), _route(g, 1))
+        _interior_solve(op, np.ones(1), route)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1109,3 +1157,63 @@ def test_every_supported_regime_solves_as_its_route(drawn, kind, imag, seed):
     assume(w.size == 0 or (w[w > 1e-10 * w.max()] > 1e-6 * w.max()).all())
     gb = local.standard_normal(nb) + 1j * local.standard_normal(nb)
     check_regime_solves_as_its_route(g, sigma, q, gb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(networks(), level_graphs()), st.sampled_from(["sigma", "sigma+q", "rank_one"]),
+       st.sampled_from([0.0, 0.3]), st.integers(0, 2**32 - 1))
+def test_regime_map_is_the_dense_route_map(drawn, kind, imag, seed):
+    # the map of a regime's operator by levels is the map of the dense
+    # operator eliminated on the same levels, bit for bit, floppy modes and
+    # one-level routes included
+    g, d = drawn[:2]
+    local = np.random.default_rng(seed)
+    blocks = (1.0 + imag * 1j) * rank_one_blocks(g.num_edges, d, local) if kind == "rank_one" \
+        else random_spd_blocks(g.num_edges, d, seed, imag)
+    sigma = MatrixEdgeField.from_blocks(blocks)
+    q = MatrixNodeField.from_blocks(random_spd_blocks(g.num_vertices, d, seed + 1, imag)) \
+        if kind.endswith("+q") else None
+    regime = classify_regime(g, sigma, q)
+    assume(regime.tag is not RegimeTag.UNSUPPORTED)
+    M = laplacian_matrix(g, sigma.values) if q is None \
+        else schrodinger_matrix(g, sigma.values, q.values)
+    route = regime.route
+    schur = dense_route(M, route.nb, route.rows, route.floppy)[0]
+    assert _schur_dtn(regime.operator, route).tobytes() == schur.tobytes()
+    assert regime.dtn().matrix.tobytes() == (0.5 * schur + 0.5 * schur.T).astype(complex).tobytes()
+
+
+def perimeter_grid_40(d=2):
+    """A 40 x 40 perimeter grid, SPD conductivity blocks with d = 2, and the
+    bytes of its dense operator, 3200^2 floats, 82 MB."""
+    edges, boundary = grid_edges(40, 40, False)
+    g = build_graph(1600, boundary, edges)
+    sigma = MatrixEdgeField.from_blocks(random_spd_blocks(g.num_edges, d, 5, imag=0.0))
+    return g, sigma, (d * g.num_vertices) ** 2 * 8
+
+
+def traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_level_route_map_peaks_below_a_quarter_of_the_dense_operator():
+    # the map is classified and solved on the level blocks alone; the level
+    # plan, built once per graph, is not counted
+    g, sigma, dense = perimeter_grid_40()
+    _route(g, 2)
+    assert traced_peak(lambda: classify_regime(g, sigma, None).dtn()) < dense / 4
+
+
+@pytest.mark.xfail(strict=True, reason="the states returned are 2|E|d x d|B| complex, 31 MB, "
+                                       "more than a quarter of the dense operator by themselves")
+def test_conductivity_states_peak_below_a_quarter_of_the_dense_operator():
+    g, sigma, dense = perimeter_grid_40()
+    spec = make_spec_conductivity(g, 2)
+    p = _vec_blocks(sigma.values)
+    spec.states(p)  # the plans, built once per spec, are not counted
+    assert traced_peak(lambda: spec.states(p)) < dense / 4

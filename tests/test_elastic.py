@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from netinv import elastic, operators
+from netinv import operators
 from netinv.dirichlet import _route, _schur_dtn
 from netinv.elastic import (
     ElasticNetwork,
@@ -28,7 +28,7 @@ from netinv.inversion import (
     newton_invert,
     uniqueness_test,
 )
-from netinv.operators import eigen_decompose, laplacian_matrix
+from netinv.operators import eigen_decompose, laplacian_matrix, schrodinger_matrix
 
 from oracles import (
     complex_state_matrix,
@@ -134,12 +134,14 @@ def test_spring_eigendata_matches_directions():
 
 
 def test_frequency_operator_combination():
-    # the builder at the network's own (rho_e, rho_v) is the quadratic pencil
+    # the builder's blocks at the network's own (rho_e, rho_v) assemble the
+    # quadratic pencil
     for omega in (1.0, -2.0):
         net = braced_network(omega=omega)
         mass, damping, stiffness = frequency_pencil(net)
         pencil = -omega ** 2 * mass + 1j * omega * damping + stiffness
-        assert np.abs(_pencil(net, net.rho_e, net.rho_v) - pencil).max() < 1e-12
+        M = schrodinger_matrix(net.graph, *_pencil(net, net.rho_e, net.rho_v))
+        assert np.abs(M - pencil).max() < 1e-12
 
 
 def test_frequency_operator_requires_dynamic():
@@ -195,7 +197,8 @@ def test_dynamic_map_asymmetry_is_that_of_the_returned_map():
     # itself, and reports the asymmetry that the symmetric part discards
     for omega in (1.3, -2.0):
         net = braced_network(c_v=0.6, omega=omega, seed=3)
-        F = _schur_dtn(_pencil(net, net.rho_e, net.rho_v), _route(net.graph, net.d))
+        route = _route(net.graph, net.d)
+        F = _schur_dtn(route.plan.scatter(*_pencil(net, net.rho_e, net.rho_v)), route)
         dtn = displacement_to_forces(net, "dynamic")
         assert dtn.asymmetry == np.abs(F - F.T).max() > 0
         assert dtn.matrix.tobytes() == (0.5 * F + 0.5 * F.T).tobytes()
@@ -203,15 +206,15 @@ def test_dynamic_map_asymmetry_is_that_of_the_returned_map():
 
 
 def test_dynamic_map_assembles_once(monkeypatch):
+    # one scatter of the pencil's blocks into the route's levels
     calls = []
-    original = operators.laplacian_matrix
+    original = operators._LevelPlan.scatter
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (operators, elastic):
-        monkeypatch.setattr(module, "laplacian_matrix", counted)
+    monkeypatch.setattr(operators._LevelPlan, "scatter", counted)
     displacement_to_forces(braced_network(), "dynamic")
     assert len(calls) == 1
 
@@ -296,7 +299,8 @@ def test_springs_dampers_states_match_projected_gradient(omega):
     # the edge-gradient gather against the dense projected gradient, on the
     # complex states of the pencil
     net = braced_network(c_v=0.6, omega=omega, seed=4)
-    U = complex_state_matrix(_pencil(net, net.rho_e, net.rho_v), net.d * net.graph.num_boundary)
+    M = schrodinger_matrix(net.graph, *_pencil(net, net.rho_e, net.rho_v))
+    U = complex_state_matrix(M, net.d * net.graph.num_boundary)
     P = projected_gradient_matrix(net.graph, eigen_decompose(spring_conductivity(net)))
     states = make_spec_springs_known_masses(net).states(net.rho_e)
     assert relative_error(states, P @ U, U) <= 1e-12

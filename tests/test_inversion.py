@@ -1,10 +1,13 @@
 """Product matrix, identity, Jacobians, uniqueness test and Newton solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from netinv import inversion, operators
 from netinv.elastic import (
     ElasticNetwork,
     make_spec_eigenvalues,
@@ -13,7 +16,7 @@ from netinv.elastic import (
     make_spec_static_springs,
     spring_conductivity,
 )
-from netinv.graph import MatrixEdgeField, build_graph
+from netinv.graph import MatrixEdgeField, _block_outer_split, build_graph
 from netinv.inversion import (
     InadmissibleParameterError,
     _admissible_extent,
@@ -29,9 +32,15 @@ from netinv.inversion import (
     product_matrix,
     uniqueness_test,
 )
-from netinv.operators import eigen_decompose
+from netinv.operators import eigen_decompose, laplacian_matrix, schrodinger_matrix
 
-from oracles import admissible_extent_bisection, block_outer_split_full, meeting_pairs, vec
+from oracles import (
+    admissible_extent_bisection,
+    block_outer_split_full,
+    dense_route,
+    meeting_pairs,
+    vec,
+)
 
 rng = np.random.default_rng(37)
 
@@ -372,6 +381,42 @@ def test_uniqueness_matches_full_svd(net, factory, real):
                   - np.sort(np.pad(s_split, (0, size - s_split.size)))).max() <= 1e-12 * s_max
 
 
+@settings(max_examples=150, deadline=None)
+@given(networks(), st.sampled_from(SPEC_FACTORIES), st.booleans())
+@example((build_graph(3, [0], [(0, 1), (1, 2)]), 2, 7), "springs_static", True)
+def test_spec_forward_and_states_are_those_of_the_dense_route(net, factory, real):
+    # the operator a spec scatters into its route's levels, assembled dense
+    # and eliminated on the same levels from the dense matrix, gives the
+    # spec's forward map and the state matrix its rows are taken from, bit
+    # for bit (in the example, vertex 2 hangs on one spring: a floppy mode,
+    # so the route has one level)
+    g, d, seed = net
+    spec, p = spec_and_parameter(g, d, seed, factory, real)
+    seen = {}
+    scatter, state_matrix = operators._LevelPlan.scatter, inversion._dirichlet_state_matrix
+
+    def recorded_operator(plan, blocks, q_blocks=None):
+        seen["operator"] = blocks, q_blocks
+        return scatter(plan, blocks, q_blocks)
+
+    def recorded_states(M, route):
+        seen["states"] = state_matrix(M, route), route
+        return seen["states"][0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators._LevelPlan, "scatter", recorded_operator)
+        patch.setattr(inversion, "_dirichlet_state_matrix", recorded_states)
+        spec.states(p)
+        (U, route), (blocks, q) = seen["states"], seen["operator"]
+        forward = spec.forward(p)
+    M = laplacian_matrix(g, blocks) if q is None else schrodinger_matrix(g, blocks, q)
+    schur, states = dense_route(M, route.nb, route.rows, route.floppy)
+    if (g.edges, g.boundary, d, factory) == (((0, 1), (1, 2)), (0,), 2, "springs_static"):
+        assert route.floppy.shape[1] == 2 and route.rows == [slice(None)]
+    assert U.tobytes() == states.tobytes()
+    assert forward.tobytes() == schur.astype(complex).tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(networks(), st.sampled_from(SPEC_FACTORIES), st.booleans(), st.booleans())
 # along p every cone but the shifted Schrodinger one scales by 1 + t: the
@@ -526,3 +571,31 @@ def test_require_admissible_shape_check():
     spec = make_spec_conductivity(g, 1)
     with pytest.raises(InadmissibleParameterError):
         spec.require_admissible(np.ones(5))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_split_plan_follows_the_zero_pattern_of_the_states(d):
+    # one spec, two state matrices: the second has an exactly zero column,
+    # so its pairs with every other state no longer meet and the plan kept
+    # for the first pattern is replaced; both splits are the full split's
+    # kept columns, bit for bit, and a copy made by dataclasses.replace
+    # starts with no plan and splits the same
+    g = eight_node_graph()
+    spec, p = make_spec_conductivity(g, d), random_spd_vec(g.num_edges, d, 3)
+    S = spec.states(p)
+    zeroed = S.copy()
+    zeroed[:, 1] = 0.0
+    for states in (S, zeroed, S):
+        blocks = spec._split(states)
+        assert len(spec._split_plans) == 1
+        meet = meeting_pairs(states, d)
+        i, j = np.triu_indices(spec.n)
+        for new, full, kept in zip(blocks, block_outer_split_full(states, d), (meet, meet[i < j])):
+            assert new.tobytes() == np.ascontiguousarray(full[:, kept]).tobytes()
+        assert [B.tobytes() for B in _block_outer_split(states, d)] == \
+            [B.tobytes() for B in blocks]
+    assert blocks[0].shape[1] > spec._split(zeroed)[0].shape[1]
+    copy = replace(spec, name="copy")
+    assert copy._split_plans == {} and len(spec._split_plans) == 1
+    assert [B.tobytes() for B in copy._split(S)] == [B.tobytes() for B in spec._split(S)]
+    assert uniqueness_test(copy, p) == uniqueness_test(spec, p)

@@ -13,7 +13,13 @@ from netinv.graph import (
     VectorNodeField,
     build_graph,
 )
-from netinv.operators import cylinder_embed, eigen_decompose, laplacian_matrix, schrodinger_matrix
+from netinv.operators import (
+    _level_plan,
+    cylinder_embed,
+    eigen_decompose,
+    laplacian_matrix,
+    schrodinger_matrix,
+)
 
 from oracles import (
     cylinder_graph,
@@ -173,6 +179,86 @@ def test_assembly_refuses_a_vertex_sum_beyond_float_range():
     q = MatrixNodeField.from_blocks(np.array([[[0.0]], [[1e308]], [[0.0]]]))
     with pytest.raises(FieldError, match="vertex 1 overflows"):
         schrodinger_matrix(path3(), sigma.values, q.values)
+
+
+@st.composite
+def plan_cases(draw):
+    """A random graph, possibly with vertices that no boundary vertex
+    reaches, d, edge blocks (real or complex, with exact zeros of both
+    signs), vertex blocks or None, and whether to plan one level."""
+    n = draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16))
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    boundary = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    g = build_graph(n, boundary, draw(st.permutations(edges)))
+    d = draw(st.sampled_from((1, 2, 3)))
+    local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(count, kind):
+        a = local.standard_normal((count, d, d))
+        a[local.random(a.shape) < 0.3] = 0.0
+        a[local.random(a.shape) < 0.2] = -0.0
+        if kind == "complex":
+            im = local.standard_normal(a.shape)
+            im[local.random(a.shape) < 0.3] = 0.0
+            im[local.random(a.shape) < 0.2] = -0.0
+            a = a + 1j * im
+        elif kind == "complex, no imaginary part":
+            a = a * (1.0 - 0.0j)
+        return a
+
+    kinds = ("real", "complex", "complex, no imaginary part")
+    blocks = entries(g.num_edges, draw(st.sampled_from(kinds)))
+    q = entries(n, draw(st.sampled_from(kinds))) if draw(st.booleans()) else None
+    return g, d, blocks, q, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan_cases())
+def test_level_plan_scatters_the_blocks_of_the_dense_operator(case):
+    # every block of the operator by levels is the dense operator's block,
+    # bit for bit, signed zeros and dtype included, and the interior built
+    # from them is M_II
+    g, d, blocks, q, one_level = case
+    M = laplacian_matrix(g, blocks) if q is None else schrodinger_matrix(g, blocks, q)
+    plan = _level_plan(g, d, one_level)
+    op = plan.scatter(blocks, q)
+    nb = plan.nb
+    rows = [np.arange(nb)] + [nb + np.arange(plan.interior_rows)[r] for r in plan.rows]
+    assert len(rows) == (2 if one_level or len(g.interior_levels) <= 1
+                         else len(g.interior_levels) + 1)
+
+    def block(r, c):
+        return np.ascontiguousarray(M[np.ix_(r, c)]).tobytes()
+
+    for k, r in enumerate(rows):
+        assert op.D[k].dtype == M.dtype and op.D[k].tobytes() == block(r, r)
+        if k + 1 < len(rows):
+            assert op.U[k].tobytes() == block(r, rows[k + 1])
+            assert op.L[k].tobytes() == block(rows[k + 1], r)
+    interior = np.arange(nb, len(M))
+    assert op.interior().tobytes() == block(interior, interior)
+    e = np.frexp(np.abs(np.diag(M)[nb:]).max(initial=0.0))[1]
+    assert op.exponent == e
+
+
+def test_level_plan_refuses_the_vertex_the_dense_assembly_refuses():
+    # the star's centre overflows with the edge blocks alone; on the path
+    # (canonical order 0, 2, 1), vertex 1 overflows with the edge blocks
+    # alone and vertex 0 only with q, so both name vertex 1
+    star = build_graph(5, [1, 2, 3, 4], [(0, 1), (0, 2), (0, 3), (0, 4)])
+    with pytest.raises(FieldError, match="vertex 0 overflows"):
+        _level_plan(star, 1).scatter(np.full((4, 1, 1), 5e307))
+    g = build_graph(3, [0, 2], [(0, 1), (1, 2)])
+    sigma, q = np.full((2, 1, 1), 1e308), np.array([[[1e308]], [[0.0]], [[0.0]]])
+    with pytest.raises(FieldError, match="vertex 1 overflows"):
+        schrodinger_matrix(g, sigma, q)
+    for one_level in (False, True):
+        with pytest.raises(FieldError, match="vertex 1 overflows"):
+            _level_plan(g, 1, one_level).scatter(sigma, q)
+        with pytest.raises(FieldError, match="vertex 0 overflows"):
+            _level_plan(g, 1, one_level).scatter(np.array([[[1e308]], [[1.0]]]),
+                                                 q.astype(complex))
 
 
 def test_cylinder_embedding_p3_x_p2():

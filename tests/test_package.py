@@ -42,7 +42,8 @@ def test_readme_minimal_session():
     assert np.abs(u.values[:, 0] - [1.0, 0.5, 0.0]).max() <= 1e-15
     # the residual is that of M divided by 4, the power of two just above
     # M_II's largest diagonal entry, 2
-    assert resid == np.linalg.norm((0.25 * regime.operator)[2:] @ u.canonical(g)), resid
+    L = netinv.laplacian_matrix(g, sigma.values)
+    assert resid == np.linalg.norm((0.25 * L)[2:] @ u.canonical(g)), resid
     spec = netinv.make_spec_conductivity(g, d=1)
     verdict = netinv.uniqueness_test(spec, np.array([1.0, 1.0], dtype=complex))
     assert not verdict.holds and verdict.verdict == "inconclusive", verdict
