@@ -95,7 +95,7 @@ def _write_json(path: str | None, doc: dict) -> None:
 
 def _supported_regime(model: NetworkModel) -> DirichletRegime:
     """Regime of the network, RegimeError (exit 4) when unsupported. Every
-    solve takes the regime's route on its operator, assembled once."""
+    solve takes the regime's operator, assembled once on its plan."""
     regime = dirichlet.classify_regime(model.graph, model.conductivity(), model.q)
     if regime.tag is RegimeTag.UNSUPPORTED:
         raise dirichlet.RegimeError(str(regime.diagnostics))
@@ -108,8 +108,9 @@ def cmd_forward(args) -> int:
     gb = load_boundary(args.boundary, g.num_boundary, model.d)
     regime = _supported_regime(model)
     doc: dict = {"regime": regime.tag.value}
-    if regime.route.floppy is not None:
-        doc["floppy_dim"] = regime.route.floppy.shape[1]
+    floppy = regime.operator.plan.floppy
+    if floppy is not None:
+        doc["floppy_dim"] = floppy.shape[1]
     u, resid = regime.solve(gb)
     doc["residual"] = resid
     doc["u"] = [[complex_to_json(z) for z in u.values[v]] for v in range(g.num_vertices)]
@@ -174,14 +175,14 @@ def cmd_invert(args) -> int:
 def cmd_floppy(args) -> int:
     model = load_network(args.network)
     regime = _supported_regime(model)
-    modes = regime.route.floppy
+    modes = regime.operator.plan.floppy
     if modes is None:
         print("floppy dimension: 0")
         return EXIT_OK
     print(f"floppy dimension: {modes.shape[1]}")
-    # a floppy mode vanishes on the boundary, and a route with one has one
+    # a floppy mode vanishes on the boundary, and a plan with one has one
     # level, so its boundary flux (M z)_B is M_BI z_I
-    nb, M_BI = regime.route.nb, regime.operator.U[0]
+    nb, M_BI = regime.operator.plan.nb, regime.operator.U[0]
     worst = 0.0
     for c, z in enumerate(modes.T):
         worst = max(worst, float(np.abs(M_BI @ z[nb:]).max(initial=0.0)))

@@ -7,13 +7,14 @@ may have a nullspace of floppy modes F; adding gamma F F^T makes it
 invertible without changing the solution on its range, so solves give the
 minimal-norm representative by the same elimination. Which regime applies is
 decided once, by ``classify_regime``: the regime it returns keeps the
-``_Route`` and the operator, and solves and gives the map on them.
+operator by levels, whose plan carries the floppy modes, and solves and
+gives the map on it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,33 +67,6 @@ class RegimeTag(enum.Enum):
     PSD_COMMUTING = "psd_commuting"
     UNSUPPORTED = "unsupported"
 
-    @property
-    def is_pd(self) -> bool:
-        return self in (RegimeTag.PD_SIGMA, RegimeTag.PD_Q)
-
-
-@dataclass(frozen=True, eq=False)
-class _Route:
-    """How the interior of a canonical operator on one graph with d x d
-    blocks is solved; built only by ``_route``. Its ``plan`` holds every
-    operator by levels (``operators._LevelPlan``): the interior levels of
-    the graph, deepest last, or the whole interior as one level, whose
-    products are those of one dense solve, bit for bit. A route built from
-    edge eigendata has ``floppy``, the floppy modes, (d|V|, f) in canonical
-    order and zero on the boundary; a route with a floppy mode has one
-    level."""
-
-    plan: _LevelPlan
-    floppy: np.ndarray | None = None
-
-    @property
-    def nb(self) -> int:
-        return self.plan.nb
-
-    @property
-    def rows(self) -> list:
-        return self.plan.rows
-
 
 @dataclass(frozen=True)
 class DirichletRegime:
@@ -101,20 +75,19 @@ class DirichletRegime:
 
     tag: RegimeTag
     diagnostics: dict = field(default_factory=dict)
-    # the graph, how every supported regime is solved, and the operator M of
-    # (sigma, q) by the route's levels that it solves; None when unsupported
+    # the graph and the operator M of (sigma, q) by the levels of its plan
+    # (``_route``) that every supported regime solves; None when unsupported
     graph: Graph | None = field(default=None, repr=False, compare=False)
-    route: _Route | None = field(default=None, repr=False, compare=False)
     operator: _Levels | None = field(default=None, repr=False, compare=False)
 
-    def _supported(self) -> _Route:
-        if self.route is None:
+    def _supported(self) -> _Levels:
+        if self.operator is None:
             raise RegimeError(f"no solver for an unsupported regime: {self.diagnostics}")
-        return self.route
+        return self.operator
 
     def dtn(self) -> DtnMap:
         """The Dirichlet-to-Neumann map, exactly symmetric."""
-        return _dtn(self.operator, self._supported())
+        return _dtn(self._supported())
 
     def solve(self, gb: np.ndarray | VectorNodeField) -> tuple[VectorNodeField, float]:
         """The Dirichlet solution u with u_B = gb, minimal-norm in the
@@ -123,13 +96,16 @@ class DirichletRegime:
         the levels: the same bits under (sigma, q) -> 2^k (sigma, q);
         RegimeError when that is beyond RESIDUAL_TOL, FieldError when u is
         beyond float range."""
-        g, M, nb = self.graph, self.operator, self._supported().nb
+        g, M = self.graph, self._supported()
+        nb = M.plan.nb
         gvec = gb.boundary_values(g) if isinstance(gb, VectorNodeField) \
             else np.asarray(gb, dtype=complex).reshape(-1)
         if gvec.shape != (nb,):
             raise FieldError("boundary data has wrong length")
+        flat = np.empty(nb + M.plan.interior_rows, dtype=complex)
+        flat[:nb] = gvec
         with np.errstate(over="ignore", invalid="ignore"):
-            flat = np.concatenate([gvec, -_interior_solve(M, M.L[0] @ gvec, self.route)])
+            _solve_interior(M, M.L[0] @ gvec, flat[nb:])
             resid = _residual(M, flat)
         if not np.isfinite(flat).all():
             raise FieldError("the Dirichlet solution overflows")
@@ -153,11 +129,11 @@ class FloppyBasis:
 @dataclass(frozen=True)
 class DtnMap:
     """Boundary data map, complex d|B| x d|B|: the exact symmetric part of a
-    computed Schur product F, with its construction route and the asymmetry
+    computed Schur product F, with its provenance and the asymmetry
     max|F - F^T| that the symmetric part discards."""
 
     matrix: np.ndarray
-    provenance: str  # "psd" for a route built from edge eigendata, else "pd"
+    provenance: str  # "psd" for a plan built from edge eigendata, else "pd"
     asymmetry: float
 
 
@@ -172,8 +148,8 @@ def _is_zero_field(values: np.ndarray) -> bool:
 def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DirichletRegime:
     """Deterministic regime tag, first match in the order PD_SIGMA, PD_Q,
     PSD_REAL, PSD_COMMUTING, else UNSUPPORTED with diagnostics; a supported
-    regime keeps its route and the operator M of (sigma, q), scattered here
-    once, on the route's plan.
+    regime keeps the operator M of (sigma, q), scattered here once, on the
+    plan of ``_route``.
 
     The paper's criteria are (i) sigma' > 0 and q_I' > -lambda_min((L_sigma')_II)
     and (ii) q_I' > 0 and (L_sigma')_II > -lambda_min(diag(q_I')). sigma'_e > 0
@@ -182,10 +158,10 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
     test when q_I' >= 0; otherwise one Cholesky of Lr_II - shift I certifies
     (i) or (ii), on a dense Lr_II built for it. The PSD regimes need q = 0,
     sigma' >= 0, no zero edge block and an edge eigendecomposition, which
-    gives the floppy modes and so the route, one level when there is a
+    gives the floppy modes and so the plan, one level when there is a
     floppy mode. Such a network is PD only by the theorem: with q = 0 and
     an edge block that is not PD, neither certificate applies. So the tag,
-    and with it the route, is known before M is scattered, once, on the
+    and with it the plan, is known before M is scattered, once, on the
     plan the regime keeps. A graph with a vertex that the boundary does not reach is
     unsupported, the first such vertex id reported as ``unreached``. M is
     scattered on every network, so a sum beyond float range is refused
@@ -194,7 +170,7 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
     d, n_I = sigma.d, g.num_interior
     unreached = np.flatnonzero(g.boundary_distance < 0)
     if unreached.size:
-        _level_plan(g, d).scatter(sigma.values, q_blocks)
+        _route(g, d).scatter(sigma.values, q_blocks)
         return DirichletRegime(RegimeTag.UNSUPPORTED, {"unreached": g.order[unreached[0]]})
 
     sr, si = sigma.values.real, sigma.values.imag
@@ -218,13 +194,12 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
                 eig = eigen_decompose(sigma)
             except FieldError as exc:
                 diag["commuting_failure"] = str(exc)
-    route = _route(g, d, eig)
-    M = route.plan.scatter(sigma.values, q_blocks)
+    M = _route(g, d, eig).scatter(sigma.values, q_blocks)
     if pd_edges and q_I_min >= 0:
-        return DirichletRegime(RegimeTag.PD_SIGMA, diag, g, route, M)
+        return DirichletRegime(RegimeTag.PD_SIGMA, diag, g, M)
     if eig is not None:
         tag = RegimeTag.PSD_REAL if _is_zero_field(si) else RegimeTag.PSD_COMMUTING
-        return DirichletRegime(tag, diag, g, route, M)
+        return DirichletRegime(tag, diag, g, M)
 
     # Lr_II, the real interior Laplacian: M's real interior block less Re q_I
     Lr_II = M.interior().real.copy()
@@ -238,32 +213,32 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
         except np.linalg.LinAlgError:
             pass
         else:
-            return DirichletRegime(tag, {**diag, "cholesky_shift": shift}, g, route, M)
+            return DirichletRegime(tag, {**diag, "cholesky_shift": shift}, g, M)
     if not n_I and len(q_values) and _blocks_min_eig(qr[list(g.boundary)]) > PD_TOL:
-        return DirichletRegime(RegimeTag.PD_Q, diag, g, route, M)
+        return DirichletRegime(RegimeTag.PD_Q, diag, g, M)
     # only an unsupported network reports lambda_min(Lr_II), so only it pays for eigvalsh
     diag["laplacian_interior_min_eig"] = float(np.linalg.eigvalsh(Lr_II).min()) if n_I else 0.0
     return DirichletRegime(RegimeTag.UNSUPPORTED, diag)
 
 
-def _route(g: Graph, d: int, eig: EigenData | None = None) -> _Route:
-    """The route of a canonical operator on g with d x d blocks: the
-    interior levels of g (``operators._level_plan``), or the interior as one
-    level when there is a floppy mode. With the edge eigendata ``eig``, the
-    floppy modes are the nullspace of the interior block of the Laplacian
-    whose edge blocks are x x^T (every kept eigenvalue set to 1), cut at
-    _NULL_TOL times its largest eigenvalue: the complex Laplacian's in the
-    supported rank-deficient regimes, whatever the edge spread."""
-    plan, floppy = _level_plan(g, d), None
-    if eig is not None:
-        one = _level_plan(g, d, one_level=True)
-        w, v = np.linalg.eigh(one.scatter(eig.x @ eig.x.transpose(0, 2, 1)).interior())
-        kept = w > _NULL_TOL * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
-        floppy = np.zeros((one.nb + one.interior_rows, int((~kept).sum())))
-        floppy[one.nb:] = v[:, ~kept]
-        if floppy.shape[1]:
-            plan = one
-    return _Route(plan, floppy)
+def _route(g: Graph, d: int, eig: EigenData | None = None) -> _LevelPlan:
+    """The plan on which a canonical operator on g with d x d blocks is
+    solved: the interior levels of g (``operators._level_plan``), or the
+    interior as one level when there is a floppy mode. With the edge
+    eigendata ``eig`` it is a copy that carries the floppy modes
+    (``_LevelPlan.floppy``): the nullspace of the interior block of the
+    Laplacian whose edge blocks are x x^T (every kept eigenvalue set to 1),
+    cut at _NULL_TOL times its largest eigenvalue, the complex Laplacian's in
+    the supported rank-deficient regimes, whatever the edge spread."""
+    plan = _level_plan(g, d)
+    if eig is None:
+        return plan
+    one = _level_plan(g, d, one_level=True)
+    w, v = np.linalg.eigh(one.scatter(eig.x @ eig.x.transpose(0, 2, 1)).interior())
+    kept = w > _NULL_TOL * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
+    floppy = np.zeros((one.nb + one.interior_rows, int((~kept).sum())))
+    floppy[one.nb:] = v[:, ~kept]
+    return replace(one if floppy.shape[1] else plan, floppy=floppy)
 
 
 def _solved(S: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -274,24 +249,25 @@ def _solved(S: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise RegimeError("interior block is singular; regime misclassified") from exc
 
 
-def _interior(M: _Levels, route: _Route) -> tuple[list, list, list, float | None]:
-    """What both kernels eliminate: the interior blocks D_k, U_k and L_k of
+def _interior(M: _Levels, rhs: np.ndarray) -> tuple[list, list, list, np.ndarray]:
+    """What every solve eliminates: the interior blocks D_k, U_k and L_k of
     the levels k >= 1 of M (M_II), plus gamma F F^T on the one level of a
-    route with floppy modes F, and the factor s by which the right-hand side
-    is to be scaled with them, None when it is not. gamma is the power of two
-    just below M_II's largest diagonal entry. M F = 0 in the supported
-    regimes, so rhs = M_IB G is orthogonal to F, the sum is invertible and
-    gives the minimal-norm solution. Beyond 2^500 that entry is first divided
-    out exactly, s = 2^-e, of the blocks and of rhs."""
-    D, U, L, e, s = M.D[1:], M.U[1:], M.L[1:], M.exponent, None
+    plan with floppy modes F, and the right-hand side rhs = M_1B G, real
+    when it has no imaginary part. gamma is the power of two just below
+    M_II's largest diagonal entry. M F = 0 in the supported regimes, so rhs
+    is orthogonal to F, the sum is invertible and gives the minimal-norm
+    solution. Beyond 2^500 that entry is first divided out exactly, of the
+    blocks and of rhs."""
+    D, U, L, e = M.D[1:], M.U[1:], M.L[1:], M.exponent
+    rhs = _real_if_real(rhs)
     if e > 500:
         s = np.ldexp(1.0, -e)
-        D, U, L, e = [s * A for A in D], [s * A for A in U], [s * A for A in L], 0
-    F = route.floppy
+        D, U, L, rhs, e = [s * A for A in D], [s * A for A in U], [s * A for A in L], s * rhs, 0
+    F = M.plan.floppy
     if F is not None and F.shape[1]:
-        F = F[route.nb:]
+        F = F[M.plan.nb:]
         D = [D[0] + np.ldexp(1.0, e - 1) * (F @ F.T)]
-    return D, U, L, s
+    return D, U, L, rhs
 
 
 def _eliminate(D: list, U: list, L: list, solves: list | None = None) -> np.ndarray:
@@ -310,44 +286,28 @@ def _eliminate(D: list, U: list, L: list, solves: list | None = None) -> np.ndar
     return S
 
 
-def _level_solutions(M: _Levels, rhs: np.ndarray, route: _Route):
-    """The rows and the solution x_k of every level k of M_II x = M_IB G, for
-    the operator M by the route's levels and rhs = M_1B G, the right-hand
-    side on level 1 (one column per column of G, or a vector): M_IB vanishes
-    outside level 1, level 1 being exactly the interior vertices with a
-    boundary neighbour. With floppy modes x is the minimal-norm solution
-    (``_interior``).
+def _solve_interior(M: _Levels, rhs: np.ndarray, out: np.ndarray) -> None:
+    """Write -M_II^-1 M_IB G, the interior of the Dirichlet solutions with
+    boundary data G, into ``out``, the interior rows in canonical order (one
+    column per column of G, or a vector), for rhs = M_1B G, the right-hand
+    side on level 1: M_IB vanishes outside level 1, level 1 being exactly
+    the interior vertices with a boundary neighbour. With floppy modes the
+    solution is the minimal-norm one (``_interior``).
 
     The interior is eliminated level by level (``_eliminate``), S_1 x_1 =
     rhs is solved and x_k+1 = -Z_k+1 x_k back-substituted; with one level
-    this is one dense solve. Every Dirichlet solution, DtN map and state
-    matrix goes through here, in real arithmetic when M is real and rhs has
-    no imaginary part.
-    """
-    D, U, L, s = _interior(M, route)
-    rhs = _real_if_real(rhs)
-    if s is not None:
-        rhs = s * rhs
+    this is one dense solve. Every Dirichlet solution and state matrix goes
+    through here, in real arithmetic when M is real and rhs has no
+    imaginary part."""
+    D, U, L, rhs = _interior(M, rhs)
     solves = []
     x = _solved(_eliminate(D, U, L, solves), rhs)
-    rows = route.rows
-    yield rows[0], x
+    rows = M.plan.rows
+    out[rows[0]] = -x
     for r, Z in zip(rows[1:], reversed(solves)):
         x = Z @ x
         np.negative(x, out=x)
-        yield r, x
-
-
-def _interior_solve(M: _Levels, rhs: np.ndarray, route: _Route) -> np.ndarray:
-    """M_II^-1 M_IB G in canonical interior order, rhs = M_1B G
-    (``_level_solutions``); the interior of a Dirichlet solution is
-    -M_II^-1 M_IB g."""
-    levels = list(_level_solutions(M, rhs, route))
-    x = levels[0][1]
-    out = np.empty((M.plan.interior_rows,) + x.shape[1:], dtype=x.dtype)
-    for r, x in levels:
-        out[r] = x
-    return out
+        out[r] = -x
 
 
 def _residual(M: _Levels, u: np.ndarray) -> float:
@@ -366,42 +326,39 @@ def _residual(M: _Levels, u: np.ndarray) -> float:
     return float(np.linalg.norm(np.concatenate(blocks)))
 
 
-def _schur_dtn(M: _Levels, route: _Route) -> np.ndarray:
+def _schur_dtn(M: _Levels) -> np.ndarray:
     """Schur complement M_BB - M_BI M_II^-1 M_IB, real exactly when M is.
 
     M_BI vanishes outside the first interior level, so the elimination of
-    ``_interior_solve`` stops at S_1: this is M_BB - M_B1 S_1^-1 M_1B, with no
-    back-substitution."""
-    D, U, L, s = _interior(M, route)
-    M_1B = M.L[0] if s is None else s * M.L[0]
+    ``_solve_interior`` stops at S_1: this is M_BB - M_B1 S_1^-1 M_1B, with
+    no back-substitution."""
+    D, U, L, M_1B = _interior(M, M.L[0])
     return M.D[0] - M.U[0] @ _solved(_eliminate(D, U, L), M_1B)
 
 
-def _dtn(M: _Levels, route: _Route) -> DtnMap:
-    """The map of the Schur product F = _schur_dtn(M, route): its symmetric
-    part (F + F^T) / 2 and the asymmetry max|F - F^T| it discards.
+def _dtn(M: _Levels) -> DtnMap:
+    """The map of the Schur product F = _schur_dtn(M): its symmetric part
+    (F + F^T) / 2 and the asymmetry max|F - F^T| it discards.
     M is symmetric, so the exact map is too; the symmetric part is never
     farther from it in the Frobenius norm, the projection being orthogonal.
     Halved before the sum, which cannot overflow and gives the same bits in
-    the normal range. The provenance is "psd" on a route built from edge
+    the normal range. The provenance is "psd" on a plan built from edge
     eigendata, else "pd". A map beyond float range is refused (FieldError)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        F = _schur_dtn(M, route)
+        F = _schur_dtn(M)
         asymmetry = float(np.abs(F - F.T).max(initial=0.0))
     if not (np.isfinite(F).all() and np.isfinite(asymmetry)):
         raise FieldError("the Dirichlet-to-Neumann map overflows")
     return DtnMap(matrix=(0.5 * F + 0.5 * F.T).astype(complex, copy=False),
-                  provenance="pd" if route.floppy is None else "psd", asymmetry=asymmetry)
+                  provenance="pd" if M.plan.floppy is None else "psd", asymmetry=asymmetry)
 
 
-def _dirichlet_state_matrix(M: _Levels, route: _Route) -> np.ndarray:
+def _dirichlet_state_matrix(M: _Levels) -> np.ndarray:
     """Solutions of the Dirichlet problem for every basis boundary vector,
     stacked as columns in the canonical ordering."""
-    nb = route.nb
+    nb = M.plan.nb
     U = np.eye(nb + M.plan.interior_rows, nb, dtype=complex)
-    interior = U[nb:]
-    for r, x in _level_solutions(M, M.L[0], route):
-        interior[r] = -x
+    _solve_interior(M, M.L[0], U[nb:])
     return U
 
 
@@ -423,8 +380,7 @@ def dtn_pd(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DtnMa
     """Schur-complement Dirichlet-to-Neumann map for invertible interiors,
     exactly symmetric."""
     q_blocks = _checked(g, sigma, q)
-    route = _route(g, sigma.d)
-    return _dtn(route.plan.scatter(sigma.values, q_blocks), route)
+    return _dtn(_route(g, sigma.d).scatter(sigma.values, q_blocks))
 
 
 def floppy_basis(g: Graph, sigma: MatrixEdgeField) -> FloppyBasis:
@@ -436,7 +392,5 @@ def floppy_basis(g: Graph, sigma: MatrixEdgeField) -> FloppyBasis:
 def dtn_psd(g: Graph, sigma: MatrixEdgeField) -> DtnMap:
     """Dirichlet-to-Neumann map for rank-deficient conductivities, with the
     floppy modes regularized (``_interior``), exactly symmetric."""
-    if sigma.values.shape[0] != g.num_edges:
-        raise FieldError("conductivity does not match edge count")
-    route = _route(g, sigma.d, eigen_decompose(sigma))
-    return _dtn(route.plan.scatter(sigma.values), route)
+    _checked(g, sigma, None)
+    return _dtn(_route(g, sigma.d, eigen_decompose(sigma)).scatter(sigma.values))

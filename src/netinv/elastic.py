@@ -133,8 +133,7 @@ def displacement_to_forces(net: ElasticNetwork, regime: str) -> DtnMap:
         return dtn_psd(net.graph, spring_conductivity(net))
     if regime == "dynamic":
         _require_dynamic(net)
-        route = _route(net.graph, net.d)
-        return _dtn(route.plan.scatter(*_pencil(net, net.rho_e, net.rho_v)), route)
+        return _dtn(_route(net.graph, net.d).scatter(*_pencil(net, net.rho_e, net.rho_v)))
     raise ValueError(f"unknown regime {regime!r}")
 
 

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dirichlet import _dirichlet_state_matrix, _Route, _route, _schur_dtn
+from .dirichlet import _dirichlet_state_matrix, _route, _schur_dtn
 from .graph import (
     FieldError,
     Graph,
@@ -19,6 +19,7 @@ from .graph import (
     _split_plan,
     _vertex_rows,
 )
+from .operators import _LevelPlan
 
 __all__ = [
     "ProblemSpec",
@@ -393,8 +394,8 @@ def line_rank_scan(
     _require_epsilon(epsilon)
     p = spec.require_admissible(p)
     dp = spec._flat(dp, "direction", ValueError)
-    if dp.shape != (spec.m,) or not np.linalg.norm(dp):
-        raise ValueError("direction must be a nonzero vector of parameter length")
+    if dp.shape != (spec.m,) or not np.isfinite(dp).all() or not np.linalg.norm(dp):
+        raise ValueError("direction must be a finite nonzero vector of parameter length")
     if rng is None:
         rng = np.random.default_rng(0)
     t_lo, t_hi = _admissible_extent(spec, p, dp, _T_MAX)
@@ -428,30 +429,30 @@ def identity_residual(spec: ProblemSpec, p1: np.ndarray, p2: np.ndarray) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _make_spec(name: str, route: _Route, m: int, op: Callable, rows: Callable,
+def _make_spec(name: str, plan: _LevelPlan, m: int, op: Callable, rows: Callable,
                cone: Callable, block: int = 1, components: int = 1) -> ProblemSpec:
-    """A complex-parameter ProblemSpec from its data: the route built once
-    for the spec, its operator p -> (edge blocks, vertex blocks or None),
-    which the route's plan scatters into its levels, the linear map ``rows``
-    from the canonical Dirichlet state matrix to the states and the
-    admissible cone (``ProblemSpec``)."""
+    """A complex-parameter ProblemSpec from its data: the plan built once
+    for the spec (``dirichlet._route``), its operator p -> (edge blocks,
+    vertex blocks or None), which the plan scatters into its levels, the
+    linear map ``rows`` from the canonical Dirichlet state matrix to the
+    states and the admissible cone (``ProblemSpec``)."""
 
     def forward(p: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            F = _schur_dtn(route.plan.scatter(*op(p)), route)
+            F = _schur_dtn(plan.scatter(*op(p)))
         if not np.isfinite(F).all():
             raise FieldError(f"{name}: the Dirichlet-to-Neumann map overflows")
         return F.astype(complex, copy=False)
 
     def states(p: np.ndarray) -> np.ndarray:
-        return rows(_dirichlet_state_matrix(route.plan.scatter(*op(p)), route))
+        return rows(_dirichlet_state_matrix(plan.scatter(*op(p))))
 
     def admissible(p: np.ndarray) -> bool:
         p = np.asarray(p).reshape(-1)
         return p.shape == (m,) and bool(np.isfinite(p).all()) \
             and _cone_cholesky(cone(p)) is not None
 
-    return ProblemSpec(name=name, m=m, n=route.nb, is_real=False, admissible=admissible,
+    return ProblemSpec(name=name, m=m, n=plan.nb, is_real=False, admissible=admissible,
                        forward=forward, states=states, cone=cone, block=block,
                        components=components)
 
@@ -490,16 +491,16 @@ def make_spec_schrodinger(g: Graph, sigma: MatrixEdgeField) -> ProblemSpec:
     Admissible when sym(Re q(i)) + lambda_II I is positive definite at every
     interior vertex, lambda_II the smallest eigenvalue of the real interior
     Laplacian block. That one dense eigvalsh, of the interior block built
-    from the route's levels, stays: it runs once per spec and fixes the cone.
+    from the plan's levels, stays: it runs once per spec and fixes the cone.
     """
     d = sigma.d
-    route = _route(g, d)
+    plan = _route(g, d)
     interior = list(g.interior)
-    Lr_II = route.plan.scatter(sigma.values.real).interior()
+    Lr_II = plan.scatter(sigma.values.real).interior()
     lam_II = float(np.linalg.eigvalsh(Lr_II).min()) if g.num_interior else 0.0
     perm = _vertex_rows(g, d)
     return _make_spec(
-        "schrodinger", route, d * d * g.num_vertices,
+        "schrodinger", plan, d * d * g.num_vertices,
         op=lambda p: (sigma.values, _blocks(p, d)),
         rows=lambda U: U[perm],
         cone=lambda p: _blocks(p, d)[interior] + lam_II * np.eye(d),

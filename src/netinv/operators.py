@@ -151,7 +151,12 @@ class _LevelPlan:
     block adds to, at its i-end, then at its j-end, then with q that of each
     entry of each vertex block by vertex id; a complex entry is two weights,
     real part first, into the two floats of its buffer entry. ``order`` is
-    the vertex ids in canonical order."""
+    the vertex ids in canonical order.
+
+    ``floppy`` is None on a plan that ``_level_plan`` caches. A plan built
+    from edge eigendata (``dirichlet._route``) is a copy that carries the
+    floppy modes, (d|V|, f) in canonical order and zero on the boundary;
+    with a floppy mode it is the one-level plan."""
 
     nb: int
     interior_rows: int
@@ -163,6 +168,7 @@ class _LevelPlan:
     edges: np.ndarray
     inner: np.ndarray
     bins: dict
+    floppy: np.ndarray | None = None
 
     def scatter(self, blocks: np.ndarray, q_blocks: np.ndarray | None = None) -> _Levels:
         """The Laplacian of the raw edge blocks (``laplacian_matrix``), plus

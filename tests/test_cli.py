@@ -286,7 +286,8 @@ def test_rigid_spring_network_takes_the_interior_levels(tmp_path):
     regime = dirichlet.classify_regime(model.graph, model.conductivity(), None)
     assert regime.tag is ni.RegimeTag.PSD_REAL
     # the 3 x 3 interior is a ring and its centre: two levels, no floppy mode
-    assert len(regime.route.rows) == 2 and regime.route.floppy.shape == (50, 0)
+    plan = regime.operator.plan
+    assert len(plan.rows) == 2 and plan.floppy.shape == (50, 0)
     dtn = regime.dtn()
     assert dtn.provenance == "psd"
     assert np.abs(dtn.matrix - dtn_pseudoinverse_oracle(model.graph, model.conductivity())).max() \
@@ -419,7 +420,7 @@ def test_dtn_file_is_the_symmetric_part_of_the_schur_product(tmp_path, make_doc)
     import netinv as ni
     model = ni.load_network(net)
     regime = dirichlet.classify_regime(model.graph, model.conductivity(), model.q)
-    F = dirichlet._schur_dtn(regime.operator, regime.route)
+    F = dirichlet._schur_dtn(regime.operator)
     m = load_matrix(out)
     assert np.array_equal(m, m.T)
     # F is real for the real truss; the file's imaginary parts are then +0.0

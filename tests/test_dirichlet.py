@@ -17,9 +17,9 @@ from netinv.dirichlet import (
     floppy_basis,
     _dirichlet_state_matrix,
     _dtn,
-    _interior_solve,
     _route,
     _schur_dtn,
+    _solve_interior,
 )
 from netinv.graph import (
     FieldError,
@@ -28,7 +28,13 @@ from netinv.graph import (
     build_graph,
 )
 from netinv.inversion import _blocks, _vec_blocks, make_spec_conductivity
-from netinv.operators import _LevelPlan, eigen_decompose, laplacian_matrix, schrodinger_matrix
+from netinv.operators import (
+    _LevelPlan,
+    _level_plan,
+    eigen_decompose,
+    laplacian_matrix,
+    schrodinger_matrix,
+)
 
 from oracles import (
     classify_regime_eigvalsh,
@@ -117,13 +123,13 @@ def test_classify_unsupported_noncommuting():
 
 def test_classify_unsupported_without_edge_eigendata():
     # within PD_TOL of sigma' >= 0, but edge 0 has no positive eigenvalue:
-    # the decomposition's message is reported, and no route or operator is kept
+    # the decomposition's message is reported, and no operator is kept
     g = path3()
     sigma = MatrixEdgeField.from_blocks(np.array([[[-1e-11]], [[1.0]]]))
     reg = classify_regime(g, sigma, None)
     assert reg.tag is RegimeTag.UNSUPPORTED
     assert reg.diagnostics["commuting_failure"] == "edge 0 has zero real part"
-    assert reg.route is None and reg.operator is None
+    assert reg.operator is None
 
 
 def test_classify_unsupported_indefinite():
@@ -567,10 +573,10 @@ def schur_pinv_oracle(M, nb):
     return M[:nb, :nb] - M[:nb, nb:] @ np.linalg.pinv(M[nb:, nb:]) @ M[nb:, :nb]
 
 
-def check_state_matrix(M, route, lam, op):
-    """The state matrix of ``op``, the operator M by the route's levels."""
-    nb = route.nb
-    U = _dirichlet_state_matrix(op, route)
+def check_state_matrix(M, lam, op):
+    """The state matrix of ``op``, the operator M by the levels of its plan."""
+    nb = op.plan.nb
+    U = _dirichlet_state_matrix(op)
     assert np.abs((M @ U)[nb:]).max(initial=0.0) < 1e-10
     assert np.abs(M[:nb] @ U - lam).max() < 1e-10
 
@@ -591,8 +597,7 @@ def test_dtn_pd_matches_schur_oracle(net, with_q):
     if not with_q:
         constants = np.kron(np.ones((g.num_boundary, 1)), np.eye(d))
         assert np.abs(lam @ constants).max() < 1e-10
-    route = _route(g, d)
-    check_state_matrix(M, route, lam, route.plan.scatter(sigma.values, q.values if with_q else None))
+    check_state_matrix(M, lam, _route(g, d).scatter(sigma.values, q.values if with_q else None))
 
 
 @settings(max_examples=60, deadline=None)
@@ -612,11 +617,11 @@ def test_dtn_psd_rank_one_matches_pseudoinverse_oracle(net):
     assume(w.size == 0 or (w[w > 1e-10 * w.max()] > 1e-6 * w.max()).all())
     lam = dtn_psd(g, sigma).matrix
     assert np.abs(lam - dtn_pseudoinverse_oracle(g, sigma)).max() < 1e-10
-    route = _route(g, d, eigen_decompose(sigma))
-    check_state_matrix(laplacian_matrix(g, blocks), route, lam, route.plan.scatter(blocks))
+    plan = _route(g, d, eigen_decompose(sigma))
+    check_state_matrix(laplacian_matrix(g, blocks), lam, plan.scatter(blocks))
     # minimal norm: every state is orthogonal to the floppy modes
-    U = _dirichlet_state_matrix(route.plan.scatter(blocks), route)
-    assert (np.abs(route.floppy.T @ U) <= 1e-12 * np.linalg.norm(U, axis=0)).all()
+    U = _dirichlet_state_matrix(plan.scatter(blocks))
+    assert (np.abs(plan.floppy.T @ U) <= 1e-12 * np.linalg.norm(U, axis=0)).all()
 
 
 def rank_one_blocks(count, d, local):
@@ -675,16 +680,16 @@ def test_cholesky_certificate_matches_eigvalsh_oracle(net, kind, level):
         assert tag is RegimeTag.PD_SIGMA
 
 
-def scaled_residual(M, route, u):
+def scaled_residual(M, plan, u):
     """|(2^-e M u)_I|, 2^e the power of two just above the largest diagonal
     entry of M_II in magnitude, 2^-e M formed exactly by ldexp, by the block
-    rows of the route's levels as the solve takes it: row block k is
+    rows of the plan's levels as the solve takes it: row block k is
     A_k,k-1 u_k-1 + A_kk u_k + A_k,k+1 u_k+1, each block gathered from M."""
-    nb = route.nb
+    nb = plan.nb
     e = np.frexp(np.abs(np.diag(M)[nb:]).max(initial=0.0))[1]
     scaled = np.ldexp(M.view(float), -e).view(M.dtype)
     interior = np.arange(nb, len(M))
-    levels = [np.arange(nb)] + [interior[r] for r in route.rows]
+    levels = [np.arange(nb)] + [interior[r] for r in plan.rows]
 
     def block(k, j):
         return scaled[np.ix_(levels[k], levels[j])]
@@ -701,9 +706,10 @@ def check_regime_solves_as_its_route(g, sigma, q, gb):
     """A supported regime's map is dtn_pd's (PD tags) or dtn_psd's (PSD tags),
     bit for bit; its solution has u_B = gb and reports the residual
     |(2^-e M u)_I| of the u it returns (``scaled_residual`` of the dense
-    operator on the regime's route)."""
+    operator on the plan of the regime's operator)."""
     regime = classify_regime(g, sigma, q)
-    expected = dtn_pd(g, sigma, q) if regime.tag.is_pd else dtn_psd(g, sigma)
+    pd = regime.tag in (RegimeTag.PD_SIGMA, RegimeTag.PD_Q)
+    expected = dtn_pd(g, sigma, q) if pd else dtn_psd(g, sigma)
     dtn = regime.dtn()
     assert dtn.matrix.tobytes() == expected.matrix.tobytes()
     assert (dtn.provenance, dtn.asymmetry) == (expected.provenance, expected.asymmetry)
@@ -711,13 +717,14 @@ def check_regime_solves_as_its_route(g, sigma, q, gb):
     assert u.boundary_values(g).tobytes() == np.asarray(gb, dtype=complex).tobytes()
     M = laplacian_matrix(g, sigma.values) if q is None \
         else schrodinger_matrix(g, sigma.values, q.values)
-    assert resid == scaled_residual(M, regime.route, u.canonical(g))
+    assert resid == scaled_residual(M, regime.operator.plan, u.canonical(g))
 
 
 def test_floppy_network_on_many_levels_is_scattered_once(monkeypatch):
     # the path 0-1-2-3 with boundary 0 has three levels; springs along x
     # leave the y displacements of 1, 2 and 3 floppy, so the operator is
-    # scattered once, on the one-level plan, after the unit-eigenvalue interior
+    # scattered once, on a copy of the one-level plan that carries them,
+    # after the unit-eigenvalue interior
     plans = []
     original = _LevelPlan.scatter
 
@@ -729,10 +736,46 @@ def test_floppy_network_on_many_levels_is_scattered_once(monkeypatch):
     g = build_graph(4, [0], [(0, 1), (1, 2), (2, 3)])
     sigma = MatrixEdgeField.from_blocks(np.tile(np.diag([1.0, 0.0]), (3, 1, 1)))
     regime = classify_regime(g, sigma, None)
-    assert regime.tag is RegimeTag.PSD_REAL and regime.route.floppy.shape[1] == 3
-    assert len(g.interior_levels) == 3 and len(regime.route.rows) == 1
-    assert plans == [regime.operator.plan] * 2
+    plan, one = regime.operator.plan, _level_plan(g, 2, one_level=True)
+    assert regime.tag is RegimeTag.PSD_REAL and plan.floppy.shape[1] == 3
+    assert len(g.interior_levels) == 3 and len(plan.rows) == 1
+    assert plans == [one, plan] and plan.views is one.views
     check_regime_solves_as_its_route(g, sigma, None, np.array([0.3, -0.2]))
+
+
+def test_floppy_copy_never_reaches_the_cached_plan(monkeypatch):
+    # the springs along x put their operator on a copy of the one-level plan
+    # that carries their floppy modes; on the same graph, a PD map and a
+    # conductivity spec then run on the cached plan of the three levels,
+    # without floppy modes, and give the bytes they give on a fresh graph
+    def path4():
+        return build_graph(4, [0], [(0, 1), (1, 2), (2, 3)])
+
+    g = path4()
+    springs = MatrixEdgeField.from_blocks(np.tile(np.diag([1.0, 0.0]), (3, 1, 1)))
+    assert classify_regime(g, springs, None).operator.plan.floppy.shape[1] == 3
+    assert all(plan.floppy is None for plan in g._plans.values())
+    sigma = MatrixEdgeField.from_blocks(random_spd_blocks(3, 2, 11))
+    p = _vec_blocks(sigma.values)
+    plans = []
+    original = _LevelPlan.scatter
+
+    def counted(plan, *args, **kwargs):
+        plans.append(plan)
+        return original(plan, *args, **kwargs)
+
+    monkeypatch.setattr(_LevelPlan, "scatter", counted)
+    results = []
+    for graph in (g, path4()):
+        plans.clear()
+        dtn = dtn_pd(graph, sigma, None)
+        spec = make_spec_conductivity(graph, 2)
+        results.append([dtn.matrix.tobytes(), spec.forward(p).tobytes(),
+                        spec.states(p).tobytes()])
+        assert dtn.provenance == "pd"
+        assert plans == [_level_plan(graph, 2)] * 3
+        assert plans[0].floppy is None and len(plans[0].rows) == 3
+    assert results[0] == results[1]
 
 
 def test_hand_fixtures_solve_as_their_route():
@@ -956,18 +999,18 @@ def test_pd_regime_error_on_misuse():
 # ---------------------------------------------------------------------------
 
 
-def check_symmetric_part(M, route, dtn) -> float:
+def check_symmetric_part(M, dtn) -> float:
     """The map is exactly symmetric and is (F + F^T) / 2, bit for bit, of the
-    Schur product F of M, the operator by the route's levels; returns the
+    Schur product F of M, the operator by the levels of its plan; returns the
     asymmetry max|F - F^T| it discards."""
-    F = _schur_dtn(M, route)
+    F = _schur_dtn(M)
     lam = dtn.matrix
     assert np.array_equal(lam, lam.T)
     # F is real for a real M, lam is complex with +0.0 imaginary parts
-    assert lam.tobytes() == _dtn(M, route).matrix.tobytes() \
+    assert lam.tobytes() == _dtn(M).matrix.tobytes() \
         == (0.5 * (F + F.T)).astype(complex).tobytes()
     assert dtn.asymmetry == np.abs(F - F.T).max(initial=0.0)
-    assert dtn.provenance == ("pd" if route.floppy is None else "psd")
+    assert dtn.provenance == ("pd" if M.plan.floppy is None else "psd")
     return dtn.asymmetry
 
 
@@ -978,8 +1021,7 @@ def test_dtn_pd_is_the_symmetric_part_of_the_schur_product(net, with_q):
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(g.num_edges, d, seed))
     q = MatrixNodeField.from_blocks(random_spd_blocks(g.num_vertices, d, seed + 1)) \
         if with_q else None
-    route = _route(g, d)
-    check_symmetric_part(route.plan.scatter(sigma.values, q.values if with_q else None), route,
+    check_symmetric_part(_route(g, d).scatter(sigma.values, q.values if with_q else None),
                          dtn_pd(g, sigma, q))
 
 
@@ -992,8 +1034,8 @@ def test_dtn_psd_is_the_symmetric_part_of_the_schur_product(net):
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     sigma = MatrixEdgeField.from_blocks(
         np.einsum("e,ea,eb->eab", local.uniform(0.5, 2.0, g.num_edges), x, x))
-    route = _route(g, d, eigen_decompose(sigma))
-    check_symmetric_part(route.plan.scatter(sigma.values), route, dtn_psd(g, sigma))
+    check_symmetric_part(_route(g, d, eigen_decompose(sigma)).scatter(sigma.values),
+                         dtn_psd(g, sigma))
 
 
 def test_symmetry_residual_is_the_discarded_asymmetry():
@@ -1001,8 +1043,7 @@ def test_symmetry_residual_is_the_discarded_asymmetry():
     g = build_graph(5, [0, 2, 4], [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3), (1, 4)])
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(6, 2, 41))
     q = MatrixNodeField.from_blocks(0.1 * random_spd_blocks(5, 2, 43))
-    route = _route(g, 2)
-    assert check_symmetric_part(route.plan.scatter(sigma.values, q.values), route,
+    assert check_symmetric_part(_route(g, 2).scatter(sigma.values, q.values),
                                 dtn_pd(g, sigma, q)) > 0
 
 
@@ -1047,6 +1088,15 @@ def level_graphs(draw):
     return g, draw(st.sampled_from((1, 2, 3))), kind == "detached"
 
 
+def interior_solve(M, rhs, dtype):
+    """M_II^-1 rhs in canonical interior order as an array of ``dtype``: the
+    negative of what ``_solve_interior`` writes into it (a complex solution
+    written into a real array would raise ComplexWarning)."""
+    out = np.empty((M.plan.interior_rows,) + rhs.shape[1:], dtype)
+    _solve_interior(M, rhs, out)
+    return -out
+
+
 def dense_reference(M, nb):
     """M_II^-1 M_IB and M_BB - M_BI M_II^-1 M_IB by one np.linalg.solve."""
     X = np.linalg.solve(M[nb:, nb:], M[nb:, :nb])
@@ -1062,14 +1112,13 @@ def test_level_elimination_matches_one_dense_solve(drawn, imag, with_q, seed):
     sigma = random_spd_blocks(g.num_edges, d, seed, imag)
     q = random_spd_blocks(g.num_vertices, d, seed + 1, imag) if with_q else None
     M = schrodinger_matrix(g, sigma, q) if with_q else laplacian_matrix(g, sigma)
-    route = _route(g, d)
-    op = route.plan.scatter(sigma, q)
-    nb = route.nb
+    op = _route(g, d).scatter(sigma, q)
+    nb = op.plan.nb
     assume(g.num_interior)
     X, lam = dense_reference(M, nb)
-    assert relative_error(_schur_dtn(op, route), lam, M) <= 1e-12
+    assert relative_error(_schur_dtn(op), lam, M) <= 1e-12
     states = np.vstack([np.eye(nb), -X])
-    assert relative_error(_dirichlet_state_matrix(op, route), states, states) <= 1e-12
+    assert relative_error(_dirichlet_state_matrix(op), states, states) <= 1e-12
     # every caller passes M_IB G, and M_IB is zero outside level 1, the
     # only level of the right-hand side that the kernel takes
     outside = np.ones(g.num_interior, dtype=bool)
@@ -1083,13 +1132,13 @@ def test_level_elimination_matches_one_dense_solve(drawn, imag, with_q, seed):
     x = np.linalg.solve(M[nb:, nb:], b)
     # x = 0 when no interior vertex has a boundary neighbour, and then so must the kernel's be
     scale = x if x.any() else np.ones(1)
-    b_1 = b[route.rows[0]]
-    assert relative_error(_interior_solve(op, b_1, route), x, scale) <= 1e-12
-    assert relative_error(_interior_solve(op, b_1[:, 0], route), x[:, 0], scale) <= 1e-12
+    b_1 = b[op.plan.rows[0]]
+    assert relative_error(interior_solve(op, b_1, x.dtype), x, scale) <= 1e-12
+    assert relative_error(interior_solve(op, b_1[:, 0], x.dtype), x[:, 0], scale) <= 1e-12
     if len(g.interior_levels) == 1:
-        assert _schur_dtn(op, route).tobytes() == lam.tobytes()
-        assert _interior_solve(op, b, route).tobytes() == x.tobytes()
-        assert _interior_solve(op, b[:, 0], route).tobytes() == \
+        assert _schur_dtn(op).tobytes() == lam.tobytes()
+        assert interior_solve(op, b, x.dtype).tobytes() == x.tobytes()
+        assert interior_solve(op, b[:, 0], x.dtype).tobytes() == \
             np.linalg.solve(M[nb:, nb:], b[:, 0]).tobytes()
     if not with_q:
         # blocks that are not symmetric, as a finite-difference step makes
@@ -1115,19 +1164,17 @@ def test_one_level_dtn_is_one_dense_solve_bit_for_bit():
 def test_singular_level_complement_is_a_regime_error():
     # the collinear springs have a floppy interior mode: the only level is singular
     g, sigma = collinear_springs()
-    route = _route(g, 2)
     with pytest.raises(RegimeError):
-        _schur_dtn(route.plan.scatter(sigma.values), route)
+        _schur_dtn(_route(g, 2).scatter(sigma.values))
     # the path 0-1-2-3 with boundary 0 has three levels; with vertex 3 cut
     # off and its diagonal zeroed, the deepest complement S_3 = A_33 is 0
     g = build_graph(4, [0], [(0, 1), (1, 2), (2, 3)])
-    route = _route(g, 1)
-    op = route.plan.scatter(np.ones((3, 1, 1)))
+    op = _route(g, 1).scatter(np.ones((3, 1, 1)))
     assert len(op.D) == 4
     op.D[3][:] = 0.0
     op.U[2][:] = op.L[2][:] = 0.0
     with pytest.raises(RegimeError):
-        _interior_solve(op, np.ones(1), route)
+        interior_solve(op, np.ones(1), float)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1177,9 +1224,9 @@ def test_regime_map_is_the_dense_route_map(drawn, kind, imag, seed):
     assume(regime.tag is not RegimeTag.UNSUPPORTED)
     M = laplacian_matrix(g, sigma.values) if q is None \
         else schrodinger_matrix(g, sigma.values, q.values)
-    route = regime.route
-    schur = dense_route(M, route.nb, route.rows, route.floppy)[0]
-    assert _schur_dtn(regime.operator, route).tobytes() == schur.tobytes()
+    plan = regime.operator.plan
+    schur = dense_route(M, plan.nb, plan.rows, plan.floppy)[0]
+    assert _schur_dtn(regime.operator).tobytes() == schur.tobytes()
     assert regime.dtn().matrix.tobytes() == (0.5 * schur + 0.5 * schur.T).astype(complex).tobytes()
 
 

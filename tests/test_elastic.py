@@ -197,8 +197,7 @@ def test_dynamic_map_asymmetry_is_that_of_the_returned_map():
     # itself, and reports the asymmetry that the symmetric part discards
     for omega in (1.3, -2.0):
         net = braced_network(c_v=0.6, omega=omega, seed=3)
-        route = _route(net.graph, net.d)
-        F = _schur_dtn(route.plan.scatter(*_pencil(net, net.rho_e, net.rho_v)), route)
+        F = _schur_dtn(_route(net.graph, net.d).scatter(*_pencil(net, net.rho_e, net.rho_v)))
         dtn = displacement_to_forces(net, "dynamic")
         assert dtn.asymmetry == np.abs(F - F.T).max() > 0
         assert dtn.matrix.tobytes() == (0.5 * F + 0.5 * F.T).tobytes()
@@ -206,7 +205,7 @@ def test_dynamic_map_asymmetry_is_that_of_the_returned_map():
 
 
 def test_dynamic_map_assembles_once(monkeypatch):
-    # one scatter of the pencil's blocks into the route's levels
+    # one scatter of the pencil's blocks into the levels of its plan
     calls = []
     original = operators._LevelPlan.scatter
 

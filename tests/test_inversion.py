@@ -385,11 +385,11 @@ def test_uniqueness_matches_full_svd(net, factory, real):
 @given(networks(), st.sampled_from(SPEC_FACTORIES), st.booleans())
 @example((build_graph(3, [0], [(0, 1), (1, 2)]), 2, 7), "springs_static", True)
 def test_spec_forward_and_states_are_those_of_the_dense_route(net, factory, real):
-    # the operator a spec scatters into its route's levels, assembled dense
+    # the operator a spec scatters into its plan's levels, assembled dense
     # and eliminated on the same levels from the dense matrix, gives the
     # spec's forward map and the state matrix its rows are taken from, bit
     # for bit (in the example, vertex 2 hangs on one spring: a floppy mode,
-    # so the route has one level)
+    # so the plan has one level)
     g, d, seed = net
     spec, p = spec_and_parameter(g, d, seed, factory, real)
     seen = {}
@@ -399,20 +399,20 @@ def test_spec_forward_and_states_are_those_of_the_dense_route(net, factory, real
         seen["operator"] = blocks, q_blocks
         return scatter(plan, blocks, q_blocks)
 
-    def recorded_states(M, route):
-        seen["states"] = state_matrix(M, route), route
+    def recorded_states(M):
+        seen["states"] = state_matrix(M), M.plan
         return seen["states"][0]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(operators._LevelPlan, "scatter", recorded_operator)
         patch.setattr(inversion, "_dirichlet_state_matrix", recorded_states)
         spec.states(p)
-        (U, route), (blocks, q) = seen["states"], seen["operator"]
+        (U, plan), (blocks, q) = seen["states"], seen["operator"]
         forward = spec.forward(p)
     M = laplacian_matrix(g, blocks) if q is None else schrodinger_matrix(g, blocks, q)
-    schur, states = dense_route(M, route.nb, route.rows, route.floppy)
+    schur, states = dense_route(M, plan.nb, plan.rows, plan.floppy)
     if (g.edges, g.boundary, d, factory) == (((0, 1), (1, 2)), (0,), 2, "springs_static"):
-        assert route.floppy.shape[1] == 2 and route.rows == [slice(None)]
+        assert plan.floppy.shape[1] == 2 and plan.rows == [slice(None)]
     assert U.tobytes() == states.tobytes()
     assert forward.tobytes() == schur.astype(complex).tobytes()
 
@@ -544,6 +544,15 @@ def test_line_rank_scan_rejects_no_samples(num_samples):
     spec = make_spec_conductivity(path3(), 1)
     with pytest.raises(ValueError, match="num_samples"):
         line_rank_scan(spec, np.ones(2), np.ones(2), num_samples=num_samples)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_line_rank_scan_rejects_a_non_finite_direction(bad):
+    # refused before any arithmetic, which would otherwise fail in the
+    # sampler or blame the admissible parameter
+    spec = make_spec_conductivity(path3(), 1)
+    with pytest.raises(ValueError, match="finite nonzero vector of parameter length"):
+        line_rank_scan(spec, np.array([1.0, 2.0]), np.array([bad, 1.0]), num_samples=3)
 
 
 @pytest.mark.parametrize("epsilon", [-1.0, np.nan, np.inf])
