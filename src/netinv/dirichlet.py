@@ -50,7 +50,6 @@ __all__ = [
 
 PD_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
-ZERO_TOL = 1e-12
 # Relative cut below which an eigenvalue of the interior unit-eigenvalue
 # Laplacian counts as zero (floppy).
 _NULL_TOL = 1e-10
@@ -94,14 +93,16 @@ class DirichletRegime:
         rank-deficient regimes, and its interior residual |(2^-e M u)_I|, 2^e
         just above M_II's largest diagonal entry, taken by the block rows of
         the levels: the same bits under (sigma, q) -> 2^k (sigma, q);
-        RegimeError when that is beyond RESIDUAL_TOL, FieldError when u is
-        beyond float range."""
+        RegimeError when that is beyond RESIDUAL_TOL, FieldError when gb is
+        not finite or u is beyond float range."""
         g, M = self.graph, self._supported()
         nb = M.plan.nb
         gvec = gb.boundary_values(g) if isinstance(gb, VectorNodeField) \
             else np.asarray(gb, dtype=complex).reshape(-1)
         if gvec.shape != (nb,):
             raise FieldError("boundary data has wrong length")
+        if not np.isfinite(gvec).all():
+            raise FieldError("boundary data must be finite")
         flat = np.empty(nb + M.plan.interior_rows, dtype=complex)
         flat[:nb] = gvec
         with np.errstate(over="ignore", invalid="ignore"):
@@ -141,10 +142,6 @@ def _blocks_min_eig(blocks: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(blocks).min())
 
 
-def _is_zero_field(values: np.ndarray) -> bool:
-    return np.abs(values).max(initial=0.0) <= ZERO_TOL
-
-
 def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DirichletRegime:
     """Deterministic regime tag, first match in the order PD_SIGMA, PD_Q,
     PSD_REAL, PSD_COMMUTING, else UNSUPPORTED with diagnostics; a supported
@@ -155,17 +152,20 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
     and (ii) q_I' > 0 and (L_sigma')_II > -lambda_min(diag(q_I')). sigma'_e > 0
     (lambda_min > PD_TOL lambda_max) on every edge of a graph whose every
     vertex reaches the boundary makes (L_sigma')_II > 0, so (i) holds with no
-    test when q_I' >= 0; otherwise one Cholesky of Lr_II - shift I certifies
-    (i) or (ii), on a dense Lr_II built for it. The PSD regimes need q = 0,
-    sigma' >= 0, no zero edge block and an edge eigendecomposition, which
-    gives the floppy modes and so the plan, one level when there is a
-    floppy mode. Such a network is PD only by the theorem: with q = 0 and
-    an edge block that is not PD, neither certificate applies. So the tag,
-    and with it the plan, is known before M is scattered, once, on the
-    plan the regime keeps. A graph with a vertex that the boundary does not reach is
-    unsupported, the first such vertex id reported as ``unreached``. M is
-    scattered on every network, so a sum beyond float range is refused
-    before any verdict."""
+    test when q_I' >= 0; otherwise one Cholesky of (L_sigma')_II - shift I,
+    scattered for it as one level, certifies (i) or (ii). The PSD regimes
+    need q = 0, sigma' >= 0 and an edge eigendecomposition (which refuses a
+    zero edge block), which gives the floppy modes and so the plan, one
+    level when there is a floppy mode. They are tried only where neither
+    certificate applies, so such a network is PD only by the theorem, and
+    the tag, and with it the plan, is known before M is scattered, once, on
+    the plan the regime keeps. Each zero they test is in the network's own
+    units, at most PD_TOL max|sigma'|: q = 0, sigma'_min >= 0 and, for
+    PSD_REAL, sigma'' = 0. So with q = 0 the PSD tags, like PD_SIGMA by the
+    theorem, do not change under (sigma, q) -> 2^k (sigma, q). A graph with
+    a vertex that the boundary does not reach is unsupported, the first such
+    vertex id reported as ``unreached``. M is scattered on every network, so
+    a sum beyond float range is refused before any verdict."""
     q_blocks = _checked(g, sigma, q)
     d, n_I = sigma.d, g.num_interior
     unreached = np.flatnonzero(g.boundary_distance < 0)
@@ -177,35 +177,30 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
     q_values = q_blocks if q_blocks is not None else np.zeros((g.num_vertices, d, d))
     qr = q_values.real
     w = np.linalg.eigvalsh(sr)  # ascending, edge by edge
-    sigma_min, sigma_scale = float(w.min()), np.abs(sr).max(initial=0.0)
+    sigma_min, negligible = float(w.min()), PD_TOL * np.abs(sr).max(initial=0.0)
     pd_edges = bool((w[:, 0] > PD_TOL * w[:, -1]).all())
     q_I = qr[list(g.interior)]
     q_I_min = _blocks_min_eig(q_I) if n_I else np.inf
     diag: dict = {"sigma_real_min_eig": sigma_min,
                   "q_interior_real_min_eig": q_I_min if n_I else None}
-    psd = _is_zero_field(q_values) and sigma_min > -PD_TOL * (1.0 + sigma_scale)
-    norms = np.abs(sigma.values).reshape(g.num_edges, -1).max(axis=1)
+    # one certificate: (i) when q_I' is indefinite, else (ii) when q_I' > 0,
+    # which is tried before the PSD tags
+    certify = pd_edges or bool(n_I) and q_I_min > PD_TOL * (1.0 + np.abs(q_I).max(initial=0.0))
     eig = None
-    if psd and not pd_edges:
-        if (norms <= ZERO_TOL).any():
-            diag["zero_edge"] = int(np.argmin(norms))
-        else:
-            try:
-                eig = eigen_decompose(sigma)
-            except FieldError as exc:
-                diag["commuting_failure"] = str(exc)
+    if not certify and np.abs(q_values).max(initial=0.0) <= negligible and sigma_min >= -negligible:
+        try:
+            eig = eigen_decompose(sigma)
+        except FieldError as exc:
+            diag["commuting_failure"] = str(exc)
     M = _route(g, d, eig).scatter(sigma.values, q_blocks)
     if pd_edges and q_I_min >= 0:
         return DirichletRegime(RegimeTag.PD_SIGMA, diag, g, M)
     if eig is not None:
-        tag = RegimeTag.PSD_REAL if _is_zero_field(si) else RegimeTag.PSD_COMMUTING
-        return DirichletRegime(tag, diag, g, M)
+        real = np.abs(si).max(initial=0.0) <= negligible
+        return DirichletRegime(RegimeTag.PSD_REAL if real else RegimeTag.PSD_COMMUTING, diag, g, M)
 
-    # Lr_II, the real interior Laplacian: M's real interior block less Re q_I
-    Lr_II = M.interior().real.copy()
-    Lr_II.reshape(n_I, d, n_I, d)[np.arange(n_I), :, np.arange(n_I)] -= q_I
-    # one certificate: (i) when q_I' is indefinite, else (ii) when q_I' > 0
-    if pd_edges or n_I and q_I_min > PD_TOL * (1.0 + np.abs(q_I).max(initial=0.0)):
+    Lr_II = _level_plan(g, d, one_level=True).scatter(sr).D[1]
+    if certify:
         tag, shift = ((RegimeTag.PD_SIGMA, (PD_TOL - q_I_min) / (1.0 - PD_TOL)) if pd_edges
                       else (RegimeTag.PD_Q, PD_TOL * (1.0 + abs(q_I_min)) - q_I_min))
         try:
@@ -234,7 +229,7 @@ def _route(g: Graph, d: int, eig: EigenData | None = None) -> _LevelPlan:
     if eig is None:
         return plan
     one = _level_plan(g, d, one_level=True)
-    w, v = np.linalg.eigh(one.scatter(eig.x @ eig.x.transpose(0, 2, 1)).interior())
+    w, v = np.linalg.eigh(one.scatter(eig.x @ eig.x.transpose(0, 2, 1)).D[1])
     kept = w > _NULL_TOL * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
     floppy = np.zeros((one.nb + one.interior_rows, int((~kept).sum())))
     floppy[one.nb:] = v[:, ~kept]

@@ -11,7 +11,7 @@ import numpy as np
 from .dirichlet import DtnMap, _dtn, _route, dtn_psd
 from .graph import FieldError, Graph, MatrixEdgeField, _edge_rows, _vertex_rows
 from .inversion import ProblemSpec, _make_spec
-from .operators import EigenData, _scaled_down, eigen_decompose
+from .operators import EigenData, _scaled_exactly, eigen_decompose
 
 __all__ = [
     "ElasticNetwork",
@@ -91,9 +91,9 @@ def spring_directions(net: ElasticNetwork) -> np.ndarray:
     """Unit direction (p(i) - p(j)) / |p(i) - p(j)| per edge, (|E|, d)."""
     pos = np.asarray(net.positions, dtype=float)
     ends = np.asarray(net.graph.edges, dtype=np.intp).reshape(-1, 2)
-    # halved and scaled down exactly, so that neither the difference nor the
-    # norm can overflow; the quotient is the same
-    v = _scaled_down(0.5 * pos[ends[:, 0]] - 0.5 * pos[ends[:, 1]], 1)[0]
+    # halved and scaled exactly, so that neither the difference nor the norm
+    # can overflow or underflow; the quotient is the same
+    v = _scaled_exactly(0.5 * pos[ends[:, 0]] - 0.5 * pos[ends[:, 1]], 1)[0]
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 

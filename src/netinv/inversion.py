@@ -19,7 +19,7 @@ from .graph import (
     _split_plan,
     _vertex_rows,
 )
-from .operators import _LevelPlan
+from .operators import _LevelPlan, _level_plan
 
 __all__ = [
     "ProblemSpec",
@@ -394,7 +394,7 @@ def line_rank_scan(
     _require_epsilon(epsilon)
     p = spec.require_admissible(p)
     dp = spec._flat(dp, "direction", ValueError)
-    if dp.shape != (spec.m,) or not np.isfinite(dp).all() or not np.linalg.norm(dp):
+    if dp.shape != (spec.m,) or not np.isfinite(dp).all() or not dp.any():
         raise ValueError("direction must be a finite nonzero vector of parameter length")
     if rng is None:
         rng = np.random.default_rng(0)
@@ -490,13 +490,13 @@ def make_spec_schrodinger(g: Graph, sigma: MatrixEdgeField) -> ProblemSpec:
     Parameter layout: per-vertex column-stacked d x d blocks, vertex id order.
     Admissible when sym(Re q(i)) + lambda_II I is positive definite at every
     interior vertex, lambda_II the smallest eigenvalue of the real interior
-    Laplacian block. That one dense eigvalsh, of the interior block built
-    from the plan's levels, stays: it runs once per spec and fixes the cone.
+    Laplacian block. That one dense eigvalsh, of the interior of sigma'
+    scattered as one level, stays: it runs once per spec and fixes the cone.
     """
     d = sigma.d
     plan = _route(g, d)
     interior = list(g.interior)
-    Lr_II = plan.scatter(sigma.values.real).interior()
+    Lr_II = _level_plan(g, d, one_level=True).scatter(sigma.values.real).D[1]
     lam_II = float(np.linalg.eigvalsh(Lr_II).min()) if g.num_interior else 0.0
     perm = _vertex_rows(g, d)
     return _make_spec(

@@ -116,20 +116,6 @@ class _Levels(NamedTuple):
     L: list
     exponent: int
 
-    def interior(self) -> np.ndarray:
-        """M_II as one dense array in canonical order; a view of the level
-        block when there is one level."""
-        rows = self.plan.rows
-        if len(rows) == 1:
-            return self.D[1]
-        A = np.zeros((self.plan.interior_rows,) * 2, self.D[0].dtype)
-        for k, r in enumerate(rows, 1):
-            A[np.ix_(r, r)] = self.D[k]
-            if k < len(rows):
-                A[np.ix_(r, rows[k])] = self.U[k]
-                A[np.ix_(rows[k], r)] = self.L[k]
-        return A
-
 
 @dataclass(frozen=True, eq=False)
 class _LevelPlan:
@@ -317,15 +303,16 @@ def cylinder_embed(
     )
 
 
-def _scaled_down(a: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
-    """Each slice of ``a`` over ``axes`` whose largest entry exceeds 2**500,
-    divided by the power of two 2**e that brings it below 1, and e (0 for
-    the other slices), shaped to broadcast against ``a``. Products and norms
-    of slices then stay far inside float range, and since the division is
-    exact, each is the unscaled one divided by powers of two. ``a`` itself
-    when no slice is that large, so the common case keeps its bits."""
+def _scaled_exactly(a: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
+    """Each nonzero slice of ``a`` over ``axes`` whose largest entry is
+    outside [2**-251, 2**250), multiplied by the power of two 2**-e that
+    brings that entry into [1/2, 1), and e (0 for the other slices), shaped
+    to broadcast against ``a``. Products of two slices and their norms then
+    stay inside float range without underflow, and since the scaling is
+    exact, each is the unscaled one times powers of two. ``a`` itself when
+    no slice is that far out, so the common case keeps its bits."""
     e = np.frexp(np.abs(a).max(axis=axes, keepdims=True, initial=0.0))[1]
-    e = np.where(e > 500, e, 0)
+    e = np.where(np.abs(e) > 250, e, 0)
     return (np.ldexp(a, -e) if e.any() else a), e
 
 
@@ -388,10 +375,11 @@ def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
     """
     d = sigma.d
     sr = sigma.values.real
-    # the tests below see the parts scaled down exactly, so that their
-    # products and norms cannot overflow; 2**si_exp undoes the scale of si
-    sr_u = _scaled_down(sr, (1, 2))[0]
-    si, si_exp = _scaled_down(sigma.values.imag, (1, 2))
+    # the tests below see the parts scaled exactly, so that their products
+    # and norms can neither overflow nor underflow; 2**sr_exp and 2**si_exp
+    # undo the scales
+    sr_u, sr_exp = _scaled_exactly(sr, (1, 2))
+    si, si_exp = _scaled_exactly(sigma.values.imag, (1, 2))
     comm = sr_u @ si - si @ sr_u
     scale = np.linalg.norm(sr_u, axis=(1, 2)) * np.linalg.norm(si, axis=(1, 2))
     noncommuting = np.linalg.norm(comm, axis=(1, 2)) > COMMUTE_TOL * np.maximum(scale, 1e-300)
@@ -420,9 +408,12 @@ def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
     x = np.where(nz.any(axis=1, keepdims=True) & (first < 0), -x, x)
     xt = x.transpose(0, 2, 1)
     core = xt @ si @ x
-    # nullspace inclusion N(sigma') subset N(sigma'')
+    # nullspace inclusion N(sigma') subset N(sigma''), relative to the larger
+    # of |sigma''_e| and |sigma'_e|, the latter brought to the scale of si
     proj_out = si - x @ core @ xt
-    si_scale = np.maximum(np.linalg.norm(si, axis=(1, 2)), np.ldexp(1.0, -si_exp[:, 0, 0]))
+    with np.errstate(over="ignore"):  # an infinite |sigma'_e| is the right floor
+        sr_norm = np.ldexp(np.linalg.norm(sr_u, axis=(1, 2)), (sr_exp - si_exp)[:, 0, 0])
+    si_scale = np.maximum(np.linalg.norm(si, axis=(1, 2)), sr_norm)
     uncontained = np.linalg.norm(proj_out, axis=(1, 2)) > 1e-8 * si_scale
     failures = (
         (noncommuting, "real and imaginary parts of edge {} do not commute"),

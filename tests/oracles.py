@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from netinv.dirichlet import PD_TOL, ZERO_TOL, RegimeTag
+from netinv.dirichlet import PD_TOL, RegimeTag
 from netinv.elastic import ElasticNetwork, spring_conductivity, spring_directions
 from netinv.fileio import SchemaError, parse_complex
 from netinv.graph import (
@@ -294,11 +294,10 @@ def classify_regime_eigvalsh(g: Graph, sigma: MatrixEdgeField,
         return RegimeTag.PD_Q
 
     def is_zero(values):
-        return np.abs(values).max(initial=0.0) <= ZERO_TOL
+        # negligible in the network's own units
+        return np.abs(values).max(initial=0.0) <= PD_TOL * sigma_scale
 
-    if not is_zero(q_values) or sigma_min <= -PD_TOL * (1.0 + sigma_scale):
-        return RegimeTag.UNSUPPORTED
-    if (np.abs(sigma.values).reshape(g.num_edges, -1).max(axis=1) <= ZERO_TOL).any():
+    if not is_zero(q_values) or sigma_min < -PD_TOL * sigma_scale:
         return RegimeTag.UNSUPPORTED
     try:
         eigen_decompose(sigma)

@@ -1,6 +1,7 @@
 """Regime classification, Dirichlet solvers, floppy modes and DtN maps."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,53 @@ def test_classify_unsupported_zero_edge():
     assert reg.tag is RegimeTag.UNSUPPORTED
 
 
+@pytest.mark.parametrize("scale, tag, failure", [
+    (0.0, RegimeTag.UNSUPPORTED, "edge 1 has zero real part"),
+    (2.0 ** -60, RegimeTag.PSD_REAL, None),
+])
+def test_zero_edge_is_refused_by_the_edge_eigendecomposition(scale, tag, failure):
+    # an exactly zero edge block has no eigendata; a tiny one is a spring
+    g, sigma = collinear_springs()
+    blocks = sigma.values.copy()
+    blocks[1] *= scale
+    reg = classify_regime(g, MatrixEdgeField.from_blocks(blocks), None)
+    assert reg.tag is tag
+    assert reg.diagnostics.get("commuting_failure") == failure
+
+
+def test_pd_q_is_tried_before_the_psd_tags():
+    # q = 1e-5 I is negligible beside springs of 1e6, but (ii) certifies it
+    g, sigma = collinear_springs()
+    sigma = MatrixEdgeField.from_blocks(1e6 * sigma.values)
+    q = MatrixNodeField.from_blocks(1e-5 * np.stack([np.eye(2)] * 3))
+    assert classify_regime(g, sigma, q).tag is RegimeTag.PD_Q
+    assert classify_regime_eigvalsh(g, sigma, q) is RegimeTag.PD_Q
+
+
+def test_uncontained_imaginary_part_is_refused_at_every_power_of_two():
+    # sigma_e = x x^T + j y y^T with y perpendicular to x: sigma'' does not
+    # vanish on the nullspace of sigma', whatever the units
+    x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    blocks = np.stack([np.outer(x, x) + 1j * np.outer(y, y)] * 2)
+    for k in range(-1000, 1001):
+        reg = classify_regime(path3(), MatrixEdgeField.from_blocks(2.0 ** k * blocks), None)
+        assert reg.tag is RegimeTag.UNSUPPORTED
+        assert reg.diagnostics["commuting_failure"] == \
+            "nullspace of real part of edge 0 not contained in that of imaginary part"
+
+
+def test_commuting_path_is_psd_commuting_near_the_float_maximum():
+    # the commutator and its norms are taken on exactly scaled parts, so
+    # they neither overflow nor warn
+    x, y = np.array([0.6, 0.8]), np.array([0.8, -0.6])
+    blocks = (1.0 + 0.3j) * np.stack([np.outer(x, x), np.outer(y, y)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (0, 300, 400, 1000):
+            reg = classify_regime(path3(), MatrixEdgeField.from_blocks(2.0 ** k * blocks), None)
+            assert reg.tag is RegimeTag.PSD_COMMUTING, (k, reg.diagnostics)
+
+
 def test_classify_unsupported_disconnected():
     # the component {2, 3} has no boundary vertex
     g = build_graph(4, [0], [(0, 1), (2, 3)])
@@ -205,6 +253,9 @@ def hand_fixtures():
         (one_edge, MatrixEdgeField.from_blocks(np.outer(x, x)[None]),
          MatrixNodeField.from_blocks(np.stack([np.eye(2)] * 2)), RegimeTag.PD_Q),
         (springs_g, springs, None, RegimeTag.PSD_REAL),
+        # zero is relative to max|sigma'|, so the units do not change the tag
+        (springs_g, MatrixEdgeField.from_blocks(2.0 ** -40 * springs.values), None,
+         RegimeTag.PSD_REAL),
         (springs_g, MatrixEdgeField.from_blocks((1 + 0.5j) * springs.values), None,
          RegimeTag.PSD_COMMUTING),
         (*mixed_rank_path(), None, RegimeTag.PSD_COMMUTING),
@@ -326,6 +377,13 @@ def test_solve_pd_linear_in_boundary_data():
 
 
 ONES = MatrixEdgeField.from_blocks(np.ones((2, 1, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_refuses_non_finite_boundary_data(bad):
+    regime = classify_regime(path3(), ONES, None)
+    with pytest.raises(FieldError, match="boundary data must be finite"):
+        regime.solve(np.array([bad, 1.0]))
 
 
 @pytest.mark.parametrize("sigma, q, message", [
@@ -809,6 +867,25 @@ def test_pd_sigma_and_its_map_are_exact_under_powers_of_two(net, imag, with_q, k
     lam, u_k, resid_k = scaled_map(2.0 ** k)
     assert lam.tobytes() == expected.tobytes()
     assert (u_k, resid_k) == (u, resid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks(dims=(2, 3)), st.sampled_from([0.0, 0.3]), st.integers(-1000, 1000))
+def test_psd_tags_and_their_maps_are_exact_under_powers_of_two(net, imag, k):
+    # q = 0, sigma' >= 0 and sigma'' = 0 are tested relative to max|sigma'|,
+    # and the edge eigendecomposition scales its tests exactly, so 2^k sigma
+    # keeps the tag of sigma for every k in range; for |k| <= 400 its map is
+    # 2^k times the map, bit for bit
+    g, d, seed = net
+    blocks = (1.0 + imag * 1j) * rank_one_blocks(g.num_edges, d, np.random.default_rng(seed))
+    regime = classify_regime(g, MatrixEdgeField.from_blocks(blocks), None)
+    scaled = classify_regime(g, MatrixEdgeField.from_blocks(2.0 ** k * blocks), None)
+    assert regime.tag in (RegimeTag.PSD_REAL, RegimeTag.PSD_COMMUTING)
+    assert scaled.tag is regime.tag
+    if abs(k) <= 400:
+        lam = regime.dtn().matrix
+        expected = np.ldexp(lam.view(float), k).view(lam.dtype)
+        assert scaled.dtn().matrix.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Product matrix, identity, Jacobians, uniqueness test and Newton solver."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -553,6 +554,22 @@ def test_line_rank_scan_rejects_a_non_finite_direction(bad):
     spec = make_spec_conductivity(path3(), 1)
     with pytest.raises(ValueError, match="finite nonzero vector of parameter length"):
         line_rank_scan(spec, np.array([1.0, 2.0]), np.array([bad, 1.0]), num_samples=3)
+
+
+@pytest.mark.parametrize("dp", [[1e-170, 1e-170], [5e-324, 0.0]])
+def test_line_rank_scan_takes_a_direction_whose_norm_underflows(dp):
+    # nonzero is tested entry by entry: the squares of these underflow to 0
+    spec = make_spec_conductivity(path3(), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = line_rank_scan(spec, np.array([1.0, 2.0]), np.array(dp), num_samples=3)
+    assert len(scan.samples) == 3
+
+
+def test_line_rank_scan_rejects_a_signed_zero_direction():
+    spec = make_spec_conductivity(path3(), 1)
+    with pytest.raises(ValueError, match="finite nonzero vector of parameter length"):
+        line_rank_scan(spec, np.array([1.0, 2.0]), np.array([0.0, -0.0]), num_samples=3)
 
 
 @pytest.mark.parametrize("epsilon", [-1.0, np.nan, np.inf])

