@@ -188,12 +188,15 @@ def fd_jacobian(spec: ProblemSpec, p: np.ndarray, h: float = 1e-5,
     """Central-difference n^2 x m Jacobian oracle.
 
     ``direction`` chooses the perturbation axis in the complex plane; for the
-    analytic forward maps both axes must give the same derivative.
+    analytic forward maps both axes must give the same derivative. A step
+    h * direction that is not finite and nonzero is a ValueError.
     """
-    p = spec.require_admissible(p)
+    step = h * direction
+    if not (np.isfinite(step) and step != 0):
+        raise ValueError(f"the step h * direction must be finite and nonzero, got {step!r}")
     if spec.is_real and direction != 1.0:
         raise ValueError("real-parameter spec only supports real differencing")
-    step = h * direction
+    p = spec.require_admissible(p)
     J = np.empty((spec.n * spec.n, spec.m), dtype=complex)
     for k in range(spec.m):
         pp = p.copy()
@@ -279,8 +282,13 @@ def newton_invert(
 
     Accepted steps never increase the residual; iterates stay admissible.
     An iterate whose residual norm is beyond float range is refused with a
-    FieldError.
+    FieldError. ``max_iter`` is an integer >= 0 and ``residual_tol`` a
+    finite number > 0, as on the command line, else a ValueError.
     """
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    if not (np.isfinite(residual_tol) and residual_tol > 0):
+        raise ValueError(f"residual_tol must be finite and > 0, got {residual_tol!r}")
     target = np.asarray(target, dtype=complex)
     if target.shape != (spec.n, spec.n):
         raise ValueError(f"target must be {spec.n} x {spec.n}")

@@ -51,10 +51,10 @@ class EigenData:
 
 
 def _require_finite_sums(order, diagonal: np.ndarray) -> None:
-    """Refuse an operator whose diagonal blocks, (|V|, d, d) in the canonical
-    vertex ``order``, overflowed. They are its only sums: every other block
-    is one finite edge block."""
-    bad = ~np.isfinite(diagonal).all(axis=(1, 2))
+    """Refuse an operator whose diagonal blocks, in the canonical vertex
+    ``order`` and flat or (|V|, d, d), overflowed. They are its only sums:
+    every other block is one finite edge block."""
+    bad = ~np.isfinite(diagonal.reshape(len(order), -1)).all(axis=1)
     if bad.any():
         raise FieldError(f"the summed block at vertex {order[int(bad.argmax())]} overflows")
 
@@ -132,12 +132,11 @@ class _LevelPlan:
     one slice when there is one level. Buffer indices: ``diag`` of each
     entry of each vertex's diagonal block, in canonical order; ``edges`` of
     the blocks (i, j) and (j, i) of each edge; ``inner`` of M_II's diagonal
-    entries. ``bins[with_q, complex]`` are the bincount bins of the weights
-    that ``_sums`` adds: the diagonal entry that each entry of each edge
-    block adds to, at its i-end, then at its j-end, then with q that of each
-    entry of each vertex block by vertex id; a complex entry is two weights,
-    real part first, into the two floats of its buffer entry. ``order`` is
-    the vertex ids in canonical order.
+    entries. ``bins[complex]`` are the bincount bins of the edge blocks: the
+    diagonal entry that each entry of each edge block adds to, at its i-end,
+    then at its j-end; a complex entry is two weights, real part first, into
+    the two floats of its buffer entry. ``order`` is the vertex ids in
+    canonical order.
 
     ``floppy`` is None on a plan that ``_level_plan`` caches. A plan built
     from edge eigendata (``dirichlet._route``) is a copy that carries the
@@ -153,52 +152,40 @@ class _LevelPlan:
     diag: np.ndarray
     edges: np.ndarray
     inner: np.ndarray
-    bins: dict
+    bins: tuple
     floppy: np.ndarray | None = None
 
     def scatter(self, blocks: np.ndarray, q_blocks: np.ndarray | None = None) -> _Levels:
         """The Laplacian of the raw edge blocks (``laplacian_matrix``), plus
         the vertex blocks ``q_blocks``, indexed by vertex id, when given
-        (``schrodinger_matrix``), by levels. Its blocks are that matrix's, bit
-        for bit: the diagonal blocks are summed in place (``_sums``), in the
-        order the dense assembly adds (i-ends, then j-ends, then q), and each
-        off-diagonal block is written, not summed, so a signed zero keeps its
-        sign. The same dtype, and FieldError, as the dense assembly."""
+        (``schrodinger_matrix``), by levels, in the dense assembly's two
+        steps: one bincount sums the edge blocks into the diagonal blocks
+        (i-ends, then j-ends, each bin from +0.0), and then q is added to
+        those sums, each sum refused on overflow. Each off-diagonal block is
+        written, not summed, so a signed zero keeps its sign. So every block
+        is that matrix's, bit for bit, with its dtype and its FieldError."""
         flat = _real_if_real(blocks).reshape(-1)
-        q = None if q_blocks is None else _real_if_real(q_blocks).reshape(-1)
-        buf = self._sums(flat, q)
-        if not np.isfinite(buf[self.diag]).all():
-            self._refuse(flat, q)
+        complex_ = flat.dtype.kind == "c"
+        weights = flat.view(float) if complex_ else flat
+        buf = np.bincount(self.bins[complex_], np.concatenate([weights, weights]),
+                          self.size * (1 + complex_))
+        # float even with no weights, where bincount gives ints
+        buf = buf.astype(float, copy=False)
+        buf = buf.view(complex) if complex_ else buf
+        sums = buf[self.diag]
+        _require_finite_sums(self.order, sums)
+        if q_blocks is not None:
+            q = _real_if_real(q_blocks)[self.order].reshape(-1)
+            buf = buf.astype(np.result_type(buf, q), copy=False)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                sums = sums + q
+            _require_finite_sums(self.order, sums)
+            buf[self.diag] = sums
         buf[self.edges] = -flat
         exponent = math.frexp(np.abs(buf[self.inner]).max(initial=0.0))[1]
         views = [np.ndarray(shape, buf.dtype, buf, start * buf.itemsize, order=order)
                  for start, shape, order in self.views]
         return _Levels(self, views[0::3], views[1::3], views[2::3], exponent)
-
-    def _sums(self, flat: np.ndarray, q: np.ndarray | None) -> np.ndarray:
-        """The buffer with every vertex's summed diagonal block, zero
-        elsewhere, by one bincount. Each bin adds from +0.0, so it never
-        holds -0.0; an imaginary part that only one of sigma and q has is
-        summed with the other's +0.0, as the dense assembly's promotion to
-        complex sums it."""
-        complex_ = flat.dtype.kind == "c" or q is not None and q.dtype.kind == "c"
-        if complex_:
-            flat = flat.astype(complex, copy=False).view(float)
-            q = None if q is None else q.astype(complex, copy=False).view(float)
-        parts = (flat, flat) if q is None else (flat, flat, q)
-        buf = np.bincount(self.bins[q is not None, complex_], np.concatenate(parts),
-                          self.size * (1 + complex_))
-        # float even with no weights, where bincount gives ints
-        buf = buf.astype(float, copy=False)
-        return buf.view(complex) if complex_ else buf
-
-    def _refuse(self, flat: np.ndarray, q: np.ndarray | None) -> None:
-        """FieldError naming the vertex that the dense assembly names: the
-        first whose summed edge blocks overflow, else the first whose sum
-        with q does."""
-        for vertex in (None, q):
-            sums = self._sums(flat, vertex)[self.diag]
-            _require_finite_sums(self.order, sums.reshape(self.order.size, -1, 1))
 
 
 def _level_plan(g: Graph, d: int, one_level: bool = False) -> _LevelPlan:
@@ -245,7 +232,6 @@ def _level_plan(g: Graph, d: int, one_level: bool = False) -> _LevelPlan:
     pi, pj = g.edge_positions()
     diag = at(np.arange(n), np.arange(n))
     ends = diag[np.concatenate([pi, pj])].ravel()
-    with_q = np.concatenate([ends, diag[np.asarray(g.position, dtype=np.intp)].ravel()])
     plan = _LevelPlan(
         nb=int(sizes[0]),
         interior_rows=d * g.num_interior,
@@ -257,8 +243,7 @@ def _level_plan(g: Graph, d: int, one_level: bool = False) -> _LevelPlan:
         diag=diag.ravel(),
         edges=np.stack([at(pi, pj).ravel(), at(pj, pi).ravel()]),
         inner=diag[nbv:, comp * (d + 1)].ravel(),
-        bins={(q, c): (2 * bins[:, None] + [0, 1]).ravel() if c else bins
-              for q, bins in ((False, ends), (True, with_q)) for c in (False, True)},
+        bins=(ends, (2 * ends[:, None] + [0, 1]).ravel()),
     )
     g._plans[key] = plan
     return plan
@@ -374,16 +359,15 @@ def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
     the imaginary part.
     """
     d = sigma.d
-    sr = sigma.values.real
-    # the tests below see the parts scaled exactly, so that their products
-    # and norms can neither overflow nor underflow; 2**sr_exp and 2**si_exp
-    # undo the scales
-    sr_u, sr_exp = _scaled_exactly(sr, (1, 2))
+    # eigh and the tests below see the parts scaled exactly, so that 2^k
+    # sigma gives the same x and its products and norms can neither overflow
+    # nor underflow; 2**sr_exp and 2**si_exp undo the scales
+    sr_u, sr_exp = _scaled_exactly(sigma.values.real, (1, 2))
     si, si_exp = _scaled_exactly(sigma.values.imag, (1, 2))
     comm = sr_u @ si - si @ sr_u
     scale = np.linalg.norm(sr_u, axis=(1, 2)) * np.linalg.norm(si, axis=(1, 2))
     noncommuting = np.linalg.norm(comm, axis=(1, 2)) > COMMUTE_TOL * np.maximum(scale, 1e-300)
-    w, v = np.linalg.eigh(sr)
+    w, v = np.linalg.eigh(sr_u)
     # eigh sorts ascending, so each edge keeps a suffix of its eigenpairs
     keep = w > RANK_TOL * np.maximum(w[:, -1:], np.finfo(float).tiny)
     ranks = keep.sum(axis=1)
@@ -425,5 +409,7 @@ def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
         e = int(bad.argmax())
         raise FieldError(next(msg for mask, msg in failures if mask[e]).format(e))
     lam_imag = np.ldexp(np.diagonal(core, axis1=1, axis2=2), si_exp[:, 0])
-    lam = lam_real + 1j * lam_imag
+    # an eigenvalue beyond float range is inf, as eigh of the unscaled sigma' gives it
+    with np.errstate(over="ignore"):
+        lam = np.ldexp(lam_real, sr_exp[:, 0]) + 1j * lam_imag
     return EigenData(d=d, rank=r, x=x, lam=lam, ranks=ranks)

@@ -668,11 +668,8 @@ def test_dtn_psd_rank_one_matches_pseudoinverse_oracle(net):
     blocks = np.einsum("e,ea,eb->eab", local.uniform(0.5, 2.0, g.num_edges), x, x)
     sigma = MatrixEdgeField.from_blocks(blocks)
     assert classify_regime(g, sigma, None).tag is RegimeTag.PSD_REAL
-    # nearly aligned springs give a near-mechanism: the interior block then
-    # has a tiny nonzero eigenvalue and no route is accurate to 1e-10
     nb = d * g.num_boundary
-    w = np.abs(np.linalg.eigvalsh(laplacian_matrix(g, blocks).real[nb:, nb:]))
-    assume(w.size == 0 or (w[w > 1e-10 * w.max()] > 1e-6 * w.max()).all())
+    assume_no_near_mechanism(laplacian_matrix(g, blocks)[nb:, nb:])
     lam = dtn_psd(g, sigma).matrix
     assert np.abs(lam - dtn_pseudoinverse_oracle(g, sigma)).max() < 1e-10
     plan = _route(g, d, eigen_decompose(sigma))
@@ -686,6 +683,32 @@ def rank_one_blocks(count, d, local):
     x = local.standard_normal((count, d))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     return np.einsum("e,ea,eb->eab", local.uniform(0.5, 2.0, count), x, x)
+
+
+def assume_no_near_mechanism(M_II):
+    """Skip an interior block with a singular value between rounding-level
+    zeros (1e-13 of the largest) and 1e-6 of the largest. Nearly aligned
+    springs give such a near-mechanism: the pseudoinverse inverts what the
+    unit spectrum may cut, and no route is accurate to 1e-10 on it."""
+    s = np.linalg.svd(M_II, compute_uv=False)
+    assume(not ((s > 1e-13 * s.max(initial=0.0)) & (s <= 1e-6 * s.max(initial=0.0))).any())
+
+
+@pytest.mark.xfail(strict=True, reason="a weighted near-mechanism: the map is off the "
+                                       "pseudoinverse oracle (ROADMAP item 12)")
+@pytest.mark.parametrize("n, boundary, edges, seed", [
+    # weighted lambda_min/lambda_max 8.2e-11, unit 1.3e-10: no mode is cut,
+    # the map is 4.3e-8 off
+    (5, [0, 2], [(3, 4), (1, 2), (0, 3), (0, 2), (1, 3), (1, 4), (0, 1)], 206110),
+    # weighted 6.4e-11, unit 9.1e-11: one mode is cut, the map is 6.6e-3 off
+    (8, [0, 7], [(0, 3), (2, 7), (0, 7), (1, 2), (1, 3), (3, 5), (2, 3), (5, 6), (4, 6),
+                 (1, 4), (0, 5), (4, 7), (2, 5)], 0),
+])
+def test_near_mechanism_map_matches_pseudoinverse_oracle(n, boundary, edges, seed):
+    g = build_graph(n, boundary, edges)
+    sigma = MatrixEdgeField.from_blocks(rank_one_blocks(g.num_edges, 2, np.random.default_rng(seed)))
+    assert classify_regime(g, sigma, None).tag is RegimeTag.PSD_REAL
+    assert np.abs(dtn_psd(g, sigma).matrix - dtn_pseudoinverse_oracle(g, sigma)).max() < 1e-10
 
 
 @settings(max_examples=200, deadline=None)
@@ -873,19 +896,25 @@ def test_pd_sigma_and_its_map_are_exact_under_powers_of_two(net, imag, with_q, k
 @given(networks(dims=(2, 3)), st.sampled_from([0.0, 0.3]), st.integers(-1000, 1000))
 def test_psd_tags_and_their_maps_are_exact_under_powers_of_two(net, imag, k):
     # q = 0, sigma' >= 0 and sigma'' = 0 are tested relative to max|sigma'|,
-    # and the edge eigendecomposition scales its tests exactly, so 2^k sigma
-    # keeps the tag of sigma for every k in range; for |k| <= 400 its map is
-    # 2^k times the map, bit for bit
+    # and the edge eigendecomposition scales its eigh and its tests exactly,
+    # so 2^k sigma keeps the tag of sigma for every k in range; wherever
+    # 2^k sigma and 2^k times the map are normal floats, its map is 2^k
+    # times the map, bit for bit
     g, d, seed = net
     blocks = (1.0 + imag * 1j) * rank_one_blocks(g.num_edges, d, np.random.default_rng(seed))
     regime = classify_regime(g, MatrixEdgeField.from_blocks(blocks), None)
     scaled = classify_regime(g, MatrixEdgeField.from_blocks(2.0 ** k * blocks), None)
     assert regime.tag in (RegimeTag.PSD_REAL, RegimeTag.PSD_COMMUTING)
     assert scaled.tag is regime.tag
-    if abs(k) <= 400:
-        lam = regime.dtn().matrix
-        expected = np.ldexp(lam.view(float), k).view(lam.dtype)
-        assert scaled.dtn().matrix.tobytes() == expected.tobytes()
+    lam = regime.dtn().matrix
+    expected = np.ldexp(lam.view(float), k)
+
+    def normal(a):
+        a = np.abs(a[a != 0])
+        return ((a >= np.finfo(float).tiny) & (a <= np.finfo(float).max)).all()
+
+    if normal(np.ldexp(blocks.view(float), k)) and normal(expected):
+        assert scaled.dtn().matrix.tobytes() == expected.view(lam.dtype).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1272,13 +1301,12 @@ def test_every_supported_regime_solves_as_its_route(drawn, kind, imag, seed):
     q = MatrixNodeField.from_blocks(random_spd_blocks(g.num_vertices, d, seed + 1, imag)) \
         if kind.endswith("+q") else None
     assume(classify_regime(g, sigma, q).tag is not RegimeTag.UNSUPPORTED)
-    # as in the rank-one oracle test: skip near-mechanisms and near-singular
-    # interiors, whose residual no route keeps within RESIDUAL_TOL
+    # near-mechanisms and near-singular interiors: no route keeps their
+    # residual within RESIDUAL_TOL
     nb = d * g.num_boundary
     M = laplacian_matrix(g, sigma.values) if q is None \
         else schrodinger_matrix(g, sigma.values, q.values)
-    w = np.linalg.svd(M[nb:, nb:], compute_uv=False)
-    assume(w.size == 0 or (w[w > 1e-10 * w.max()] > 1e-6 * w.max()).all())
+    assume_no_near_mechanism(M[nb:, nb:])
     gb = local.standard_normal(nb) + 1j * local.standard_normal(nb)
     check_regime_solves_as_its_route(g, sigma, q, gb)
 

@@ -497,6 +497,28 @@ def test_newton_residual_monotone():
     assert trace.reason in ("residual", "step")
 
 
+@pytest.mark.parametrize("h, direction", [(0.0, 1.0), (1e-5, 0.0), (1e-200, 1e-200),
+                                          (np.nan, 1.0), (np.inf, 1.0), (1e-5, np.inf)])
+def test_fd_jacobian_refuses_a_step_that_is_not_finite_and_nonzero(h, direction):
+    # a zero step used to give an all-NaN Jacobian, a non-finite one blamed p
+    spec = make_spec_conductivity(path3(), 1)
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        fd_jacobian(spec, np.array([1.0, 2.0], dtype=complex), h=h, direction=direction)
+
+
+@pytest.mark.parametrize("options, rule", [
+    ({"residual_tol": np.inf}, "residual_tol"), ({"residual_tol": np.nan}, "residual_tol"),
+    ({"residual_tol": -1e-10}, "residual_tol"), ({"residual_tol": 0.0}, "residual_tol"),
+    ({"max_iter": -1}, "max_iter"), ({"max_iter": 2.5}, "max_iter"),
+])
+def test_newton_refuses_what_the_command_line_refuses(options, rule):
+    # the rules of `netinv invert --residual-tol` and `--max-iters`
+    spec = make_spec_conductivity(path3(), 1)
+    p = np.array([1.0, 2.0], dtype=complex)
+    with pytest.raises(ValueError, match=rule):
+        newton_invert(spec, spec.forward(2 * p), p, **options)
+
+
 def test_newton_rejects_inadmissible_start():
     g = path3()
     spec = make_spec_conductivity(g, 1)

@@ -185,7 +185,10 @@ def test_assembly_refuses_a_vertex_sum_beyond_float_range():
 def plan_cases(draw):
     """A random graph, possibly with vertices that no boundary vertex
     reaches, d, edge blocks (real or complex, with exact zeros of both
-    signs), vertex blocks or None, and whether to plan one level."""
+    signs), vertex blocks or None, and whether to plan one level. Some
+    draws make the entries of chosen edge blocks, of q, or of one edge block
+    and q 1e308 in size, so that a vertex's sum may overflow with the edge
+    blocks alone or only with q."""
     n = draw(st.integers(1, 9))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16))
     edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
@@ -210,6 +213,19 @@ def plan_cases(draw):
     kinds = ("real", "complex", "complex, no imaginary part")
     blocks = entries(g.num_edges, draw(st.sampled_from(kinds)))
     q = entries(n, draw(st.sampled_from(kinds))) if draw(st.booleans()) else None
+
+    def huge(a):
+        """a with each nonzero real and imaginary part made 1e308 of its sign."""
+        f = a.view(float) if a.dtype.kind == "c" else a
+        return np.where(f != 0, np.copysign(1e308, f), f).view(a.dtype)
+
+    scaled = draw(st.sampled_from(["none", "edges", "q", "one edge and q"]))
+    if scaled in ("edges", "one edge and q"):
+        chosen = local.random(g.num_edges) < 0.8 if scaled == "edges" \
+            else np.arange(g.num_edges) == 0
+        blocks[chosen] = huge(blocks[chosen])
+    if scaled in ("q", "one edge and q") and q is not None:
+        q = huge(q)
     return g, d, blocks, q, draw(st.booleans())
 
 
@@ -217,10 +233,17 @@ def plan_cases(draw):
 @given(plan_cases())
 def test_level_plan_scatters_the_blocks_of_the_dense_operator(case):
     # every block of the operator by levels is the dense operator's block,
-    # bit for bit, signed zeros and dtype included; on one level D[1] is M_II
+    # bit for bit, signed zeros and dtype included; on one level D[1] is M_II.
+    # A sum beyond float range is refused by both, naming the same vertex
     g, d, blocks, q, one_level = case
-    M = laplacian_matrix(g, blocks) if q is None else schrodinger_matrix(g, blocks, q)
     plan = _level_plan(g, d, one_level)
+    try:
+        M = laplacian_matrix(g, blocks) if q is None else schrodinger_matrix(g, blocks, q)
+    except FieldError as refused:
+        with pytest.raises(FieldError) as levels:
+            plan.scatter(blocks, q)
+        assert str(levels.value) == str(refused)
+        return
     op = plan.scatter(blocks, q)
     nb = plan.nb
     rows = [np.arange(nb)] + [nb + np.arange(plan.interior_rows)[r] for r in plan.rows]
