@@ -152,20 +152,22 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
     and (ii) q_I' > 0 and (L_sigma')_II > -lambda_min(diag(q_I')). sigma'_e > 0
     (lambda_min > PD_TOL lambda_max) on every edge of a graph whose every
     vertex reaches the boundary makes (L_sigma')_II > 0, so (i) holds with no
-    test when q_I' >= 0; otherwise one Cholesky of (L_sigma')_II - shift I,
-    scattered for it as one level, certifies (i) or (ii). The PSD regimes
-    need q = 0, sigma' >= 0 and an edge eigendecomposition (which refuses a
-    zero edge block), which gives the floppy modes and so the plan, one
-    level when there is a floppy mode. They are tried only where neither
-    certificate applies, so such a network is PD only by the theorem, and
+    test when q_I' >= 0. Both criteria are otherwise the one inequality
+    lambda_min((L_sigma')_II) + min q_I' > negligible, negligible = PD_TOL
+    max|sigma'| being the network's own unit of zero: (i) where sigma'_e > 0
+    and (ii) where min q_I' > negligible, certified by one Cholesky of
+    (L_sigma')_II - (negligible - min q_I') I, scattered for it as one level.
+    With no interior, PD_Q needs lambda_min(q_B') > negligible. The PSD
+    regimes need q = 0, sigma' >= 0 and an edge eigendecomposition (which
+    refuses a zero edge block), which gives the floppy modes and so the
+    plan, one level when there is a floppy mode; each of those zeros is at
+    most negligible, so they are tried only where sigma'_e > 0 fails, and
     the tag, and with it the plan, is known before M is scattered, once, on
-    the plan the regime keeps. Each zero they test is in the network's own
-    units, at most PD_TOL max|sigma'|: q = 0, sigma'_min >= 0 and, for
-    PSD_REAL, sigma'' = 0. So with q = 0 the PSD tags, like PD_SIGMA by the
-    theorem, do not change under (sigma, q) -> 2^k (sigma, q). A graph with
-    a vertex that the boundary does not reach is unsupported, the first such
-    vertex id reported as ``unreached``. M is scattered on every network, so
-    a sum beyond float range is refused before any verdict."""
+    the plan the regime keeps. So no tag, and no certificate shift but by
+    the same factor, changes under (sigma, q) -> 4^j (sigma, q). A graph
+    with a vertex that the boundary does not reach is unsupported, the first
+    such vertex id reported as ``unreached``. M is scattered on every
+    network, so a sum beyond float range is refused before any verdict."""
     q_blocks = _checked(g, sigma, q)
     d, n_I = sigma.d, g.num_interior
     unreached = np.flatnonzero(g.boundary_distance < 0)
@@ -179,15 +181,11 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
     w = np.linalg.eigvalsh(sr)  # ascending, edge by edge
     sigma_min, negligible = float(w.min()), PD_TOL * np.abs(sr).max(initial=0.0)
     pd_edges = bool((w[:, 0] > PD_TOL * w[:, -1]).all())
-    q_I = qr[list(g.interior)]
-    q_I_min = _blocks_min_eig(q_I) if n_I else np.inf
+    q_I_min = _blocks_min_eig(qr[list(g.interior)]) if n_I else np.inf
     diag: dict = {"sigma_real_min_eig": sigma_min,
                   "q_interior_real_min_eig": q_I_min if n_I else None}
-    # one certificate: (i) when q_I' is indefinite, else (ii) when q_I' > 0,
-    # which is tried before the PSD tags
-    certify = pd_edges or bool(n_I) and q_I_min > PD_TOL * (1.0 + np.abs(q_I).max(initial=0.0))
     eig = None
-    if not certify and np.abs(q_values).max(initial=0.0) <= negligible and sigma_min >= -negligible:
+    if not pd_edges and np.abs(q_values).max(initial=0.0) <= negligible and sigma_min >= -negligible:
         try:
             eig = eigen_decompose(sigma)
         except FieldError as exc:
@@ -200,16 +198,17 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
         return DirichletRegime(RegimeTag.PSD_REAL if real else RegimeTag.PSD_COMMUTING, diag, g, M)
 
     Lr_II = _level_plan(g, d, one_level=True).scatter(sr).D[1]
-    if certify:
-        tag, shift = ((RegimeTag.PD_SIGMA, (PD_TOL - q_I_min) / (1.0 - PD_TOL)) if pd_edges
-                      else (RegimeTag.PD_Q, PD_TOL * (1.0 + abs(q_I_min)) - q_I_min))
+    with np.errstate(over="ignore"):  # a shift beyond float range certifies nothing
+        shift = negligible - q_I_min
+    if (pd_edges or bool(n_I) and q_I_min > negligible) and shift < np.inf:
         try:
             np.linalg.cholesky(Lr_II - shift * np.eye(len(Lr_II)))
         except np.linalg.LinAlgError:
             pass
         else:
+            tag = RegimeTag.PD_SIGMA if pd_edges else RegimeTag.PD_Q
             return DirichletRegime(tag, {**diag, "cholesky_shift": shift}, g, M)
-    if not n_I and len(q_values) and _blocks_min_eig(qr[list(g.boundary)]) > PD_TOL:
+    if not n_I and len(q_values) and _blocks_min_eig(qr[list(g.boundary)]) > negligible:
         return DirichletRegime(RegimeTag.PD_Q, diag, g, M)
     # only an unsupported network reports lambda_min(Lr_II), so only it pays for eigvalsh
     diag["laplacian_interior_min_eig"] = float(np.linalg.eigvalsh(Lr_II).min()) if n_I else 0.0
@@ -225,15 +224,14 @@ def _route(g: Graph, d: int, eig: EigenData | None = None) -> _LevelPlan:
     Laplacian whose edge blocks are x x^T (every kept eigenvalue set to 1),
     cut at _NULL_TOL times its largest eigenvalue, the complex Laplacian's in
     the supported rank-deficient regimes, whatever the edge spread."""
-    plan = _level_plan(g, d)
     if eig is None:
-        return plan
+        return _level_plan(g, d)
     one = _level_plan(g, d, one_level=True)
     w, v = np.linalg.eigh(one.scatter(eig.x @ eig.x.transpose(0, 2, 1)).D[1])
     kept = w > _NULL_TOL * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
     floppy = np.zeros((one.nb + one.interior_rows, int((~kept).sum())))
     floppy[one.nb:] = v[:, ~kept]
-    return replace(one if floppy.shape[1] else plan, floppy=floppy)
+    return replace(one if floppy.shape[1] else _level_plan(g, d), floppy=floppy)
 
 
 def _solved(S: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -381,6 +379,7 @@ def dtn_pd(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None) -> DtnMa
 def floppy_basis(g: Graph, sigma: MatrixEdgeField) -> FloppyBasis:
     """Orthonormal basis of displacements with zero boundary values and zero
     interior net force, as canonical-ordering columns (``_route``)."""
+    _checked(g, sigma, None)
     return FloppyBasis(modes=_route(g, sigma.d, eigen_decompose(sigma)).floppy)
 
 

@@ -156,10 +156,12 @@ def make_spec_eigenvalues(g: Graph, eig: EigenData) -> ProblemSpec:
     """Recover per-edge conductivity eigenvalues for fixed real eigenvectors.
 
     Parameter layout: r values per edge, edge order; admissible when every
-    real part is positive.
+    real part is positive. Eigendata of another edge count is a FieldError.
     """
     d = eig.d
     r = eig.rank
+    if len(eig.x) != g.num_edges:
+        raise FieldError("eigendata does not match edge count")
     if (eig.ranks != r).any():
         raise FieldError("eigenvalue spec needs a uniform rank")
     E = g.num_edges

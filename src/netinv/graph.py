@@ -111,12 +111,6 @@ class Graph:
         return tuple(lev for lev in (np.flatnonzero(inner == j) for j in range(1, k + 1))
                      if lev.size)
 
-    @cached_property
-    def _plans(self) -> dict:
-        """The operator plans built on this graph, by key
-        (``operators._level_plan``)."""
-        return {}
-
 
 def build_graph(n: int, boundary: Sequence[int], edges: Sequence[Sequence[int]]) -> Graph:
     """Build a graph with ``n`` vertices, the given boundary set and edge list.

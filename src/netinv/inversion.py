@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dirichlet import _dirichlet_state_matrix, _route, _schur_dtn
+from .dirichlet import _checked, _dirichlet_state_matrix, _route, _schur_dtn
 from .graph import (
     FieldError,
     Graph,
@@ -282,8 +282,8 @@ def newton_invert(
 
     Accepted steps never increase the residual; iterates stay admissible.
     An iterate whose residual norm is beyond float range is refused with a
-    FieldError. ``max_iter`` is an integer >= 0 and ``residual_tol`` a
-    finite number > 0, as on the command line, else a ValueError.
+    FieldError. ``max_iter`` is an integer >= 0, ``residual_tol`` a finite
+    number > 0 and ``target`` a finite n x n matrix, else a ValueError.
     """
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
@@ -292,6 +292,8 @@ def newton_invert(
     target = np.asarray(target, dtype=complex)
     if target.shape != (spec.n, spec.n):
         raise ValueError(f"target must be {spec.n} x {spec.n}")
+    if not np.isfinite(target).all():
+        raise ValueError("target must be finite")
     p = spec.require_admissible(p0)
     tvec = target.reshape(-1, order="F")
 
@@ -396,9 +398,10 @@ def line_rank_scan(
 ) -> LineScan:
     """Sample the Jacobian conditioning along the admissible segment
     p + t dp, capped at |t| <= _T_MAX, and report the fraction of
-    near-singular samples."""
-    if num_samples < 1:
-        raise ValueError("num_samples must be at least 1")
+    near-singular samples; ``num_samples`` is an integer >= 1, as on the
+    command line, else a ValueError."""
+    if not (isinstance(num_samples, (int, np.integer)) and num_samples >= 1):
+        raise ValueError(f"num_samples must be an integer >= 1, got {num_samples!r}")
     _require_epsilon(epsilon)
     p = spec.require_admissible(p)
     dp = spec._flat(dp, "direction", ValueError)
@@ -501,6 +504,7 @@ def make_spec_schrodinger(g: Graph, sigma: MatrixEdgeField) -> ProblemSpec:
     Laplacian block. That one dense eigvalsh, of the interior of sigma'
     scattered as one level, stays: it runs once per spec and fixes the cone.
     """
+    _checked(g, sigma, None)
     d = sigma.d
     plan = _route(g, d)
     interior = list(g.interior)

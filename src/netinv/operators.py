@@ -138,7 +138,7 @@ class _LevelPlan:
     the two floats of its buffer entry. ``order`` is the vertex ids in
     canonical order.
 
-    ``floppy`` is None on a plan that ``_level_plan`` caches. A plan built
+    ``floppy`` is None on a plan that ``_level_plan`` builds. A plan built
     from edge eigendata (``dirichlet._route``) is a copy that carries the
     floppy modes, (d|V|, f) in canonical order and zero on the boundary;
     with a floppy mode it is the one-level plan."""
@@ -191,13 +191,10 @@ class _LevelPlan:
 def _level_plan(g: Graph, d: int, one_level: bool = False) -> _LevelPlan:
     """The ``_LevelPlan`` of operators on g with d x d blocks, on the
     interior levels of g or, with ``one_level`` or at most one level, on the
-    interior as one level in canonical order. Built once per graph and key,
-    with numpy, from ``Graph.edge_positions`` and ``Graph.interior_levels``."""
+    interior as one level in canonical order. Built with numpy from
+    ``Graph.edge_positions`` and ``Graph.interior_levels``."""
     levels = g.interior_levels
     one_level = one_level or len(levels) <= 1
-    key = (d, one_level)
-    if key in g._plans:
-        return g._plans[key]
     if one_level:
         levels = (np.arange(g.num_interior),)
     n, nbv, comp = g.num_vertices, g.num_boundary, np.arange(d)
@@ -232,7 +229,7 @@ def _level_plan(g: Graph, d: int, one_level: bool = False) -> _LevelPlan:
     pi, pj = g.edge_positions()
     diag = at(np.arange(n), np.arange(n))
     ends = diag[np.concatenate([pi, pj])].ravel()
-    plan = _LevelPlan(
+    return _LevelPlan(
         nb=int(sizes[0]),
         interior_rows=d * g.num_interior,
         rows=[slice(None)] if one_level else [(lev[:, None] * d + comp).ravel() for lev in levels],
@@ -245,8 +242,6 @@ def _level_plan(g: Graph, d: int, one_level: bool = False) -> _LevelPlan:
         inner=diag[nbv:, comp * (d + 1)].ravel(),
         bins=(ends, (2 * ends[:, None] + [0, 1]).ravel()),
     )
-    g._plans[key] = plan
-    return plan
 
 
 def cylinder_embed(
@@ -275,6 +270,8 @@ def cylinder_embed(
         w = np.asarray(layer_weights[j], dtype=float)
         if w.shape != (layer.num_edges,):
             raise FieldError("layer weight vector has wrong length")
+        if not np.isfinite(w).all():
+            raise FieldError("layer weights must be finite")
         q_blocks[j] = laplacian_matrix(layer, w[:, None, None])[natural]
     s_blocks = np.empty((k - 1, d, d), dtype=complex)
     for j in range(k - 1):

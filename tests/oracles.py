@@ -257,14 +257,12 @@ def classify_regime_eigvalsh(g: Graph, sigma: MatrixEdgeField,
     """Regime tag by the full spectrum: sigma' > 0 is lambda_min(sigma'_e) >
     PD_TOL lambda_max(sigma'_e) on every edge, which makes the real interior
     Laplacian positive definite, so with q_I' >= 0 criterion (i) holds;
-    otherwise the PD criteria compare its smallest eigenvalue lambda_II, from
-    a dense eigvalsh, with a margin. The same order and tolerances as
-    ``classify_regime``, which needs every vertex to reach the boundary."""
+    otherwise both PD criteria compare its smallest eigenvalue lambda_II,
+    from a dense eigvalsh, plus min q_I' with the negligible PD_TOL
+    max|sigma'|. The same order and tolerances as ``classify_regime``, which
+    needs every vertex to reach the boundary."""
     if not every_vertex_reaches_the_boundary(g):
         return RegimeTag.UNSUPPORTED
-
-    def margin(x):
-        return PD_TOL * (1.0 + abs(x))
 
     def blocks_min_eig(blocks):
         return float(np.linalg.eigvalsh(blocks).min())
@@ -275,29 +273,26 @@ def classify_regime_eigvalsh(g: Graph, sigma: MatrixEdgeField,
     edge_eigs = np.linalg.eigvalsh(sr)
     sigma_min = float(edge_eigs.min())
     pd_edges = (edge_eigs[:, 0] > PD_TOL * edge_eigs[:, -1]).all()
-    sigma_scale = np.abs(sr).max(initial=0.0)
+    negligible = PD_TOL * np.abs(sr).max(initial=0.0)
     nb = sigma.d * g.num_boundary
     Lr_II = laplacian_matrix(g, sr).real[nb:, nb:]
     lam_II = float(np.linalg.eigvalsh(Lr_II).min()) if Lr_II.size else 0.0
-    q_I = qr[list(g.interior)] if g.interior else np.zeros((0, sigma.d, sigma.d))
-    q_I_min = blocks_min_eig(q_I) if len(q_I) else np.inf
+    q_I_min = blocks_min_eig(qr[list(g.interior)]) if g.interior else np.inf
 
     # (i) sigma' > 0 and q_I' > -lambda_min((L_sigma')_II), where lambda_II > 0
     if pd_edges:
-        if q_I_min >= 0 or q_I_min + lam_II > margin(lam_II):
-            return RegimeTag.PD_SIGMA
+        return RegimeTag.PD_SIGMA if q_I_min >= 0 or lam_II + q_I_min > negligible \
+            else RegimeTag.UNSUPPORTED
     # (ii) q_I' > 0 and (L_sigma')_II > -lambda_min(diag(q_I'))
-    if g.interior and q_I_min > PD_TOL * (1.0 + np.abs(q_I).max(initial=0.0)):
-        if lam_II + q_I_min > margin(q_I_min):
-            return RegimeTag.PD_Q
-    if not g.interior and len(q_values) and blocks_min_eig(qr[list(g.boundary)]) > PD_TOL:
+    if g.interior and q_I_min > negligible and lam_II + q_I_min > negligible:
+        return RegimeTag.PD_Q
+    if not g.interior and len(q_values) and blocks_min_eig(qr[list(g.boundary)]) > negligible:
         return RegimeTag.PD_Q
 
     def is_zero(values):
-        # negligible in the network's own units
-        return np.abs(values).max(initial=0.0) <= PD_TOL * sigma_scale
+        return np.abs(values).max(initial=0.0) <= negligible
 
-    if not is_zero(q_values) or sigma_min < -PD_TOL * sigma_scale:
+    if not is_zero(q_values) or sigma_min < -negligible:
         return RegimeTag.UNSUPPORTED
     try:
         eigen_decompose(sigma)

@@ -28,7 +28,8 @@ from netinv.graph import (
     MatrixNodeField,
     build_graph,
 )
-from netinv.inversion import _blocks, _vec_blocks, make_spec_conductivity
+from netinv.elastic import make_spec_eigenvalues
+from netinv.inversion import _blocks, _vec_blocks, make_spec_conductivity, make_spec_schrodinger
 from netinv.operators import (
     _LevelPlan,
     _level_plan,
@@ -162,13 +163,17 @@ def test_zero_edge_is_refused_by_the_edge_eigendecomposition(scale, tag, failure
     assert reg.diagnostics.get("commuting_failure") == failure
 
 
-def test_pd_q_is_tried_before_the_psd_tags():
-    # q = 1e-5 I is negligible beside springs of 1e6, but (ii) certifies it
+@pytest.mark.parametrize("level, tag", [(1e-5, RegimeTag.PSD_REAL), (1e-3, RegimeTag.PD_Q)])
+def test_a_negligible_q_is_zero_whatever_the_units(level, tag):
+    # beside springs of 1e6, negligible is 1e-4: q = 1e-5 I is zero, so the
+    # springs are PSD_REAL, and q = 1e-3 I certifies (ii), whatever the units
     g, sigma = collinear_springs()
-    sigma = MatrixEdgeField.from_blocks(1e6 * sigma.values)
-    q = MatrixNodeField.from_blocks(1e-5 * np.stack([np.eye(2)] * 3))
-    assert classify_regime(g, sigma, q).tag is RegimeTag.PD_Q
-    assert classify_regime_eigvalsh(g, sigma, q) is RegimeTag.PD_Q
+    q = level * np.stack([np.eye(2)] * 3)
+    for k in (-600, -40, 0, 40, 600):
+        scaled_sigma = MatrixEdgeField.from_blocks(2.0 ** k * 1e6 * sigma.values)
+        scaled_q = MatrixNodeField.from_blocks(2.0 ** k * q)
+        assert classify_regime(g, scaled_sigma, scaled_q).tag is tag
+        assert classify_regime_eigvalsh(g, scaled_sigma, scaled_q) is tag
 
 
 def test_uncontained_imaginary_part_is_refused_at_every_power_of_two():
@@ -246,6 +251,13 @@ def hand_fixtures():
          RegimeTag.PD_SIGMA),
         (springs_g, springs, MatrixNodeField.from_blocks(np.stack([np.eye(2)] * 3)),
          RegimeTag.PD_Q),
+        # the margin of both criteria is relative to max|sigma'|, so the
+        # units change neither a certified PD_Q nor a certified PD_SIGMA
+        (springs_g, MatrixEdgeField.from_blocks(2.0 ** -34 * springs.values),
+         MatrixNodeField.from_blocks(2.0 ** -34 * np.stack([np.eye(2)] * 3)), RegimeTag.PD_Q),
+        (g3, MatrixEdgeField.from_blocks(2.0 ** -40 * np.ones((2, 1, 1))),
+         MatrixNodeField.from_blocks(np.full((3, 1, 1), -0.25 * 2.0 ** -40)),
+         RegimeTag.PD_SIGMA),
         # indefinite sigma': the interior Laplacian block diag(2, -0.2) is
         # indefinite, and q' = I makes the interior definite
         (g3, MatrixEdgeField.from_blocks(np.stack([np.diag([1.0, -0.1])] * 2)),
@@ -306,7 +318,7 @@ def test_interior_eigvalsh_only_for_unsupported_tags(monkeypatch):
         assert reported == (tag is RegimeTag.UNSUPPORTED and "unreached" not in diag)
         assert len(calls) == (reported and g.num_interior > 0)
         assert len(factored) <= 1
-        if tag is RegimeTag.PD_SIGMA:  # every such fixture has q_I' >= 0
+        if tag is RegimeTag.PD_SIGMA and (diag["q_interior_real_min_eig"] or 0.0) >= 0:
             assert not factored
         assert ("cholesky_shift" in diag) == any(factored)
 
@@ -333,12 +345,35 @@ def test_pd_diagnostics_record_the_certificate():
     regime = classify_regime(g, sigma, q)
     assert regime.tag is RegimeTag.PD_SIGMA
     assert "cholesky_shift" not in regime.diagnostics
-    # with q_I' < 0 it is certified: lambda_min(Lr_II) = 2 > (PD_TOL + 0.25) / (1 - PD_TOL)
-    q = MatrixNodeField.from_blocks(np.full((3, 1, 1), -0.25))
-    regime = classify_regime(g, sigma, q)
-    assert regime.tag is RegimeTag.PD_SIGMA
-    assert regime.diagnostics["cholesky_shift"] == (PD_TOL + 0.25) / (1.0 - PD_TOL)
-    assert "laplacian_interior_min_eig" not in regime.diagnostics
+    # with q_I' < 0 it is certified: lambda_min(Lr_II) = 2 > PD_TOL max|sigma'| + 0.25,
+    # and by the same shift, times 2^k, at every k where 2^k PD_TOL is normal
+    for k in range(-980, 1001):
+        regime = classify_regime(g, MatrixEdgeField.from_blocks(2.0 ** k * sigma.values),
+                                 MatrixNodeField.from_blocks(np.full((3, 1, 1), -0.25 * 2.0 ** k)))
+        assert regime.tag is RegimeTag.PD_SIGMA
+        assert regime.diagnostics["cholesky_shift"] == 2.0 ** k * (PD_TOL + 0.25)
+        assert "laplacian_interior_min_eig" not in regime.diagnostics
+
+
+def test_collinear_springs_with_q_are_pd_q_at_every_power_of_two():
+    g, sigma = collinear_springs()
+    q = np.stack([np.eye(2)] * 3)
+    for k in range(-980, 1001):
+        regime = classify_regime(g, MatrixEdgeField.from_blocks(2.0 ** k * sigma.values),
+                                 MatrixNodeField.from_blocks(2.0 ** k * q))
+        assert regime.tag is RegimeTag.PD_Q
+        assert regime.diagnostics["cholesky_shift"] == 2.0 ** k * (PD_TOL - 1.0)
+
+
+def test_a_shift_beyond_float_range_certifies_nothing_and_warns_nothing():
+    # PD_TOL max|sigma'| - min q_I' overflows; Lr_II + q_I' is -1.98e307
+    sigma = MatrixEdgeField.from_blocks(np.full((2, 1, 1), 8e307))
+    q = MatrixNodeField.from_blocks(np.array([0.0, -np.finfo(float).max, 0.0]).reshape(3, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        regime = classify_regime(path3(), sigma, q)
+    assert regime.tag is RegimeTag.UNSUPPORTED
+    assert "cholesky_shift" not in regime.diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +434,16 @@ def test_fields_that_do_not_fit_the_graph_are_refused(sigma, q, message):
     g = path3()
     for call in (lambda: dtn_pd(g, sigma, q), lambda: classify_regime(g, sigma, q)):
         with pytest.raises(FieldError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("edges", [1, 3])
+def test_conductivities_that_do_not_fit_the_graph_are_refused_everywhere(edges):
+    # the path 0-1-2 has 2 edges; numpy's bincount used to name the mismatch
+    g, sigma = path3(), MatrixEdgeField.from_blocks(np.ones((edges, 1, 1)))
+    for call in (lambda: floppy_basis(g, sigma), lambda: make_spec_schrodinger(g, sigma),
+                 lambda: make_spec_eigenvalues(g, eigen_decompose(sigma))):
+        with pytest.raises(FieldError, match="(conductivity|eigendata) does not match edge count"):
             call()
 
 
@@ -711,11 +756,12 @@ def test_near_mechanism_map_matches_pseudoinverse_oracle(n, boundary, edges, see
     assert np.abs(dtn_psd(g, sigma).matrix - dtn_pseudoinverse_oracle(g, sigma)).max() < 1e-10
 
 
-@settings(max_examples=200, deadline=None)
-@given(networks(), st.sampled_from(["sigma", "sigma+q", "indefinite+q", "rank_one", "rank_one+q",
-                                    "spread"]),
-       st.floats(-1.0, 1.5))
-def test_cholesky_certificate_matches_eigvalsh_oracle(net, kind, level):
+CERTIFICATE_KINDS = st.sampled_from(["sigma", "sigma+q", "indefinite+q", "rank_one",
+                                     "rank_one+q", "spread"])
+
+
+def certificate_case(net, kind, level):
+    """(g, sigma, q, Lr_II) for one draw of the certificate tests."""
     g, d, seed = net
     local = np.random.default_rng(seed)
     if kind.startswith("rank_one"):
@@ -732,33 +778,62 @@ def test_cholesky_certificate_matches_eigvalsh_oracle(net, kind, level):
     sigma = MatrixEdgeField.from_blocks(blocks)
     nb = d * g.num_boundary
     Lr_II = laplacian_matrix(g, sigma.values.real).real[nb:, nb:]
-    w = np.linalg.eigvalsh(Lr_II)
-    scale = np.abs(w).max(initial=0.0)
     q = None
     if kind.endswith("+q"):
         # level * |Lr_II| I plus a symmetric perturbation: the bound
         # q_I' > -lambda_min(Lr_II) falls on both sides across the draws
+        scale = np.abs(np.linalg.eigvalsh(Lr_II)).max(initial=0.0)
         noise = local.standard_normal((g.num_vertices, d, d))
         q_blocks = level * max(scale, 1.0) * np.eye(d) + 0.1 * (noise + noise.transpose(0, 2, 1))
         q = MatrixNodeField.from_blocks(q_blocks)
+    return g, sigma, q, Lr_II
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks(), CERTIFICATE_KINDS, st.floats(-1.0, 1.5))
+def test_cholesky_certificate_matches_eigvalsh_oracle(net, kind, level):
+    g, sigma, q, Lr_II = certificate_case(net, kind, level)
     if g.num_interior:
-        # skip draws within rounding of a criterion's threshold
-        q_values = q.values.real if q is not None else np.zeros((g.num_vertices, d, d))
-        q_I = q_values[list(g.interior)]
-        q_min = np.linalg.eigvalsh(q_I).min()
+        # skip draws within rounding of the certificate's threshold: at most
+        # one Cholesky runs, (i) per edge when q_I' is indefinite, else (ii),
+        # both of Lr_II less the shift PD_TOL max|sigma'| - min q_I'
+        w = np.linalg.eigvalsh(Lr_II)
+        q_values = q.values.real if q is not None else np.zeros((g.num_vertices, sigma.d, sigma.d))
+        q_min = np.linalg.eigvalsh(q_values[list(g.interior)]).min()
         edge_eigs = np.linalg.eigvalsh(sigma.values.real)
-        thresholds = []
-        # at most one Cholesky runs: (i) per edge when q_I' is indefinite, else (ii)
-        if (edge_eigs[:, 0] > PD_TOL * edge_eigs[:, -1]).all():
-            if q_min < 0:
-                thresholds.append((PD_TOL - q_min) / (1.0 - PD_TOL))
-        elif q_min > PD_TOL * (1.0 + np.abs(q_I).max()):
-            thresholds.append(PD_TOL * (1.0 + abs(q_min)) - q_min)
-        assume(all(abs(w[0] - t) > 1e-8 * (1.0 + scale) for t in thresholds))
+        negligible = PD_TOL * np.abs(sigma.values.real).max()
+        pd_edges = (edge_eigs[:, 0] > PD_TOL * edge_eigs[:, -1]).all()
+        if (q_min < 0) if pd_edges else (q_min > negligible):
+            assume(abs(w[0] - (negligible - q_min)) > 1e-8 * (1.0 + np.abs(w).max()))
     tag = classify_regime(g, sigma, q).tag
     assert tag is classify_regime_eigvalsh(g, sigma, q)
     if kind == "spread":
         assert tag is RegimeTag.PD_SIGMA
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks(), CERTIFICATE_KINDS, st.floats(-1.0, 1.5), st.integers(-200, 200))
+def test_tags_and_certificate_shifts_are_exact_under_powers_of_four(net, kind, level, j):
+    # every test of classify_regime is relative to max|sigma'|, and a
+    # Cholesky of 4^j A is exactly 2^j times that of A, so under
+    # (sigma, q) -> 4^j (sigma, q) the tag is unchanged and the shift of a
+    # certified tag is exactly 4^j times
+    g, sigma, q, _ = certificate_case(net, kind, level)
+    scale = 4.0 ** j
+
+    def normal(a):
+        a = np.abs(a[a != 0])
+        return ((a >= np.finfo(float).tiny) & (a <= np.finfo(float).max)).all()
+
+    fields = [sigma.values] + ([] if q is None else [q.values])
+    assume(all(normal(scale * f.view(float)) for f in fields))
+    assume(normal(scale * PD_TOL * np.abs(sigma.values.real).max(keepdims=True)))
+    regime = classify_regime(g, sigma, q)
+    scaled = classify_regime(g, MatrixEdgeField.from_blocks(scale * sigma.values),
+                             None if q is None else MatrixNodeField.from_blocks(scale * q.values))
+    assert scaled.tag is regime.tag
+    shift = regime.diagnostics.get("cholesky_shift")
+    assert scaled.diagnostics.get("cholesky_shift") == (None if shift is None else scale * shift)
 
 
 def scaled_residual(M, plan, u):
@@ -820,22 +895,22 @@ def test_floppy_network_on_many_levels_is_scattered_once(monkeypatch):
     plan, one = regime.operator.plan, _level_plan(g, 2, one_level=True)
     assert regime.tag is RegimeTag.PSD_REAL and plan.floppy.shape[1] == 3
     assert len(g.interior_levels) == 3 and len(plan.rows) == 1
-    assert plans == [one, plan] and plan.views is one.views
+    assert len(plans) == 2 and plans[1] is plan and plans[0].floppy is None
+    assert all((p.views, p.rows) == (one.views, one.rows) for p in plans)
     check_regime_solves_as_its_route(g, sigma, None, np.array([0.3, -0.2]))
 
 
-def test_floppy_copy_never_reaches_the_cached_plan(monkeypatch):
+def test_pd_route_after_a_floppy_one_has_no_floppy_modes(monkeypatch):
     # the springs along x put their operator on a copy of the one-level plan
     # that carries their floppy modes; on the same graph, a PD map and a
-    # conductivity spec then run on the cached plan of the three levels,
-    # without floppy modes, and give the bytes they give on a fresh graph
+    # conductivity spec then run on plans of the three levels, without
+    # floppy modes, and give the bytes they give on a fresh graph
     def path4():
         return build_graph(4, [0], [(0, 1), (1, 2), (2, 3)])
 
     g = path4()
     springs = MatrixEdgeField.from_blocks(np.tile(np.diag([1.0, 0.0]), (3, 1, 1)))
     assert classify_regime(g, springs, None).operator.plan.floppy.shape[1] == 3
-    assert all(plan.floppy is None for plan in g._plans.values())
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(3, 2, 11))
     p = _vec_blocks(sigma.values)
     plans = []
@@ -853,9 +928,8 @@ def test_floppy_copy_never_reaches_the_cached_plan(monkeypatch):
         spec = make_spec_conductivity(graph, 2)
         results.append([dtn.matrix.tobytes(), spec.forward(p).tobytes(),
                         spec.states(p).tobytes()])
-        assert dtn.provenance == "pd"
-        assert plans == [_level_plan(graph, 2)] * 3
-        assert plans[0].floppy is None and len(plans[0].rows) == 3
+        assert dtn.provenance == "pd" and len(plans) == 3
+        assert all(plan.floppy is None and len(plan.rows) == 3 for plan in plans)
     assert results[0] == results[1]
 
 
@@ -1354,10 +1428,9 @@ def traced_peak(f):
 
 
 def test_level_route_map_peaks_below_a_quarter_of_the_dense_operator():
-    # the map is classified and solved on the level blocks alone; the level
-    # plan, built once per graph, is not counted
+    # the map is classified and solved on the level blocks alone, the level
+    # plan's build included
     g, sigma, dense = perimeter_grid_40()
-    _route(g, 2)
     assert traced_peak(lambda: classify_regime(g, sigma, None).dtn()) < dense / 4
 
 

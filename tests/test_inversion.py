@@ -519,6 +519,18 @@ def test_newton_refuses_what_the_command_line_refuses(options, rule):
         newton_invert(spec, spec.forward(2 * p), p, **options)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_newton_refuses_a_target_that_is_not_finite(bad):
+    # it used to blame the residual, with a FieldError
+    spec = make_spec_conductivity(path3(), 1)
+    p = np.array([1.0, 2.0], dtype=complex)
+    target = spec.forward(2 * p)
+    target[0, 1] = bad
+    with pytest.raises(ValueError, match="target must be finite") as info:
+        newton_invert(spec, target, p)
+    assert type(info.value) is ValueError
+
+
 def test_newton_rejects_inadmissible_start():
     g = path3()
     spec = make_spec_conductivity(g, 1)
@@ -567,6 +579,14 @@ def test_line_rank_scan_rejects_no_samples(num_samples):
     spec = make_spec_conductivity(path3(), 1)
     with pytest.raises(ValueError, match="num_samples"):
         line_rank_scan(spec, np.ones(2), np.ones(2), num_samples=num_samples)
+
+
+@pytest.mark.parametrize("num_samples", [2.5, 3.0, "3"])
+def test_line_rank_scan_refuses_a_num_samples_that_is_not_an_integer(num_samples):
+    # the rule of `netinv scan --samples`
+    spec = make_spec_conductivity(path3(), 1)
+    with pytest.raises(ValueError, match="num_samples must be an integer"):
+        line_rank_scan(spec, np.array([1.0, 2.0]), np.ones(2), num_samples=num_samples)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

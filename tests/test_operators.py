@@ -297,6 +297,15 @@ def test_cylinder_embedding_p3_x_p2():
     assert np.abs(M_path - M_cyl[np.ix_(pi, pi)]).max() < 1e-13
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cylinder_embedding_refuses_non_finite_layer_weights(bad):
+    # a NaN weight used to be reported as an overflow of the summed block
+    path = build_graph(3, [0], [(0, 1), (1, 2)])
+    layer = build_graph(2, [0], [(0, 1)])
+    with pytest.raises(FieldError, match="layer weights must be finite"):
+        cylinder_embed(path, layer, [np.ones(1), np.array([bad]), np.ones(1)], [np.ones(2)] * 2)
+
+
 def test_cylinder_embedding_larger():
     path = build_graph(4, [0, 3], [(0, 1), (1, 2), (2, 3)])
     layer = build_graph(3, [0], [(0, 1), (1, 2), (0, 2)])
