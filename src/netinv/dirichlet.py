@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import (
+    TOL,
     FieldError,
     Graph,
     MatrixEdgeField,
@@ -44,15 +45,10 @@ __all__ = [
     "dtn_pd",
     "dtn_psd",
     "floppy_basis",
-    "PD_TOL",
     "RESIDUAL_TOL",
 ]
 
-PD_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
-# Relative cut below which an eigenvalue of the interior unit-eigenvalue
-# Laplacian counts as zero (floppy).
-_NULL_TOL = 1e-10
 
 
 class RegimeError(RuntimeError):
@@ -93,8 +89,9 @@ class DirichletRegime:
         rank-deficient regimes, and its interior residual |(2^-e M u)_I|, 2^e
         just above M_II's largest diagonal entry, taken by the block rows of
         the levels: the same bits under (sigma, q) -> 2^k (sigma, q);
-        RegimeError when that is beyond RESIDUAL_TOL, FieldError when gb is
-        not finite or u is beyond float range."""
+        RegimeError when that is beyond RESIDUAL_TOL |gb|, a verdict that
+        gb -> 2^k gb leaves as it is, FieldError when gb is not finite or u
+        is beyond float range."""
         g, M = self.graph, self._supported()
         nb = M.plan.nb
         gvec = gb.boundary_values(g) if isinstance(gb, VectorNodeField) \
@@ -110,7 +107,7 @@ class DirichletRegime:
             resid = _residual(M, flat)
         if not np.isfinite(flat).all():
             raise FieldError("the Dirichlet solution overflows")
-        if not resid <= RESIDUAL_TOL * (1.0 + np.linalg.norm(gvec)):  # NaN fails too
+        if not resid <= RESIDUAL_TOL * np.linalg.norm(gvec):  # NaN fails too
             raise RegimeError(f"interior residual {resid:.3e} beyond tolerance")
         return VectorNodeField.from_canonical(g, flat, len(flat) // g.num_vertices), resid
 
@@ -150,10 +147,10 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
 
     The paper's criteria are (i) sigma' > 0 and q_I' > -lambda_min((L_sigma')_II)
     and (ii) q_I' > 0 and (L_sigma')_II > -lambda_min(diag(q_I')). sigma'_e > 0
-    (lambda_min > PD_TOL lambda_max) on every edge of a graph whose every
+    (lambda_min > TOL lambda_max) on every edge of a graph whose every
     vertex reaches the boundary makes (L_sigma')_II > 0, so (i) holds with no
     test when q_I' >= 0. Both criteria are otherwise the one inequality
-    lambda_min((L_sigma')_II) + min q_I' > negligible, negligible = PD_TOL
+    lambda_min((L_sigma')_II) + min q_I' > negligible, negligible = TOL
     max|sigma'| being the network's own unit of zero: (i) where sigma'_e > 0
     and (ii) where min q_I' > negligible, certified by one Cholesky of
     (L_sigma')_II - (negligible - min q_I') I, scattered for it as one level.
@@ -179,8 +176,8 @@ def classify_regime(g: Graph, sigma: MatrixEdgeField, q: MatrixNodeField | None)
     q_values = q_blocks if q_blocks is not None else np.zeros((g.num_vertices, d, d))
     qr = q_values.real
     w = np.linalg.eigvalsh(sr)  # ascending, edge by edge
-    sigma_min, negligible = float(w.min()), PD_TOL * np.abs(sr).max(initial=0.0)
-    pd_edges = bool((w[:, 0] > PD_TOL * w[:, -1]).all())
+    sigma_min, negligible = float(w.min()), TOL * np.abs(sr).max(initial=0.0)
+    pd_edges = bool((w[:, 0] > TOL * w[:, -1]).all())
     q_I_min = _blocks_min_eig(qr[list(g.interior)]) if n_I else np.inf
     diag: dict = {"sigma_real_min_eig": sigma_min,
                   "q_interior_real_min_eig": q_I_min if n_I else None}
@@ -222,13 +219,13 @@ def _route(g: Graph, d: int, eig: EigenData | None = None) -> _LevelPlan:
     eigendata ``eig`` it is a copy that carries the floppy modes
     (``_LevelPlan.floppy``): the nullspace of the interior block of the
     Laplacian whose edge blocks are x x^T (every kept eigenvalue set to 1),
-    cut at _NULL_TOL times its largest eigenvalue, the complex Laplacian's in
+    cut at TOL times its largest eigenvalue, the complex Laplacian's in
     the supported rank-deficient regimes, whatever the edge spread."""
     if eig is None:
         return _level_plan(g, d)
     one = _level_plan(g, d, one_level=True)
     w, v = np.linalg.eigh(one.scatter(eig.x @ eig.x.transpose(0, 2, 1)).D[1])
-    kept = w > _NULL_TOL * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
+    kept = w > TOL * max(abs(w).max(initial=0.0), np.finfo(float).tiny)
     floppy = np.zeros((one.nb + one.interior_rows, int((~kept).sum())))
     floppy[one.nb:] = v[:, ~kept]
     return replace(one if floppy.shape[1] else _level_plan(g, d), floppy=floppy)

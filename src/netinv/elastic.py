@@ -98,10 +98,9 @@ def spring_directions(net: ElasticNetwork) -> np.ndarray:
 
 
 def spring_conductivity(net: ElasticNetwork) -> MatrixEdgeField:
-    """Rank-1 block k(e) x(e) x(e)^T per edge, x(e) the spring direction."""
-    dirs = spring_directions(net)
-    return MatrixEdgeField.from_blocks(
-        np.einsum("e,ea,eb->eab", np.asarray(net.k, dtype=complex), dirs, dirs))
+    """Rank-1 block k(e) x(e) x(e)^T per edge, x(e) the spring direction:
+    the pencil's edge blocks at k, k (x x^T), which are exactly symmetric."""
+    return MatrixEdgeField.from_blocks(_pencil(net, net.k, np.zeros(0))[0])
 
 
 def _require_dynamic(net: ElasticNetwork) -> None:

@@ -22,11 +22,12 @@ __all__ = [
     "MatrixEdgeField",
     "MatrixNodeField",
     "VectorNodeField",
-    "SYMMETRY_TOL",
+    "TOL",
 ]
 
-# Relative tolerance for the symmetry check at field construction.
-SYMMETRY_TOL = 1e-10
+# The one relative zero: at most TOL times the scale it is measured against
+# (a block's largest entry, an edge's largest eigenvalue, max|sigma'|).
+TOL = 1e-10
 
 
 class GraphError(ValueError):
@@ -159,13 +160,14 @@ def build_graph(n: int, boundary: Sequence[int], edges: Sequence[Sequence[int]])
 
 def _symmetrize_blocks(values: np.ndarray, what: str) -> np.ndarray:
     """Symmetric part of a stack of blocks, naming the first block whose
-    asymmetry exceeds SYMMETRY_TOL relative to its largest entry."""
+    asymmetry exceeds TOL times its largest entry, so that 2^k B is refused
+    exactly when B is."""
     # halved first, so that neither the difference nor the sum can overflow;
     # that gives the same bits in the normal range
     half = 0.5 * values
     swapped = np.transpose(half, (0, 2, 1))
-    scale = 0.5 + np.abs(half).max(axis=(1, 2), initial=0.0)
-    asymmetric = np.abs(half - swapped).max(axis=(1, 2), initial=0.0) > SYMMETRY_TOL * scale
+    asymmetric = (np.abs(half - swapped).max(axis=(1, 2), initial=0.0)
+                  > TOL * np.abs(half).max(axis=(1, 2), initial=0.0))
     if asymmetric.any():
         raise FieldError(f"{what} block {int(asymmetric.argmax())} is not symmetric")
     return half + swapped

@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 1e-8
-# Newton: stop when a step is this short; the Armijo sufficient-decrease
-# factor; the smallest line-search step length; the lstsq singular value cut.
+# Newton: stop at a step this short relative to p; the Armijo factor; the
+# smallest line-search step length; the lstsq singular value cut.
 _STEP_TOL = 1e-12
 _ARMIJO = 1e-4
 _T_FLOOR = 1e-12
@@ -267,7 +267,8 @@ def _norm(v: np.ndarray) -> float:
     """The 2-norm of v, taken on v divided by its largest entry, so that it
     overflows only when the norm itself is beyond float range."""
     top = np.abs(v).max(initial=0.0)
-    return float(top * np.linalg.norm(v / top)) if top else 0.0
+    with np.errstate(over="ignore"):  # beyond float range: inf, with no warning
+        return float(top * np.linalg.norm(v / top)) if top else 0.0
 
 
 def newton_invert(
@@ -281,6 +282,9 @@ def newton_invert(
     least-squares steps and backtracking line search.
 
     Accepted steps never increase the residual; iterates stay admissible.
+    It stops at a residual norm within residual_tol |target| or a step
+    within _STEP_TOL |p|, so 2^k (target, p0) gives 2^k p when the map is
+    homogeneous of degree 1.
     An iterate whose residual norm is beyond float range is refused with a
     FieldError. ``max_iter`` is an integer >= 0, ``residual_tol`` a finite
     number > 0 and ``target`` a finite n x n matrix, else a ValueError.
@@ -307,7 +311,7 @@ def newton_invert(
 
     r, rnorm = residual(p)
     iterates, residuals, step_lengths = [p.copy()], [rnorm], []
-    stop_res = residual_tol * (1.0 + _norm(tvec))
+    stop_res = residual_tol * _norm(tvec)
 
     reason = "max_iter"
     for _ in range(max_iter):
@@ -316,7 +320,7 @@ def newton_invert(
             break
         J = jacobian(spec, p)
         dp = _minimal_norm_step(spec, J, r)
-        if _norm(dp) <= _STEP_TOL:
+        if _norm(dp) <= _STEP_TOL * _norm(p):
             reason = "step"
             break
         t = 1.0
@@ -336,7 +340,7 @@ def newton_invert(
         iterates.append(p.copy())
         residuals.append(rnorm)
         step_lengths.append(t)
-        if t * _norm(dp) <= _STEP_TOL:
+        if t * _norm(dp) <= _STEP_TOL * _norm(p):
             reason = "step"
             break
     if rnorm <= stop_res:

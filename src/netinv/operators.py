@@ -8,7 +8,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import FieldError, Graph, MatrixEdgeField, MatrixNodeField
+from .graph import TOL, FieldError, Graph, MatrixEdgeField, MatrixNodeField
 
 __all__ = [
     "EigenData",
@@ -16,15 +16,10 @@ __all__ = [
     "schrodinger_matrix",
     "cylinder_embed",
     "eigen_decompose",
-    "RANK_TOL",
-    "COMMUTE_TOL",
     "JOINT_TOL",
     "JOINT_SWEEPS",
 ]
 
-# Relative threshold for treating an eigenvalue of sigma'(e) as zero.
-RANK_TOL = 1e-10
-COMMUTE_TOL = 1e-10
 # Largest off-diagonal entry of x^T sigma'' x, relative to its largest entry,
 # that eigen_decompose leaves in place; a larger one is rotated away.
 JOINT_TOL = 2.0 ** -46
@@ -348,7 +343,7 @@ def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
     """Eigendecomposition of all edge blocks at once, for conductivities
     whose real and imaginary parts commute and share real eigenvectors.
 
-    Keeps the eigenvalues of sigma'(e) above RANK_TOL times the largest one;
+    Keeps the eigenvalues of sigma'(e) above TOL times the largest one;
     the imaginary eigenvalues are read off in the same eigenbasis, after
     Jacobi rotations where sigma''(e) is not diagonal in it. Raises,
     naming the first failing edge, on non-commuting parts, on a zero real
@@ -363,10 +358,10 @@ def eigen_decompose(sigma: MatrixEdgeField) -> EigenData:
     si, si_exp = _scaled_exactly(sigma.values.imag, (1, 2))
     comm = sr_u @ si - si @ sr_u
     scale = np.linalg.norm(sr_u, axis=(1, 2)) * np.linalg.norm(si, axis=(1, 2))
-    noncommuting = np.linalg.norm(comm, axis=(1, 2)) > COMMUTE_TOL * np.maximum(scale, 1e-300)
+    noncommuting = np.linalg.norm(comm, axis=(1, 2)) > TOL * scale
     w, v = np.linalg.eigh(sr_u)
     # eigh sorts ascending, so each edge keeps a suffix of its eigenpairs
-    keep = w > RANK_TOL * np.maximum(w[:, -1:], np.finfo(float).tiny)
+    keep = w > TOL * np.maximum(w[:, -1:], np.finfo(float).tiny)
     ranks = keep.sum(axis=1)
     r = int(ranks.max())
     used = keep[:, d - r:]

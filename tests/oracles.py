@@ -2,10 +2,11 @@
 
 import numpy as np
 
-from netinv.dirichlet import PD_TOL, RegimeTag
+from netinv.dirichlet import RegimeTag
 from netinv.elastic import ElasticNetwork, spring_conductivity, spring_directions
 from netinv.fileio import SchemaError, parse_complex
 from netinv.graph import (
+    TOL,
     FieldError,
     Graph,
     MatrixEdgeField,
@@ -13,10 +14,8 @@ from netinv.graph import (
     build_graph,
 )
 from netinv.operators import (
-    COMMUTE_TOL,
     JOINT_SWEEPS,
     JOINT_TOL,
-    RANK_TOL,
     EigenData,
     eigen_decompose,
     laplacian_matrix,
@@ -70,7 +69,7 @@ def korn_constants(sigma: MatrixEdgeField) -> tuple[float, float, float]:
         raise FieldError("korn constants require a real conductivity")
     all_eigs = np.linalg.eigvalsh(sigma.values.real).ravel()
     lam_max = float(all_eigs.max())
-    positive = all_eigs[all_eigs > RANK_TOL * max(lam_max, np.finfo(float).tiny)]
+    positive = all_eigs[all_eigs > TOL * max(lam_max, np.finfo(float).tiny)]
     if positive.size == 0:
         raise FieldError("conductivity has no positive eigenvalues")
     return float(all_eigs.min()), float(positive.min()), lam_max
@@ -188,10 +187,10 @@ def eigen_decompose_loop(sigma: MatrixEdgeField) -> tuple[list, list]:
         si = block.imag
         comm = sr @ si - si @ sr
         scale = np.linalg.norm(sr) * np.linalg.norm(si)
-        if np.linalg.norm(comm) > COMMUTE_TOL * max(scale, 1e-300):
+        if np.linalg.norm(comm) > TOL * max(scale, 1e-300):
             raise FieldError(f"real and imaginary parts of edge {e} do not commute")
         w, v = np.linalg.eigh(sr)
-        keep = w > RANK_TOL * max(w.max(initial=0.0), np.finfo(float).tiny)
+        keep = w > TOL * max(w.max(initial=0.0), np.finfo(float).tiny)
         if not keep.any():
             raise FieldError(f"edge {e} has zero real part")
         x = v[:, keep]
@@ -255,10 +254,10 @@ def every_vertex_reaches_the_boundary(g: Graph) -> bool:
 def classify_regime_eigvalsh(g: Graph, sigma: MatrixEdgeField,
                              q: MatrixNodeField | None) -> RegimeTag:
     """Regime tag by the full spectrum: sigma' > 0 is lambda_min(sigma'_e) >
-    PD_TOL lambda_max(sigma'_e) on every edge, which makes the real interior
+    TOL lambda_max(sigma'_e) on every edge, which makes the real interior
     Laplacian positive definite, so with q_I' >= 0 criterion (i) holds;
     otherwise both PD criteria compare its smallest eigenvalue lambda_II,
-    from a dense eigvalsh, plus min q_I' with the negligible PD_TOL
+    from a dense eigvalsh, plus min q_I' with the negligible TOL
     max|sigma'|. The same order and tolerances as ``classify_regime``, which
     needs every vertex to reach the boundary."""
     if not every_vertex_reaches_the_boundary(g):
@@ -272,8 +271,8 @@ def classify_regime_eigvalsh(g: Graph, sigma: MatrixEdgeField,
     qr = q_values.real
     edge_eigs = np.linalg.eigvalsh(sr)
     sigma_min = float(edge_eigs.min())
-    pd_edges = (edge_eigs[:, 0] > PD_TOL * edge_eigs[:, -1]).all()
-    negligible = PD_TOL * np.abs(sr).max(initial=0.0)
+    pd_edges = (edge_eigs[:, 0] > TOL * edge_eigs[:, -1]).all()
+    negligible = TOL * np.abs(sr).max(initial=0.0)
     nb = sigma.d * g.num_boundary
     Lr_II = laplacian_matrix(g, sr).real[nb:, nb:]
     lam_II = float(np.linalg.eigvalsh(Lr_II).min()) if Lr_II.size else 0.0

@@ -352,7 +352,7 @@ def test_forward_malformed_json_exits_1(tmp_path):
 def test_forward_unsupported_regime_exits_4(tmp_path, capsys):
     bc = write(tmp_path, "bc.json", {"g": [[1.0], [0.0]]})
     out = str(tmp_path / "dtn.json")
-    # an indefinite conductivity; and sigma' >= 0 within PD_TOL where edge 0
+    # an indefinite conductivity; and sigma' >= 0 within TOL where edge 0
     # has no positive eigenvalue to decompose, so that no route solves it
     for sigma0 in (-1.0, -1e-11):
         net = write(tmp_path, "net.json", p3_doc((sigma0, 1.0)))
@@ -440,6 +440,31 @@ def test_dtn_of_a_path_scaled_by_a_power_of_two_is_scaled_exactly(tmp_path):
         data.append(json.loads(out.read_text())["data"])
     big, small = data
     assert small == [[[math.ldexp(x, -40) for x in z] for z in row] for row in big]
+
+
+def test_invert_of_a_path_scaled_by_a_power_of_two_is_scaled_exactly(tmp_path):
+    # Newton stops in the problem's own units, so on 2^-40 times the path,
+    # its map and p0 it recovers exactly 2^-40 times the parameters; with a
+    # floor of 1 on the target's norm it stopped at p0
+    docs = []
+    for name, sigma, p0 in (("big", (1.0, 2.0), 1.0), ("small", (2.0 ** -40, 2.0 ** -39), 2.0 ** -40)):
+        net = write(tmp_path, f"{name}.json", p3_doc(sigma))
+        target, out = tmp_path / f"{name}_dtn.json", tmp_path / f"{name}_p.json"
+        assert main(["dtn", net, "-o", str(target)]) == EXIT_OK
+        assert main(["invert", net, str(target), "--problem", "conductivity",
+                     "--p0", repr(p0), "-o", str(out)]) == EXIT_OK
+        docs.append(json.loads(out.read_text()))
+    big, small = docs
+    assert len(big["residuals"]) > 1 and small["reason"] == big["reason"]
+    assert small["parameters"] == [[math.ldexp(x, -40) for x in z] for z in big["parameters"]]
+
+
+def test_dtn_refuses_an_asymmetric_block_whatever_its_units(tmp_path, capsys):
+    doc = {**single_edge_doc(), "d": 2,
+           "edges": [{"i": 0, "j": 1, "sigma": [[2.0 ** -40, 2.0 ** -40], [0.0, 2.0 ** -40]]}]}
+    assert main(["dtn", write(tmp_path, "net.json", doc), "-o", str(tmp_path / "dtn.json")]) \
+        == EXIT_USAGE
+    assert "edge block 0 is not symmetric" in capsys.readouterr().err
 
 
 def grid_doc():
@@ -638,7 +663,7 @@ def test_invert_residual_tol_sets_newton_stop(tmp_path):
 
     default = run()
     assert len(default["residuals"]) > 1
-    assert default["residuals"][-1] <= 1e-10 * (1 + np.linalg.norm(load_matrix(target)))
+    assert default["residuals"][-1] <= 1e-10 * np.linalg.norm(load_matrix(target))
     # a tolerance above the starting residual stops Newton before its first step
     loose = run("--residual-tol", "10")
     assert loose["reason"] == "residual"

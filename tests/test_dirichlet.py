@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netinv.dirichlet import (
-    PD_TOL,
     RegimeError,
     RegimeTag,
     classify_regime,
@@ -23,6 +22,7 @@ from netinv.dirichlet import (
     _solve_interior,
 )
 from netinv.graph import (
+    TOL,
     FieldError,
     MatrixEdgeField,
     MatrixNodeField,
@@ -124,7 +124,7 @@ def test_classify_unsupported_noncommuting():
 
 
 def test_classify_unsupported_without_edge_eigendata():
-    # within PD_TOL of sigma' >= 0, but edge 0 has no positive eigenvalue:
+    # within TOL of sigma' >= 0, but edge 0 has no positive eigenvalue:
     # the decomposition's message is reported, and no operator is kept
     g = path3()
     sigma = MatrixEdgeField.from_blocks(np.array([[[-1e-11]], [[1.0]]]))
@@ -345,13 +345,13 @@ def test_pd_diagnostics_record_the_certificate():
     regime = classify_regime(g, sigma, q)
     assert regime.tag is RegimeTag.PD_SIGMA
     assert "cholesky_shift" not in regime.diagnostics
-    # with q_I' < 0 it is certified: lambda_min(Lr_II) = 2 > PD_TOL max|sigma'| + 0.25,
-    # and by the same shift, times 2^k, at every k where 2^k PD_TOL is normal
+    # with q_I' < 0 it is certified: lambda_min(Lr_II) = 2 > TOL max|sigma'| + 0.25,
+    # and by the same shift, times 2^k, at every k where 2^k TOL is normal
     for k in range(-980, 1001):
         regime = classify_regime(g, MatrixEdgeField.from_blocks(2.0 ** k * sigma.values),
                                  MatrixNodeField.from_blocks(np.full((3, 1, 1), -0.25 * 2.0 ** k)))
         assert regime.tag is RegimeTag.PD_SIGMA
-        assert regime.diagnostics["cholesky_shift"] == 2.0 ** k * (PD_TOL + 0.25)
+        assert regime.diagnostics["cholesky_shift"] == 2.0 ** k * (TOL + 0.25)
         assert "laplacian_interior_min_eig" not in regime.diagnostics
 
 
@@ -362,11 +362,11 @@ def test_collinear_springs_with_q_are_pd_q_at_every_power_of_two():
         regime = classify_regime(g, MatrixEdgeField.from_blocks(2.0 ** k * sigma.values),
                                  MatrixNodeField.from_blocks(2.0 ** k * q))
         assert regime.tag is RegimeTag.PD_Q
-        assert regime.diagnostics["cholesky_shift"] == 2.0 ** k * (PD_TOL - 1.0)
+        assert regime.diagnostics["cholesky_shift"] == 2.0 ** k * (TOL - 1.0)
 
 
 def test_a_shift_beyond_float_range_certifies_nothing_and_warns_nothing():
-    # PD_TOL max|sigma'| - min q_I' overflows; Lr_II + q_I' is -1.98e307
+    # TOL max|sigma'| - min q_I' overflows; Lr_II + q_I' is -1.98e307
     sigma = MatrixEdgeField.from_blocks(np.full((2, 1, 1), 8e307))
     q = MatrixNodeField.from_blocks(np.array([0.0, -np.finfo(float).max, 0.0]).reshape(3, 1, 1))
     with warnings.catch_warnings():
@@ -419,6 +419,27 @@ def test_solve_refuses_non_finite_boundary_data(bad):
     regime = classify_regime(path3(), ONES, None)
     with pytest.raises(FieldError, match="boundary data must be finite"):
         regime.solve(np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize("near_mechanism", [False, True])
+def test_solve_verdict_does_not_depend_on_the_units_of_the_boundary_data(near_mechanism):
+    # the interior residual is linear in gb and its bound is RESIDUAL_TOL |gb|,
+    # so 2^k gb is accepted exactly when gb is; the rank-one near-mechanism
+    # of ROADMAP item 12 leaves a relative residual of 4.4e-8 at every k
+    g = build_graph(8, [0, 7], [(0, 3), (2, 7), (0, 7), (1, 2), (1, 3), (3, 5), (2, 3),
+                                (5, 6), (4, 6), (1, 4), (0, 5), (4, 7), (2, 5)])
+    blocks = rank_one_blocks(g.num_edges, 2, np.random.default_rng(0)) if near_mechanism \
+        else random_spd_blocks(g.num_edges, 2, 0)
+    regime = classify_regime(g, MatrixEdgeField.from_blocks(blocks), None)
+    gb = np.random.default_rng(1).standard_normal(4)
+    for k in (-300, -40, -20, 0, 20, 300):
+        if near_mechanism:
+            with pytest.raises(RegimeError, match="beyond tolerance"):
+                regime.solve(2.0 ** k * gb)
+        else:
+            u, resid = regime.solve(2.0 ** k * gb)
+            u0, resid0 = regime.solve(gb)
+            assert np.array_equal(u.values, 2.0 ** k * u0.values) and resid == 2.0 ** k * resid0
 
 
 @pytest.mark.parametrize("sigma, q, message", [
@@ -796,13 +817,13 @@ def test_cholesky_certificate_matches_eigvalsh_oracle(net, kind, level):
     if g.num_interior:
         # skip draws within rounding of the certificate's threshold: at most
         # one Cholesky runs, (i) per edge when q_I' is indefinite, else (ii),
-        # both of Lr_II less the shift PD_TOL max|sigma'| - min q_I'
+        # both of Lr_II less the shift TOL max|sigma'| - min q_I'
         w = np.linalg.eigvalsh(Lr_II)
         q_values = q.values.real if q is not None else np.zeros((g.num_vertices, sigma.d, sigma.d))
         q_min = np.linalg.eigvalsh(q_values[list(g.interior)]).min()
         edge_eigs = np.linalg.eigvalsh(sigma.values.real)
-        negligible = PD_TOL * np.abs(sigma.values.real).max()
-        pd_edges = (edge_eigs[:, 0] > PD_TOL * edge_eigs[:, -1]).all()
+        negligible = TOL * np.abs(sigma.values.real).max()
+        pd_edges = (edge_eigs[:, 0] > TOL * edge_eigs[:, -1]).all()
         if (q_min < 0) if pd_edges else (q_min > negligible):
             assume(abs(w[0] - (negligible - q_min)) > 1e-8 * (1.0 + np.abs(w).max()))
     tag = classify_regime(g, sigma, q).tag
@@ -827,7 +848,7 @@ def test_tags_and_certificate_shifts_are_exact_under_powers_of_four(net, kind, l
 
     fields = [sigma.values] + ([] if q is None else [q.values])
     assume(all(normal(scale * f.view(float)) for f in fields))
-    assume(normal(scale * PD_TOL * np.abs(sigma.values.real).max(keepdims=True)))
+    assume(normal(scale * TOL * np.abs(sigma.values.real).max(keepdims=True)))
     regime = classify_regime(g, sigma, q)
     scaled = classify_regime(g, MatrixEdgeField.from_blocks(scale * sigma.values),
                              None if q is None else MatrixNodeField.from_blocks(scale * q.values))

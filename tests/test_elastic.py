@@ -120,6 +120,16 @@ def test_spring_conductivity_rank1():
         assert abs(w[1] - net.k[e]) < 1e-12
 
 
+def test_subnormal_springs_are_exactly_symmetric():
+    # k (x x^T) rounds its two mirrored entries alike, so a spring of a few
+    # times the smallest subnormal passes the relative symmetry test;
+    # (k x_a) x_b left edge 6 asymmetric by 5e-324 and was refused
+    net = replace(braced_network(), k=np.full(9, 3.5e-323))
+    sigma = spring_conductivity(net)
+    assert np.array_equal(sigma.values, sigma.values.transpose(0, 2, 1))
+    assert sigma.values.real.max() > 0
+
+
 def test_spring_eigendata_matches_directions():
     # rank 1 per edge: x is the spring direction, first nonzero component
     # positive, and lambda is the spring constant

@@ -10,7 +10,7 @@ from netinv.graph import (
     GraphError,
     MatrixEdgeField,
     MatrixNodeField,
-    SYMMETRY_TOL,
+    TOL,
     VectorNodeField,
     _block_outer_split,
     build_graph,
@@ -111,7 +111,7 @@ def test_matrix_edge_field_rejects_asymmetric():
 def first_asymmetric_block(values):
     """The per-block loop that the array check in from_blocks replaced."""
     for idx, a in enumerate(values):
-        if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOL * (1.0 + np.abs(a).max(initial=0.0)):
+        if np.abs(a - a.T).max(initial=0.0) > TOL * np.abs(a).max(initial=0.0):
             return idx
     return None
 
@@ -129,8 +129,8 @@ def test_asymmetric_block_error_names_the_first(cls, what):
     for _ in range(50):
         sym = local.standard_normal((5, 2, 2)) * 10.0 ** local.uniform(-3, 3, (5, 1, 1))
         sym = sym + sym.transpose(0, 2, 1)
-        scale = 1.0 + np.abs(sym).max(axis=(1, 2))
-        sym[:, 1, 0] += SYMMETRY_TOL * scale * local.uniform(0.5, 1.5, 5)
+        scale = np.abs(sym).max(axis=(1, 2))
+        sym[:, 1, 0] += TOL * scale * local.uniform(0.5, 1.5, 5)
         first = first_asymmetric_block(sym)
         if first is None:
             cls.from_blocks(sym)
@@ -147,6 +147,40 @@ def test_symmetric_part_near_the_float_maximum():
     for far in ([[1.0, big], [-big, 1.0]], [[1.0, big * (1 + 1j)], [-big * (1 + 1j), 1.0]]):
         with pytest.raises(FieldError, match="not symmetric"):
             MatrixNodeField.from_blocks(np.array([far]))
+
+
+def symmetry_verdict(blocks):
+    """The message from_blocks refuses ``blocks`` with, or None."""
+    try:
+        MatrixEdgeField.from_blocks(blocks)
+    except FieldError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3), st.booleans(), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(0.25, 4.0), min_size=3, max_size=3), st.integers(-950, 1020))
+def test_symmetry_verdict_is_the_same_at_every_power_of_two(d, complex_, seed, c, k):
+    # three blocks with entries of modulus in [2^-8, 1] (each part), block e
+    # made asymmetric by c[e] TOL times its largest entry; k keeps every
+    # entry and TOL times the largest normal, so 2^k B is refused exactly
+    # when B is, and by the same block
+    local = np.random.default_rng(seed)
+    blocks = local.choice([-1.0, 1.0], (3, d, d)) * local.uniform(2.0 ** -8, 1.0, (3, d, d))
+    if complex_:
+        blocks = blocks + 1j * local.choice([-1.0, 1.0], (3, d, d)) \
+            * local.uniform(2.0 ** -8, 1.0, (3, d, d))
+    blocks = blocks + blocks.transpose(0, 2, 1)
+    blocks[:, 1, 0] += np.array(c) * TOL * np.abs(blocks).max(axis=(1, 2))
+    assert symmetry_verdict(2.0 ** k * blocks) == symmetry_verdict(blocks)
+
+
+@pytest.mark.parametrize("k", [-1000, -40, -30, 0, 40, 1000])
+def test_asymmetric_block_is_refused_whatever_its_units(k):
+    # [[1, 1], [0, 1]] is asymmetric by its largest entry, at every scale
+    with pytest.raises(FieldError, match="^edge block 0 is not symmetric$"):
+        MatrixEdgeField.from_blocks(2.0 ** k * np.array([[[1.0, 1.0], [0.0, 1.0]]]))
 
 
 def test_matrix_node_field_shapes():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netinv import inversion, operators
+from netinv.dirichlet import RegimeError
 from netinv.elastic import (
     ElasticNetwork,
     make_spec_eigenvalues,
@@ -17,7 +18,7 @@ from netinv.elastic import (
     make_spec_static_springs,
     spring_conductivity,
 )
-from netinv.graph import MatrixEdgeField, _block_outer_split, build_graph
+from netinv.graph import FieldError, MatrixEdgeField, _block_outer_split, build_graph
 from netinv.inversion import (
     InadmissibleParameterError,
     _admissible_extent,
@@ -495,6 +496,37 @@ def test_newton_residual_monotone():
     res = trace.residuals
     assert all(res[k + 1] <= res[k] for k in range(len(res) - 1))
     assert trace.reason in ("residual", "step")
+
+
+def newton_outcome(spec, target, p0):
+    """(p, trace) of newton_invert, or the type and message of its error."""
+    try:
+        return newton_invert(spec, target, p0, max_iter=12)
+    except (FieldError, RegimeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.sampled_from(["conductivity", "eigenvalues", "springs_static"]),
+       st.booleans(), st.integers(-60, 60))
+@example((build_graph(3, [0, 2], [(0, 1), (1, 2)]), 1, 0), "conductivity", True, -40)
+def test_newton_is_exact_under_powers_of_two(net, factory, real, k):
+    # these maps are homogeneous of degree 1 and Newton stops in the
+    # problem's own units, so on 2^k (target, p0) it takes the same steps,
+    # with the same reason, to 2^k times the same parameter, bit for bit
+    g, d, seed = net
+    spec, p_true = spec_and_parameter(g, d, seed, factory, real)
+    p0 = 0.5 * (p_true + spec_and_parameter(g, d, seed + 1, factory, real)[1])
+    target = spec.forward(p_true)
+    base = newton_outcome(spec, target, p0)
+    scaled = newton_outcome(spec, 2.0 ** k * target, 2.0 ** k * p0)
+    if isinstance(base[1], str):
+        assert scaled == base
+        return
+    (p, trace), (p_k, trace_k) = base, scaled
+    assert np.array_equal(p_k, 2.0 ** k * p)
+    assert trace_k.reason == trace.reason and trace_k.step_lengths == trace.step_lengths
+    assert trace_k.residuals == [2.0 ** k * r for r in trace.residuals]
 
 
 @pytest.mark.parametrize("h, direction", [(0.0, 1.0), (1e-5, 0.0), (1e-200, 1e-200),
