@@ -145,8 +145,7 @@ def _parse_p0(arg: complex | Path | None, spec, default: np.ndarray) -> np.ndarr
         return default
     if isinstance(arg, Path):
         return load_values(arg)
-    fill = np.full(spec.m, arg, dtype=complex)
-    return fill.real if spec.is_real else fill
+    return np.full(spec.m, arg, dtype=complex)
 
 
 def cmd_invert(args) -> int:

@@ -345,9 +345,10 @@ def _dtn(M: _Levels) -> DtnMap:
 
 def _dirichlet_state_matrix(M: _Levels) -> np.ndarray:
     """Solutions of the Dirichlet problem for every basis boundary vector,
-    stacked as columns in the canonical ordering."""
+    stacked as columns in the canonical ordering, in M's dtype: float64
+    when M is real."""
     nb = M.plan.nb
-    U = np.eye(nb + M.plan.interior_rows, nb, dtype=complex)
+    U = np.eye(nb + M.plan.interior_rows, nb, dtype=M.D[0].dtype)
     _solve_interior(M, M.L[0], U[nb:])
     return U
 

@@ -60,7 +60,8 @@ class ProblemSpec:
     bilinear pairing of the boundary/interior identity and the admissible set.
 
     ``states(p)`` is the matrix of internal states for the n basis boundary
-    conditions, one state per column. The pairing of two such matrices is
+    conditions, one state per column; it, W and the Jacobian are float64
+    when the operator at p is real. The pairing of two such matrices is
     the blockwise outer product of their ``block``-row groups
     (``graph._block_outer``); with ``components`` > 1 (``block`` = 1 only)
     each row of W sums that many consecutive rows, as the masses spec sums
@@ -223,17 +224,15 @@ def uniqueness_test(spec: ProblemSpec, p: np.ndarray,
     sigma_min is the m-th largest singular value of W, and exactly 0 when
     the shape of W or of a block of its split rules out m independent rows.
     The singular values come from the two blocks of the exact split of W
-    (``ProblemSpec._split``), in real arithmetic when the states are real;
-    W itself is never formed, nor its columns of states that never meet.
+    (``ProblemSpec._split``), in real arithmetic when the states are, as
+    they are for a real operator; W itself is never formed, nor its columns
+    of states that never meet.
     A block beyond float range is refused with a FieldError.
     """
     _require_epsilon(epsilon)
     p = spec.require_admissible(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        S = spec.states(p)
-        if not S.imag.any():
-            S = S.real
-        blocks = spec._split(S)
+        blocks = spec._split(spec.states(p))
     if not all(np.isfinite(B).all() for B in blocks):
         raise FieldError(f"{spec.name}: the product matrix W(p, p) overflows")
     # the transposes, blocks of the Jacobian, stay mostly tall without the
@@ -253,14 +252,11 @@ def uniqueness_test(spec: ProblemSpec, p: np.ndarray,
 
 
 def _minimal_norm_step(spec: ProblemSpec, J: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Minimal-norm least-squares solution of J dp = -r."""
+    """Minimal-norm least-squares solution of J dp = -r; for a real spec,
+    of [Re J; Im J] dp = -[Re r; Im r]."""
     if spec.is_real:
-        A = np.vstack([J.real, J.imag])
-        b = np.concatenate([-r.real, -r.imag])
-        dp, *_ = np.linalg.lstsq(A, b, rcond=_RCOND)
-        return dp
-    dp, *_ = np.linalg.lstsq(J, -r, rcond=_RCOND)
-    return dp
+        J, r = np.vstack([J.real, J.imag]), np.concatenate([r.real, r.imag])
+    return np.linalg.lstsq(J, -r, rcond=_RCOND)[0]
 
 
 def _norm(v: np.ndarray) -> float:
@@ -429,14 +425,20 @@ def line_rank_scan(
 
 
 def identity_residual(spec: ProblemSpec, p1: np.ndarray, p2: np.ndarray) -> float:
-    """Relative mismatch between vec of the data difference and its
-    reconstruction through the product-of-solutions matrix."""
+    """Mismatch between vec of the data difference and its reconstruction
+    W^T (p1 - p2), relative to max|p1 - p2| max(max|W|, 1); 0 when p1 = p2.
+    W pairs states of unit boundary data and has no units, so the ratio is
+    the same under p -> 2^k p where the states are; the 1 stands in where W
+    vanishes, as it does with one boundary vertex."""
     p1 = spec.require_admissible(p1)
     p2 = spec.require_admissible(p2)
+    dp = p1 - p2
+    if not dp.any():
+        return 0.0
     lhs = (spec.forward(p1) - spec.forward(p2)).reshape(-1, order="F")
     W = product_matrix(spec, p1, p2).W
-    rhs = W.T @ (p1 - p2)
-    return float(np.abs(lhs - rhs).max() / (1.0 + np.abs(lhs).max(initial=0.0)))
+    scale = max(np.abs(W).max(initial=0.0), 1.0) * np.abs(dp).max()
+    return float(np.abs(lhs - W.T @ dp).max() / scale)
 
 
 # ---------------------------------------------------------------------------

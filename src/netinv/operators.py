@@ -120,8 +120,8 @@ class _LevelPlan:
     levels of the graph (``Graph.interior_levels``), or the whole interior
     as one level. Every edge joins equal or consecutive levels, so the
     operator is block tridiagonal on them, and one flat buffer holds its
-    blocks D_0, U_0, L_0, D_1, ..., D_L (``views``: start, shape and order,
-    row by row but for U_0 on more than one level).
+    blocks D_0, U_0, L_0, D_1, ..., D_L (``views``: start and shape, row by
+    row).
 
     ``rows`` are the interior rows of each level (canonical index less nb),
     one slice when there is one level. Buffer indices: ``diag`` of each
@@ -178,8 +178,8 @@ class _LevelPlan:
             buf[self.diag] = sums
         buf[self.edges] = -flat
         exponent = math.frexp(np.abs(buf[self.inner]).max(initial=0.0))[1]
-        views = [np.ndarray(shape, buf.dtype, buf, start * buf.itemsize, order=order)
-                 for start, shape, order in self.views]
+        views = [np.ndarray(shape, buf.dtype, buf, start * buf.itemsize)
+                 for start, shape in self.views]
         return _Levels(self, views[0::3], views[1::3], views[2::3], exponent)
 
 
@@ -204,11 +204,7 @@ def _level_plan(g: Graph, d: int, one_level: bool = False) -> _LevelPlan:
         if k < len(levels):
             shapes += [(sizes[k], sizes[k + 1]), (sizes[k + 1], sizes[k])]
     stops = np.cumsum([r * c for r, c in shapes])
-    starts = np.concatenate([[0], stops[:-1], [0, 0]])  # two unused, for the last level
-    # M_B1 is held column by column on more than one level, as a gather of
-    # its level-1 columns from the dense operator is laid out: the product
-    # M_B1 S_1^-1 M_1B rounds by the layout BLAS is handed
-    by_column = np.arange(len(starts)) == (1 if len(levels) > 1 else -1)
+    starts = np.concatenate([[0], stops[:-1]])
 
     def at(r: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Buffer index of entry (a, b) of the block at canonical positions
@@ -217,8 +213,7 @@ def _level_plan(g: Graph, d: int, one_level: bool = False) -> _LevelPlan:
         block = np.where(kr == kc, 3 * kr, np.where(kc > kr, 3 * kr + 1, 3 * kc + 2))
         row = (local[r] * d)[:, None, None] + comp[:, None]
         col = (local[c] * d)[:, None, None] + comp
-        within = np.where(by_column[block][:, None, None], col * sizes[kr][:, None, None] + row,
-                          row * sizes[kc][:, None, None] + col)
+        within = row * sizes[kc][:, None, None] + col
         return (starts[block][:, None, None] + within).reshape(len(r), d * d)
 
     pi, pj = g.edge_positions()
@@ -228,8 +223,7 @@ def _level_plan(g: Graph, d: int, one_level: bool = False) -> _LevelPlan:
         nb=int(sizes[0]),
         interior_rows=d * g.num_interior,
         rows=[slice(None)] if one_level else [(lev[:, None] * d + comp).ravel() for lev in levels],
-        views=[(int(a), (int(r), int(c)), "F" if f else "C")
-               for a, (r, c), f in zip(starts, shapes, by_column)],
+        views=[(int(a), (int(r), int(c))) for a, (r, c) in zip(starts, shapes)],
         size=int(stops[-1]),
         order=np.asarray(g.order, dtype=np.intp),
         diag=diag.ravel(),

@@ -310,11 +310,13 @@ def dense_route(M: np.ndarray, nb: int, rows: list, floppy: np.ndarray | None = 
     """The Schur complement and the canonical state matrix of the dense
     canonical operator M by the level elimination on the interior ``rows``
     of a route, run on M itself: each level block gathered from M by fancy
-    indexing (a view of M for one level), M_II plus gamma F F^T for floppy
-    modes F, gamma the power of two just below M_II's largest diagonal
-    entry, and M_II and the right-hand side divided exactly by that entry's
-    power of two beyond 2^500. The state matrix solves in real arithmetic
-    when M_IB has no imaginary part."""
+    indexing (a view of M for one level), M_B1 copied row by row as the
+    levels hold it (a product can round by the layout BLAS is handed),
+    M_II plus gamma F F^T for floppy modes F, gamma the power of two just
+    below M_II's largest diagonal entry, and M_II and the right-hand side
+    divided exactly by that entry's power of two beyond 2^500. The state
+    matrix, in M's dtype, solves in real arithmetic when M_IB has no
+    imaginary part."""
 
     def eliminate(rhs):
         A = M[nb:, nb:]
@@ -331,7 +333,8 @@ def dense_route(M: np.ndarray, nb: int, rows: list, floppy: np.ndarray | None = 
         return S, solves, rhs
 
     S, _, M_IB = eliminate(M[nb:, :nb])
-    schur = M[:nb, :nb] - M[:nb, nb:][:, rows[0]] @ np.linalg.solve(S, M_IB[rows[0]])
+    M_B1 = np.ascontiguousarray(M[:nb, nb:][:, rows[0]])
+    schur = M[:nb, :nb] - M_B1 @ np.linalg.solve(S, M_IB[rows[0]])
     rhs = M[nb:, :nb]
     S, solves, rhs = eliminate(rhs.real if np.iscomplexobj(rhs) and not rhs.imag.any() else rhs)
     x = np.linalg.solve(S, rhs[rows[0]])
@@ -339,7 +342,7 @@ def dense_route(M: np.ndarray, nb: int, rows: list, floppy: np.ndarray | None = 
     out[rows[0]] = x
     for s, Z in zip(rows[1:], reversed(solves)):
         out[s] = x = -(Z @ x)
-    return schur, np.vstack([np.eye(nb, dtype=complex), -out])
+    return schur, np.vstack([np.eye(nb, dtype=M.dtype), -out])
 
 
 def range_basis(floppy: np.ndarray, nb: int) -> np.ndarray:

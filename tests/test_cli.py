@@ -694,6 +694,23 @@ def test_invert_complex_p0_for_real_springs_exits_1(tmp_path, capsys):
     assert "imaginary part" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p0, expected", [("[1.0, 0.5]", EXIT_USAGE), ("[1.0, 0.0]", EXIT_OK),
+                                          ("1.0", EXIT_OK)])
+def test_invert_scalar_p0_for_real_springs_keeps_its_imaginary_part(tmp_path, capsys, p0,
+                                                                     expected):
+    # on a real problem a scalar --p0 with a nonzero imaginary part is
+    # refused, as the same values from a --p0 file are, not dropped
+    import netinv as ni
+    truth = write(tmp_path, "truth.json", braced_truss_doc())
+    spec = ni.make_spec_static_springs(ni.load_network(truth).network)
+    target = tmp_path / "target.json"
+    ni.save_matrix(spec.forward(np.ones(9)), target)
+    code = main(["invert", truth, str(target), "--problem", "springs", "--p0", p0,
+                 "-o", str(tmp_path / "rec.json")])
+    assert code == expected
+    assert ("imaginary part" in capsys.readouterr().err) == (expected == EXIT_USAGE)
+
+
 @pytest.mark.parametrize("p0, message", [("inf", "not admissible"),
                                          ("file", "JSON list of values")])
 def test_invert_bad_p0_exits_1(tmp_path, capsys, p0, message):

@@ -1033,7 +1033,7 @@ def test_real_pd_maps_and_states_match_complex_arithmetic(net, with_q):
     assert relative_error(lam, M[:nb] @ U, M) <= 1e-12
     if not with_q:
         states = make_spec_conductivity(g, d).states(_vec_blocks(sigma.values))
-        assert states.dtype == complex
+        assert states.dtype == np.float64
         assert relative_error(states, gradient_matrix(g, d) @ U, U) <= 1e-12
 
 
@@ -1455,8 +1455,9 @@ def test_level_route_map_peaks_below_a_quarter_of_the_dense_operator():
     assert traced_peak(lambda: classify_regime(g, sigma, None).dtn()) < dense / 4
 
 
-@pytest.mark.xfail(strict=True, reason="the states returned are 2|E|d x d|B| complex, 31 MB, "
-                                       "more than a quarter of the dense operator by themselves")
+@pytest.mark.xfail(strict=True, reason="the states returned are 2|E|d x d|B| real, 15.6 MB, "
+                                       "but the solve that makes them peaks at 39 MB, "
+                                       "more than a quarter of the dense operator")
 def test_conductivity_states_peak_below_a_quarter_of_the_dense_operator():
     g, sigma, dense = perimeter_grid_40()
     spec = make_spec_conductivity(g, 2)

@@ -184,6 +184,27 @@ def test_identity_exact_on_schrodinger():
         assert identity_residual(spec, p1, p2) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.sampled_from(["conductivity", "eigenvalues", "springs_static"]),
+       st.booleans(), st.integers(-60, 60))
+@example((build_graph(5, [0, 4], [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (0, 2)]), 1, 0),
+         "conductivity", True, 40)
+# one boundary vertex: every state is constant, so W and the data difference
+# are rounding alone
+@example((build_graph(2, [0], [(0, 1)]), 1, 0), "conductivity", False, -60)
+def test_identity_residual_is_the_same_under_powers_of_two(net, factory, real, k):
+    # these maps are homogeneous of degree 1 and their states of degree 0,
+    # so the residual, in the problem's own units, is the same at 2^k (p1, p2),
+    # bit for bit
+    g, d, seed = net
+    spec, p1 = spec_and_parameter(g, d, seed, factory, real)
+    p2 = spec_and_parameter(g, d, seed + 1, factory, real)[1]
+    res = identity_residual(spec, p1, p2)
+    assert identity_residual(spec, 2.0 ** k * p1, 2.0 ** k * p2) == res
+    assert res < 1e-10
+    assert identity_residual(spec, p1, p1) == 0.0
+
+
 def test_jacobian_matches_fd_conductivity():
     g = path3()
     spec = make_spec_conductivity(g, 2)
@@ -417,6 +438,32 @@ def test_spec_forward_and_states_are_those_of_the_dense_route(net, factory, real
         assert plan.floppy.shape[1] == 2 and plan.rows == [slice(None)]
     assert U.tobytes() == states.tobytes()
     assert forward.tobytes() == schur.astype(complex).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks(), st.sampled_from(SPEC_FACTORIES), st.booleans())
+def test_states_are_real_exactly_when_the_scattered_operator_is(net, factory, real):
+    # a real parameter of the conductivity, Schrodinger and eigenvalue specs,
+    # and every static-springs parameter, scatters a real operator; its state
+    # matrix, W and Jacobian are then float64, and the forward map stays complex
+    g, d, seed = net
+    spec, p = spec_and_parameter(g, d, seed, factory, real)
+    scatter, scattered = operators._LevelPlan.scatter, []
+
+    def recorded(plan, *blocks):
+        scattered.append(scatter(plan, *blocks))
+        return scattered[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators._LevelPlan, "scatter", recorded)
+        states = spec.states(p)
+    dtype = scattered[-1].D[0].dtype
+    operator_is_real = factory == "springs_static" or (
+        real and factory in ("conductivity", "schrodinger", "eigenvalues"))
+    assert dtype == (np.float64 if operator_is_real else np.complex128)
+    assert states.dtype == dtype
+    assert product_matrix(spec, p, p).W.dtype == jacobian(spec, p).dtype == dtype
+    assert spec.forward(p).dtype == np.complex128
 
 
 @settings(max_examples=100, deadline=None)
