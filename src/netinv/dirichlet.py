@@ -246,11 +246,12 @@ def _interior(M: _Levels, rhs: np.ndarray) -> tuple[list, list, list, np.ndarray
     when it has no imaginary part. gamma is the power of two just below
     M_II's largest diagonal entry. M F = 0 in the supported regimes, so rhs
     is orthogonal to F, the sum is invertible and gives the minimal-norm
-    solution. Beyond 2^500 that entry is first divided out exactly, of the
-    blocks and of rhs."""
+    solution. Outside [2^-500, 2^500] that entry is first divided out
+    exactly, of the blocks and of rhs, since a complex solve of blocks near
+    the float limits gives other bits than one of the same blocks scaled."""
     D, U, L, e = M.D[1:], M.U[1:], M.L[1:], M.exponent
     rhs = _real_if_real(rhs)
-    if e > 500:
+    if abs(e) > 500:
         s = np.ldexp(1.0, -e)
         D, U, L, rhs, e = [s * A for A in D], [s * A for A in U], [s * A for A in L], s * rhs, 0
     F = M.plan.floppy

@@ -253,9 +253,12 @@ def uniqueness_test(spec: ProblemSpec, p: np.ndarray,
 
 def _minimal_norm_step(spec: ProblemSpec, J: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Minimal-norm least-squares solution of J dp = -r; for a real spec,
-    of [Re J; Im J] dp = -[Re r; Im r]."""
-    if spec.is_real:
+    of [Re J; Im J] dp = -[Re r; Im r], which is J dp = -Re r when J is
+    real (float64, as for every real operator), since Im J is then zero."""
+    if spec.is_real and J.dtype.kind == "c":
         J, r = np.vstack([J.real, J.imag]), np.concatenate([r.real, r.imag])
+    elif spec.is_real:
+        r = r.real
     return np.linalg.lstsq(J, -r, rcond=_RCOND)[0]
 
 

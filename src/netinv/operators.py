@@ -45,11 +45,11 @@ class EigenData:
     ranks: np.ndarray  # (|E|,), ints in 1..r
 
 
-def _require_finite_sums(order, diagonal: np.ndarray) -> None:
-    """Refuse an operator whose diagonal blocks, in the canonical vertex
-    ``order`` and flat or (|V|, d, d), overflowed. They are its only sums:
-    every other block is one finite edge block."""
-    bad = ~np.isfinite(diagonal.reshape(len(order), -1)).all(axis=1)
+def _require_finite_sums(order, sums: np.ndarray) -> None:
+    """Refuse an operator whose diagonal blocks ``sums``, flat in the
+    canonical vertex ``order``, overflowed, naming the first such vertex.
+    They are its only sums: every other block is minus one edge block."""
+    bad = ~np.isfinite(sums.reshape(len(order), -1)).all(axis=1)
     if bad.any():
         raise FieldError(f"the summed block at vertex {order[int(bad.argmax())]} overflows")
 
@@ -63,39 +63,28 @@ def _real_if_real(a) -> np.ndarray:
 
 
 def laplacian_matrix(g: Graph, blocks: np.ndarray) -> np.ndarray:
-    """Weighted block Laplacian from raw per-edge blocks (no symmetry check),
-    scattered into a (|V|, |V|, d, d) array and reshaped to canonical order;
-    float64 when the blocks have no imaginary part, else complex128.
-    FieldError when a vertex's summed block overflows."""
-    blocks = _real_if_real(blocks)
-    n, d = g.num_vertices, blocks.shape[1]
-    pi, pj = g.edge_positions()
-    M = np.zeros((n, n, d, d), dtype=blocks.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        np.add.at(M, (pi, pi), blocks)
-        np.add.at(M, (pj, pj), blocks)
-    k = np.arange(n)
-    _require_finite_sums(g.order, M[k, k])
-    M[pi, pj] = -blocks
-    M[pj, pi] = -blocks
-    return M.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    """Weighted block Laplacian of the raw per-edge blocks (no symmetry
+    check) in canonical order: the one-level operator of
+    ``_LevelPlan.scatter``, stitched, so that it is the solvers' operator
+    bit for bit. float64 when the blocks have no imaginary part, else
+    complex128. FieldError when a vertex's summed block overflows."""
+    return _stitched(_level_plan(g, np.shape(blocks)[1], one_level=True).scatter(blocks))
 
 
 def schrodinger_matrix(g: Graph, sigma_blocks: np.ndarray, q_blocks: np.ndarray) -> np.ndarray:
-    """Laplacian plus the block-diagonal potential, canonical ordering; real
-    when neither has an imaginary part.
+    """Laplacian plus the block-diagonal potential, stitched as
+    ``laplacian_matrix`` is; real when neither has an imaginary part.
 
-    ``q_blocks`` is indexed by vertex id and reordered here.
+    ``q_blocks`` is indexed by vertex id.
     """
-    q_blocks = _real_if_real(q_blocks)
-    M = laplacian_matrix(g, sigma_blocks)  # C-contiguous, so the reshape below is a view
-    M = M.astype(np.result_type(M, q_blocks), copy=False)
-    n, d = g.num_vertices, q_blocks.shape[1]
-    D, k = M.reshape(n, d, n, d), np.arange(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        D[k, :, k] += q_blocks[list(g.order)]
-    _require_finite_sums(g.order, D[k, :, k])
-    return M
+    plan = _level_plan(g, np.shape(sigma_blocks)[1], one_level=True)
+    return _stitched(plan.scatter(sigma_blocks, q_blocks))
+
+
+def _stitched(op: _Levels) -> np.ndarray:
+    """The one-level operator ``op`` as one canonical matrix, [[M_BB, M_B1],
+    [M_1B, M_II]]; M_BB alone when there is no interior."""
+    return np.block([[op.D[0], op.U[0]], [op.L[0], op.D[1]]])
 
 
 class _Levels(NamedTuple):
@@ -151,14 +140,18 @@ class _LevelPlan:
     floppy: np.ndarray | None = None
 
     def scatter(self, blocks: np.ndarray, q_blocks: np.ndarray | None = None) -> _Levels:
-        """The Laplacian of the raw edge blocks (``laplacian_matrix``), plus
-        the vertex blocks ``q_blocks``, indexed by vertex id, when given
-        (``schrodinger_matrix``), by levels, in the dense assembly's two
-        steps: one bincount sums the edge blocks into the diagonal blocks
-        (i-ends, then j-ends, each bin from +0.0), and then q is added to
-        those sums, each sum refused on overflow. Each off-diagonal block is
-        written, not summed, so a signed zero keeps its sign. So every block
-        is that matrix's, bit for bit, with its dtype and its FieldError."""
+        """The Laplacian of the raw edge blocks plus, when given, the vertex
+        blocks ``q_blocks``, indexed by vertex id, by levels;
+        ``laplacian_matrix`` and ``schrodinger_matrix`` are the one-level
+        operator stitched. One bincount sums the edge blocks into the
+        diagonal blocks, i-ends then j-ends, each bin from +0.0, so a
+        vertex's sum has the same bits whatever the levels. Those sums are
+        refused on overflow before q is added, so an operator whose
+        Laplacian overflows names the vertex that its Laplacian names; the
+        sums plus q are refused in turn. Each off-diagonal block is written
+        as minus its edge block, not summed, so a signed zero keeps its
+        sign. The edge and vertex blocks are each float64 when they have no
+        imaginary part, so a real operator stays real."""
         flat = _real_if_real(blocks).reshape(-1)
         complex_ = flat.dtype.kind == "c"
         weights = flat.view(float) if complex_ else flat
@@ -267,6 +260,8 @@ def cylinder_embed(
         w = np.asarray(coupling_weights[j], dtype=float)
         if w.shape != (d,):
             raise FieldError("coupling weight vector has wrong length")
+        if not np.isfinite(w).all():
+            raise FieldError("coupling weights must be finite")
         s_blocks[j] = np.diag(w)
     return (
         MatrixEdgeField.from_blocks(s_blocks),

@@ -18,8 +18,6 @@ from netinv.operators import (
     JOINT_TOL,
     EigenData,
     eigen_decompose,
-    laplacian_matrix,
-    schrodinger_matrix,
 )
 
 # Largest imaginary entry a conductivity may have and still count as real.
@@ -46,6 +44,50 @@ def gradient_matrix(g: Graph, d: int) -> np.ndarray:
     D[e, :, pi] = np.eye(d)
     D[e, :, pj] = -np.eye(d)
     return D.reshape(d * g.num_edges, d * g.num_vertices)
+
+
+def loop_assembly(g: Graph, blocks, q=None) -> np.ndarray:
+    """The block Laplacian of the edge blocks, plus the vertex blocks q
+    (indexed by vertex id) when given, in canonical order, one edge at a
+    time. Each vertex's block sums from +0.0 every i-end in edge order, then
+    every j-end; a sum beyond float range is refused, naming the first such
+    vertex in canonical order, before q is added and again after. Each
+    off-diagonal block is written as -B. The edge blocks and q are each
+    float64 when they have no imaginary part, else complex128, and the
+    matrix has their common type."""
+
+    def cast(a):
+        a = np.asarray(a)
+        return a.astype(complex) if a.dtype.kind == "c" and a.imag.any() \
+            else a.real.astype(float)
+
+    def refuse_overflow(sums):
+        for p in range(n):
+            if not np.isfinite(sums[p]).all():
+                raise FieldError(f"the summed block at vertex {g.order[p]} overflows")
+
+    blocks = cast(blocks)
+    n, d = g.num_vertices, blocks.shape[1]
+    sums = np.zeros((n, d, d), blocks.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for end in (0, 1):
+            for e, edge in enumerate(g.edges):
+                sums[g.position[edge[end]]] += blocks[e]
+        refuse_overflow(sums)
+        if q is not None:
+            q = cast(q)
+            sums = sums.astype(np.result_type(blocks, q))
+            for v in range(n):
+                sums[g.position[v]] += q[v]
+            refuse_overflow(sums)
+    M = np.zeros((n * d, n * d), sums.dtype)
+    for p in range(n):
+        M[p * d:(p + 1) * d, p * d:(p + 1) * d] = sums[p]
+    for e, (i, j) in enumerate(g.edges):
+        a, c = g.position[i] * d, g.position[j] * d
+        M[a:a + d, c:c + d] = -blocks[e]
+        M[c:c + d, a:a + d] = -blocks[e]
+    return M
 
 
 def projected_gradient_matrix(g: Graph, eig: EigenData) -> np.ndarray:
@@ -124,16 +166,16 @@ def frequency_pencil(net: ElasticNetwork) -> tuple[np.ndarray, np.ndarray, np.nd
     g, d = net.graph, net.d
     dirs = spring_directions(net)
     xx, eye = dirs[:, :, None] * dirs[:, None, :], np.eye(d)
-    mass = schrodinger_matrix(g, np.zeros((g.num_edges, d, d)),
-                              np.asarray(net.mass)[:, None, None] * eye)
-    damping = schrodinger_matrix(g, np.asarray(net.c_e)[:, None, None] * xx,
-                                 np.asarray(net.c_v)[:, None, None] * eye)
-    return mass, damping, laplacian_matrix(g, spring_conductivity(net).values)
+    mass = loop_assembly(g, np.zeros((g.num_edges, d, d)),
+                         np.asarray(net.mass)[:, None, None] * eye)
+    damping = loop_assembly(g, np.asarray(net.c_e)[:, None, None] * xx,
+                            np.asarray(net.c_v)[:, None, None] * eye)
+    return mass, damping, loop_assembly(g, spring_conductivity(net).values)
 
 
 def dtn_pseudoinverse_oracle(g: Graph, sigma: MatrixEdgeField) -> np.ndarray:
     """Independent SVD-pseudoinverse form of the rank-deficient map."""
-    M, nb = laplacian_matrix(g, sigma.values), sigma.d * g.num_boundary
+    M, nb = loop_assembly(g, sigma.values), sigma.d * g.num_boundary
     if not g.num_interior:
         return M[:nb, :nb].copy()
     return M[:nb, :nb] - M[:nb, nb:] @ np.linalg.pinv(M[nb:, nb:]) @ M[nb:, :nb]
@@ -274,7 +316,7 @@ def classify_regime_eigvalsh(g: Graph, sigma: MatrixEdgeField,
     pd_edges = (edge_eigs[:, 0] > TOL * edge_eigs[:, -1]).all()
     negligible = TOL * np.abs(sr).max(initial=0.0)
     nb = sigma.d * g.num_boundary
-    Lr_II = laplacian_matrix(g, sr).real[nb:, nb:]
+    Lr_II = loop_assembly(g, sr)[nb:, nb:]
     lam_II = float(np.linalg.eigvalsh(Lr_II).min()) if Lr_II.size else 0.0
     q_I_min = blocks_min_eig(qr[list(g.interior)]) if g.interior else np.inf
 

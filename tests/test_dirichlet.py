@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from netinv.dirichlet import (
@@ -963,6 +963,7 @@ def test_hand_fixtures_solve_as_their_route():
 
 @settings(max_examples=100, deadline=None)
 @given(networks(), st.sampled_from([0.0, 0.2]), st.booleans(), st.integers(-1000, 1000))
+@example((build_graph(4, [1], [(0, 2), (0, 3), (0, 1)]), 3, 0), 0.2, False, -968)
 def test_pd_sigma_and_its_map_are_exact_under_powers_of_two(net, imag, with_q, k):
     # sigma'_e > 0 is tested edge by edge and q_I' >= 0 needs no certificate,
     # so 2^k (sigma, q) is PD_SIGMA for every k in range, and its map is 2^k

@@ -545,6 +545,23 @@ def test_newton_residual_monotone():
     assert trace.reason in ("residual", "step")
 
 
+def test_newton_steps_on_a_real_jacobian_alone(monkeypatch):
+    # the static springs' operator is real, so J is float64 and its Im J
+    # rows would all be zero: each step solves J dp = -Re r on J's n^2 rows
+    net = braced_truss()
+    spec = make_spec_static_springs(net)
+    solved, lstsq = [], np.linalg.lstsq
+
+    def recording(a, b, rcond=None):
+        solved.append(a)
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    newton_invert(spec, spec.forward(net.k), 0.8 * net.k, max_iter=2)
+    assert solved
+    assert all(a.dtype == np.float64 and a.shape == (spec.n ** 2, spec.m) for a in solved)
+
+
 def newton_outcome(spec, target, p0):
     """(p, trace) of newton_invert, or the type and message of its error."""
     try:

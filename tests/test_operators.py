@@ -3,7 +3,7 @@ gradient oracles."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netinv.graph import (
@@ -28,6 +28,7 @@ from oracles import (
     eigen_decompose_loop,
     gradient_matrix,
     korn_constants,
+    loop_assembly,
     projected_gradient_matrix,
     reconstruct_from_eigen,
 )
@@ -37,6 +38,10 @@ rng = np.random.default_rng(11)
 
 def path3():
     return build_graph(3, [0, 2], [(0, 1), (1, 2)])
+
+
+# a star: the centre's block is the one sum of four edge blocks
+STAR = build_graph(5, [1, 2, 3, 4], [(0, 1), (0, 2), (0, 3), (0, 4)])
 
 
 def random_spd_blocks(count, d, seed):
@@ -81,20 +86,10 @@ def test_laplacian_oracle_dense_assembly():
     blocks = random_spd_blocks(g.num_edges, d, 5)
     sigma = MatrixEdgeField.from_blocks(blocks)
     L = laplacian_matrix(g, sigma.values)
-
-    n = g.num_vertices
-    oracle = np.zeros((n * d, n * d), dtype=complex)
-    for e, (i, j) in enumerate(g.edges):
-        pi, pj = g.position[i], g.position[j]
-        s = sigma.values[e]
-        oracle[pi * d:(pi + 1) * d, pi * d:(pi + 1) * d] += s
-        oracle[pj * d:(pj + 1) * d, pj * d:(pj + 1) * d] += s
-        oracle[pi * d:(pi + 1) * d, pj * d:(pj + 1) * d] -= s
-        oracle[pj * d:(pj + 1) * d, pi * d:(pi + 1) * d] -= s
-    assert np.abs(L - oracle).max() < 1e-14
+    assert L.tobytes() == loop_assembly(g, sigma.values).tobytes()
     # symmetric, and constants lie in the nullspace
     assert np.abs(L - L.T).max() < 1e-14
-    const = np.tile(rng.standard_normal(d), n)
+    const = np.tile(rng.standard_normal(d), g.num_vertices)
     assert np.abs(L @ const).max() < 1e-12
 
 
@@ -122,57 +117,11 @@ def test_real_weights_assemble_real_and_complex_ones_complex():
     assert M.dtype == np.complex128 and M[2, 2] == 2.0 + 0.5j
 
 
-@st.composite
-def networks(draw):
-    """Random connected graph (spanning tree plus extra edges), a random
-    nonempty boundary subset, d in {1, 2, 3} and a seed for the block values."""
-    n = draw(st.integers(2, 8))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
-    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
-    boundary = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-    g = build_graph(n, boundary, draw(st.permutations(sorted(edges))))
-    return g, draw(st.sampled_from([1, 2, 3])), draw(st.integers(0, 2**32 - 1))
-
-
-def complex_symmetric_blocks(local, count, d):
-    a = local.standard_normal((count, d, d)) + 1j * local.standard_normal((count, d, d))
-    return a + a.transpose(0, 2, 1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(networks(), st.booleans())
-def test_assembly_matches_per_edge_loop(net, with_q):
-    g, d, seed = net
-    local = np.random.default_rng(seed)
-    blocks = complex_symmetric_blocks(local, g.num_edges, d)
-    q = complex_symmetric_blocks(local, g.num_vertices, d)
-    n = g.num_vertices
-    oracle = np.zeros((n * d, n * d), dtype=complex)
-    for e, (i, j) in enumerate(g.edges):
-        pi, pj = g.position[i] * d, g.position[j] * d
-        oracle[pi:pi + d, pi:pi + d] += blocks[e]
-        oracle[pj:pj + d, pj:pj + d] += blocks[e]
-        oracle[pi:pi + d, pj:pj + d] -= blocks[e]
-        oracle[pj:pj + d, pi:pi + d] -= blocks[e]
-    if with_q:
-        for v in range(n):
-            p = g.position[v] * d
-            oracle[p:p + d, p:p + d] += q[v]
-        M = schrodinger_matrix(g, blocks, q)
-    else:
-        M = laplacian_matrix(g, blocks)
-    assert M.shape == oracle.shape
-    assert np.abs(M - oracle).max() <= 1e-13 * (1.0 + np.abs(oracle).max())
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_assembly_refuses_a_vertex_sum_beyond_float_range():
-    # a star: the centre's block is the one sum of four edge blocks
-    star = build_graph(5, [1, 2, 3, 4], [(0, 1), (0, 2), (0, 3), (0, 4)])
     with pytest.raises(FieldError, match="vertex 0 overflows"):
-        laplacian_matrix(star, MatrixEdgeField.from_blocks(np.full((4, 1, 1), 5e307)).values)
-    L = laplacian_matrix(star, MatrixEdgeField.from_blocks(np.full((4, 1, 1), 3e307)).values)
+        laplacian_matrix(STAR, MatrixEdgeField.from_blocks(np.full((4, 1, 1), 5e307)).values)
+    L = laplacian_matrix(STAR, MatrixEdgeField.from_blocks(np.full((4, 1, 1), 3e307)).values)
     assert L[4, 4] == 4 * 3e307
     # a potential that tips a vertex over
     sigma = MatrixEdgeField.from_blocks(np.array([[[1e308]], [[1.0]]]))
@@ -231,14 +180,39 @@ def plan_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(plan_cases())
+@example((build_graph(3, [0], []), 2, np.zeros((0, 2, 2)), np.full((3, 2, 2), -0.0), False))
+@example((build_graph(3, [0, 1, 2], [(0, 1), (1, 2)]), 1, np.full((2, 1, 1), -0.0),
+          np.full((3, 1, 1), 0.5j), False))
+@example((STAR, 1, np.full((4, 1, 1), 5e307), None, False))
+@example((path3(), 1, np.array([[[1e308]], [[1.0]]]), np.array([[[0.0]], [[1e308]], [[0.0]]]),
+          False))
+def test_assembly_matches_per_edge_loop(case):
+    # both public operators are the loop's bit for bit, signed zeros and
+    # dtype included, on graphs with no interior or no edges too, and each
+    # overflow is refused with the loop's message
+    g, d, blocks, q, _ = case
+    try:
+        expected = loop_assembly(g, blocks, q)
+    except FieldError as refused:
+        with pytest.raises(FieldError) as assembled:
+            laplacian_matrix(g, blocks) if q is None else schrodinger_matrix(g, blocks, q)
+        assert str(assembled.value) == str(refused)
+        return
+    M = laplacian_matrix(g, blocks) if q is None else schrodinger_matrix(g, blocks, q)
+    assert M.dtype == expected.dtype and M.shape == expected.shape
+    assert M.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan_cases())
 def test_level_plan_scatters_the_blocks_of_the_dense_operator(case):
-    # every block of the operator by levels is the dense operator's block,
+    # every block of the operator by levels is the per-edge loop's block,
     # bit for bit, signed zeros and dtype included; on one level D[1] is M_II.
     # A sum beyond float range is refused by both, naming the same vertex
     g, d, blocks, q, one_level = case
     plan = _level_plan(g, d, one_level)
     try:
-        M = laplacian_matrix(g, blocks) if q is None else schrodinger_matrix(g, blocks, q)
+        M = loop_assembly(g, blocks, q)
     except FieldError as refused:
         with pytest.raises(FieldError) as levels:
             plan.scatter(blocks, q)
@@ -266,13 +240,12 @@ def test_level_plan_refuses_the_vertex_the_dense_assembly_refuses():
     # the star's centre overflows with the edge blocks alone; on the path
     # (canonical order 0, 2, 1), vertex 1 overflows with the edge blocks
     # alone and vertex 0 only with q, so both name vertex 1
-    star = build_graph(5, [1, 2, 3, 4], [(0, 1), (0, 2), (0, 3), (0, 4)])
     with pytest.raises(FieldError, match="vertex 0 overflows"):
-        _level_plan(star, 1).scatter(np.full((4, 1, 1), 5e307))
-    g = build_graph(3, [0, 2], [(0, 1), (1, 2)])
+        _level_plan(STAR, 1).scatter(np.full((4, 1, 1), 5e307))
+    g = path3()
     sigma, q = np.full((2, 1, 1), 1e308), np.array([[[1e308]], [[0.0]], [[0.0]]])
     with pytest.raises(FieldError, match="vertex 1 overflows"):
-        schrodinger_matrix(g, sigma, q)
+        loop_assembly(g, sigma, q)
     for one_level in (False, True):
         with pytest.raises(FieldError, match="vertex 1 overflows"):
             _level_plan(g, 1, one_level).scatter(sigma, q)
@@ -297,13 +270,24 @@ def test_cylinder_embedding_p3_x_p2():
     assert np.abs(M_path - M_cyl[np.ix_(pi, pi)]).max() < 1e-13
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_cylinder_embedding_refuses_non_finite_layer_weights(bad):
-    # a NaN weight used to be reported as an overflow of the summed block
+@pytest.mark.parametrize("bad, weights", [
+    pytest.param(np.nan, "layer", id="nan"),
+    pytest.param(np.inf, "layer", id="inf"),
+    pytest.param(np.nan, "coupling", id="coupling-nan"),
+    pytest.param(-np.inf, "coupling", id="coupling-inf"),
+])
+def test_cylinder_embedding_refuses_non_finite_layer_weights(bad, weights):
+    # each non-finite weight is named as the caller passed it, not as an
+    # overflow of the summed block or as a non-finite field
     path = build_graph(3, [0], [(0, 1), (1, 2)])
     layer = build_graph(2, [0], [(0, 1)])
-    with pytest.raises(FieldError, match="layer weights must be finite"):
-        cylinder_embed(path, layer, [np.ones(1), np.array([bad]), np.ones(1)], [np.ones(2)] * 2)
+    layer_w, coupling_w = [np.ones(1)] * 3, [np.ones(2)] * 2
+    if weights == "layer":
+        layer_w = [np.ones(1), np.array([bad]), np.ones(1)]
+    else:
+        coupling_w = [np.ones(2), np.array([1.0, bad])]
+    with pytest.raises(FieldError, match=f"{weights} weights must be finite"):
+        cylinder_embed(path, layer, layer_w, coupling_w)
 
 
 def test_cylinder_embedding_larger():
@@ -328,12 +312,9 @@ def test_cylinder_embedding_layer_boundary_not_first():
     layer_w = [rng.uniform(0.1, 3.0, 5) for _ in range(3)]
     coup_w = [rng.uniform(0.1, 3.0, 4) for _ in range(2)]
     sigma, q = cylinder_embed(path, layer, layer_w, coup_w)
+    natural = np.ix_(layer.position, layer.position)  # canonical -> vertex-id order
     for j in range(3):
-        L = np.zeros((4, 4))
-        for (a, b), w in zip(layer.edges, layer_w[j]):
-            L[[a, b], [a, b]] += w
-            L[[a, b], [b, a]] -= w
-        assert np.abs(q.values[j] - L).max() < 1e-13
+        assert np.array_equal(q.values[j], loop_assembly(layer, layer_w[j][:, None, None])[natural])
     M_path = schrodinger_matrix(path, sigma.values, q.values)
     cyl = cylinder_graph(path, layer, boundary=[3, 9])
     M_cyl = laplacian_matrix(cyl, cylinder_scalar_weights(layer_w, coup_w).reshape(-1, 1, 1))
