@@ -239,6 +239,11 @@ def _solved(S: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise RegimeError("interior block is singular; regime misclassified") from exc
 
 
+def _ldexp(A: np.ndarray, k: int) -> np.ndarray:
+    """A times 2^k entry by entry: finite wherever the result is, even where 2^k is not."""
+    return np.ldexp(A.view(float), k).view(A.dtype)
+
+
 def _interior(M: _Levels, rhs: np.ndarray) -> tuple[list, list, list, np.ndarray]:
     """What every solve eliminates: the interior blocks D_k, U_k and L_k of
     the levels k >= 1 of M (M_II), plus gamma F F^T on the one level of a
@@ -252,8 +257,7 @@ def _interior(M: _Levels, rhs: np.ndarray) -> tuple[list, list, list, np.ndarray
     D, U, L, e = M.D[1:], M.U[1:], M.L[1:], M.exponent
     rhs = _real_if_real(rhs)
     if abs(e) > 500:
-        s = np.ldexp(1.0, -e)
-        D, U, L, rhs, e = [s * A for A in D], [s * A for A in U], [s * A for A in L], s * rhs, 0
+        D, U, L, rhs, e = *([_ldexp(A, -e) for A in X] for X in (D, U, L)), _ldexp(rhs, -e), 0
     F = M.plan.floppy
     if F is not None and F.shape[1]:
         F = F[M.plan.nb:]
@@ -307,12 +311,8 @@ def _residual(M: _Levels, u: np.ndarray) -> float:
     first multiplied exactly by 2^-e (``_Levels.exponent``)."""
     nb, rows, e = M.plan.nb, M.plan.rows, M.exponent
     parts = [u[:nb]] + [u[nb:][r] for r in rows]
-
-    def scaled(A: np.ndarray) -> np.ndarray:
-        return np.ldexp(A.view(float), -e).view(A.dtype)
-
-    blocks = [scaled(M.L[k - 1]) @ parts[k - 1] + scaled(M.D[k]) @ parts[k]
-              + (scaled(M.U[k]) @ parts[k + 1] if k < len(rows) else 0.0)
+    blocks = [_ldexp(M.L[k - 1], -e) @ parts[k - 1] + _ldexp(M.D[k], -e) @ parts[k]
+              + (_ldexp(M.U[k], -e) @ parts[k + 1] if k < len(rows) else 0.0)
               for k in range(1, len(rows) + 1)]
     return float(np.linalg.norm(np.concatenate(blocks)))
 

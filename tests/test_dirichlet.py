@@ -34,8 +34,6 @@ from netinv.operators import (
     _LevelPlan,
     _level_plan,
     eigen_decompose,
-    laplacian_matrix,
-    schrodinger_matrix,
 )
 
 from oracles import (
@@ -45,6 +43,7 @@ from oracles import (
     dtn_pseudoinverse_oracle,
     gradient_matrix,
     korn_constants,
+    loop_assembly,
     projected_gradient_matrix,
     range_basis,
     relative_error,
@@ -394,7 +393,7 @@ def test_solve_pd_interior_residual_zero():
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(7, 2, 17))
     gb = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     u = classify_regime(g, sigma, None).solve(gb)[0]
-    M = laplacian_matrix(g, sigma.values)
+    M = loop_assembly(g, sigma.values)
     res = (M @ u.canonical(g))[2 * g.num_boundary:]
     assert np.abs(res).max() < 1e-10
     assert np.allclose(u.boundary_values(g), gb)
@@ -491,7 +490,7 @@ def test_dtn_pd_symmetric_and_matches_flux():
     # flux oracle: boundary rows of the operator applied to the solution
     gb = rng.standard_normal(6)
     u = classify_regime(g, sigma, q).solve(gb)[0]
-    M = schrodinger_matrix(g, sigma.values, q.values)
+    M = loop_assembly(g, sigma.values, q.values)
     flux = (M @ u.canonical(g))[:6]
     assert np.abs(dtn.matrix @ gb - flux).max() < 1e-10
 
@@ -516,7 +515,7 @@ def test_floppy_collinear_springs():
 def test_floppy_modes_zero_boundary_flux():
     g, sigma = collinear_springs()
     basis = floppy_basis(g, sigma)
-    L = laplacian_matrix(g, sigma.values)
+    L = loop_assembly(g, sigma.values)
     for c in range(basis.dim):
         out = L @ basis.modes[:, c]
         assert np.abs(out).max() < 1e-10  # interior kernel and zero boundary flux
@@ -539,7 +538,7 @@ def test_floppy_dim_matches_dense_nullspace_oracle():
     basis = floppy_basis(g, sigma)
     # oracle: dense nullspace dimension of the interior block
     nb = 2 * g.num_boundary
-    L = laplacian_matrix(g, sigma.values).real
+    L = loop_assembly(g, sigma.values).real
     L_II = L[nb:, nb:]
     svals = np.linalg.svd(L_II, compute_uv=False)
     oracle_dim = int((svals <= 1e-10 * svals.max()).sum())
@@ -553,7 +552,7 @@ def test_floppy_dim_matches_dense_nullspace_oracle():
 def test_floppy_modes_span_the_interior_nullspace():
     g, sigma = collinear_springs()
     F = _route(g, sigma.d, eigen_decompose(sigma)).floppy
-    M, nb = laplacian_matrix(g, sigma.values), sigma.d * g.num_boundary
+    M, nb = loop_assembly(g, sigma.values), sigma.d * g.num_boundary
     M_II, M_IB = M[nb:, nb:], M[nb:, :nb]
     # F carries no force, the boundary rows included, and is the whole
     # nullspace of the interior block
@@ -586,7 +585,7 @@ def test_solve_psd_minimal_norm():
     basis = floppy_basis(g, sigma)
     assert abs(basis.modes[:, 0] @ flat) < 1e-12
     # interior equation satisfied
-    L = laplacian_matrix(g, sigma.values)
+    L = loop_assembly(g, sigma.values)
     assert np.abs((L @ flat)[4:]).max() < 1e-10
 
 
@@ -595,7 +594,7 @@ def test_psd_solution_unique_up_to_floppy():
     gb = rng.standard_normal(4)
     u = classify_regime(g, sigma, None).solve(gb)[0].canonical(g)
     basis = floppy_basis(g, sigma)
-    L = laplacian_matrix(g, sigma.values)
+    L = loop_assembly(g, sigma.values)
     # adding any floppy mode keeps the solution feasible and leaves the
     # boundary flux unchanged
     z = basis.modes @ rng.standard_normal(basis.dim)
@@ -658,7 +657,7 @@ def test_dtn_psd_matches_pseudoinverse_oracle():
 
 def test_dtn_psd_invariant_under_q_remix():
     g, sigma = collinear_springs()
-    M, nb = laplacian_matrix(g, sigma.values), sigma.d * g.num_boundary
+    M, nb = loop_assembly(g, sigma.values), sigma.d * g.num_boundary
     Q = range_basis(_route(g, sigma.d, eigen_decompose(sigma)).floppy, nb)
     # the map through any orthonormal basis of the interior range, here a
     # random orthogonal remix of one, is the regularized map
@@ -675,7 +674,7 @@ def test_dtn_no_interior():
     g = build_graph(2, [0, 1], [(0, 1)])
     sigma = MatrixEdgeField.from_blocks(np.outer([1.0, 0.0], [1.0, 0.0])[None])
     lam = dtn_psd(g, sigma).matrix
-    assert np.array_equal(lam, laplacian_matrix(g, sigma.values))
+    assert np.array_equal(lam, loop_assembly(g, sigma.values))
 
 
 @st.composite
@@ -712,8 +711,8 @@ def test_dtn_pd_matches_schur_oracle(net, with_q):
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(g.num_edges, d, seed))
     q = MatrixNodeField.from_blocks(random_spd_blocks(g.num_vertices, d, seed + 1)) \
         if with_q else None
-    M = schrodinger_matrix(g, sigma.values, q.values) if with_q \
-        else laplacian_matrix(g, sigma.values)
+    M = loop_assembly(g, sigma.values, q.values) if with_q \
+        else loop_assembly(g, sigma.values)
     nb = d * g.num_boundary
     lam = dtn_pd(g, sigma, q).matrix
     assert np.abs(lam - schur_pinv_oracle(M, nb)).max() < 1e-10
@@ -735,11 +734,11 @@ def test_dtn_psd_rank_one_matches_pseudoinverse_oracle(net):
     sigma = MatrixEdgeField.from_blocks(blocks)
     assert classify_regime(g, sigma, None).tag is RegimeTag.PSD_REAL
     nb = d * g.num_boundary
-    assume_no_near_mechanism(laplacian_matrix(g, blocks)[nb:, nb:])
+    assume_no_near_mechanism(loop_assembly(g, blocks)[nb:, nb:])
     lam = dtn_psd(g, sigma).matrix
     assert np.abs(lam - dtn_pseudoinverse_oracle(g, sigma)).max() < 1e-10
     plan = _route(g, d, eigen_decompose(sigma))
-    check_state_matrix(laplacian_matrix(g, blocks), lam, plan.scatter(blocks))
+    check_state_matrix(loop_assembly(g, blocks), lam, plan.scatter(blocks))
     # minimal norm: every state is orthogonal to the floppy modes
     U = _dirichlet_state_matrix(plan.scatter(blocks))
     assert (np.abs(plan.floppy.T @ U) <= 1e-12 * np.linalg.norm(U, axis=0)).all()
@@ -798,7 +797,7 @@ def certificate_case(net, kind, level):
         blocks = random_spd_blocks(g.num_edges, d, seed) - shift * np.eye(d)
     sigma = MatrixEdgeField.from_blocks(blocks)
     nb = d * g.num_boundary
-    Lr_II = laplacian_matrix(g, sigma.values.real).real[nb:, nb:]
+    Lr_II = loop_assembly(g, sigma.values.real).real[nb:, nb:]
     q = None
     if kind.endswith("+q"):
         # level * |Lr_II| I plus a symmetric perturbation: the bound
@@ -892,8 +891,8 @@ def check_regime_solves_as_its_route(g, sigma, q, gb):
     assert (dtn.provenance, dtn.asymmetry) == (expected.provenance, expected.asymmetry)
     u, resid = regime.solve(gb)
     assert u.boundary_values(g).tobytes() == np.asarray(gb, dtype=complex).tobytes()
-    M = laplacian_matrix(g, sigma.values) if q is None \
-        else schrodinger_matrix(g, sigma.values, q.values)
+    M = loop_assembly(g, sigma.values) if q is None \
+        else loop_assembly(g, sigma.values, q.values)
     assert resid == scaled_residual(M, regime.operator.plan, u.canonical(g))
 
 
@@ -988,6 +987,29 @@ def test_pd_sigma_and_its_map_are_exact_under_powers_of_two(net, imag, with_q, k
     assert (u_k, resid_k) == (u, resid)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", [(1e-310, 1e-310), (3 * 2.0 ** -1030, 2.0 ** -1030),
+                                   ((3 + 1j) * 2.0 ** -1030, 2.0 ** -1030)])
+def test_pd_sigma_with_a_subnormal_interior_has_a_finite_map(sigma):
+    # M_II's largest entry is subnormal, so 2^-e, the power of two that
+    # brings it into range, is itself beyond float range: the blocks are
+    # scaled entry by entry, and the map is 2^-1030 times the map of the
+    # blocks times 2^1030 up to the precision the subnormals keep
+    g, gb = path3(), np.array([1.0, 0.0])
+    blocks = np.array(sigma, dtype=complex).reshape(2, 1, 1)
+
+    def solved(b):
+        regime = classify_regime(g, MatrixEdgeField.from_blocks(b), None)
+        assert regime.tag is RegimeTag.PD_SIGMA
+        return regime.dtn().matrix, regime.solve(gb)[0].values
+
+    lam, u = solved(blocks)
+    lam_up, u_up = solved(np.ldexp(blocks.view(float), 1030).view(complex))
+    assert np.isfinite(lam).all() and np.isfinite(u).all()
+    np.testing.assert_allclose(np.ldexp(lam.view(float), 1030).view(complex), lam_up, rtol=1e-12)
+    np.testing.assert_allclose(u, u_up, rtol=1e-12, atol=1e-15)
+
+
 @settings(max_examples=100, deadline=None)
 @given(networks(dims=(2, 3)), st.sampled_from([0.0, 0.3]), st.integers(-1000, 1000))
 def test_psd_tags_and_their_maps_are_exact_under_powers_of_two(net, imag, k):
@@ -1026,8 +1048,8 @@ def test_real_pd_maps_and_states_match_complex_arithmetic(net, with_q):
     q = MatrixNodeField.from_blocks(random_spd_blocks(g.num_vertices, d, seed + 1, imag=0.0)) \
         if with_q else None
     nb = d * g.num_boundary
-    M = schrodinger_matrix(g, sigma.values, q.values) if with_q \
-        else laplacian_matrix(g, sigma.values)
+    M = loop_assembly(g, sigma.values, q.values) if with_q \
+        else loop_assembly(g, sigma.values)
     U = complex_state_matrix(M, nb)
     lam = dtn_pd(g, sigma, q).matrix
     assert lam.dtype == complex
@@ -1043,7 +1065,7 @@ def test_real_psd_map_matches_complex_arithmetic():
     path, mixed = mixed_rank_path()
     for g, sigma in [collinear_springs(), (path, MatrixEdgeField.from_blocks(mixed.values.real))]:
         assert classify_regime(g, sigma, None).tag is RegimeTag.PSD_REAL
-        M, nb = laplacian_matrix(g, sigma.values), sigma.d * g.num_boundary
+        M, nb = loop_assembly(g, sigma.values), sigma.d * g.num_boundary
         floppy = _route(g, sigma.d, eigen_decompose(sigma)).floppy
         U = complex_state_matrix(M, nb, range_basis(floppy, nb))
         lam = dtn_psd(g, sigma).matrix
@@ -1095,7 +1117,7 @@ def test_korn_inequality_random_u():
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(6, 2, 77, imag=0.0))
     lam_min, _, lam_max = korn_constants(sigma)
     assert lam_min > 0
-    L = laplacian_matrix(g, sigma.values).real
+    L = loop_assembly(g, sigma.values).real
     D = gradient_matrix(g, 2)
     for _ in range(100):
         u = rng.standard_normal(12)
@@ -1112,7 +1134,7 @@ def test_modified_korn_inequality_psd():
     _, lam_minp, lam_max = korn_constants(sigma)
     eig = eigen_decompose(sigma)
     P = projected_gradient_matrix(g, eig)
-    L = laplacian_matrix(g, sigma.values).real
+    L = loop_assembly(g, sigma.values).real
     for _ in range(100):
         u = rng.standard_normal(6)
         energy = u @ L @ u
@@ -1126,7 +1148,7 @@ def test_laplacian_nullspace_dimension_d():
     g = build_graph(5, [0], [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
     d = 3
     sigma = MatrixEdgeField.from_blocks(random_spd_blocks(6, d, 55, imag=0.0))
-    L = laplacian_matrix(g, sigma.values).real
+    L = loop_assembly(g, sigma.values).real
     svals = np.linalg.svd(L, compute_uv=False)
     assert int((svals <= 1e-10 * svals.max()).sum()) == d
     for c in np.eye(d):
@@ -1154,8 +1176,8 @@ def test_complex_psd_subspace_equalities():
     # operators agree, and the boundary coupling maps into the interior range
     g, sigma_real = collinear_springs()
     sigma = MatrixEdgeField.from_blocks((1.0 + 0.7j) * sigma_real.values)
-    M = laplacian_matrix(g, sigma.values)
-    Mr = laplacian_matrix(g, sigma_real.values)
+    M = loop_assembly(g, sigma.values)
+    Mr = loop_assembly(g, sigma_real.values)
 
     def null_proj(m):
         u, s, vh = np.linalg.svd(m)
@@ -1180,7 +1202,7 @@ def test_energy_minimization_psd():
     g, sigma = collinear_springs()
     gb = rng.standard_normal(4)
     u = classify_regime(g, sigma, None).solve(gb)[0].canonical(g)
-    L = laplacian_matrix(g, sigma.values).real
+    L = loop_assembly(g, sigma.values).real
     e0 = (u @ L @ u).real
     for _ in range(100):
         delta = np.zeros(6)
@@ -1313,7 +1335,7 @@ def test_level_elimination_matches_one_dense_solve(drawn, imag, with_q, seed):
     local = np.random.default_rng(seed)
     sigma = random_spd_blocks(g.num_edges, d, seed, imag)
     q = random_spd_blocks(g.num_vertices, d, seed + 1, imag) if with_q else None
-    M = schrodinger_matrix(g, sigma, q) if with_q else laplacian_matrix(g, sigma)
+    M = loop_assembly(g, sigma, q) if with_q else loop_assembly(g, sigma)
     op = _route(g, d).scatter(sigma, q)
     nb = op.plan.nb
     assume(g.num_interior)
@@ -1347,7 +1369,7 @@ def test_level_elimination_matches_one_dense_solve(drawn, imag, with_q, seed):
         # them: A_k+1,k is then not the transpose of A_k,k+1
         blocks = sigma + 0.2 * local.standard_normal(sigma.shape)
         p = _vec_blocks(blocks)
-        M = laplacian_matrix(g, _blocks(p, d))
+        M = loop_assembly(g, _blocks(p, d))
         forward = make_spec_conductivity(g, d).forward(p)
         assert relative_error(forward, dense_reference(M, nb)[1], M) <= 1e-12
 
@@ -1357,7 +1379,7 @@ def test_one_level_dtn_is_one_dense_solve_bit_for_bit():
     g = build_graph(5, [0, 2, 4], [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3), (1, 4)])
     for imag in (0.0, 0.2):
         sigma = MatrixEdgeField.from_blocks(random_spd_blocks(6, 2, 47, imag=imag))
-        M = laplacian_matrix(g, sigma.values)
+        M = loop_assembly(g, sigma.values)
         assert len(g.interior_levels) == 1
         sym = 0.5 * dense_reference(M, 6)[1]
         assert dtn_pd(g, sigma, None).matrix.tobytes() == (sym + sym.T).astype(complex).tobytes()
@@ -1400,8 +1422,8 @@ def test_every_supported_regime_solves_as_its_route(drawn, kind, imag, seed):
     # near-mechanisms and near-singular interiors: no route keeps their
     # residual within RESIDUAL_TOL
     nb = d * g.num_boundary
-    M = laplacian_matrix(g, sigma.values) if q is None \
-        else schrodinger_matrix(g, sigma.values, q.values)
+    M = loop_assembly(g, sigma.values) if q is None \
+        else loop_assembly(g, sigma.values, q.values)
     assume_no_near_mechanism(M[nb:, nb:])
     gb = local.standard_normal(nb) + 1j * local.standard_normal(nb)
     check_regime_solves_as_its_route(g, sigma, q, gb)
@@ -1423,8 +1445,8 @@ def test_regime_map_is_the_dense_route_map(drawn, kind, imag, seed):
         if kind.endswith("+q") else None
     regime = classify_regime(g, sigma, q)
     assume(regime.tag is not RegimeTag.UNSUPPORTED)
-    M = laplacian_matrix(g, sigma.values) if q is None \
-        else schrodinger_matrix(g, sigma.values, q.values)
+    M = loop_assembly(g, sigma.values) if q is None \
+        else loop_assembly(g, sigma.values, q.values)
     plan = regime.operator.plan
     schur = dense_route(M, plan.nb, plan.rows, plan.floppy)[0]
     assert _schur_dtn(regime.operator).tobytes() == schur.tobytes()

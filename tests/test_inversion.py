@@ -34,12 +34,13 @@ from netinv.inversion import (
     product_matrix,
     uniqueness_test,
 )
-from netinv.operators import eigen_decompose, laplacian_matrix, schrodinger_matrix
+from netinv.operators import eigen_decompose
 
 from oracles import (
     admissible_extent_bisection,
     block_outer_split_full,
     dense_route,
+    loop_assembly,
     meeting_pairs,
     vec,
 )
@@ -432,7 +433,7 @@ def test_spec_forward_and_states_are_those_of_the_dense_route(net, factory, real
         spec.states(p)
         (U, plan), (blocks, q) = seen["states"], seen["operator"]
         forward = spec.forward(p)
-    M = laplacian_matrix(g, blocks) if q is None else schrodinger_matrix(g, blocks, q)
+    M = loop_assembly(g, blocks) if q is None else loop_assembly(g, blocks, q)
     schur, states = dense_route(M, plan.nb, plan.rows, plan.floppy)
     if (g.edges, g.boundary, d, factory) == (((0, 1), (1, 2)), (0,), 2, "springs_static"):
         assert plan.floppy.shape[1] == 2 and plan.rows == [slice(None)]
